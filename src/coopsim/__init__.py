@@ -10,7 +10,7 @@ Submodules:
   cli       - experiment runner (`coopsim` entry point)
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .netsim import FrameOutcome, Mode, Strategy, enumerate_modes
 from .selection import LearnParams, RankedModeList, SpaParams

@@ -118,13 +118,21 @@ def synthetic_dataset(fer_table, frames_per_topology, rng):
                        frames_per_topology=frames_per_topology)
 
 
+def check_sampling(n_samples, segment_len, frames_per_topology):
+    """Raise unless n_samples >= 1 samples of segment_len-frame segments
+    can be drawn from frames_per_topology recorded frames."""
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got n_samples={n_samples}")
+    if segment_len > frames_per_topology:
+        raise SegmentTooLongError(
+            f"segment_len {segment_len} exceeds recorded "
+            f"{frames_per_topology} frames per topology")
+
+
 def make_sample(dataset, n_transitions, segment_len, rng):
     """Random time-varying sample: n_transitions+1 segments, topology
     uniform with repetition, frame rows uniform without replacement."""
-    if segment_len > dataset.frames_per_topology:
-        raise SegmentTooLongError(
-            f"segment_len {segment_len} exceeds recorded "
-            f"{dataset.frames_per_topology} frames per topology")
+    check_sampling(1, segment_len, dataset.frames_per_topology)
     segments = []
     for _ in range(n_transitions + 1):
         label = dataset.topologies[int(rng.integers(len(dataset.topologies)))]
@@ -136,6 +144,7 @@ def make_sample(dataset, n_transitions, segment_len, rng):
 
 def make_ensemble(dataset, n_samples, n_transitions, segment_len, seed):
     """n_samples independent samples from per-sample substreams."""
+    check_sampling(n_samples, segment_len, dataset.frames_per_topology)
     return [make_sample(dataset, n_transitions, segment_len,
                         named_rng(seed, "sample", i))
             for i in range(n_samples)]

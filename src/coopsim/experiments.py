@@ -171,7 +171,7 @@ def _sweep_task(args):
     return snr_db, k, subset, value, method
 
 
-def _run_outage_sweep(doc, path, base_dir, out_dir, seed, threads):
+def _plan_outage_sweep(doc, path, base_dir):
     template = _resolve_topology(_need(doc, "topology", path), base_dir, path)
     rate = float(_need(doc, "rate", path))
     k_values = [int(k) for k in _need(doc, "k_values", path)]
@@ -185,18 +185,22 @@ def _run_outage_sweep(doc, path, base_dir, out_dir, seed, threads):
     if any(k < 0 or k > template.n_relays for k in k_values):
         raise ValidationError(f"{path}: k_values outside [0, {template.n_relays}]")
 
-    tasks = [(template, k, rate, snr_db, normalization, method, seed, gi)
-             for gi, snr_db in enumerate(grid) for k in k_values]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep_task, tasks))
-    else:
-        results = [_sweep_task(t) for t in tasks]
-    rows = [[_fmt(snr_db), k, _subset_str(subset), _fmt(value), method]
-            for snr_db, k, subset, value, method in results]
-    out = os.path.join(out_dir, "outage.csv")
-    _write_csv(out, ["snr_db", "k", "subset", "outage", "method"], rows)
-    return [out]
+    def run(out_dir, seed, threads):
+        tasks = [(template, k, rate, snr_db, normalization, method, seed, gi)
+                 for gi, snr_db in enumerate(grid) for k in k_values]
+        if threads > 1:
+            with ProcessPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(_sweep_task, tasks))
+        else:
+            results = [_sweep_task(t) for t in tasks]
+        rows = [[_fmt(snr_db), k, _subset_str(subset), _fmt(value), method]
+                for snr_db, k, subset, value, method in results]
+        out = os.path.join(out_dir, "outage.csv")
+        _write_csv(out, ["snr_db", "k", "subset", "outage", "method"], rows)
+        return [out]
+
+    return (f"ok: outage_sweep over {len(grid)} SNR points x {len(k_values)} k "
+            f"values on {template.n_relays}-relay topology {template.label!r}"), run
 
 
 def _mode_slots(doc, path, n_relays):
@@ -209,27 +213,37 @@ def _mode_slots(doc, path, n_relays):
         raise ValidationError(f"{path}: modes: {e}") from e
 
 
-def _run_fixed_modes(doc, path, base_dir, out_dir, seed, threads):
+def _schedule_summary(kind, schedule, topologies):
+    return (f"ok: {kind} over {len(schedule.segments)} segments "
+            f"({schedule.total_frames} frames, {len(topologies)} topologies)")
+
+
+def _plan_fixed_modes(doc, path, base_dir):
     schedule, topologies = _resolve_schedule(_need(doc, "schedule", path), base_dir, path)
     rate = float(_need(doc, "rate", path))
     strategy = netsim.Strategy.parse(doc.get("strategy", "DIQIF"))
+    _resolve_params(doc, path)  # checked although fixed modes never learn
     n = next(iter(topologies.values())).n_relays
     slots = _mode_slots(doc, path, n)
-    labels = [schedule_topology_at(schedule, f) for f in range(schedule.total_frames)]
-    outputs = []
-    summary = []
-    for slot in slots:
-        rng = named_rng(seed, "fixed", netsim.mode_key_str(slot))
-        outcomes = netsim.run_fixed(schedule, topologies, slot, strategy, rate, rng)
-        out = os.path.join(out_dir, f"trace_{netsim.mode_key_str(slot)}.csv")
-        netsim.write_trace(out, outcomes, labels)
+
+    def run(out_dir, seed, threads):
+        labels = [schedule_topology_at(schedule, f) for f in range(schedule.total_frames)]
+        outputs = []
+        summary = []
+        for slot in slots:
+            rng = named_rng(seed, "fixed", netsim.mode_key_str(slot))
+            outcomes = netsim.run_fixed(schedule, topologies, slot, strategy, rate, rng)
+            out = os.path.join(out_dir, f"trace_{netsim.mode_key_str(slot)}.csv")
+            netsim.write_trace(out, outcomes, labels)
+            outputs.append(out)
+            fer = sum(1 for o in outcomes if o.category == 2) / len(outcomes)
+            summary.append([netsim.mode_key_str(slot), _fmt(fer)])
+        out = os.path.join(out_dir, "summary.csv")
+        _write_csv(out, ["mode", "fer"], summary)
         outputs.append(out)
-        fer = sum(1 for o in outcomes if o.category == 2) / len(outcomes)
-        summary.append([netsim.mode_key_str(slot), _fmt(fer)])
-    out = os.path.join(out_dir, "summary.csv")
-    _write_csv(out, ["mode", "fer"], summary)
-    outputs.append(out)
-    return outputs
+        return outputs
+
+    return _schedule_summary("fixed_modes", schedule, topologies), run
 
 
 def _schedule_executor(schedule, topologies, strategy, rate, rng):
@@ -244,39 +258,49 @@ def _schedule_executor(schedule, topologies, strategy, rate, rng):
     return execute
 
 
-def _run_adaptive_compare(doc, path, base_dir, out_dir, seed, threads):
+def _resolve_policies(doc, path):
+    policies = [str(p) for p in _need(doc, "policies", path)]
+    try:
+        for policy in policies:
+            selection.policy_key(policy)
+    except ValueError as e:
+        raise ValidationError(f"{path}: {e}") from e
+    return policies
+
+
+def _plan_adaptive_compare(doc, path, base_dir):
     schedule, topologies = _resolve_schedule(_need(doc, "schedule", path), base_dir, path)
     rate = float(_need(doc, "rate", path))
     strategy = netsim.Strategy.parse(doc.get("strategy", "DIQIF"))
     params = _resolve_params(doc, path)
-    policies = [str(p) for p in _need(doc, "policies", path)]
-    n = next(iter(topologies.values())).n_relays
-    modes = netsim.enumerate_modes(n)
-    outputs = []
-    summary = []
-    for policy in policies:
-        exec_rng = named_rng(seed, "frames", policy)
-        policy_rng = named_rng(seed, "policy", policy)
-        executor = _schedule_executor(schedule, topologies, strategy, rate, exec_rng)
-        try:
+    policies = _resolve_policies(doc, path)
+    modes = netsim.enumerate_modes(next(iter(topologies.values())).n_relays)
+
+    def run(out_dir, seed, threads):
+        outputs = []
+        summary = []
+        for policy in policies:
+            exec_rng = named_rng(seed, "frames", policy)
+            policy_rng = named_rng(seed, "policy", policy)
+            executor = _schedule_executor(schedule, topologies, strategy, rate, exec_rng)
             log = selection.run_policy(policy, executor, modes, params,
                                        total_frames=schedule.total_frames,
                                        rng=policy_rng)
-        except selection.UnknownPolicyError as e:
-            raise ValidationError(f"{path}: {e}") from e
-        out = os.path.join(out_dir, f"runlog_{log.policy.replace(':', '_')}.csv")
-        _write_csv(out, ["frame_index", "mode", "category", "phase",
-                         "cumulative_switches"], log.to_rows())
+            out = os.path.join(out_dir, f"runlog_{log.policy.replace(':', '_')}.csv")
+            _write_csv(out, ["frame_index", "mode", "category", "phase",
+                             "cumulative_switches"], log.to_rows())
+            outputs.append(out)
+            summary.append([log.policy, _fmt(log.fer), log.switch_count,
+                            len(log.triggers)])
+        out = os.path.join(out_dir, "summary.csv")
+        _write_csv(out, ["policy", "fer", "switches", "triggers"], summary)
         outputs.append(out)
-        summary.append([log.policy, _fmt(log.fer), log.switch_count,
-                        len(log.triggers)])
-    out = os.path.join(out_dir, "summary.csv")
-    _write_csv(out, ["policy", "fer", "switches", "triggers"], summary)
-    outputs.append(out)
-    return outputs
+        return outputs
+
+    return _schedule_summary("adaptive_compare", schedule, topologies), run
 
 
-def _run_ensemble(doc, path, base_dir, out_dir, seed, threads):
+def _plan_ensemble(doc, path, base_dir):
     topo_specs = _need(doc, "topologies", path)
     topologies = [_resolve_topology(s, base_dir, path) for s in topo_specs]
     if len({t.label for t in topologies}) != len(topologies):
@@ -287,41 +311,46 @@ def _run_ensemble(doc, path, base_dir, out_dir, seed, threads):
     n_transitions = int(doc.get("n_transitions", 4))
     segment_len = int(doc.get("segment_len", 172))
     n_samples = int(doc.get("n_samples", 200))
-    params = _resolve_params(doc, path)
-    policies = [str(p) for p in _need(doc, "policies", path)]
-
-    dataset = ensemble.record_dataset(topologies, strategy, rate, frames,
-                                      named_rng(seed, "dataset"))
     try:
+        ensemble.check_sampling(n_samples, segment_len, frames)
+    except ValueError as e:
+        raise ValidationError(f"{path}: {e}") from e
+    params = _resolve_params(doc, path)
+    policies = _resolve_policies(doc, path)
+
+    def run(out_dir, seed, threads):
+        dataset = ensemble.record_dataset(topologies, strategy, rate, frames,
+                                          named_rng(seed, "dataset"))
         samples = ensemble.make_ensemble(dataset, n_samples, n_transitions,
                                          segment_len, seed)
-    except ensemble.SegmentTooLongError as e:
-        raise ValidationError(f"{path}: {e}") from e
+        summary = []
+        sample_rows = []
+        for policy in policies:
+            try:
+                res = ensemble.evaluate_on_ensemble(policy, samples, dataset,
+                                                    params, seed=seed)
+            except selection.UnknownPolicyError as e:
+                # a fixed mode the dataset did not record
+                raise ValidationError(f"{path}: {e}") from e
+            summary.append([res.policy, _fmt(res.avg_fer), _fmt(res.avg_switches)])
+            for idx, fer, switches, n_frames in res.rows:
+                sample_rows.append([res.policy, idx, _fmt(fer), switches, n_frames])
+        out1 = os.path.join(out_dir, "ensemble.csv")
+        _write_csv(out1, ["policy", "avg_fer", "avg_switches"], summary)
+        out2 = os.path.join(out_dir, "sample_metrics.csv")
+        _write_csv(out2, ["policy", "sample", "fer", "switches", "n_frames"],
+                   sample_rows)
+        out3 = os.path.join(out_dir, "dataset.csv")
+        ensemble.write_dataset_csv(out3, dataset)
+        out4 = os.path.join(out_dir, "samples.csv")
+        ensemble.write_samples_csv(out4, samples)
+        return [out1, out2, out3, out4]
 
-    summary = []
-    sample_rows = []
-    for policy in policies:
-        try:
-            res = ensemble.evaluate_on_ensemble(policy, samples, dataset,
-                                                params, seed=seed)
-        except selection.UnknownPolicyError as e:
-            raise ValidationError(f"{path}: {e}") from e
-        summary.append([res.policy, _fmt(res.avg_fer), _fmt(res.avg_switches)])
-        for idx, fer, switches, n_frames in res.rows:
-            sample_rows.append([res.policy, idx, _fmt(fer), switches, n_frames])
-    out1 = os.path.join(out_dir, "ensemble.csv")
-    _write_csv(out1, ["policy", "avg_fer", "avg_switches"], summary)
-    out2 = os.path.join(out_dir, "sample_metrics.csv")
-    _write_csv(out2, ["policy", "sample", "fer", "switches", "n_frames"],
-               sample_rows)
-    out3 = os.path.join(out_dir, "dataset.csv")
-    ensemble.write_dataset_csv(out3, dataset)
-    out4 = os.path.join(out_dir, "samples.csv")
-    ensemble.write_samples_csv(out4, samples)
-    return [out1, out2, out3, out4]
+    return (f"ok: ensemble of {n_samples} samples over {len(topologies)} "
+            f"topologies x {len(policies)} policies"), run
 
 
-def _run_mac_compare(doc, path, base_dir, out_dir, seed, threads):
+def _plan_mac_compare(doc, path, base_dir):
     topology = _resolve_topology(_need(doc, "topology", path), base_dir, path)
     rate = float(_need(doc, "rate", path))
     mac_block = doc.get("mac", {}) or {}
@@ -340,74 +369,55 @@ def _run_mac_compare(doc, path, base_dir, out_dir, seed, threads):
         )
     except ValueError as e:
         raise ValidationError(f"{path}: mac_compare: {e}") from e
-    report = macemu.compare_coop_vs_genie(scenario, policy, seed=seed)
-    out1 = os.path.join(out_dir, "mac_compare.csv")
-    _write_csv(out1, ["system", "drop_rate", "throughput_bits_per_s"], [
-        ["coop", _fmt(report.coop_drop_rate), _fmt(report.coop_throughput)],
-        ["genie", _fmt(report.genie_drop_rate), _fmt(report.genie_throughput)],
-    ])
-    out2 = os.path.join(out_dir, "packets_coop.csv")
-    macemu.write_packet_csv(out2, report.coop_results)
-    out3 = os.path.join(out_dir, "packets_genie.csv")
-    macemu.write_packet_csv(out3, report.genie_results)
-    return [out1, out2, out3]
+
+    def run(out_dir, seed, threads):
+        report = macemu.compare_coop_vs_genie(scenario, policy, seed=seed)
+        out1 = os.path.join(out_dir, "mac_compare.csv")
+        _write_csv(out1, ["system", "drop_rate", "throughput_bits_per_s"], [
+            ["coop", _fmt(report.coop_drop_rate), _fmt(report.coop_throughput)],
+            ["genie", _fmt(report.genie_drop_rate), _fmt(report.genie_throughput)],
+        ])
+        out2 = os.path.join(out_dir, "packets_coop.csv")
+        macemu.write_packet_csv(out2, report.coop_results)
+        out3 = os.path.join(out_dir, "packets_genie.csv")
+        macemu.write_packet_csv(out3, report.genie_results)
+        return [out1, out2, out3]
+
+    return f"ok: mac_compare of {scenario.n_packets} packets on {topology.label!r}", run
 
 
-_RUNNERS = {
-    "outage_sweep": _run_outage_sweep,
-    "fixed_modes": _run_fixed_modes,
-    "adaptive_compare": _run_adaptive_compare,
-    "ensemble": _run_ensemble,
-    "mac_compare": _run_mac_compare,
+_PLANS = {
+    "outage_sweep": _plan_outage_sweep,
+    "fixed_modes": _plan_fixed_modes,
+    "adaptive_compare": _plan_adaptive_compare,
+    "ensemble": _plan_ensemble,
+    "mac_compare": _plan_mac_compare,
 }
 
 
-def _parse_common(path, doc):
+def _plan(path):
+    """Load the config and resolve and check everything its run needs.
+
+    Returns (doc, kind, summary, run), where run(out_dir, seed, threads)
+    executes the experiment and returns the files it wrote.
+    """
+    doc = _load_yaml(path)
     kind = str(_need(doc, "kind", path))
     if kind not in EXPERIMENT_KINDS:
         raise ConfigParseError(
             f"{path}: unknown experiment kind {kind!r}; expected one of "
             f"{', '.join(sorted(EXPERIMENT_KINDS))}")
-    return kind
+    base_dir = os.path.dirname(os.path.abspath(path))
+    summary, run = _PLANS[kind](doc, path, base_dir)
+    return doc, kind, summary, run
 
 
 def validate_config(path):
-    """All structural and parameter validation without running anything.
+    """All structural and parameter validation of a run, without running it.
 
     Returns a one-line summary of the planned work.
     """
-    doc = _load_yaml(path)
-    kind = _parse_common(path, doc)
-    base_dir = os.path.dirname(os.path.abspath(path))
-    if kind == "outage_sweep":
-        t = _resolve_topology(_need(doc, "topology", path), base_dir, path)
-        grid = _snr_grid(_need(doc, "snr_grid", path), path)
-        ks = [int(k) for k in _need(doc, "k_values", path)]
-        if any(k < 0 or k > t.n_relays for k in ks):
-            raise ValidationError(f"{path}: k_values outside [0, {t.n_relays}]")
-        float(_need(doc, "rate", path))
-        return (f"ok: outage_sweep over {len(grid)} SNR points x {len(ks)} k "
-                f"values on {t.n_relays}-relay topology {t.label!r}")
-    if kind in ("fixed_modes", "adaptive_compare"):
-        schedule, topologies = _resolve_schedule(_need(doc, "schedule", path),
-                                                 base_dir, path)
-        float(_need(doc, "rate", path))
-        _resolve_params(doc, path)
-        if kind == "adaptive_compare":
-            _need(doc, "policies", path)
-        return (f"ok: {kind} over {len(schedule.segments)} segments "
-                f"({schedule.total_frames} frames, {len(topologies)} topologies)")
-    if kind == "ensemble":
-        topologies = [_resolve_topology(s, base_dir, path)
-                      for s in _need(doc, "topologies", path)]
-        _resolve_params(doc, path)
-        policies = _need(doc, "policies", path)
-        return (f"ok: ensemble of {int(doc.get('n_samples', 200))} samples over "
-                f"{len(topologies)} topologies x {len(policies)} policies")
-    topology = _resolve_topology(_need(doc, "topology", path), base_dir, path)
-    _resolve_params(doc, path)
-    n_packets = int(_need(doc, "n_packets", path))
-    return (f"ok: mac_compare of {n_packets} packets on {topology.label!r}")
+    return _plan(path)[2]
 
 
 def run_config(path, out_dir=None, seed=None, threads=1):
@@ -416,9 +426,7 @@ def run_config(path, out_dir=None, seed=None, threads=1):
     Returns the list of written files (manifest last). out_dir and seed
     override the config's values when given.
     """
-    doc = _load_yaml(path)
-    kind = _parse_common(path, doc)
-    validate_config(path)
+    doc, kind, _, run = _plan(path)
     base_dir = os.path.dirname(os.path.abspath(path))
     out_dir = out_dir or doc.get("out_dir") or "."
     if not os.path.isabs(out_dir):
@@ -429,7 +437,7 @@ def run_config(path, out_dir=None, seed=None, threads=1):
         raise IoError(f"{out_dir}: {e}") from e
     seed = int(doc.get("seed", 0)) if seed is None else int(seed)
 
-    outputs = _RUNNERS[kind](doc, path, base_dir, out_dir, seed, max(1, int(threads)))
+    outputs = run(out_dir, seed, max(1, int(threads)))
 
     manifest = {
         "kind": kind,

@@ -212,6 +212,11 @@ class CoopVsRoutingScenario:
     mode_policy: object = "SPA"          # selection policy for the coop side
     spa_params: object = field(default_factory=selection.SpaParams)
 
+    def __post_init__(self):
+        if self.n_packets < 1:
+            raise ValueError(f"n_packets must be >= 1, got {self.n_packets}")
+        selection.policy_key(self.mode_policy)
+
 
 @dataclass(frozen=True)
 class ComparisonReport:

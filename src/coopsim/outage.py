@@ -14,19 +14,18 @@ of each cut probability and evaluates
     P_omega = Pr{ log2(1+X) + log2(1+Y) < R }
             = integral_0^{2^R-1} f_X(x) * F_Y(2^R/(1+x) - 1) dx
 
-by adaptive quadrature, where X is the max of the omega-side h_i^2 and Y the
-max of the complement-side g_j^2, both maxima of independent exponentials.
-A vectorized Monte-Carlo estimator serves as the bound's tightness oracle,
-and exhaustive subset search gives the outage-optimal k-relay subnetwork.
+by a fixed-node Gauss-Legendre rule, where X is the max of the omega-side
+h_i^2 and Y the max of the complement-side g_j^2, both maxima of
+independent exponentials. A vectorized Monte-Carlo estimator serves as the
+bound's tightness oracle. The outage-optimal k-relay subnetwork comes from
+a subset search that the bound's closed-form cuts prune (analytic), or from
+an exhaustive scan over common random numbers (Monte-Carlo).
 """
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .rng import named_rng
 from .topology import sample_channel_batch
@@ -37,7 +36,7 @@ class IndexOutOfSubsetError(ValueError):
 
 
 class QuadratureFailure(ArithmeticError):
-    """Adaptive quadrature did not reach tolerance within its budget."""
+    """The quadrature error estimate exceeds the requested tolerance."""
 
 
 DEFAULT_REL_TOL = 1e-8
@@ -145,27 +144,47 @@ def _max_cdf(lams, x):
     return p
 
 
-def _max_pdf(lams, x):
-    """Density of the max of independent exponentials (product rule)."""
-    if x < 0.0:
-        return 0.0
-    total = 0.0
-    for i, li in enumerate(lams):
-        term = li * math.exp(-li * x)
-        for k, lk in enumerate(lams):
-            if k != i:
-                term *= -math.expm1(-lk * x)
-        total += term
-    return total
+# 48-point Gauss-Legendre nodes and weights on [-1, 1]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 
 
-@lru_cache(maxsize=400_000)
+def _max_cdf_at(lams, x):
+    """_max_cdf at every point of the array x."""
+    lams = np.asarray(lams)[:, None]
+    return np.prod(-np.expm1(-lams * np.maximum(x, 0.0)), axis=0)
+
+
+def _max_pdf_at(lams, x):
+    """Density of the max of independent exponentials at every point of
+    the array x >= 0: the sum over i of f_i times the CDFs F_k, k != i, of
+    the others, taken from prefix and suffix products."""
+    lams = np.asarray(lams)[:, None]
+    z = -lams * x
+    cdfs = -np.expm1(z)
+    m = len(lams)
+    before, after = np.ones_like(cdfs), np.ones_like(cdfs)
+    for i in range(1, m):
+        before[i] = before[i - 1] * cdfs[i - 1]
+        after[m - 1 - i] = after[m - i] * cdfs[m - i]
+    return (lams * np.exp(z) * before * after).sum(axis=0)
+
+
+def _panel_nodes(edges):
+    """Nodes and weights of the Gauss-Legendre rule on every panel
+    [edges[i], edges[i+1]], flattened."""
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+
+
 def _p_omega(lams_src, lams_dst, rate, rel_tol):
     """Pr{log2(1+X) + log2(1+Y) < R} for X = max Exp(lams_src), Y = max
     Exp(lams_dst); degenerate sides reduce to a single CDF evaluation.
 
-    Interior breakpoints at the exponential scales keep the adaptive rule
-    from overlooking a boundary-concentrated density at large lambda.
+    Interior breakpoints at the exponential scales keep the rule from
+    overlooking a boundary-concentrated density at large lambda. The value
+    is the Gauss-Legendre rule on the halved panels; its error estimate is
+    the difference from the same rule on the whole panels.
     """
     tau = 2.0 ** rate - 1.0
     if tau <= 0.0:
@@ -182,23 +201,23 @@ def _p_omega(lams_src, lams_dst, rate, rel_tol):
     if ceiling < 1e-14:
         return ceiling
 
-    two_r = 2.0 ** rate
-
-    def integrand(x):
-        return _max_pdf(lams_src, x) * _max_cdf(lams_dst, two_r / (1.0 + x) - 1.0)
-
     points = {tau * s for s in (1e-9, 1e-6, 1e-3, 1e-2, 0.1, 0.5)}
     points |= {1.0 / lam for lam in lams_src + lams_dst}
-    points = sorted(p for p in points if 0.0 < p < tau)
-    with warnings.catch_warnings():
-        # the abserr check below replaces QUADPACK's roundoff warning
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, abserr = quad(integrand, 0.0, tau, points=points,
-                             epsabs=0.0, epsrel=rel_tol, limit=500)
+    edges = np.array([0.0, *sorted(p for p in points if 0.0 < p < tau), tau])
+    halved = np.empty(2 * len(edges) - 1)
+    halved[::2] = edges
+    halved[1::2] = 0.5 * (edges[:-1] + edges[1:])
+    x_whole, w_whole = _panel_nodes(edges)
+    x_halved, w_halved = _panel_nodes(halved)
+    x = np.concatenate((x_whole, x_halved))
+    f = _max_pdf_at(lams_src, x) * _max_cdf_at(lams_dst, 2.0 ** rate / (1.0 + x) - 1.0)
+    value = float((w_halved * f[len(x_whole):]).sum())
+    abserr = abs(value - float((w_whole * f[:len(x_whole)]).sum()))
     if not math.isfinite(value) or abserr > 10.0 * rel_tol * max(abs(value), 1e-300):
         raise QuadratureFailure(
             f"P_omega quadrature reached error {abserr:.3e} for value {value:.3e} "
-            f"(rel_tol {rel_tol:.1e})")
+            f"at lams_src={lams_src}, lams_dst={lams_dst}, rate={rate!r}, "
+            f"rel_tol={rel_tol:.1e}")
     return min(max(value, 0.0), 1.0)
 
 
@@ -215,52 +234,19 @@ def _check_subset(t, subset):
 
 
 def cut_outage_analytic(t, q, cut):
-    """P_omega for one cut of the query's subset, by adaptive quadrature."""
+    """P_omega for one cut of the query's subset, by Gauss-Legendre
+    quadrature. A QuadratureFailure names the topology, subset and cut."""
     _check_subset(t, q.subset)
     if not cut.omega <= set(q.subset):
         raise IndexOutOfSubsetError(
             f"cut {sorted(cut.omega)} not within subset {sorted(q.subset)}")
     lams_src, lams_dst = _cut_rates(t, cut, q.subset)
-    return _p_omega(lams_src, lams_dst, float(q.rate), float(q.quadrature_rel_tol))
-
-
-def p_omega_by_term_expansion(lams_src, lams_dst, rate, rel_tol=DEFAULT_REL_TOL):
-    """Cross-check evaluation of P_omega as a signed sum of elementary
-    integrals exp(-alpha*x - beta*(2^R/(1+x) - 1)).
-
-    Expands both the density of X and the CDF of Y into exponential terms;
-    valid only for distinct rate parameters (the expansion cancels badly
-    for repeated values, which is why the direct quadrature above is the
-    production path).
-    """
-    tau = 2.0 ** rate - 1.0
-    if tau <= 0.0:
-        return 0.0
-    if not lams_src:
-        return _max_cdf(lams_dst, tau)
-    if not lams_dst:
-        return _max_cdf(lams_src, tau)
-    two_r = 2.0 ** rate
-
-    def elementary(alpha, beta):
-        f = lambda x: math.exp(-alpha * x - beta * (two_r / (1.0 + x) - 1.0))
-        val, _ = quad(f, 0.0, tau, epsabs=0.0, epsrel=rel_tol, limit=200)
-        return val
-
-    total = 0.0
-    src = list(lams_src)
-    dst = list(lams_dst)
-    for i, li in enumerate(src):
-        rest = [l for k, l in enumerate(src) if k != i]
-        for r_bits in range(1 << len(rest)):
-            u = [rest[p] for p in range(len(rest)) if r_bits >> p & 1]
-            sign_u = -1.0 if len(u) % 2 else 1.0
-            alpha = li + sum(u)
-            for t_bits in range(1 << len(dst)):
-                tset = [dst[p] for p in range(len(dst)) if t_bits >> p & 1]
-                sign_t = -1.0 if len(tset) % 2 else 1.0
-                total += li * sign_u * sign_t * elementary(alpha, sum(tset))
-    return total
+    try:
+        return _p_omega(lams_src, lams_dst, float(q.rate), float(q.quadrature_rel_tol))
+    except QuadratureFailure as e:
+        raise QuadratureFailure(
+            f"topology {t.label!r}, subset {q.subset}, cut omega={sorted(cut.omega)}: "
+            f"{e}") from e
 
 
 def outage_upper_bound(t, q):
@@ -289,33 +275,56 @@ def outage_monte_carlo(t, q, rng):
     return p, math.sqrt(p * (1.0 - p) / n)
 
 
+def _bound_floor(t, q):
+    """Lower bound P_direct * (F_Y(tau) + F_X(tau)) on outage_upper_bound:
+    its closed-form cuts omega = {} and omega = subset, from the same term
+    values added in the same order, so rounding cannot lift the floor above
+    the bound."""
+    cuts = (Cut(()), Cut(q.subset)) if q.subset else (Cut(()),)
+    total = 0.0
+    for cut in cuts:
+        total += _p_omega(*_cut_rates(t, cut, q.subset), float(q.rate),
+                          float(q.quadrature_rel_tol))
+    return min(1.0, direct_outage(t.lambda_sd, q.rate) * total)
+
+
 def best_subnetwork(t, k, rate, method="analytic", rel_tol=DEFAULT_REL_TOL,
                     mc_samples=DEFAULT_MC_SAMPLES, rng=None):
-    """Exhaustive search for the outage-optimal k-relay subset.
+    """Search for the outage-optimal k-relay subset.
 
-    Subsets are scanned in lexicographic order and ties keep the earliest,
-    i.e. the lexicographically smallest subset. With method="montecarlo"
-    one batch of draws is shared by every subset (common random numbers),
-    which preserves the capacity monotonicity of nested subsets in the
-    empirical estimates.
+    Ties keep the lexicographically smallest subset. With
+    method="analytic" subsets are visited in ascending order of
+    _bound_floor, and the search stops at the first floor strictly above
+    the best bound so far: no later subset can reach it. With
+    method="montecarlo" every subset is scanned in lexicographic order on
+    one batch of draws shared by all of them (common random numbers), which
+    preserves the capacity monotonicity of nested subsets in the empirical
+    estimates.
     """
     if not 0 <= k <= t.n_relays:
         raise ValueError(f"k must be in [0, {t.n_relays}], got {k}")
     if method not in ("analytic", "montecarlo"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "montecarlo":
-        n = int(mc_samples)
-        draw_rng = rng if rng is not None else named_rng(0, "best_subnetwork")
-        h_sd2, h2, g2 = sample_channel_batch(t, draw_rng, n)
-
+    subsets = itertools.combinations(range(1, t.n_relays + 1), k)
     best_subset, best_value = None, math.inf
-    for subset in itertools.combinations(range(1, t.n_relays + 1), k):
-        if method == "analytic":
-            q = OutageQuery(rate=rate, subset=subset, quadrature_rel_tol=rel_tol)
+    if method == "analytic":
+        queries = [OutageQuery(rate=rate, subset=s, quadrature_rel_tol=rel_tol)
+                   for s in subsets]
+        for floor, q in sorted(((_bound_floor(t, q), q) for q in queries),
+                               key=lambda fq: (fq[0], fq[1].subset)):
+            if floor > best_value:
+                break
             value = outage_upper_bound(t, q)
-        else:
-            cap = _capacity_batch(h_sd2, h2, g2, subset)
-            value = float(np.count_nonzero(cap < rate)) / n
+            if value < best_value or (value == best_value and q.subset < best_subset):
+                best_subset, best_value = q.subset, value
+        return best_subset, best_value
+
+    n = int(mc_samples)
+    draw_rng = rng if rng is not None else named_rng(0, "best_subnetwork")
+    h_sd2, h2, g2 = sample_channel_batch(t, draw_rng, n)
+    for subset in subsets:
+        cap = _capacity_batch(h_sd2, h2, g2, subset)
+        value = float(np.count_nonzero(cap < rate)) / n
         if value < best_value:
             best_subset, best_value = subset, value
     return best_subset, best_value

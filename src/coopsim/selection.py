@@ -338,6 +338,24 @@ def _run_triggered(executor, all_modes, params, total_frames, log, adapt):
     return log
 
 
+def policy_key(policy):
+    """What run_policy dispatches on: the Mode of a fixed-mode policy (a
+    Mode instance or "Fixed:<mode>"), else the upper-cased policy name.
+
+    Raises UnknownPolicyError for a name outside BASELINE_POLICIES and
+    ValueError for an unparsable fixed mode.
+    """
+    if isinstance(policy, Mode):
+        return policy
+    name = str(policy)
+    if name.lower().startswith("fixed:"):
+        return Mode.parse(name.split(":", 1)[1])
+    key = name.upper()
+    if key not in {p.upper() for p in BASELINE_POLICIES}:
+        raise UnknownPolicyError(f"unknown policy {policy!r}")
+    return key
+
+
 def run_policy(policy, executor, all_modes, params=DEFAULT_PARAMS,
                total_frames=10_000, rng=None, brute_frames=None):
     """Run one selection policy and return its PolicyRunLog.
@@ -350,13 +368,9 @@ def run_policy(policy, executor, all_modes, params=DEFAULT_PARAMS,
     modes = list(all_modes)
     frames_per_probe = params.w if brute_frames is None else int(brute_frames)
 
-    if isinstance(policy, Mode):
-        return _run_flat(executor, policy, total_frames, PolicyRunLog(f"Fixed:{policy}"))
-    name = str(policy)
-    if name.lower().startswith("fixed:"):
-        mode = Mode.parse(name.split(":", 1)[1])
-        return _run_flat(executor, mode, total_frames, PolicyRunLog(f"Fixed:{mode}"))
-    key = name.upper()
+    key = policy_key(policy)
+    if isinstance(key, Mode):
+        return _run_flat(executor, key, total_frames, PolicyRunLog(f"Fixed:{key}"))
     if key == "DT":
         return _run_flat(executor, None, total_frames, PolicyRunLog("DT"))
     if key == "SPA":
@@ -379,7 +393,7 @@ def run_policy(policy, executor, all_modes, params=DEFAULT_PARAMS,
             pair = [modes[int(i)], modes[int(j)]]
             fers = [(_measure(loop, m, frames_per_probe), p) for p, m in enumerate(pair)]
             return pair[min(fers)[1]]
-    elif key in ("NRNM", "WRNM"):
+    else:  # NRNM or WRNM
         lp = params.learn if key == "WRNM" else replace(params.learn, epsilon=0.0)
         def adapt(loop):
             start = len(loop.log.frames)
@@ -387,8 +401,6 @@ def run_policy(policy, executor, all_modes, params=DEFAULT_PARAMS,
             loop.log.learn_calls.append(LearnCall(start, len(loop.log.frames),
                                                   tuple(modes), result.order))
             return result.order[0]
-    else:
-        raise UnknownPolicyError(f"unknown policy {policy!r}")
 
     log = PolicyRunLog(key if key != "RANDPICK" else "RandPick")
     return _run_triggered(executor, modes, params, total_frames, log, adapt)

@@ -69,6 +69,29 @@ class TestValidate:
         with pytest.raises(ValidationError):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("kind, override, message", [
+        ("mac_compare", {"mode_policy": "BOGUS"}, "unknown policy 'BOGUS'"),
+        ("mac_compare", {"n_packets": 0}, "n_packets must be >= 1"),
+        ("ensemble", {"n_samples": 0}, "need at least one sample"),
+    ])
+    def test_rejects_what_the_run_rejects(self, tmp_path, capsys, kind,
+                                          override, message):
+        base = {
+            "mac_compare": {"kind": "mac_compare", "topology": topo_doc(),
+                            "rate": 1.0, "n_packets": 10},
+            "ensemble": {"kind": "ensemble", "rate": 1.0,
+                         "topologies": schedule_doc()["topologies"],
+                         "frames_per_topology": 50, "segment_len": 10,
+                         "n_samples": 2, "policies": ["SPA"]},
+        }[kind]
+        cfg = write_yaml(tmp_path / "c.yaml", {**base, **override,
+                                               "out_dir": "o"})
+        assert main(["validate", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert main(["run", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_list_kinds(self, capsys):
         assert main(["validate", "--list"]) == 0
         out = capsys.readouterr().out

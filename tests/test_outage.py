@@ -3,14 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_topology
-from coopsim.outage import (Cut, IndexOutOfSubsetError, OutageQuery,
-                            _capacity_batch, _p_omega, approx_capacity,
-                            best_subnetwork, cut_outage_analytic, cut_value,
-                            direct_outage, outage_monte_carlo, outage_sweep,
-                            outage_upper_bound, p_omega_by_term_expansion,
-                            required_snr_db)
+from coopsim.outage import (DEFAULT_REL_TOL, Cut, IndexOutOfSubsetError,
+                            OutageQuery, QuadratureFailure, _capacity_batch,
+                            _p_omega, approx_capacity, best_subnetwork,
+                            cut_outage_analytic, cut_value, direct_outage,
+                            outage_monte_carlo, outage_sweep,
+                            outage_upper_bound, required_snr_db)
+from oracles import (best_subnetwork_exhaustive, p_omega_by_term_expansion,
+                     p_omega_quad)
 from coopsim.rng import named_rng
 from coopsim.topology import ChannelRealization, Topology, sample_channel_batch
 
@@ -149,6 +153,36 @@ class TestCutOutageAnalytic:
             expanded = p_omega_by_term_expansion(lams_l, lams_r, rate, 1e-10)
             assert direct == pytest.approx(expanded, rel=1e-6, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(lams_src=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+           lams_dst=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+           repeat=st.booleans(), rate=st.floats(0.25, 8.0))
+    def test_matches_adaptive_quadrature(self, lams_src, lams_dst, repeat, rate):
+        # lambdas log-uniform over [1e-3, 1e3]; `repeat` makes each side one
+        # repeated value, which the product-rule density must also handle
+        src = [10.0 ** e for e in lams_src]
+        dst = [10.0 ** e for e in lams_dst]
+        if repeat:
+            src, dst = [src[0]] * len(src), [dst[0]] * len(dst)
+        src, dst = tuple(sorted(src)), tuple(sorted(dst))
+        value = _p_omega(src, dst, rate, DEFAULT_REL_TOL)
+        assert value == pytest.approx(p_omega_quad(src, dst, rate, 1e-12),
+                                      rel=1e-9, abs=1e-15)
+
+    def test_failure_names_its_inputs(self):
+        # a tolerance below double precision fails wherever the halved and
+        # whole-panel sums differ in rounding, as they do here
+        t = Topology.from_snr(0.8, [1.5, 0.4], [2.0, 0.7], label="two-relay")
+        q = OutageQuery(rate=4.0, subset=(1, 2), quadrature_rel_tol=1e-30)
+        with pytest.raises(QuadratureFailure) as info:
+            cut_outage_analytic(t, q, Cut({2}))
+        message = str(info.value)
+        for field in ("topology 'two-relay'", "subset (1, 2)", "cut omega=[2]",
+                      f"lams_src=({t.lambda_sr[1]!r},)",
+                      f"lams_dst=({t.lambda_rd[0]!r},)", "rate=4.0",
+                      "rel_tol=1.0e-30"):
+            assert field in message
+
     def test_boundary_concentrated_density(self):
         # very weak links: the density spikes near zero but mass must be kept
         p = _p_omega((1000.0,), (1000.0,), 1.0, 1e-8)
@@ -231,6 +265,20 @@ class TestBestSubnetwork:
         assert subset == (1,)
         subset, _ = best_subnetwork(t, 2, 1.0)
         assert subset == (1, 2)
+
+    def test_pruned_search_matches_exhaustive_scan(self, rng):
+        # weak links clamp many bounds at 1, where only the tie-break
+        # separates the subsets
+        cases = [random_topology(rng, n) for n in (1, 2, 3, 4, 5, 6)]
+        cases += [random_topology(rng, n, snr_lo=0.01, snr_hi=0.5)
+                  for n in (2, 3, 4, 3, 4)]
+        cases += [Topology.from_snr(1.0, [1.0] * n, [1.0] * n) for n in (3, 4)]
+        for t in cases:
+            for rate in (0.5, 1.0, 2.0):
+                for k in range(t.n_relays + 1):
+                    expected = best_subnetwork_exhaustive(t, k, rate, DEFAULT_REL_TOL)
+                    subset, value = best_subnetwork(t, k, rate)
+                    assert (subset, value) == expected, (t.label, rate, k)
 
     def test_k_zero_returns_direct_outage(self):
         t = Topology.from_snr(0.9, [1.0, 1.0], [1.0, 1.0])
