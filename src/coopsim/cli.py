@@ -1,23 +1,20 @@
 """coopsim command line: outage sweeps, policy runs, ensembles, MAC
 emulation and config validation.
 
-Every subcommand accepts --config FILE to run a full experiment document;
-the direct flags below cover the common single-experiment cases. Exit
-codes: 0 success, 2 config/validation error, 3 runtime error.
+Every subcommand accepts --config FILE to run a full experiment document.
+The outage, run and ensemble flags build the same kind of document and
+run it the same way; the first output goes to --out, every other output
+to <out>.<name>. Exit codes: 0 success, 2 config/validation error,
+3 runtime error.
 """
 import argparse
-import json
 import os
 import sys
 
 import yaml
 
-from . import __version__, ensemble, experiments, macemu, netsim, outage, selection
-from .experiments import (ConfigParseError, ValidationError, _fmt,
-                          _resolve_params, _resolve_schedule, _subset_str,
-                          _write_csv)
-from .rng import named_rng
-from .topology import load_topology
+from . import __version__, experiments, macemu, netsim
+from .experiments import ConfigParseError, ValidationError
 
 
 def _add_common(p):
@@ -80,21 +77,6 @@ def _build_parser():
     return parser
 
 
-def _write_manifest(out_path, doc, seed, outputs):
-    manifest = {
-        "kind": doc.get("kind", "cli"),
-        "seed": seed,
-        "version": __version__,
-        "config": doc,
-        "outputs": [os.path.basename(p) for p in outputs],
-    }
-    path = f"{out_path}.manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
 def _require(args, *flags):
     for flag in flags:
         if getattr(args, flag.replace("-", "_")) is None:
@@ -102,96 +84,61 @@ def _require(args, *flags):
                 f"{args.command}: --{flag} is required without --config")
 
 
-def _out_path(args, name):
-    return os.path.join(args.out_dir, name) if args.out_dir else name
+def _out_path(args):
+    return os.path.join(args.out_dir or "", args.out)
 
 
-def _cmd_outage(args):
+def _params_doc(args):
+    """The SPA/LEARN parameter block of the --params YAML file, if any."""
+    if args.params is None:
+        return {}
+    try:
+        with open(args.params, "r", encoding="utf-8") as fh:
+            return yaml.safe_load(fh) or {}
+    except (OSError, yaml.YAMLError) as e:
+        raise ConfigParseError(f"--params: {e}") from e
+
+
+def _outage_doc(args):
     _require(args, "topology", "rate", "k", "snr-grid")
-    seed = 0 if args.seed is None else args.seed
     if ":" in args.snr_grid:
         start, stop, step = (float(v) for v in args.snr_grid.split(":"))
-        grid_doc = {"start": start, "stop": stop, "step": step}
+        grid = {"start": start, "stop": stop, "step": step}
     else:
-        grid_doc = [float(v) for v in args.snr_grid.split(",")]
-    grid = experiments._snr_grid(grid_doc, "<flags>")
-    template = load_topology(args.topology)
-    k_values = [int(v) for v in args.k.split(",")]
-    rows = outage.outage_sweep(template, k_values, args.rate, grid,
-                               normalization=args.normalization,
-                               method=args.method, seed=seed)
-    out = _out_path(args, args.out)
-    _write_csv(out, ["snr_db", "k", "subset", "outage", "method"],
-               [[_fmt(r["snr_db"]), r["k"], _subset_str(r["subset"]),
-                 _fmt(r["outage"]), r["method"]] for r in rows])
-    doc = {"kind": "outage_sweep", "topology": args.topology, "rate": args.rate,
-           "k_values": k_values, "snr_grid": grid_doc, "method": args.method,
-           "normalization": args.normalization}
-    return [out, _write_manifest(out, doc, seed, [out])]
+        grid = [float(v) for v in args.snr_grid.split(",")]
+    return {"kind": "outage_sweep", "topology": args.topology, "rate": args.rate,
+            "k_values": [int(v) for v in args.k.split(",")], "snr_grid": grid,
+            "method": args.method, "normalization": args.normalization}
 
 
-def _cmd_run(args):
+def _run_doc(args):
     _require(args, "policy", "schedule", "rate")
-    seed = 0 if args.seed is None else args.seed
-    schedule, topologies = _resolve_schedule(
-        args.schedule, os.path.dirname(os.path.abspath(args.schedule)) or ".",
-        args.schedule)
-    params_doc = {}
-    if args.params:
-        with open(args.params, "r", encoding="utf-8") as fh:
-            params_doc = yaml.safe_load(fh) or {}
-    params = _resolve_params({"params": params_doc}, args.params or "<flags>")
-    n = next(iter(topologies.values())).n_relays
-    modes = netsim.enumerate_modes(n)
-    executor = experiments._schedule_executor(
-        schedule, topologies, netsim.Strategy.parse(args.strategy), args.rate,
-        named_rng(seed, "frames", args.policy))
-    log = selection.run_policy(args.policy, executor, modes, params,
-                               total_frames=schedule.total_frames,
-                               rng=named_rng(seed, "policy", args.policy))
-    out = _out_path(args, args.out)
-    _write_csv(out, ["frame_index", "mode", "category", "phase",
-                     "cumulative_switches"], log.to_rows())
-    doc = {"kind": "adaptive_compare", "schedule": args.schedule,
-           "policies": [args.policy], "strategy": args.strategy,
-           "rate": args.rate, "params": params_doc}
-    return [out, _write_manifest(out, doc, seed, [out])]
+    return {"kind": "adaptive_compare", "schedule": args.schedule,
+            "policies": [args.policy], "strategy": args.strategy,
+            "rate": args.rate, "params": _params_doc(args)}
 
 
-def _cmd_ensemble(args):
+def _ensemble_doc(args):
     _require(args, "topologies", "policies", "rate")
-    seed = 0 if args.seed is None else args.seed
-    topologies = [load_topology(p) for p in args.topologies.split(",")]
-    params_doc = {}
-    if args.params:
-        with open(args.params, "r", encoding="utf-8") as fh:
-            params_doc = yaml.safe_load(fh) or {}
-    params = _resolve_params({"params": params_doc}, args.params or "<flags>")
-    dataset = ensemble.record_dataset(
-        topologies, netsim.Strategy.parse(args.strategy), args.rate,
-        args.frames_per_topology, named_rng(seed, "dataset"))
-    samples = ensemble.make_ensemble(dataset, args.samples, args.transitions,
-                                     args.segment_len, seed)
-    summary = []
-    sample_rows = []
-    for policy in args.policies.split(","):
-        res = ensemble.evaluate_on_ensemble(policy, samples, dataset, params,
-                                            seed=seed)
-        summary.append([res.policy, _fmt(res.avg_fer), _fmt(res.avg_switches)])
-        for idx, fer, switches, n_frames in res.rows:
-            sample_rows.append([res.policy, idx, _fmt(fer), switches, n_frames])
-    out = _out_path(args, args.out)
-    _write_csv(out, ["policy", "avg_fer", "avg_switches"], summary)
-    stem, ext = os.path.splitext(out)
-    out2 = f"{stem}_samples{ext}"
-    _write_csv(out2, ["policy", "sample", "fer", "switches", "n_frames"],
-               sample_rows)
-    doc = {"kind": "ensemble", "topologies": args.topologies.split(","),
-           "policies": args.policies.split(","), "strategy": args.strategy,
-           "rate": args.rate, "frames_per_topology": args.frames_per_topology,
-           "n_transitions": args.transitions, "segment_len": args.segment_len,
-           "n_samples": args.samples, "params": params_doc}
-    return [out, out2, _write_manifest(out, doc, seed, [out, out2])]
+    return {"kind": "ensemble", "topologies": args.topologies.split(","),
+            "policies": args.policies.split(","), "strategy": args.strategy,
+            "rate": args.rate, "frames_per_topology": args.frames_per_topology,
+            "n_transitions": args.transitions, "segment_len": args.segment_len,
+            "n_samples": args.samples, "params": _params_doc(args)}
+
+
+def _flag_place(args):
+    """Output placement of a flag run: the first output goes to --out,
+    every later output `name` to <out>.<name>."""
+    out = _out_path(args)
+    placed = []
+
+    def place(name):
+        path = f"{out}.{name}" if placed else out
+        placed.append(path)
+        return path
+
+    return place
 
 
 def _cmd_mac(args):
@@ -201,7 +148,7 @@ def _cmd_mac(args):
     wrote = []
     if args.coop_trace:
         results = macemu.coop_mac_deliver(netsim.read_trace(args.coop_trace), policy)
-        out = _out_path(args, args.out)
+        out = _out_path(args)
         macemu.write_packet_csv(out, results)
         wrote.append(out)
         print(f"coop: {len(results)} packets, drop_rate="
@@ -209,8 +156,8 @@ def _cmd_mac(args):
     if args.path_traces:
         traces = macemu.read_path_traces(args.path_traces)
         results = macemu.genie_route(traces, policy)
-        stem, ext = os.path.splitext(_out_path(args, args.out))
-        out = f"{stem}_genie{ext}" if args.coop_trace else _out_path(args, args.out)
+        stem, ext = os.path.splitext(_out_path(args))
+        out = f"{stem}_genie{ext}" if args.coop_trace else _out_path(args)
         macemu.write_packet_csv(out, results)
         wrote.append(out)
         print(f"genie: {len(results)} packets, drop_rate="
@@ -221,15 +168,15 @@ def _cmd_mac(args):
     doc = {"kind": "mac", "coop_trace": args.coop_trace,
            "path_traces": args.path_traces, "max_retx": args.max_retx,
            "max_retx_per_link": args.max_retx_per_link}
-    wrote.append(_write_manifest(wrote[0], doc, seed, list(wrote)))
+    wrote.append(experiments.write_manifest(f"{wrote[0]}.manifest.json", "mac",
+                                            seed, doc, wrote))
     return wrote
 
 
-_FLAG_COMMANDS = {
-    "outage": _cmd_outage,
-    "run": _cmd_run,
-    "ensemble": _cmd_ensemble,
-    "mac": _cmd_mac,
+_FLAG_DOCS = {
+    "outage": _outage_doc,
+    "run": _run_doc,
+    "ensemble": _ensemble_doc,
 }
 
 
@@ -248,12 +195,16 @@ def main(argv=None):
         if getattr(args, "config", None):
             files = experiments.run_config(args.config, out_dir=args.out_dir,
                                            seed=args.seed, threads=args.threads)
+        elif args.command == "mac":
+            files = _cmd_mac(args)
         else:
-            files = _FLAG_COMMANDS[args.command](args)
+            files = experiments.run_experiment(
+                _FLAG_DOCS[args.command](args), "<flags>", os.getcwd(),
+                _flag_place(args), seed=args.seed, threads=args.threads)
         for f in files:
             print(f)
         return 0
-    except (ConfigParseError, ValidationError) as e:
+    except (ConfigParseError, ValidationError, netsim.TraceFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

@@ -5,7 +5,9 @@ result CSVs plus a manifest.json echoing the config, seed and package
 version, so identical config+seed reproduces byte-identical outputs.
 """
 import csv
+import functools
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -81,8 +83,9 @@ def _resolve_topology(spec, base_dir, path):
 
 def _resolve_schedule(spec, base_dir, path):
     if isinstance(spec, str):
-        spec = _load_yaml(os.path.join(base_dir, spec))
-        base_dir = os.path.dirname(os.path.join(base_dir, "x"))
+        schedule_path = os.path.join(base_dir, spec)
+        spec = _load_yaml(schedule_path)
+        base_dir = os.path.dirname(os.path.abspath(schedule_path))
     if not isinstance(spec, dict):
         raise ConfigParseError(f"{path}: schedule must be a file path or mapping")
     topologies = {}
@@ -123,6 +126,16 @@ def _resolve_params(doc, path):
         raise ValidationError(f"{path}: params (LearnParams/SpaParams): {e}") from e
 
 
+def _rate(doc, path):
+    try:
+        rate = float(_need(doc, "rate", path))
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"{path}: rate must be a number") from e
+    if not math.isfinite(rate) or rate < 0:
+        raise ValidationError(f"{path}: rate must be finite and >= 0, got {rate!r}")
+    return rate
+
+
 def _snr_grid(spec, path):
     if isinstance(spec, dict):
         try:
@@ -139,9 +152,14 @@ def _snr_grid(spec, path):
             v += step
         return grid
     try:
-        return [float(v) for v in spec]
+        grid = [float(v) for v in spec]
     except (TypeError, ValueError) as e:
         raise ConfigParseError(f"{path}: snr_grid must be a list or start/stop/step") from e
+    try:
+        outage.check_snr_grid(grid)
+    except ValueError as e:
+        raise ValidationError(f"{path}: {e}") from e
+    return grid
 
 
 def _write_csv(path, header, rows):
@@ -162,18 +180,9 @@ def _subset_str(subset):
     return "-".join(str(i) for i in subset)
 
 
-def _sweep_task(args):
-    template, k, rate, snr_db, normalization, method, seed, gi = args
-    snr_linear = 10.0 ** (snr_db / 10.0)
-    scaled = template.scaled(outage._snr_scale(snr_linear, k, normalization))
-    rng = named_rng(seed, "sweep", gi) if method == "montecarlo" else None
-    subset, value = outage.best_subnetwork(scaled, k, rate, method=method, rng=rng)
-    return snr_db, k, subset, value, method
-
-
 def _plan_outage_sweep(doc, path, base_dir):
     template = _resolve_topology(_need(doc, "topology", path), base_dir, path)
-    rate = float(_need(doc, "rate", path))
+    rate = _rate(doc, path)
     k_values = [int(k) for k in _need(doc, "k_values", path)]
     grid = _snr_grid(_need(doc, "snr_grid", path), path)
     normalization = str(doc.get("normalization", "per_node"))
@@ -185,17 +194,19 @@ def _plan_outage_sweep(doc, path, base_dir):
     if any(k < 0 or k > template.n_relays for k in k_values):
         raise ValidationError(f"{path}: k_values outside [0, {template.n_relays}]")
 
-    def run(out_dir, seed, threads):
-        tasks = [(template, k, rate, snr_db, normalization, method, seed, gi)
-                 for gi, snr_db in enumerate(grid) for k in k_values]
+    def run(place, seed, threads):
+        cells = [(gi, snr_db, k) for gi, snr_db in enumerate(grid) for k in k_values]
+        point = functools.partial(outage.sweep_point, template, rate,
+                                  normalization=normalization, method=method,
+                                  seed=seed)
         if threads > 1:
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_sweep_task, tasks))
+                results = list(pool.map(point, *zip(*cells)))
         else:
-            results = [_sweep_task(t) for t in tasks]
+            results = list(map(point, *zip(*cells)))
         rows = [[_fmt(snr_db), k, _subset_str(subset), _fmt(value), method]
-                for snr_db, k, subset, value, method in results]
-        out = os.path.join(out_dir, "outage.csv")
+                for (_, snr_db, k), (subset, value) in zip(cells, results)]
+        out = place("outage.csv")
         _write_csv(out, ["snr_db", "k", "subset", "outage", "method"], rows)
         return [out]
 
@@ -220,25 +231,25 @@ def _schedule_summary(kind, schedule, topologies):
 
 def _plan_fixed_modes(doc, path, base_dir):
     schedule, topologies = _resolve_schedule(_need(doc, "schedule", path), base_dir, path)
-    rate = float(_need(doc, "rate", path))
+    rate = _rate(doc, path)
     strategy = netsim.Strategy.parse(doc.get("strategy", "DIQIF"))
     _resolve_params(doc, path)  # checked although fixed modes never learn
     n = next(iter(topologies.values())).n_relays
     slots = _mode_slots(doc, path, n)
 
-    def run(out_dir, seed, threads):
+    def run(place, seed, threads):
         labels = [schedule_topology_at(schedule, f) for f in range(schedule.total_frames)]
         outputs = []
         summary = []
         for slot in slots:
             rng = named_rng(seed, "fixed", netsim.mode_key_str(slot))
             outcomes = netsim.run_fixed(schedule, topologies, slot, strategy, rate, rng)
-            out = os.path.join(out_dir, f"trace_{netsim.mode_key_str(slot)}.csv")
+            out = place(f"trace_{netsim.mode_key_str(slot)}.csv")
             netsim.write_trace(out, outcomes, labels)
             outputs.append(out)
             fer = sum(1 for o in outcomes if o.category == 2) / len(outcomes)
             summary.append([netsim.mode_key_str(slot), _fmt(fer)])
-        out = os.path.join(out_dir, "summary.csv")
+        out = place("summary.csv")
         _write_csv(out, ["mode", "fer"], summary)
         outputs.append(out)
         return outputs
@@ -270,13 +281,13 @@ def _resolve_policies(doc, path):
 
 def _plan_adaptive_compare(doc, path, base_dir):
     schedule, topologies = _resolve_schedule(_need(doc, "schedule", path), base_dir, path)
-    rate = float(_need(doc, "rate", path))
+    rate = _rate(doc, path)
     strategy = netsim.Strategy.parse(doc.get("strategy", "DIQIF"))
     params = _resolve_params(doc, path)
     policies = _resolve_policies(doc, path)
     modes = netsim.enumerate_modes(next(iter(topologies.values())).n_relays)
 
-    def run(out_dir, seed, threads):
+    def run(place, seed, threads):
         outputs = []
         summary = []
         for policy in policies:
@@ -286,13 +297,13 @@ def _plan_adaptive_compare(doc, path, base_dir):
             log = selection.run_policy(policy, executor, modes, params,
                                        total_frames=schedule.total_frames,
                                        rng=policy_rng)
-            out = os.path.join(out_dir, f"runlog_{log.policy.replace(':', '_')}.csv")
+            out = place(f"runlog_{log.policy.replace(':', '_')}.csv")
             _write_csv(out, ["frame_index", "mode", "category", "phase",
                              "cumulative_switches"], log.to_rows())
             outputs.append(out)
             summary.append([log.policy, _fmt(log.fer), log.switch_count,
                             len(log.triggers)])
-        out = os.path.join(out_dir, "summary.csv")
+        out = place("summary.csv")
         _write_csv(out, ["policy", "fer", "switches", "triggers"], summary)
         outputs.append(out)
         return outputs
@@ -305,7 +316,7 @@ def _plan_ensemble(doc, path, base_dir):
     topologies = [_resolve_topology(s, base_dir, path) for s in topo_specs]
     if len({t.label for t in topologies}) != len(topologies):
         raise ValidationError(f"{path}: ensemble topologies need distinct labels")
-    rate = float(_need(doc, "rate", path))
+    rate = _rate(doc, path)
     strategy = netsim.Strategy.parse(doc.get("strategy", "DIQIF"))
     frames = int(doc.get("frames_per_topology", 860))
     n_transitions = int(doc.get("n_transitions", 4))
@@ -318,7 +329,7 @@ def _plan_ensemble(doc, path, base_dir):
     params = _resolve_params(doc, path)
     policies = _resolve_policies(doc, path)
 
-    def run(out_dir, seed, threads):
+    def run(place, seed, threads):
         dataset = ensemble.record_dataset(topologies, strategy, rate, frames,
                                           named_rng(seed, "dataset"))
         samples = ensemble.make_ensemble(dataset, n_samples, n_transitions,
@@ -335,14 +346,14 @@ def _plan_ensemble(doc, path, base_dir):
             summary.append([res.policy, _fmt(res.avg_fer), _fmt(res.avg_switches)])
             for idx, fer, switches, n_frames in res.rows:
                 sample_rows.append([res.policy, idx, _fmt(fer), switches, n_frames])
-        out1 = os.path.join(out_dir, "ensemble.csv")
+        out1 = place("ensemble.csv")
         _write_csv(out1, ["policy", "avg_fer", "avg_switches"], summary)
-        out2 = os.path.join(out_dir, "sample_metrics.csv")
+        out2 = place("sample_metrics.csv")
         _write_csv(out2, ["policy", "sample", "fer", "switches", "n_frames"],
                    sample_rows)
-        out3 = os.path.join(out_dir, "dataset.csv")
+        out3 = place("dataset.csv")
         ensemble.write_dataset_csv(out3, dataset)
-        out4 = os.path.join(out_dir, "samples.csv")
+        out4 = place("samples.csv")
         ensemble.write_samples_csv(out4, samples)
         return [out1, out2, out3, out4]
 
@@ -352,7 +363,7 @@ def _plan_ensemble(doc, path, base_dir):
 
 def _plan_mac_compare(doc, path, base_dir):
     topology = _resolve_topology(_need(doc, "topology", path), base_dir, path)
-    rate = float(_need(doc, "rate", path))
+    rate = _rate(doc, path)
     mac_block = doc.get("mac", {}) or {}
     try:
         policy = macemu.MacPolicy(
@@ -370,16 +381,16 @@ def _plan_mac_compare(doc, path, base_dir):
     except ValueError as e:
         raise ValidationError(f"{path}: mac_compare: {e}") from e
 
-    def run(out_dir, seed, threads):
+    def run(place, seed, threads):
         report = macemu.compare_coop_vs_genie(scenario, policy, seed=seed)
-        out1 = os.path.join(out_dir, "mac_compare.csv")
+        out1 = place("mac_compare.csv")
         _write_csv(out1, ["system", "drop_rate", "throughput_bits_per_s"], [
             ["coop", _fmt(report.coop_drop_rate), _fmt(report.coop_throughput)],
             ["genie", _fmt(report.genie_drop_rate), _fmt(report.genie_throughput)],
         ])
-        out2 = os.path.join(out_dir, "packets_coop.csv")
+        out2 = place("packets_coop.csv")
         macemu.write_packet_csv(out2, report.coop_results)
-        out3 = os.path.join(out_dir, "packets_genie.csv")
+        out3 = place("packets_genie.csv")
         macemu.write_packet_csv(out3, report.genie_results)
         return [out1, out2, out3]
 
@@ -395,21 +406,20 @@ _PLANS = {
 }
 
 
-def _plan(path):
-    """Load the config and resolve and check everything its run needs.
+def _plan(doc, path, base_dir):
+    """Resolve and check everything the run of a config document needs.
 
-    Returns (doc, kind, summary, run), where run(out_dir, seed, threads)
-    executes the experiment and returns the files it wrote.
+    Returns (kind, summary, run), where run(place, seed, threads) executes
+    the experiment, writes each output `name` to the file place(name), and
+    returns the files it wrote.
     """
-    doc = _load_yaml(path)
     kind = str(_need(doc, "kind", path))
     if kind not in EXPERIMENT_KINDS:
         raise ConfigParseError(
             f"{path}: unknown experiment kind {kind!r}; expected one of "
             f"{', '.join(sorted(EXPERIMENT_KINDS))}")
-    base_dir = os.path.dirname(os.path.abspath(path))
     summary, run = _PLANS[kind](doc, path, base_dir)
-    return doc, kind, summary, run
+    return kind, summary, run
 
 
 def validate_config(path):
@@ -417,40 +427,57 @@ def validate_config(path):
 
     Returns a one-line summary of the planned work.
     """
-    return _plan(path)[2]
+    return _plan(_load_yaml(path), path, os.path.dirname(os.path.abspath(path)))[1]
+
+
+def write_manifest(path, kind, seed, config, outputs):
+    """Write the JSON manifest of a run (kind, seed, package version, the
+    config document and the output file names) to path; returns path."""
+    manifest = {"kind": kind, "seed": seed, "version": __version__,
+                "config": config, "outputs": [os.path.basename(p) for p in outputs]}
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as e:
+        raise IoError(f"{path}: {e}") from e
+    return path
+
+
+def run_experiment(doc, path, base_dir, place, seed=None, threads=1):
+    """Plan and run the experiment document doc.
+
+    path names the document in error messages, and relative input paths
+    resolve against base_dir. Each output `name` (the manifest's is
+    "manifest.json") goes to the file place(name); its directory is
+    created only once the whole document has been checked. seed overrides
+    the document's seed. Returns the written files, manifest last.
+    """
+    kind, _, run = _plan(doc, path, base_dir)
+    seed = int(doc.get("seed", 0)) if seed is None else int(seed)
+
+    def place_in_dir(name):
+        out = place(name)
+        try:
+            os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+        except OSError as e:
+            raise IoError(f"{out}: {e}") from e
+        return out
+
+    outputs = run(place_in_dir, seed, max(1, int(threads)))
+    return outputs + [write_manifest(place_in_dir("manifest.json"), kind, seed,
+                                     doc, outputs)]
 
 
 def run_config(path, out_dir=None, seed=None, threads=1):
     """Execute the experiment described by the config file.
 
     Returns the list of written files (manifest last). out_dir and seed
-    override the config's values when given.
+    override the config's values when given; a relative out_dir is taken
+    from the config's directory.
     """
-    doc, kind, _, run = _plan(path)
+    doc = _load_yaml(path)
     base_dir = os.path.dirname(os.path.abspath(path))
-    out_dir = out_dir or doc.get("out_dir") or "."
-    if not os.path.isabs(out_dir):
-        out_dir = os.path.join(base_dir, out_dir)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as e:
-        raise IoError(f"{out_dir}: {e}") from e
-    seed = int(doc.get("seed", 0)) if seed is None else int(seed)
-
-    outputs = run(out_dir, seed, max(1, int(threads)))
-
-    manifest = {
-        "kind": kind,
-        "seed": seed,
-        "version": __version__,
-        "config": doc,
-        "outputs": [os.path.basename(p) for p in outputs],
-    }
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    try:
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as e:
-        raise IoError(f"{manifest_path}: {e}") from e
-    return outputs + [manifest_path]
+    out_dir = os.path.join(base_dir, out_dir or doc.get("out_dir") or ".")
+    return run_experiment(doc, path, base_dir,
+                          lambda name: os.path.join(out_dir, name), seed, threads)

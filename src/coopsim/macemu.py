@@ -12,7 +12,8 @@ import csv
 from dataclasses import dataclass, field
 
 from . import selection
-from .netsim import FrameOutcome, Strategy, enumerate_modes, evaluate_frame, mode_key_str
+from .netsim import (FrameOutcome, Strategy, enumerate_modes, evaluate_frame,
+                     mode_key_str, read_csv_rows)
 from .rng import named_rng
 from .topology import sample_channels
 
@@ -336,10 +337,9 @@ def write_path_traces(path, traces):
 def read_path_traces(path):
     """Path-trace CSV with columns path, hop, packet, attempt, success."""
     cells = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["path"], int(row["hop"]), int(row["packet"]))
-            cells.setdefault(key, {})[int(row["attempt"])] = row["success"] in ("1", "True", "true")
+    for row in read_csv_rows(path, ("path", "hop", "packet", "attempt", "success")):
+        key = (row["path"], int(row["hop"]), int(row["packet"]))
+        cells.setdefault(key, {})[int(row["attempt"])] = row["success"] in ("1", "True", "true")
     labels = sorted({k[0] for k in cells})
     paths = []
     for label in labels:

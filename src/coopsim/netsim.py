@@ -18,6 +18,10 @@ from .outage import approx_capacity
 from .topology import sample_channels, schedule_topology_at
 
 
+class TraceFormatError(ValueError):
+    """A trace CSV without rows or without a column its reader needs."""
+
+
 class Strategy(enum.Enum):
     DT = "DT"
     DIF = "DIF"
@@ -169,11 +173,21 @@ def write_trace(path, outcomes, topology_labels=None):
             w.writerow([f, label, mode_key_str(out.mode), out.category])
 
 
+def read_csv_rows(path, columns):
+    """The data rows of a CSV file as dicts, checked to have the given
+    columns and at least one row (TraceFormatError otherwise)."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise TraceFormatError(f"{path}: missing column(s) {', '.join(missing)}")
+        rows = list(reader)
+    if not rows:
+        raise TraceFormatError(f"{path}: no rows after the header")
+    return rows
+
+
 def read_trace(path):
     """Read a trace CSV back into FrameOutcome objects."""
-    outcomes = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            outcomes.append(FrameOutcome(int(row["category"]),
-                                         parse_mode_key(row["mode"])))
-    return outcomes
+    return [FrameOutcome(int(row["category"]), parse_mode_key(row["mode"]))
+            for row in read_csv_rows(path, ("mode", "category"))]

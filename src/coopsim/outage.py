@@ -339,6 +339,25 @@ def _snr_scale(snr_linear, k, normalization):
     raise ValueError(f"unknown normalization {normalization!r}")
 
 
+def check_snr_grid(grid):
+    """Raise ValueError unless the SNR grid is nonempty and strictly ascending."""
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("snr_grid must be nonempty and strictly ascending")
+
+
+def sweep_point(template, rate, gi, snr_db, k, normalization="per_node",
+                method="analytic", rel_tol=DEFAULT_REL_TOL,
+                mc_samples=DEFAULT_MC_SAMPLES, seed=0):
+    """(subset, outage) of the best k-relay subnetwork at point gi of an
+    SNR sweep: the template scaled to snr_db, with the Monte-Carlo draws
+    taken from the (seed, "sweep", gi) stream so that every point can be
+    computed on its own, in any order or process."""
+    scaled = template.scaled(_snr_scale(10.0 ** (snr_db / 10.0), k, normalization))
+    return best_subnetwork(
+        scaled, k, rate, method=method, rel_tol=rel_tol, mc_samples=mc_samples,
+        rng=named_rng(seed, "sweep", gi) if method == "montecarlo" else None)
+
+
 def outage_sweep(template, k_values, rate, snr_grid_db, normalization="per_node",
                  method="analytic", rel_tol=DEFAULT_REL_TOL,
                  mc_samples=DEFAULT_MC_SAMPLES, seed=0):
@@ -350,17 +369,13 @@ def outage_sweep(template, k_values, rate, snr_grid_db, normalization="per_node"
     snr_db, k, subset, outage, method.
     """
     grid = [float(s) for s in snr_grid_db]
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("snr_grid_db must be nonempty and strictly ascending")
+    check_snr_grid(grid)
     rows = []
     for gi, snr_db in enumerate(grid):
-        snr_linear = 10.0 ** (snr_db / 10.0)
         for k in k_values:
-            scaled = template.scaled(_snr_scale(snr_linear, k, normalization))
-            subset, value = best_subnetwork(
-                scaled, k, rate, method=method, rel_tol=rel_tol,
-                mc_samples=mc_samples,
-                rng=named_rng(seed, "sweep", gi) if method == "montecarlo" else None)
+            subset, value = sweep_point(
+                template, rate, gi, snr_db, k, normalization=normalization,
+                method=method, rel_tol=rel_tol, mc_samples=mc_samples, seed=seed)
             rows.append({
                 "snr_db": snr_db,
                 "k": k,

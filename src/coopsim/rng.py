@@ -11,11 +11,6 @@ import zlib
 import numpy as np
 
 
-def make_rng(seed=None):
-    """Generator from an integer seed (fresh OS entropy when seed is None)."""
-    return np.random.default_rng(seed)
-
-
 def spawn_rngs(seed, n):
     """n independent generators reproducibly derived from one root seed."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]

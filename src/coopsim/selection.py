@@ -274,11 +274,6 @@ def _learn_runner(loop):
     return runner
 
 
-def _measure(loop, mode, n):
-    cats = [loop.send(mode, "learning") for _ in range(n)]
-    return sum(1 for c in cats if c == 2) / len(cats)
-
-
 def spa(executor, all_modes, params=DEFAULT_PARAMS, total_frames=10_000, log=None):
     """SPA: operate the top-ranked mode, re-learn over the top r on trigger.
 
@@ -378,7 +373,8 @@ def run_policy(policy, executor, all_modes, params=DEFAULT_PARAMS,
 
     if key == "BRUTE":
         def adapt(loop):
-            fers = [(_measure(loop, m, frames_per_probe), i) for i, m in enumerate(modes)]
+            measure = _learn_runner(loop)
+            fers = [(measure(m, frames_per_probe), i) for i, m in enumerate(modes)]
             return modes[min(fers)[1]]
     elif key == "RANDPICK":
         if rng is None:
@@ -391,7 +387,8 @@ def run_policy(policy, executor, all_modes, params=DEFAULT_PARAMS,
         def adapt(loop):
             i, j = rng.choice(len(modes), size=2, replace=False)
             pair = [modes[int(i)], modes[int(j)]]
-            fers = [(_measure(loop, m, frames_per_probe), p) for p, m in enumerate(pair)]
+            measure = _learn_runner(loop)
+            fers = [(measure(m, frames_per_probe), p) for p, m in enumerate(pair)]
             return pair[min(fers)[1]]
     else:  # NRNM or WRNM
         lp = params.learn if key == "WRNM" else replace(params.learn, epsilon=0.0)

@@ -140,6 +140,101 @@ class TestRunCommand:
         assert len(rows) == 1 + 860
 
 
+def flags_and_config(tmp_path):
+    """For each flag subcommand: its argv, the equivalent config document
+    (paths relative to tmp_path) and the config run's primary output."""
+    write_yaml(tmp_path / "t.yaml", topo_doc())
+    write_yaml(tmp_path / "s.yaml", schedule_doc())
+    for name, topo in zip(("a.yaml", "b.yaml"), schedule_doc()["topologies"]):
+        write_yaml(tmp_path / name, topo)
+    return {
+        "outage": (
+            ["outage", "--topology", str(tmp_path / "t.yaml"), "--rate", "1.0",
+             "--k", "0,1,2", "--method", "montecarlo", "--seed", "3",
+             "--snr-grid", "0,6,12"],
+            {"kind": "outage_sweep", "seed": 3, "topology": "t.yaml",
+             "rate": 1.0, "k_values": [0, 1, 2], "snr_grid": [0.0, 6.0, 12.0],
+             "method": "montecarlo"},
+            "outage.csv"),
+        "run": (
+            ["run", "--policy", "SPA", "--schedule", str(tmp_path / "s.yaml"),
+             "--rate", "1.0", "--seed", "7"],
+            {"kind": "adaptive_compare", "seed": 7, "schedule": "s.yaml",
+             "rate": 1.0, "policies": ["SPA"]},
+            "runlog_SPA.csv"),
+        "ensemble": (
+            ["ensemble", "--topologies",
+             f"{tmp_path / 'a.yaml'},{tmp_path / 'b.yaml'}",
+             "--policies", "SPA,Fixed:R1", "--rate", "1.0",
+             "--frames-per-topology", "120", "--segment-len", "40",
+             "--transitions", "2", "--samples", "6", "--seed", "5"],
+            {"kind": "ensemble", "seed": 5, "topologies": ["a.yaml", "b.yaml"],
+             "rate": 1.0, "frames_per_topology": 120, "segment_len": 40,
+             "n_transitions": 2, "n_samples": 6, "policies": ["SPA", "Fixed:R1"]},
+            "ensemble.csv"),
+    }
+
+
+class TestFlagPipeline:
+    @pytest.mark.parametrize("command, threads", [
+        ("outage", 1), ("outage", 2), ("run", 1), ("ensemble", 1)])
+    def test_flags_write_what_the_config_writes(self, tmp_path, command, threads):
+        argv, doc, primary = flags_and_config(tmp_path)[command]
+        out = tmp_path / "flags" / "out.csv"
+        assert main(argv + ["--threads", str(threads), "--out", str(out)]) == 0
+        cfg = write_yaml(tmp_path / "c.yaml", {**doc, "out_dir": "cfg"})
+        cfg_files = run_config(cfg, threads=threads)[:-1]  # manifest last
+        assert os.path.basename(cfg_files[0]) == primary
+        # first output at --out, every other one at <out>.<name>
+        flag_files = [str(out)] + [f"{out}.{os.path.basename(f)}"
+                                   for f in cfg_files[1:]]
+        assert ([open(f, "rb").read() for f in flag_files]
+                == [open(f, "rb").read() for f in cfg_files])
+        manifest = json.loads(open(f"{out}.manifest.json").read())
+        assert manifest["outputs"] == [os.path.basename(f) for f in flag_files]
+
+    @pytest.mark.parametrize("command, flags, override, message", [
+        ("ensemble", ["--samples", "0"], {"n_samples": 0},
+         "need at least one sample"),
+        ("ensemble", ["--policies", "BOGUS"], {"policies": ["BOGUS"]},
+         "unknown policy 'BOGUS'"),
+        ("outage", ["--snr-grid", "10,0"], {"snr_grid": [10.0, 0.0]},
+         "strictly ascending"),
+        ("outage", ["--rate", "inf"], {"rate": float("inf")},
+         "rate must be finite"),
+        ("run", ["--rate", "-1"], {"rate": -1.0}, "rate must be finite"),
+        ("ensemble", ["--rate", "nan"], {"rate": float("nan")},
+         "rate must be finite"),
+    ])
+    def test_flags_reject_what_the_config_rejects(self, tmp_path, capsys,
+                                                  command, flags, override,
+                                                  message):
+        argv, doc, _ = flags_and_config(tmp_path)[command]
+        assert main(argv + flags + ["--out", str(tmp_path / "o" / "x.csv")]) == 2
+        assert message in capsys.readouterr().err
+        cfg = write_yaml(tmp_path / "c.yaml", {**doc, **override, "out_dir": "o"})
+        assert main(["run", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_schedule_file_paths_resolve_against_its_directory(
+            self, tmp_path, monkeypatch):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        for name, topo in zip(("a.yaml", "b.yaml"), schedule_doc()["topologies"]):
+            write_yaml(sub / name, topo)
+        write_yaml(sub / "s.yaml", {**schedule_doc(),
+                                    "topologies": ["a.yaml", "b.yaml"]})
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--policy", "DT", "--schedule", "sub/s.yaml",
+                     "--rate", "1.0", "--out", "log.csv"]) == 0
+        assert len(read_rows(tmp_path / "log.csv")) == 1 + 860
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "kind": "adaptive_compare", "schedule": "sub/s.yaml",
+            "rate": 1.0, "policies": ["DT"]})
+        assert validate_config(cfg).startswith("ok:")
+
+
 class TestRunConfig:
     def test_adaptive_compare_section62_shape(self, tmp_path):
         # 3 relays, 5 segments x 172 frames, default parameters
@@ -224,6 +319,23 @@ class TestRunConfig:
                                      "delay_us", "path_or_mode"]
         genie_rows = read_rows(tmp_path / "packets_genie.csv")
         assert len(genie_rows) == 41
+
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--coop-trace", "frame_index,topology_id,mode,category\n",
+         "no rows after the header"),
+        ("--coop-trace", "frame_index,topology_id,mode\n0,,DT\n",
+         "missing column(s) category"),
+        ("--path-traces", "path,hop,packet,attempt,success\n",
+         "no rows after the header"),
+    ])
+    def test_mac_rejects_malformed_traces(self, tmp_path, capsys, flag, text,
+                                          message):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(text)
+        assert main(["mac", flag, str(trace),
+                     "--out", str(tmp_path / "packets.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(trace) in err and message in err
 
     def test_threads_do_not_change_results(self, tmp_path):
         topo = write_yaml(tmp_path / "t.yaml", topo_doc())
