@@ -10,15 +10,14 @@ Submodules:
   cli       - experiment runner (`coopsim` entry point)
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .netsim import FrameOutcome, Mode, Strategy, enumerate_modes
 from .selection import LearnParams, RankedModeList, SpaParams
-from .topology import ChannelRealization, Topology, TopologySchedule
+from .topology import Topology, TopologySchedule
 
 __all__ = [
     "__version__",
-    "ChannelRealization",
     "FrameOutcome",
     "LearnParams",
     "Mode",

@@ -101,13 +101,21 @@ def _params_doc(args):
 
 def _outage_doc(args):
     _require(args, "topology", "rate", "k", "snr-grid")
-    if ":" in args.snr_grid:
-        start, stop, step = (float(v) for v in args.snr_grid.split(":"))
-        grid = {"start": start, "stop": stop, "step": step}
-    else:
-        grid = [float(v) for v in args.snr_grid.split(",")]
+    try:
+        if ":" in args.snr_grid:
+            start, stop, step = (float(v) for v in args.snr_grid.split(":"))
+            grid = {"start": start, "stop": stop, "step": step}
+        else:
+            grid = [float(v) for v in args.snr_grid.split(",")]
+    except ValueError:
+        raise ConfigParseError(f"--snr-grid must be start:stop:step or a list of "
+                               f"numbers, got {args.snr_grid!r}") from None
+    try:
+        k_values = [int(v) for v in args.k.split(",")]
+    except ValueError:
+        raise ConfigParseError(f"--k must be a list of integers, got {args.k!r}") from None
     return {"kind": "outage_sweep", "topology": args.topology, "rate": args.rate,
-            "k_values": [int(v) for v in args.k.split(",")], "snr_grid": grid,
+            "k_values": k_values, "snr_grid": grid,
             "method": args.method, "normalization": args.normalization}
 
 

@@ -70,7 +70,8 @@ def record_dataset(topologies, strategy, rate, frames_per_topology, rng,
 
     For each frame index one realization is drawn and evaluated under all
     mode slots (time-interleaved recording), so modes are compared on
-    identical channels. All topologies must have the same relay count.
+    identical channels; each topology's frames come from one batch draw.
+    All topologies must have the same relay count.
     """
     if frames_per_topology < 1:
         raise ValueError("frames_per_topology must be >= 1")
@@ -83,8 +84,7 @@ def record_dataset(topologies, strategy, rate, frames_per_topology, rng,
     strategy = Strategy.parse(strategy)
     outcomes = {(t.label, key): [] for t in topologies for key in keys}
     for t in topologies:
-        for _ in range(frames_per_topology):
-            c = sample_channels(t, rng)
+        for c in sample_channels(t, rng, frames_per_topology):
             for key in keys:
                 strat = Strategy.DT if key is None else strategy
                 outcomes[(t.label, key)].append(

@@ -137,12 +137,15 @@ def _rate(doc, path):
 
 
 def _snr_grid(spec, path):
+    form = f"{path}: snr_grid must be start:stop:step or a list of numbers"
     if isinstance(spec, dict):
         try:
             start, stop, step = (float(spec["start"]), float(spec["stop"]),
                                  float(spec["step"]))
         except KeyError as e:
-            raise ConfigParseError(f"{path}: snr_grid missing {e.args[0]!r}") from e
+            raise ConfigParseError(f"{form} (missing {e.args[0]!r})") from e
+        except (TypeError, ValueError) as e:
+            raise ConfigParseError(form) from e
         if step <= 0 or stop < start:
             raise ValidationError(f"{path}: snr_grid needs step > 0 and stop >= start")
         grid = []
@@ -154,7 +157,7 @@ def _snr_grid(spec, path):
     try:
         grid = [float(v) for v in spec]
     except (TypeError, ValueError) as e:
-        raise ConfigParseError(f"{path}: snr_grid must be a list or start/stop/step") from e
+        raise ConfigParseError(form) from e
     try:
         outage.check_snr_grid(grid)
     except ValueError as e:
@@ -183,7 +186,10 @@ def _subset_str(subset):
 def _plan_outage_sweep(doc, path, base_dir):
     template = _resolve_topology(_need(doc, "topology", path), base_dir, path)
     rate = _rate(doc, path)
-    k_values = [int(k) for k in _need(doc, "k_values", path)]
+    try:
+        k_values = [int(k) for k in _need(doc, "k_values", path)]
+    except (TypeError, ValueError) as e:
+        raise ConfigParseError(f"{path}: k_values must be a list of integers") from e
     grid = _snr_grid(_need(doc, "snr_grid", path), path)
     normalization = str(doc.get("normalization", "per_node"))
     method = str(doc.get("method", "analytic"))

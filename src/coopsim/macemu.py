@@ -78,7 +78,12 @@ class PathTraces:
 
 
 def _category(entry):
-    return entry.category if isinstance(entry, FrameOutcome) else int(entry)
+    if isinstance(entry, FrameOutcome):
+        return entry.category
+    cat = int(entry)
+    if cat not in (0, 1, 2):
+        raise ValueError(f"category must be 0, 1 or 2, got {entry!r}")
+    return cat
 
 
 def _attempt_label(entry):
@@ -230,10 +235,12 @@ class ComparisonReport:
 
 
 def _realization_blocks(scenario, mac, rng):
+    """One (n_packets, n_slots, 2N+1) draw array, packet by packet and
+    slot by slot."""
     per_hop = mac.max_retx_per_link + 1
     n_slots = max(mac.max_retx_coop + 1, 2 * per_hop)
-    return [[sample_channels(scenario.topology, rng) for _ in range(n_slots)]
-            for _ in range(scenario.n_packets)]
+    draws = sample_channels(scenario.topology, rng, scenario.n_packets * n_slots)
+    return draws.reshape(scenario.n_packets, n_slots, -1)
 
 
 def _coop_side(scenario, mac, blocks):
@@ -247,7 +254,7 @@ def _coop_side(scenario, mac, blocks):
         p, a = cursor["p"], cursor["a"]
         if p >= scenario.n_packets:
             raise selection.RunStopped
-        out = evaluate_frame(blocks[p][a], mode_key, scenario.strategy, scenario.rate)
+        out = evaluate_frame(blocks[p, a], mode_key, scenario.strategy, scenario.rate)
         attempts[p].append(out)
         if out.category != 2 or a + 1 >= thr_attempts:
             cursor["p"], cursor["a"] = p + 1, 0
@@ -269,19 +276,16 @@ def _routing_side(scenario, mac, blocks):
     tests on the corresponding link of the slot's realization."""
     thr = 2.0 ** scenario.rate - 1.0
     per_hop = mac.max_retx_per_link + 1
-    n = scenario.n_packets
+    n_relays = scenario.topology.n_relays
 
-    direct = PathTrace("S-D", (tuple(
-        tuple(blocks[p][a].h_sd2 >= thr for a in range(per_hop))
-        for p in range(n)),))
-    paths = [direct]
-    for i in range(1, scenario.topology.n_relays + 1):
-        hop1 = tuple(tuple(blocks[p][a].h2[i - 1] >= thr for a in range(per_hop))
-                     for p in range(n))
-        hop2 = tuple(tuple(blocks[p][per_hop + a].g2[i - 1] >= thr
-                           for a in range(per_hop))
-                     for p in range(n))
-        paths.append(PathTrace(f"S-R{i}-D", (hop1, hop2)))
+    def hop(slots, column):
+        return tuple(map(tuple, (blocks[:, slots, column] >= thr).tolist()))
+
+    first, second = slice(0, per_hop), slice(per_hop, 2 * per_hop)
+    paths = [PathTrace("S-D", (hop(first, 0),))]
+    for i in range(1, n_relays + 1):
+        paths.append(PathTrace(f"S-R{i}-D",
+                               (hop(first, i), hop(second, n_relays + i))))
     return PathTraces(tuple(paths))
 
 

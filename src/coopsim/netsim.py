@@ -12,7 +12,10 @@ identical realizations, not absolute error rates.
 """
 import csv
 import enum
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .outage import approx_capacity
 from .topology import sample_channels, schedule_topology_at
@@ -104,22 +107,24 @@ def _phase2_success(c, mode, strategy, rate):
     one-relay strategies.
     """
     thr = 2.0 ** rate - 1.0
+    h_sd2 = c[0]
     if strategy is Strategy.DT or mode is None:
         # source repeats: phase-1 + phase-2 copies of the direct link
-        return 2.0 * c.h_sd2 >= thr
+        return 2.0 * h_sd2 >= thr
 
-    decoded = [i for i in mode.relays if c.h2[i - 1] >= thr]
+    n_relays = (len(c) - 1) // 2
+    decoded = [i for i in mode.relays if c[i] >= thr]
     if len(mode.relays) == 1:
         if decoded:
             # source + relay transmit; combined with the phase-1 copy
-            dif_ok = 2.0 * c.h_sd2 + c.g2[mode.relays[0] - 1] >= thr
+            dif_ok = 2.0 * h_sd2 + c[n_relays + mode.relays[0]] >= thr
         else:
             # relay stays silent, source repetition only
-            dif_ok = 2.0 * c.h_sd2 >= thr
+            dif_ok = 2.0 * h_sd2 >= thr
     else:
         # only the relays transmit in phase 2 of a two-relay mode
         dif_ok = bool(decoded) and (
-            c.h_sd2 + sum(c.g2[i - 1] for i in decoded) >= thr)
+            h_sd2 + sum(c[n_relays + i] for i in decoded) >= thr)
 
     if strategy is Strategy.DIF:
         return dif_ok
@@ -128,15 +133,23 @@ def _phase2_success(c, mode, strategy, rate):
 
 
 def evaluate_frame(c, mode, strategy, rate):
-    """Frame outcome for a given realization (pure; no draws).
+    """Frame outcome for one (2N+1,) draw c of topology.sample_channels
+    (pure; no draws).
 
     Keeping this separate from simulate_frame lets ensemble recording
     compare every mode on identical per-frame channels.
     """
     strategy = Strategy.parse(strategy)
-    if mode is not None and any(i > len(c.h2) for i in mode.relays):
-        raise ValueError(f"mode {mode} invalid for a {len(c.h2)}-relay realization")
-    if 2.0 ** rate - 1.0 <= c.h_sd2:
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 1:
+        raise ValueError(f"evaluate_frame takes one (2N+1,) draw, got shape {c.shape}")
+    c = c.tolist()  # Python floats: cheaper scalar arithmetic
+    n_relays = (len(c) - 1) // 2
+    if mode is not None and any(i > n_relays for i in mode.relays):
+        raise ValueError(f"mode {mode} invalid for a {n_relays}-relay realization")
+    if 2.0 ** rate - 1.0 <= c[0]:
         return FrameOutcome(0, mode)
     if _phase2_success(c, mode, strategy, rate):
         return FrameOutcome(1, mode)
@@ -188,6 +201,21 @@ def read_csv_rows(path, columns):
 
 
 def read_trace(path):
-    """Read a trace CSV back into FrameOutcome objects."""
-    return [FrameOutcome(int(row["category"]), parse_mode_key(row["mode"]))
-            for row in read_csv_rows(path, ("mode", "category"))]
+    """Read a trace CSV back into FrameOutcome objects; a category that is
+    not 0, 1 or 2, or a mode that does not parse, is a TraceFormatError
+    naming the file and the data row (1-based)."""
+    outcomes = []
+    for n, row in enumerate(read_csv_rows(path, ("mode", "category")), start=1):
+        try:
+            category = int(row["category"])
+        except (TypeError, ValueError):
+            category = None
+        if category not in (0, 1, 2):
+            raise TraceFormatError(f"{path}: data row {n}: category must be 0, 1 "
+                                   f"or 2, got {row['category']!r}")
+        try:
+            mode = parse_mode_key(row["mode"])
+        except ValueError as e:
+            raise TraceFormatError(f"{path}: data row {n}: {e}") from None
+        outcomes.append(FrameOutcome(category, mode))
+    return outcomes

@@ -21,6 +21,7 @@ bound's tightness oracle. The outage-optimal k-relay subnetwork comes from
 a subset search that the bound's closed-form cuts prune (analytic), or from
 an exhaustive scan over common random numbers (Monte-Carlo).
 """
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import named_rng
-from .topology import sample_channel_batch
+from .topology import sample_channels
 
 
 class IndexOutOfSubsetError(ValueError):
@@ -73,58 +74,32 @@ class OutageQuery:
             raise ValueError("mc_samples must be positive")
 
 
-def _c(x):
-    """Link capacity log2(1 + x) in bits/s/Hz."""
-    return math.log2(1.0 + x)
-
-
-def cut_value(c, cut, subset):
-    """Information across one cut for a single realization.
-
-    Relays in cut.omega contribute their source-side capacity, relays of
-    the subset outside omega their destination-side capacity; empty maxima
-    are 0, so an inactive or null side drops out exactly.
-    """
-    subset = tuple(subset)
-    if not cut.omega <= set(subset):
-        raise IndexOutOfSubsetError(
-            f"cut {sorted(cut.omega)} not within subset {sorted(subset)}")
-    src_side = max((_c(c.h2[i - 1]) for i in cut.omega), default=0.0)
-    dst_side = max((_c(c.g2[j - 1]) for j in subset if j not in cut.omega), default=0.0)
-    return max(_c(c.h_sd2), src_side + dst_side)
-
-
 def approx_capacity(c, subset):
-    """Cut-set capacity approximation: min of cut_value over all 2^k cuts."""
-    subset = tuple(subset)
-    best = math.inf
-    for size in range(len(subset) + 1):
-        for omega in itertools.combinations(subset, size):
-            best = min(best, cut_value(c, Cut(omega), subset))
-    return best if subset else _c(c.h_sd2)
-
-
-def _capacity_batch(h_sd2, h2, g2, subset):
-    """Vectorized approx_capacity over n realizations (arrays from
-    sample_channel_batch). Returns the (n,) capacity array."""
-    csd = np.log2(1.0 + h_sd2)
-    idx = [i - 1 for i in subset]
-    if not idx:
-        return csd
-    a = np.log2(1.0 + h2[:, idx])
-    b = np.log2(1.0 + g2[:, idx])
-    k = len(idx)
-    cap = np.full(h_sd2.shape, np.inf)
+    """Cut-set capacity approximation of the relay subset over the last
+    axis of a draw array c (see topology.sample_channels): the min over
+    all 2^k cuts of the cut value in the module docstring. Returns an
+    array of c's shape without its last axis.
+    """
+    c = np.asarray(c, dtype=float)
+    n_relays = (c.shape[-1] - 1) // 2
+    if any(not 1 <= i <= n_relays for i in subset):
+        raise ValueError(
+            f"subset {tuple(subset)} has indices outside 1..{n_relays}")
+    # log2(1 + x) of the direct link, the subset's h and its g links: one
+    # array each, over c's other axes in reverse order (hence .T below)
+    k = len(subset)
+    caps = c.T[[0, *subset, *(n_relays + i for i in subset)]]
+    np.log2(np.add(caps, 1.0, out=caps), out=caps)
+    direct, *links = caps
+    src, dst = links[:k], links[k:]
+    # min over cuts of max(direct, relayed) = max(direct, min over cuts of relayed)
+    relayed = np.inf
     for mask in range(1 << k):
-        src = [p for p in range(k) if mask >> p & 1]
-        dst = [p for p in range(k) if not mask >> p & 1]
-        rel = np.zeros(h_sd2.shape)
-        if src:
-            rel += a[:, src].max(axis=1)
-        if dst:
-            rel += b[:, dst].max(axis=1)
-        np.minimum(cap, np.maximum(csd, rel), out=cap)
-    return cap
+        sides = ([a for p, a in enumerate(src) if mask >> p & 1],
+                 [b for p, b in enumerate(dst) if not mask >> p & 1])
+        relayed = np.minimum(relayed, sum(
+            functools.reduce(np.maximum, side) for side in sides if side))
+    return np.maximum(direct, relayed).T
 
 
 def direct_outage(lambda_sd, rate):
@@ -269,8 +244,7 @@ def outage_monte_carlo(t, q, rng):
         raise ValueError(f"mc_samples must be >= 100, got {q.mc_samples}")
     _check_subset(t, q.subset)
     n = int(q.mc_samples)
-    h_sd2, h2, g2 = sample_channel_batch(t, rng, n)
-    cap = _capacity_batch(h_sd2, h2, g2, q.subset)
+    cap = approx_capacity(sample_channels(t, rng, n), q.subset)
     p = float(np.count_nonzero(cap < q.rate)) / n
     return p, math.sqrt(p * (1.0 - p) / n)
 
@@ -321,9 +295,9 @@ def best_subnetwork(t, k, rate, method="analytic", rel_tol=DEFAULT_REL_TOL,
 
     n = int(mc_samples)
     draw_rng = rng if rng is not None else named_rng(0, "best_subnetwork")
-    h_sd2, h2, g2 = sample_channel_batch(t, draw_rng, n)
+    draws = sample_channels(t, draw_rng, n)
     for subset in subsets:
-        cap = _capacity_batch(h_sd2, h2, g2, subset)
+        cap = approx_capacity(draws, subset)
         value = float(np.count_nonzero(cap < rate)) / n
         if value < best_value:
             best_subset, best_value = subset, value

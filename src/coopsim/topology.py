@@ -110,44 +110,18 @@ def validate_topology(t):
     return True
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One block-fading draw: squared channel magnitudes in linear SNR units."""
-    h_sd2: float
-    h2: tuple
-    g2: tuple
-
-    def __post_init__(self):
-        if self.h_sd2 < 0 or any(v < 0 for v in self.h2) or any(v < 0 for v in self.g2):
-            raise ValueError("squared magnitudes must be nonnegative")
-        if len(self.h2) != len(self.g2):
-            raise LengthMismatchError("h2 and g2 must have equal length")
-
-
-def sample_channels(t, rng):
-    """Draw one independent realization of all 2N+1 links.
+def sample_channels(t, rng, n=None):
+    """Draw independent realizations of all 2N+1 links.
 
     Each squared magnitude is exponential with the link's rate parameter.
-    Deterministic for a fixed generator state; draw order is h_sd2, then
-    h2[0..N-1], then g2[0..N-1].
+    A draw is a float array whose last axis is [h_sd2, h2_1..h2_N,
+    g2_1..g2_N]: 1-based relay i is column i on the source side and
+    column N+i on the destination side. The shape is (2N+1,) for n=None
+    and (n, 2N+1) otherwise. Rows are drawn in order from one call, so a
+    batch of n equals n single draws from the same generator state.
     """
-    return ChannelRealization(
-        h_sd2=float(rng.exponential(1.0 / t.lambda_sd)),
-        h2=tuple(float(rng.exponential(1.0 / lam)) for lam in t.lambda_sr),
-        g2=tuple(float(rng.exponential(1.0 / lam)) for lam in t.lambda_rd),
-    )
-
-
-def sample_channel_batch(t, rng, n):
-    """Vectorized draws: arrays h_sd2 (n,), h2 (n,N), g2 (n,N)."""
-    h_sd2 = rng.exponential(1.0 / t.lambda_sd, size=n)
-    if t.n_relays:
-        h2 = np.column_stack([rng.exponential(1.0 / lam, size=n) for lam in t.lambda_sr])
-        g2 = np.column_stack([rng.exponential(1.0 / lam, size=n) for lam in t.lambda_rd])
-    else:
-        h2 = np.empty((n, 0))
-        g2 = np.empty((n, 0))
-    return h_sd2, h2, g2
+    scales = 1.0 / np.array((t.lambda_sd, *t.lambda_sr, *t.lambda_rd))
+    return rng.exponential(scales, size=None if n is None else (n, len(scales)))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 import csv
 import json
 import os
+import re
 
 import pytest
 import yaml
 
+from coopsim import __version__
 from coopsim.cli import main
 from coopsim.experiments import (ValidationError, list_experiments,
                                  run_config, validate_config)
@@ -40,6 +42,13 @@ def schedule_doc():
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def test_version_matches_pyproject():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        versions = re.findall(r'^version = "([^"]+)"$', fh.read(), re.MULTILINE)
+    assert versions == [__version__]
 
 
 class TestValidate:
@@ -205,6 +214,12 @@ class TestFlagPipeline:
         ("run", ["--rate", "-1"], {"rate": -1.0}, "rate must be finite"),
         ("ensemble", ["--rate", "nan"], {"rate": float("nan")},
          "rate must be finite"),
+        ("outage", ["--snr-grid", "0:10"], {"snr_grid": {"start": 0.0, "stop": 10.0}},
+         "must be start:stop:step or a list of numbers"),
+        ("outage", ["--snr-grid", "a,b"], {"snr_grid": ["a", "b"]},
+         "must be start:stop:step or a list of numbers"),
+        ("outage", ["--k", "a"], {"k_values": ["a"]},
+         "must be a list of integers"),
     ])
     def test_flags_reject_what_the_config_rejects(self, tmp_path, capsys,
                                                   command, flags, override,
@@ -327,6 +342,10 @@ class TestRunConfig:
          "missing column(s) category"),
         ("--path-traces", "path,hop,packet,attempt,success\n",
          "no rows after the header"),
+        ("--coop-trace", "frame_index,topology_id,mode,category\n0,,DT,0\n1,,DT,x\n",
+         "data row 2: category must be 0, 1 or 2, got 'x'"),
+        ("--coop-trace", "frame_index,topology_id,mode,category\n0,,DT,7\n",
+         "data row 1: category must be 0, 1 or 2, got '7'"),
     ])
     def test_mac_rejects_malformed_traces(self, tmp_path, capsys, flag, text,
                                           message):

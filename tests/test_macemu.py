@@ -54,6 +54,10 @@ class TestCoopDeliver:
             b = (rem - a * 180.0) / 372.0
             assert b == int(b) and b >= 0
 
+    def test_rejects_categories_outside_0_1_2(self):
+        with pytest.raises(ValueError, match="got 7"):
+            coop_mac_deliver([7, 0], POLICY)
+
     def test_configurable_retx(self):
         p = MacPolicy(max_retx_coop=0)
         (r,) = coop_mac_deliver([2, 0], p, n_packets=1)

@@ -94,6 +94,12 @@ class TestSimulateFrame:
         with pytest.raises(ValueError):
             simulate_frame(t, Mode((2,)), Strategy.DIF, 1.0, named_rng(0, "x"))
 
+    @pytest.mark.parametrize("rate", [-1.0, math.inf, math.nan])
+    def test_invalid_rate_rejected(self, rate):
+        c = sample_channels(Topology.from_snr(1.0, [1.0], [1.0]), named_rng(0, "r"))
+        with pytest.raises(ValueError, match="rate must be finite"):
+            evaluate_frame(c, Mode((1,)), Strategy.DIQIF, rate)
+
 
 class TestStrategyOrdering:
     def test_diqif_success_contains_dif_success_pointwise(self, rng):

@@ -6,52 +6,59 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_topology
+from conftest import random_topology, topologies
 from coopsim.outage import (DEFAULT_REL_TOL, Cut, IndexOutOfSubsetError,
-                            OutageQuery, QuadratureFailure, _capacity_batch,
-                            _p_omega, approx_capacity, best_subnetwork,
-                            cut_outage_analytic, cut_value, direct_outage,
+                            OutageQuery, QuadratureFailure, _p_omega,
+                            approx_capacity, best_subnetwork,
+                            cut_outage_analytic, direct_outage,
                             outage_monte_carlo, outage_sweep,
                             outage_upper_bound, required_snr_db)
 from oracles import (best_subnetwork_exhaustive, p_omega_by_term_expansion,
                      p_omega_quad)
 from coopsim.rng import named_rng
-from coopsim.topology import ChannelRealization, Topology, sample_channel_batch
+from coopsim.topology import Topology, sample_channels
 
 
 def real(h_sd2, h2=(), g2=()):
-    return ChannelRealization(h_sd2=h_sd2, h2=tuple(h2), g2=tuple(g2))
+    """One draw [h_sd2, h2_1..h2_N, g2_1..g2_N]."""
+    return np.array([h_sd2, *h2, *g2], dtype=float)
 
 
 class TestCutValue:
+    """Cut values evaluated by hand, checked through approx_capacity, the
+    min over all cuts of the subset."""
+
     def test_hand_evaluation(self):
-        # max(log2(4), log2(8) + log2(2)) = max(2, 4) = 4
+        # subset (1, 2), log2(1 + x): C_sd = 2, C_h = (3, log2 10.9), C_g =
+        # (log2 10.9, 1). Cuts: {} -> max(2, log2 10.9); {1} -> max(2, 3 + 1)
+        # = 4; {2} -> max(2, 2 log2 10.9); {1,2} -> max(2, log2 10.9)
         c = real(3.0, (7.0, 9.9), (9.9, 1.0))
-        assert cut_value(c, Cut({1}), (1, 2)) == pytest.approx(4.0)
+        assert approx_capacity(c, (1, 2)) == pytest.approx(math.log2(10.9))
 
     def test_empty_omega_uses_destination_side_only(self):
-        c = real(1.0, (0.0,), (3.0,))
-        assert cut_value(c, Cut(()), (1,)) == pytest.approx(2.0)
+        # cut {} -> max(1, log2 4) = 2 is below cut {1} -> max(1, 3)
+        c = real(1.0, (7.0,), (3.0,))
+        assert approx_capacity(c, (1,)) == pytest.approx(2.0)
 
     def test_all_zero_channels(self):
         c = real(0.0, (0.0,), (0.0,))
-        assert cut_value(c, Cut({1}), (1,)) == 0.0
-        assert cut_value(c, Cut(()), (1,)) == 0.0
+        assert approx_capacity(c, (1,)) == 0.0
+        assert approx_capacity(c, ()) == 0.0
 
     def test_index_out_of_subset(self):
-        c = real(1.0, (1.0, 1.0), (1.0, 1.0))
+        t = Topology.from_snr(1.0, [1.0, 1.0], [1.0, 1.0])
         with pytest.raises(IndexOutOfSubsetError):
-            cut_value(c, Cut({2}), (1,))
+            cut_outage_analytic(t, OutageQuery(rate=1.0, subset=(1,)), Cut({2}))
+        with pytest.raises(ValueError):
+            approx_capacity(real(1.0, (1.0, 1.0), (1.0, 1.0)), (1, 3))
 
 
 class TestApproxCapacity:
     def test_single_relay_identity(self, rng):
         # min over the two cuts equals max(C_sd, min(C_sr, C_rd))
-        for _ in range(200):
-            c = real(*rng.exponential(1.0, 3)[:1],
-                     (float(rng.exponential(1.0)),), (float(rng.exponential(1.0)),))
-            expected = max(math.log2(1 + c.h_sd2),
-                           min(math.log2(1 + c.h2[0]), math.log2(1 + c.g2[0])))
+        for c in rng.exponential(1.0, (200, 3)):
+            expected = max(math.log2(1 + c[0]),
+                           min(math.log2(1 + c[1]), math.log2(1 + c[2])))
             assert approx_capacity(c, (1,)) == pytest.approx(expected)
 
     def test_null_relay_leaves_capacity_unchanged(self, rng):
@@ -65,25 +72,30 @@ class TestApproxCapacity:
     def test_empty_subset_is_direct_capacity(self):
         assert approx_capacity(real(3.0), ()) == pytest.approx(2.0)
 
-    def test_relay_addition_monotonicity(self, rng):
-        for _ in range(100):
-            c = real(float(rng.exponential(1.0)),
-                     tuple(rng.exponential(1.0, 3)), tuple(rng.exponential(1.0, 3)))
-            subsets = [(), (1,), (1, 2), (1, 2, 3), (2,), (2, 3)]
-            for s1 in subsets:
-                for s2 in subsets:
-                    if set(s1) <= set(s2):
-                        assert approx_capacity(c, s1) <= approx_capacity(c, s2) + 1e-12
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(t=topologies(), seed=st.integers(0, 2 ** 32 - 1),
+           order=st.randoms(use_true_random=False))
+    def test_relay_addition_monotonicity(self, t, seed, order):
+        # capacity never falls when a relay joins the subset, exactly
+        c = sample_channels(t, np.random.default_rng(seed), 50)
+        relays = list(range(1, t.n_relays + 1))
+        order.shuffle(relays)
+        caps = [approx_capacity(c, tuple(sorted(relays[:k])))
+                for k in range(t.n_relays + 1)]
+        for smaller, larger in zip(caps, caps[1:]):
+            assert np.all(smaller <= larger)
 
-    def test_batch_matches_scalar(self, rng):
-        t = random_topology(rng, 3)
-        n = 500
-        h_sd2, h2, g2 = sample_channel_batch(t, rng, n)
-        for subset in [(), (2,), (1, 3), (1, 2, 3)]:
-            batch = _capacity_batch(h_sd2, h2, g2, subset)
-            for i in range(0, n, 97):
-                c = real(float(h_sd2[i]), tuple(h2[i]), tuple(g2[i]))
-                assert batch[i] == pytest.approx(approx_capacity(c, subset))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(t=topologies(), n=st.integers(0, 30), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_batch_matches_scalar(self, t, n, seed, data):
+        # a batch of draws gives, row by row, exactly the single-draw values
+        subset = tuple(sorted(data.draw(st.sets(
+            st.integers(1, max(t.n_relays, 1)), max_size=t.n_relays))))
+        c = sample_channels(t, np.random.default_rng(seed), n)
+        batch = approx_capacity(c, subset)
+        assert batch.shape == (n,)
+        assert np.array_equal(batch, [approx_capacity(row, subset) for row in c])
 
 
 class TestDirectOutage:
@@ -295,11 +307,10 @@ class TestBestSubnetwork:
             subset, _ = best_subnetwork(t, k, 1.0, method="montecarlo",
                                         mc_samples=40_000,
                                         rng=named_rng(3, "argmin", k))
-            h_sd2, h2, g2 = sample_channel_batch(t, named_rng(7, "oracle", k),
-                                                 200_000)
+            draws = sample_channels(t, named_rng(7, "oracle", k), 200_000)
             brute = min(
                 itertools.combinations(range(1, 4), k),
-                key=lambda s: float(np.mean(_capacity_batch(h_sd2, h2, g2, s) < 1.0)))
+                key=lambda s: float(np.mean(approx_capacity(draws, s) < 1.0)))
             assert subset == brute
 
     def test_rejects_bad_k(self):

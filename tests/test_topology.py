@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import topologies
 from coopsim.rng import named_rng, spawn_rngs
 from coopsim.topology import (LengthMismatchError, NonPositiveRateError,
                               ScheduleOutOfRangeError, Topology,
                               TopologyError, TopologySchedule, load_topology,
-                              sample_channel_batch, sample_channels,
+                              sample_channels,
                               save_topology, schedule_topology_at,
                               validate_topology)
 
@@ -54,8 +57,7 @@ def test_sample_mean_within_three_standard_errors(snr):
     # mean of Exp(lambda) is 1/lambda = snr; se = snr / sqrt(n)
     t = Topology.from_snr(snr, [snr], [snr])
     n = 10 ** 6
-    h_sd2, h2, g2 = sample_channel_batch(t, np.random.default_rng(7), n)
-    for sample in (h_sd2, h2[:, 0], g2[:, 0]):
+    for sample in sample_channels(t, np.random.default_rng(7), n).T:
         assert abs(sample.mean() - snr) <= 3 * snr / math.sqrt(n)
 
 
@@ -63,10 +65,28 @@ def test_sampling_deterministic_for_fixed_seed():
     t = Topology.from_snr(1.0, [0.5, 2.0], [1.0, 3.0])
     a = [sample_channels(t, np.random.default_rng(42)) for _ in range(1)][0]
     b = sample_channels(t, np.random.default_rng(42))
-    assert a == b
+    assert np.array_equal(a, b)
     seq_a = [sample_channels(t, rng) for rng in spawn_rngs(9, 3)]
     seq_b = [sample_channels(t, rng) for rng in spawn_rngs(9, 3)]
-    assert seq_a == seq_b
+    assert np.array_equal(seq_a, seq_b)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(t=topologies(), n=st.integers(0, 20), seed=st.integers(0, 2 ** 32 - 1))
+def test_batch_equals_single_draws(t, n, seed):
+    # row f of a batch is the f-th single draw from the same generator
+    # state, exactly
+    batch = sample_channels(t, np.random.default_rng(seed), n)
+    rng = np.random.default_rng(seed)
+    singles = [sample_channels(t, rng) for _ in range(n)]
+    assert batch.shape == (n, 2 * t.n_relays + 1)
+    assert all(c.shape == (2 * t.n_relays + 1,) for c in singles)
+    assert np.array_equal(batch, np.reshape(singles, batch.shape))
+    # one scalar draw per link, in column order
+    rng = np.random.default_rng(seed)
+    links = (t.lambda_sd, *t.lambda_sr, *t.lambda_rd)
+    scalars = [[rng.exponential(1.0 / lam) for lam in links] for _ in range(n)]
+    assert np.array_equal(batch, np.reshape(scalars, batch.shape))
 
 
 def test_named_rng_streams_distinct_and_stable():
