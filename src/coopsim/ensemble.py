@@ -11,9 +11,11 @@ import csv
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import selection
-from .netsim import (Strategy, enumerate_modes, evaluate_frame, mode_key_str,
-                     parse_mode_key)
+from .netsim import (Strategy, TraceFormatError, enumerate_modes, evaluate_frame,
+                     mode_key_str, parse_mode_key, read_csv_rows)
 from .rng import named_rng
 from .topology import sample_channels
 
@@ -22,28 +24,34 @@ class SegmentTooLongError(ValueError):
     """Sample segment longer than the recorded frames per topology."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeDataset:
-    """Recorded outcome categories per (topology label, mode slot).
+    """Recorded outcome categories: outcomes[t, s, f] is the category of
+    frame f of topology topologies[t] under mode slot mode_keys[s].
 
     Mode slots are Mode objects plus None for plain direct transmission.
-    Every (topology, slot) pair holds frames_per_topology categories.
+    outcomes is stored as a read-only int8 array of shape
+    (topologies, slots, frames_per_topology), frames_per_topology >= 1.
     """
     topologies: tuple
     mode_keys: tuple
-    outcomes: dict
-    frames_per_topology: int
+    outcomes: np.ndarray
 
     def __post_init__(self):
-        for label in self.topologies:
-            for key in self.mode_keys:
-                rows = self.outcomes.get((label, key))
-                if rows is None:
-                    raise ValueError(f"missing outcomes for ({label}, {key})")
-                if len(rows) != self.frames_per_topology:
-                    raise ValueError(
-                        f"({label}, {key}) has {len(rows)} frames, "
-                        f"expected {self.frames_per_topology}")
+        outcomes = np.array(self.outcomes)
+        shape = (len(self.topologies), len(self.mode_keys))
+        if outcomes.ndim != 3 or outcomes.shape[:2] != shape or not outcomes.shape[2]:
+            raise ValueError(f"outcomes has shape {outcomes.shape}, expected "
+                             f"({shape[0]}, {shape[1]}, frames >= 1)")
+        if not np.isin(outcomes, (0, 1, 2)).all():
+            raise ValueError("outcome categories must be 0, 1 or 2")
+        outcomes = outcomes.astype(np.int8)
+        outcomes.flags.writeable = False
+        object.__setattr__(self, "outcomes", outcomes)
+
+    @property
+    def frames_per_topology(self):
+        return self.outcomes.shape[2]
 
     @property
     def modes(self):
@@ -82,19 +90,15 @@ def record_dataset(topologies, strategy, rate, frames_per_topology, rng,
     modes = enumerate_modes(n)
     keys = ([None] if include_dt else []) + modes
     strategy = Strategy.parse(strategy)
-    outcomes = {(t.label, key): [] for t in topologies for key in keys}
-    for t in topologies:
-        for c in sample_channels(t, rng, frames_per_topology):
-            for key in keys:
-                strat = Strategy.DT if key is None else strategy
-                outcomes[(t.label, key)].append(
-                    evaluate_frame(c, key, strat, rate).category)
-    return ModeDataset(
-        topologies=tuple(t.label for t in topologies),
-        mode_keys=tuple(keys),
-        outcomes={k: tuple(v) for k, v in outcomes.items()},
-        frames_per_topology=frames_per_topology,
-    )
+    strategies = [Strategy.DT if key is None else strategy for key in keys]
+    outcomes = np.empty((len(topologies), len(keys), frames_per_topology), np.int8)
+    for ti, t in enumerate(topologies):
+        outcomes[ti] = np.transpose(
+            [[evaluate_frame(c, key, strat, rate).category
+              for key, strat in zip(keys, strategies)]
+             for c in sample_channels(t, rng, frames_per_topology)])
+    return ModeDataset(topologies=tuple(t.label for t in topologies),
+                       mode_keys=tuple(keys), outcomes=outcomes)
 
 
 def synthetic_dataset(fer_table, frames_per_topology, rng):
@@ -106,16 +110,14 @@ def synthetic_dataset(fer_table, frames_per_topology, rng):
     """
     labels = tuple(fer_table)
     keys = tuple(fer_table[labels[0]])
-    outcomes = {}
-    for label in labels:
+    outcomes = np.empty((len(labels), len(keys), frames_per_topology), np.int8)
+    for ti, label in enumerate(labels):
         if tuple(fer_table[label]) != keys:
             raise ValueError("all topologies must plant the same mode slots")
-        for key in keys:
-            p = fer_table[label][key]
-            draws = rng.random(frames_per_topology) < p
-            outcomes[(label, key)] = tuple(2 if e else 0 for e in draws)
-    return ModeDataset(topologies=labels, mode_keys=keys, outcomes=outcomes,
-                       frames_per_topology=frames_per_topology)
+        for si, key in enumerate(keys):
+            draws = rng.random(frames_per_topology) < fer_table[label][key]
+            outcomes[ti, si] = np.where(draws, 2, 0)
+    return ModeDataset(topologies=labels, mode_keys=keys, outcomes=outcomes)
 
 
 def check_sampling(n_samples, segment_len, frames_per_topology):
@@ -153,20 +155,26 @@ def make_ensemble(dataset, n_samples, n_transitions, segment_len, seed):
 def _sample_executor(sample, dataset):
     """Executor serving recorded outcomes positionally; raises RunStopped
     at the end of the sample. Learning frames consume the same positions
-    as operating frames would."""
-    flat = [(label, row) for label, rows in sample.segments for row in rows]
+    as operating frames would. The sample's (positions, slots) block is
+    gathered from the dataset once."""
+    topology_index = {label: t for t, label in enumerate(dataset.topologies)}
+    slot_index = {key: s for s, key in enumerate(dataset.mode_keys)}
+    tops = [topology_index[label] for label, seg_rows in sample.segments for _ in seg_rows]
+    rows = [row for _, seg_rows in sample.segments for row in seg_rows]
+    block = dataset.outcomes[tops, :, rows].tolist()
     pos = [0]
 
     def execute(mode_key):
-        if pos[0] >= len(flat):
+        if pos[0] >= len(block):
             raise selection.RunStopped
-        label, row = flat[pos[0]]
-        pos[0] += 1
         try:
-            return dataset.outcomes[(label, mode_key)][row]
+            slot = slot_index[mode_key]
         except KeyError:
             raise selection.UnknownPolicyError(
                 f"dataset has no recorded outcomes for mode {mode_key}") from None
+        row = block[pos[0]]
+        pos[0] += 1
+        return row[slot]
 
     return execute
 
@@ -211,13 +219,13 @@ def evaluate_on_ensemble(policy, samples, dataset, params=selection.DEFAULT_PARA
 
 def oracle_fer(sample, dataset):
     """Ensemble oracle: per segment, the best fixed mode in hindsight."""
+    slots = [s for s, key in enumerate(dataset.mode_keys) if key is not None]
     errors = 0
     total = 0
     for label, rows in sample.segments:
-        best = min(
-            sum(1 for r in rows if dataset.outcomes[(label, m)][r] == 2)
-            for m in dataset.modes)
-        errors += best
+        t = dataset.topologies.index(label)
+        failed = dataset.outcomes[t][np.ix_(slots, list(rows))] == 2
+        errors += int(failed.sum(axis=1).min())
         total += len(rows)
     return errors / total
 
@@ -227,24 +235,34 @@ def write_dataset_csv(path, dataset):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["topology", "mode", "frame_index", "category"])
-        for label in dataset.topologies:
-            for key in dataset.mode_keys:
-                for f, cat in enumerate(dataset.outcomes[(label, key)]):
+        for label, table in zip(dataset.topologies, dataset.outcomes.tolist()):
+            for key, categories in zip(dataset.mode_keys, table):
+                for f, cat in enumerate(categories):
                     w.writerow([label, mode_key_str(key), f, cat])
 
 
+def _dataset_cell(row):
+    return ((row["topology"], parse_mode_key(row["mode"])), int(row["frame_index"]),
+            int(row["category"]))
+
+
 def read_dataset_csv(path):
+    """Read a dataset CSV back; every (topology, mode) pair must hold the
+    same frames 0..F-1."""
     cells = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["topology"], parse_mode_key(row["mode"]))
-            cells.setdefault(key, {})[int(row["frame_index"])] = int(row["category"])
+    for key, f, category in read_csv_rows(
+            path, ("topology", "mode", "frame_index", "category"), _dataset_cell):
+        cells.setdefault(key, {})[f] = category
     labels = tuple(dict.fromkeys(label for label, _ in cells))
     keys = tuple(dict.fromkeys(key for _, key in cells))
     frames = len(next(iter(cells.values())))
-    outcomes = {k: tuple(v[f] for f in range(len(v))) for k, v in cells.items()}
-    return ModeDataset(topologies=labels, mode_keys=keys, outcomes=outcomes,
-                       frames_per_topology=frames)
+    if len(cells) != len(labels) * len(keys) or any(
+            set(v) != set(range(frames)) for v in cells.values()):
+        raise TraceFormatError(f"{path}: every (topology, mode) pair needs "
+                               f"frames 0..{frames - 1}")
+    outcomes = [[[cells[(label, key)][f] for f in range(frames)] for key in keys]
+                for label in labels]
+    return ModeDataset(topologies=labels, mode_keys=keys, outcomes=outcomes)
 
 
 def write_samples_csv(path, samples):

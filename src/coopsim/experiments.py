@@ -16,7 +16,7 @@ import yaml
 from . import __version__, ensemble, macemu, netsim, outage, selection
 from .rng import named_rng
 from .topology import (TopologyError, TopologySchedule, load_topology,
-                       schedule_topology_at, topology_from_dict)
+                       sample_channels, topology_from_dict)
 
 
 class ConfigParseError(Exception):
@@ -65,6 +65,28 @@ def _need(doc, key, path):
     return doc[key]
 
 
+def _int(value, what, path):
+    """value as an int; anything but an int or an integral float (2.5, "3",
+    true) is a ConfigParseError naming what."""
+    if isinstance(value, bool) or not (isinstance(value, int) or (
+            isinstance(value, float) and value.is_integer())):
+        raise ConfigParseError(f"{path}: {what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _mapping(value, allowed, where, path):
+    """value ({} if None), which must be a mapping whose keys are all in
+    allowed; ConfigParseError naming the first other key."""
+    value = {} if value is None else value
+    if not isinstance(value, dict):
+        raise ConfigParseError(f"{path}: {where} must be a mapping")
+    unknown = [k for k in value if k not in allowed]
+    if unknown:
+        raise ConfigParseError(f"{path}: unknown {where} key {unknown[0]!r}; "
+                               f"expected one of {', '.join(sorted(allowed))}")
+    return value
+
+
 def _resolve_topology(spec, base_dir, path):
     try:
         if isinstance(spec, str):
@@ -97,29 +119,36 @@ def _resolve_schedule(spec, base_dir, path):
         label = str(_need(seg, "topology", path))
         if label not in topologies:
             raise ValidationError(f"{path}: segment references unknown topology {label!r}")
-        segments.append((label, int(_need(seg, "frames", path))))
+        segments.append((label, _int(_need(seg, "frames", path), "segment frames", path)))
     try:
         return TopologySchedule(tuple(segments)), topologies
     except TopologyError as e:
         raise ValidationError(f"{path}: schedule: {e}") from e
 
 
+_PARAMS_KEYS = ("l", "eta", "alpha", "epsilon", "B", "zeta", "r", "w", "delta_w", "s")
+
+
 def _resolve_params(doc, path):
-    block = doc.get("params", {}) or {}
+    block = _mapping(doc.get("params"), _PARAMS_KEYS, "params", path)
+
+    def integer(key, default):
+        return _int(block.get(key, default), f"params {key}", path)
+
     try:
         learn = selection.LearnParams(
-            l=int(block.get("l", 1)),
+            l=integer("l", 1),
             eta=float(block.get("eta", 3.0)),
             alpha=float(block.get("alpha", 0.4)),
             epsilon=float(block.get("epsilon", 0.05)),
-            B=int(block.get("B", 50)),
+            B=integer("B", 50),
         )
         return selection.SpaParams(
             zeta=float(block.get("zeta", 0.1)),
-            r=int(block.get("r", 3)),
-            w=int(block.get("w", 40)),
-            delta_w=int(block.get("delta_w", 1)),
-            s=int(block.get("s", 3)),
+            r=integer("r", 3),
+            w=integer("w", 40),
+            delta_w=integer("delta_w", 1),
+            s=integer("s", 3),
             learn=learn,
         )
     except (TypeError, ValueError) as e:
@@ -187,9 +216,10 @@ def _plan_outage_sweep(doc, path, base_dir):
     template = _resolve_topology(_need(doc, "topology", path), base_dir, path)
     rate = _rate(doc, path)
     try:
-        k_values = [int(k) for k in _need(doc, "k_values", path)]
-    except (TypeError, ValueError) as e:
-        raise ConfigParseError(f"{path}: k_values must be a list of integers") from e
+        k_values = [_int(k, "k_values", path) for k in _need(doc, "k_values", path)]
+    except (ConfigParseError, TypeError):
+        raise ConfigParseError(f"{path}: k_values must be a list of integers, "
+                               f"got {doc['k_values']!r}") from None
     grid = _snr_grid(_need(doc, "snr_grid", path), path)
     normalization = str(doc.get("normalization", "per_node"))
     method = str(doc.get("method", "analytic"))
@@ -225,9 +255,12 @@ def _mode_slots(doc, path, n_relays):
     if spec == "all":
         return [None] + netsim.enumerate_modes(n_relays)
     try:
-        return [netsim.parse_mode_key(m) for m in spec]
+        slots = [netsim.parse_mode_key(m) for m in spec]
+        for slot in filter(None, slots):
+            slot.check_relays(n_relays)
     except ValueError as e:
         raise ValidationError(f"{path}: modes: {e}") from e
+    return slots
 
 
 def _schedule_summary(kind, schedule, topologies):
@@ -240,21 +273,22 @@ def _plan_fixed_modes(doc, path, base_dir):
     rate = _rate(doc, path)
     strategy = netsim.Strategy.parse(doc.get("strategy", "DIQIF"))
     _resolve_params(doc, path)  # checked although fixed modes never learn
-    n = next(iter(topologies.values())).n_relays
-    slots = _mode_slots(doc, path, n)
+    slots = _mode_slots(doc, path, min(t.n_relays for t in topologies.values()))
 
     def run(place, seed, threads):
-        labels = [schedule_topology_at(schedule, f) for f in range(schedule.total_frames)]
+        labels = [label for label, frames in schedule.segments for _ in range(frames)]
         outputs = []
         summary = []
         for slot in slots:
-            rng = named_rng(seed, "fixed", netsim.mode_key_str(slot))
-            outcomes = netsim.run_fixed(schedule, topologies, slot, strategy, rate, rng)
-            out = place(f"trace_{netsim.mode_key_str(slot)}.csv")
-            netsim.write_trace(out, outcomes, labels)
+            name = netsim.mode_key_str(slot)
+            executor = _schedule_executor(schedule, topologies, strategy, rate,
+                                          named_rng(seed, "fixed", name))
+            log = selection.run_policy("DT" if slot is None else slot, executor, (),
+                                       total_frames=schedule.total_frames)
+            out = place(f"trace_{name}.csv")
+            netsim.write_trace(out, log.outcomes(), labels)
             outputs.append(out)
-            fer = sum(1 for o in outcomes if o.category == 2) / len(outcomes)
-            summary.append([netsim.mode_key_str(slot), _fmt(fer)])
+            summary.append([name, _fmt(log.fer)])
         out = place("summary.csv")
         _write_csv(out, ["mode", "fer"], summary)
         outputs.append(out)
@@ -264,22 +298,28 @@ def _plan_fixed_modes(doc, path, base_dir):
 
 
 def _schedule_executor(schedule, topologies, strategy, rate, rng):
-    counter = {"f": 0}
+    """Frame executor over the schedule: one sample_channels batch per
+    segment, drawn when the segment starts, served row by row."""
+    def draws():
+        for label, frames in schedule.segments:
+            yield from sample_channels(topologies[label], rng, frames)
+
+    rows = draws()
 
     def execute(mode_key):
-        label = schedule_topology_at(schedule, counter["f"])
-        counter["f"] += 1
-        return netsim.simulate_frame(topologies[label], mode_key, strategy,
-                                     rate, rng).category
+        return netsim.evaluate_frame(next(rows), mode_key, strategy, rate).category
 
     return execute
 
 
-def _resolve_policies(doc, path):
+def _resolve_policies(doc, path, n_relays):
+    """The policy names of doc; a fixed mode beyond n_relays is rejected."""
     policies = [str(p) for p in _need(doc, "policies", path)]
     try:
         for policy in policies:
-            selection.policy_key(policy)
+            key = selection.policy_key(policy)
+            if isinstance(key, netsim.Mode):
+                key.check_relays(n_relays)
     except ValueError as e:
         raise ValidationError(f"{path}: {e}") from e
     return policies
@@ -290,7 +330,7 @@ def _plan_adaptive_compare(doc, path, base_dir):
     rate = _rate(doc, path)
     strategy = netsim.Strategy.parse(doc.get("strategy", "DIQIF"))
     params = _resolve_params(doc, path)
-    policies = _resolve_policies(doc, path)
+    policies = _resolve_policies(doc, path, min(t.n_relays for t in topologies.values()))
     modes = netsim.enumerate_modes(next(iter(topologies.values())).n_relays)
 
     def run(place, seed, threads):
@@ -324,16 +364,16 @@ def _plan_ensemble(doc, path, base_dir):
         raise ValidationError(f"{path}: ensemble topologies need distinct labels")
     rate = _rate(doc, path)
     strategy = netsim.Strategy.parse(doc.get("strategy", "DIQIF"))
-    frames = int(doc.get("frames_per_topology", 860))
-    n_transitions = int(doc.get("n_transitions", 4))
-    segment_len = int(doc.get("segment_len", 172))
-    n_samples = int(doc.get("n_samples", 200))
+    frames = _int(doc.get("frames_per_topology", 860), "frames_per_topology", path)
+    n_transitions = _int(doc.get("n_transitions", 4), "n_transitions", path)
+    segment_len = _int(doc.get("segment_len", 172), "segment_len", path)
+    n_samples = _int(doc.get("n_samples", 200), "n_samples", path)
     try:
         ensemble.check_sampling(n_samples, segment_len, frames)
     except ValueError as e:
         raise ValidationError(f"{path}: {e}") from e
     params = _resolve_params(doc, path)
-    policies = _resolve_policies(doc, path)
+    policies = _resolve_policies(doc, path, min(t.n_relays for t in topologies))
 
     def run(place, seed, threads):
         dataset = ensemble.record_dataset(topologies, strategy, rate, frames,
@@ -343,12 +383,8 @@ def _plan_ensemble(doc, path, base_dir):
         summary = []
         sample_rows = []
         for policy in policies:
-            try:
-                res = ensemble.evaluate_on_ensemble(policy, samples, dataset,
-                                                    params, seed=seed)
-            except selection.UnknownPolicyError as e:
-                # a fixed mode the dataset did not record
-                raise ValidationError(f"{path}: {e}") from e
+            res = ensemble.evaluate_on_ensemble(policy, samples, dataset,
+                                                params, seed=seed)
             summary.append([res.policy, _fmt(res.avg_fer), _fmt(res.avg_switches)])
             for idx, fer, switches, n_frames in res.rows:
                 sample_rows.append([res.policy, idx, _fmt(fer), switches, n_frames])
@@ -370,16 +406,18 @@ def _plan_ensemble(doc, path, base_dir):
 def _plan_mac_compare(doc, path, base_dir):
     topology = _resolve_topology(_need(doc, "topology", path), base_dir, path)
     rate = _rate(doc, path)
-    mac_block = doc.get("mac", {}) or {}
+    mac_block = _mapping(doc.get("mac"), ("max_retx_coop", "max_retx_per_link"), "mac", path)
     try:
         policy = macemu.MacPolicy(
-            max_retx_coop=int(mac_block.get("max_retx_coop", 2)),
-            max_retx_per_link=int(mac_block.get("max_retx_per_link", 4)),
+            max_retx_coop=_int(mac_block.get("max_retx_coop", 2), "mac max_retx_coop",
+                               path),
+            max_retx_per_link=_int(mac_block.get("max_retx_per_link", 4),
+                                   "mac max_retx_per_link", path),
         )
         scenario = macemu.CoopVsRoutingScenario(
             topology=topology,
             rate=rate,
-            n_packets=int(_need(doc, "n_packets", path)),
+            n_packets=_int(_need(doc, "n_packets", path), "n_packets", path),
             strategy=netsim.Strategy.parse(doc.get("strategy", "DIQIF")),
             mode_policy=str(doc.get("mode_policy", "SPA")),
             spa_params=_resolve_params(doc, path),
@@ -403,29 +441,39 @@ def _plan_mac_compare(doc, path, base_dir):
     return f"ok: mac_compare of {scenario.n_packets} packets on {topology.label!r}", run
 
 
+# Each kind's plan and the top-level keys it reads besides kind, seed and
+# out_dir.
 _PLANS = {
-    "outage_sweep": _plan_outage_sweep,
-    "fixed_modes": _plan_fixed_modes,
-    "adaptive_compare": _plan_adaptive_compare,
-    "ensemble": _plan_ensemble,
-    "mac_compare": _plan_mac_compare,
+    "outage_sweep": (_plan_outage_sweep,
+                     "topology rate k_values snr_grid normalization method"),
+    "fixed_modes": (_plan_fixed_modes, "schedule rate strategy params modes"),
+    "adaptive_compare": (_plan_adaptive_compare,
+                         "schedule rate strategy params policies"),
+    "ensemble": (_plan_ensemble, "topologies rate strategy frames_per_topology "
+                 "n_transitions segment_len n_samples params policies"),
+    "mac_compare": (_plan_mac_compare,
+                    "topology rate mac n_packets strategy mode_policy params"),
 }
 
 
 def _plan(doc, path, base_dir):
     """Resolve and check everything the run of a config document needs.
 
-    Returns (kind, summary, run), where run(place, seed, threads) executes
-    the experiment, writes each output `name` to the file place(name), and
-    returns the files it wrote.
+    Returns (kind, summary, run, seed), where run(place, seed, threads)
+    executes the experiment, writes each output `name` to the file
+    place(name), and returns the files it wrote; seed is the document's
+    (default 0).
     """
     kind = str(_need(doc, "kind", path))
     if kind not in EXPERIMENT_KINDS:
         raise ConfigParseError(
             f"{path}: unknown experiment kind {kind!r}; expected one of "
             f"{', '.join(sorted(EXPERIMENT_KINDS))}")
-    summary, run = _PLANS[kind](doc, path, base_dir)
-    return kind, summary, run
+    plan, keys = _PLANS[kind]
+    _mapping(doc, ["kind", "seed", "out_dir"] + keys.split(), kind, path)
+    seed = _int(doc.get("seed", 0), "seed", path)
+    summary, run = plan(doc, path, base_dir)
+    return kind, summary, run, seed
 
 
 def validate_config(path):
@@ -459,8 +507,8 @@ def run_experiment(doc, path, base_dir, place, seed=None, threads=1):
     created only once the whole document has been checked. seed overrides
     the document's seed. Returns the written files, manifest last.
     """
-    kind, _, run = _plan(doc, path, base_dir)
-    seed = int(doc.get("seed", 0)) if seed is None else int(seed)
+    kind, _, run, doc_seed = _plan(doc, path, base_dir)
+    seed = doc_seed if seed is None else int(seed)
 
     def place_in_dir(name):
         out = place(name)

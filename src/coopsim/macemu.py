@@ -12,8 +12,8 @@ import csv
 from dataclasses import dataclass, field
 
 from . import selection
-from .netsim import (FrameOutcome, Strategy, enumerate_modes, evaluate_frame,
-                     mode_key_str, read_csv_rows)
+from .netsim import (FrameOutcome, Mode, Strategy, TraceFormatError,
+                     enumerate_modes, evaluate_frame, mode_key_str, read_csv_rows)
 from .rng import named_rng
 from .topology import sample_channels
 
@@ -221,7 +221,9 @@ class CoopVsRoutingScenario:
     def __post_init__(self):
         if self.n_packets < 1:
             raise ValueError(f"n_packets must be >= 1, got {self.n_packets}")
-        selection.policy_key(self.mode_policy)
+        key = selection.policy_key(self.mode_policy)
+        if isinstance(key, Mode):
+            key.check_relays(self.topology.n_relays)
 
 
 @dataclass(frozen=True)
@@ -244,29 +246,29 @@ def _realization_blocks(scenario, mac, rng):
 
 
 def _coop_side(scenario, mac, blocks):
-    """Run the coop policy over the MAC attempt stream; returns per-packet
-    (categories of each attempt) in packet order."""
+    """Run the coop policy over the MAC attempt stream: a packet's attempts
+    take successive slots of its block until one succeeds or
+    max_retx_coop + 1 are spent. Returns the policy's run log, whose frames
+    are the attempts in packet order."""
     thr_attempts = mac.max_retx_coop + 1
-    attempts = [[] for _ in range(scenario.n_packets)]
     cursor = {"p": 0, "a": 0}
 
     def executor(mode_key):
         p, a = cursor["p"], cursor["a"]
         if p >= scenario.n_packets:
             raise selection.RunStopped
-        out = evaluate_frame(blocks[p, a], mode_key, scenario.strategy, scenario.rate)
-        attempts[p].append(out)
-        if out.category != 2 or a + 1 >= thr_attempts:
+        category = evaluate_frame(blocks[p, a], mode_key, scenario.strategy,
+                                  scenario.rate).category
+        if category != 2 or a + 1 >= thr_attempts:
             cursor["p"], cursor["a"] = p + 1, 0
         else:
             cursor["a"] = a + 1
-        return out.category
+        return category
 
     modes = enumerate_modes(scenario.topology.n_relays)
-    selection.run_policy(scenario.mode_policy, executor, modes,
-                         scenario.spa_params,
-                         total_frames=scenario.n_packets * thr_attempts)
-    return attempts
+    return selection.run_policy(scenario.mode_policy, executor, modes,
+                                scenario.spa_params,
+                                total_frames=scenario.n_packets * thr_attempts)
 
 
 def _routing_side(scenario, mac, blocks):
@@ -299,10 +301,8 @@ def compare_coop_vs_genie(scenario, policy=MacPolicy(), rng=None, seed=0):
     rng = rng if rng is not None else named_rng(seed, "coop_vs_genie")
     blocks = _realization_blocks(scenario, policy, rng)
 
-    coop_attempts = _coop_side(scenario, policy, blocks)
-    coop_trace = [out for packet in coop_attempts for out in packet]
-    coop_results = coop_mac_deliver(coop_trace, policy,
-                                    n_packets=scenario.n_packets)
+    coop_results = coop_mac_deliver(_coop_side(scenario, policy, blocks).outcomes(),
+                                    policy, n_packets=scenario.n_packets)
 
     genie_results = genie_route(_routing_side(scenario, policy, blocks), policy)
     return ComparisonReport(
@@ -338,23 +338,55 @@ def write_path_traces(path, traces):
                         w.writerow([trace.label, h, p, a, int(ok)])
 
 
+_SUCCESS = {"1": True, "true": True, "0": False, "false": False}
+
+
+def _gapless(path, where, cells, n):
+    """[cells[0], ..., cells[n-1]]; the keys of cells are >= 0, so any other
+    key set leaves a gap below n, a TraceFormatError naming it."""
+    if set(cells) != set(range(n)):
+        raise TraceFormatError(f"{path}: {where} {min(set(range(n)) - set(cells))} "
+                               f"is missing")
+    return [cells[i] for i in range(n)]
+
+
+def _path_cell(row):
+    ok = _SUCCESS.get(str(row["success"]).strip().lower())
+    if ok is None:
+        raise ValueError(f"success must be 0, 1, true or false, got {row['success']!r}")
+    try:
+        index = [int(row[c]) for c in ("hop", "packet", "attempt")]
+    except (TypeError, ValueError):
+        index = [-1]
+    if min(index) < 0:
+        raise ValueError("hop, packet and attempt must be integers >= 0")
+    return (row["path"], *index, ok)
+
+
 def read_path_traces(path):
-    """Path-trace CSV with columns path, hop, packet, attempt, success."""
+    """Path-trace CSV with columns path, hop, packet, attempt, success.
+
+    success is 0, 1, true or false (any case); hop, packet and attempt are
+    integers >= 0. Each path's hops, each hop's packets (the same count on
+    every path) and each packet's attempts must count up from 0 without
+    gaps. Anything else is a TraceFormatError naming the file and the
+    1-based data row, or the missing grid cell.
+    """
     cells = {}
-    for row in read_csv_rows(path, ("path", "hop", "packet", "attempt", "success")):
-        key = (row["path"], int(row["hop"]), int(row["packet"]))
-        cells.setdefault(key, {})[int(row["attempt"])] = row["success"] in ("1", "True", "true")
-    labels = sorted({k[0] for k in cells})
+    for label, hop, packet, attempt, ok in read_csv_rows(
+            path, ("path", "hop", "packet", "attempt", "success"), _path_cell):
+        cells.setdefault(label, {}).setdefault(hop, {}).setdefault(packet, {})[attempt] = ok
+    n_packets = 1 + max(p for hops in cells.values() for packets in hops.values()
+                        for p in packets)
     paths = []
-    for label in labels:
-        hops = sorted({k[1] for k in cells if k[0] == label})
-        packets = sorted({k[2] for k in cells if k[0] == label})
+    for label, hops in sorted(cells.items()):
+        where = f"path {label!r} hop"
         hop_data = []
-        for h in hops:
-            rows = []
-            for p in packets:
-                attempts = cells[(label, h, p)]
-                rows.append(tuple(attempts[a] for a in sorted(attempts)))
-            hop_data.append(tuple(rows))
+        for h, packets in enumerate(_gapless(path, where, hops, len(hops))):
+            packets = _gapless(path, f"{where} {h} packet", packets, n_packets)
+            hop_data.append(tuple(
+                tuple(_gapless(path, f"{where} {h} packet {p} attempt", attempts,
+                               len(attempts)))
+                for p, attempts in enumerate(packets)))
         paths.append(PathTrace(label, tuple(hop_data)))
     return PathTraces(tuple(paths))

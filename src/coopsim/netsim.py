@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .outage import approx_capacity
-from .topology import sample_channels, schedule_topology_at
 
 
 class TraceFormatError(ValueError):
@@ -57,6 +56,11 @@ class Mode:
 
     def __str__(self):
         return "".join(f"R{i}" for i in self.relays)
+
+    def check_relays(self, n_relays):
+        """Raise ValueError unless the mode's relays exist among n_relays."""
+        if self.relays[-1] > n_relays:
+            raise ValueError(f"mode {self} invalid for a {n_relays}-relay topology")
 
     @classmethod
     def parse(cls, text):
@@ -134,10 +138,8 @@ def _phase2_success(c, mode, strategy, rate):
 
 def evaluate_frame(c, mode, strategy, rate):
     """Frame outcome for one (2N+1,) draw c of topology.sample_channels
-    (pure; no draws).
-
-    Keeping this separate from simulate_frame lets ensemble recording
-    compare every mode on identical per-frame channels.
+    (pure; no draws), so that every mode can be compared on identical
+    per-frame channels.
     """
     strategy = Strategy.parse(strategy)
     if not (math.isfinite(rate) and rate >= 0):
@@ -146,33 +148,13 @@ def evaluate_frame(c, mode, strategy, rate):
     if c.ndim != 1:
         raise ValueError(f"evaluate_frame takes one (2N+1,) draw, got shape {c.shape}")
     c = c.tolist()  # Python floats: cheaper scalar arithmetic
-    n_relays = (len(c) - 1) // 2
-    if mode is not None and any(i > n_relays for i in mode.relays):
-        raise ValueError(f"mode {mode} invalid for a {n_relays}-relay realization")
+    if mode is not None:
+        mode.check_relays((len(c) - 1) // 2)
     if 2.0 ** rate - 1.0 <= c[0]:
         return FrameOutcome(0, mode)
     if _phase2_success(c, mode, strategy, rate):
         return FrameOutcome(1, mode)
     return FrameOutcome(2, mode)
-
-
-def simulate_frame(t, mode, strategy, rate, rng):
-    """Draw one realization and evaluate the frame."""
-    if mode is not None and any(i > t.n_relays for i in mode.relays):
-        raise ValueError(f"mode {mode} invalid for {t.n_relays}-relay topology")
-    return evaluate_frame(sample_channels(t, rng), mode, strategy, rate)
-
-
-def run_fixed(schedule, topologies, mode, strategy, rate, rng):
-    """One outcome per schedule frame with a fixed mode (None = plain DT).
-
-    topologies maps schedule labels to Topology objects.
-    """
-    outcomes = []
-    for f in range(schedule.total_frames):
-        label = schedule_topology_at(schedule, f)
-        outcomes.append(simulate_frame(topologies[label], mode, strategy, rate, rng))
-    return outcomes
 
 
 def write_trace(path, outcomes, topology_labels=None):
@@ -186,9 +168,11 @@ def write_trace(path, outcomes, topology_labels=None):
             w.writerow([f, label, mode_key_str(out.mode), out.category])
 
 
-def read_csv_rows(path, columns):
-    """The data rows of a CSV file as dicts, checked to have the given
-    columns and at least one row (TraceFormatError otherwise)."""
+def read_csv_rows(path, columns, parse):
+    """parse(row) for each data row (a dict) of a CSV file. A file without
+    one of the given columns or without rows, and a ValueError or TypeError
+    from parse, is a TraceFormatError naming the file (and the 1-based data
+    row)."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in columns if c not in (reader.fieldnames or ())]
@@ -197,25 +181,27 @@ def read_csv_rows(path, columns):
         rows = list(reader)
     if not rows:
         raise TraceFormatError(f"{path}: no rows after the header")
-    return rows
+    parsed = []
+    for n, row in enumerate(rows, start=1):
+        try:
+            parsed.append(parse(row))
+        except (TypeError, ValueError) as e:
+            raise TraceFormatError(f"{path}: data row {n}: {e}") from None
+    return parsed
+
+
+def _trace_entry(row):
+    try:
+        category = int(row["category"])
+    except (TypeError, ValueError):
+        category = None
+    if category not in (0, 1, 2):
+        raise ValueError(f"category must be 0, 1 or 2, got {row['category']!r}")
+    return FrameOutcome(category, parse_mode_key(row["mode"]))
 
 
 def read_trace(path):
     """Read a trace CSV back into FrameOutcome objects; a category that is
     not 0, 1 or 2, or a mode that does not parse, is a TraceFormatError
     naming the file and the data row (1-based)."""
-    outcomes = []
-    for n, row in enumerate(read_csv_rows(path, ("mode", "category")), start=1):
-        try:
-            category = int(row["category"])
-        except (TypeError, ValueError):
-            category = None
-        if category not in (0, 1, 2):
-            raise TraceFormatError(f"{path}: data row {n}: category must be 0, 1 "
-                                   f"or 2, got {row['category']!r}")
-        try:
-            mode = parse_mode_key(row["mode"])
-        except ValueError as e:
-            raise TraceFormatError(f"{path}: data row {n}: {e}") from None
-        outcomes.append(FrameOutcome(category, mode))
-    return outcomes
+    return read_csv_rows(path, ("mode", "category"), _trace_entry)

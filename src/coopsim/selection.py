@@ -11,10 +11,9 @@ RandPick, PWR2, NRNM, WRNM) share SPA's trigger mechanism and differ in
 how they pick the next operating mode.
 """
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
 
-from .netsim import Mode, mode_key_str
+from .netsim import FrameOutcome, Mode, mode_key_str
 
 
 class DegenerateSetError(ValueError):
@@ -98,13 +97,6 @@ class RankedModeList:
 
 
 @dataclass
-class FrameRecord:
-    mode: object          # Mode or None for plain direct transmission
-    category: int
-    phase: str            # "operating" | "learning"
-
-
-@dataclass
 class LearnCall:
     start_frame: int
     end_frame: int
@@ -114,36 +106,46 @@ class LearnCall:
 
 @dataclass
 class PolicyRunLog:
-    """Per-frame record of a policy run plus trigger/LEARN bookkeeping."""
+    """A policy run as per-frame columns (the mode slot, None for plain
+    direct transmission; the outcome category; the phase, "operating" or
+    "learning") plus trigger/LEARN bookkeeping."""
     policy: str
-    frames: list = field(default_factory=list)
+    modes: list = field(default_factory=list)
+    categories: list = field(default_factory=list)
+    phases: list = field(default_factory=list)
     triggers: list = field(default_factory=list)
     learn_calls: list = field(default_factory=list)
 
     @property
     def n_frames(self):
-        return len(self.frames)
+        return len(self.categories)
 
     @property
     def fer(self):
-        if not self.frames:
+        if not self.categories:
             return 0.0
-        return sum(1 for f in self.frames if f.category == 2) / len(self.frames)
+        return self.categories.count(2) / len(self.categories)
 
     @property
     def switch_count(self):
-        return sum(1 for a, b in zip(self.frames, self.frames[1:]) if a.mode != b.mode)
+        return sum(1 for a, b in zip(self.modes, self.modes[1:]) if a != b)
+
+    def outcomes(self):
+        """The frames as FrameOutcome records, in order: the trace that
+        write_trace and macemu.coop_mac_deliver take."""
+        return [FrameOutcome(c, m) for m, c in zip(self.modes, self.categories)]
 
     def to_rows(self):
         """CSV rows: frame_index, mode, category, phase, cumulative_switches."""
         rows = []
         switches = 0
         prev = None
-        for i, f in enumerate(self.frames):
-            if i > 0 and f.mode != prev:
+        for i, (mode, category, phase) in enumerate(
+                zip(self.modes, self.categories, self.phases)):
+            if i > 0 and mode != prev:
                 switches += 1
-            prev = f.mode
-            rows.append([i, mode_key_str(f.mode), f.category, f.phase, switches])
+            prev = mode
+            rows.append([i, mode_key_str(mode), category, phase, switches])
         return rows
 
 
@@ -224,12 +226,12 @@ def learn(runner, candidates, params):
 
 
 def windowed_fer(categories, w):
-    """Fraction of the last w outcome categories that are failures (2)."""
+    """Fraction of the last w outcome categories (a sequence) that are
+    failures (2)."""
     if len(categories) < w:
         raise InsufficientHistoryError(
             f"need at least {w} frames, have {len(categories)}")
-    recent = list(categories)[-w:]
-    return sum(1 for c in recent if c == 2) / w
+    return categories[-w:].count(2) / w
 
 
 class _Budget(Exception):
@@ -246,23 +248,35 @@ class _FrameLoop:
         self.log = log
 
     def send(self, mode, phase):
-        if len(self.log.frames) >= self.total_frames:
+        log = self.log
+        if len(log.categories) >= self.total_frames:
             raise _Budget
-        category = self.executor(mode)
-        self.log.frames.append(FrameRecord(mode, int(category), phase))
-        return int(category)
+        category = int(self.executor(mode))
+        log.modes.append(mode)
+        log.categories.append(category)
+        log.phases.append(phase)
+        return category
+
+    def run(self, step):
+        """Call step() until the budget is spent or the executor stops the
+        run; returns the log."""
+        try:
+            while True:
+                step()
+        except (_Budget, RunStopped):
+            pass
+        return self.log
 
 
 def _operate_until_trigger(loop, mode, params):
     """Run the current mode for w frames, then extend by delta_w until the
     windowed FER reaches zeta. Returns the number of extensions i."""
-    window = deque(maxlen=params.w)
     for _ in range(params.w):
-        window.append(loop.send(mode, "operating"))
+        loop.send(mode, "operating")
     i = 0
-    while sum(1 for c in window if c == 2) / params.w < params.zeta:
+    while windowed_fer(loop.log.categories, params.w) < params.zeta:
         for _ in range(params.delta_w):
-            window.append(loop.send(mode, "operating"))
+            loop.send(mode, "operating")
         i += 1
     return i
 
@@ -270,8 +284,33 @@ def _operate_until_trigger(loop, mode, params):
 def _learn_runner(loop):
     def runner(mode, n):
         cats = [loop.send(mode, "learning") for _ in range(n)]
-        return sum(1 for c in cats if c == 2) / len(cats)
+        return cats.count(2) / len(cats)
     return runner
+
+
+def _learn_logged(loop, candidates, learn_params):
+    """LEARN over candidates on the loop's frames, logged as a LearnCall;
+    returns the ranked order."""
+    start = loop.log.n_frames
+    order = learn(_learn_runner(loop), candidates, learn_params).order
+    loop.log.learn_calls.append(LearnCall(start, loop.log.n_frames, candidates, order))
+    return order
+
+
+def _run_triggered(executor, all_modes, params, total_frames, log, adapt):
+    """The trigger loop of the adaptive policies: operate the current mode
+    (first all_modes[0]) until the windowed FER trips, then operate
+    adapt(loop, i), i being the trigger's window extensions."""
+    loop = _FrameLoop(executor, total_frames, log)
+    current = all_modes[0]
+
+    def step():
+        nonlocal current
+        i = _operate_until_trigger(loop, current, params)
+        log.triggers.append(log.n_frames)
+        current = adapt(loop, i)
+
+    return loop.run(step)
 
 
 def spa(executor, all_modes, params=DEFAULT_PARAMS, total_frames=10_000, log=None):
@@ -284,53 +323,16 @@ def spa(executor, all_modes, params=DEFAULT_PARAMS, total_frames=10_000, log=Non
     """
     if len(all_modes) < params.r:
         raise ValueError(f"need |modes| >= r, got {len(all_modes)} < {params.r}")
-    log = log if log is not None else PolicyRunLog("SPA")
-    loop = _FrameLoop(executor, total_frames, log)
     ranked = list(all_modes)
-    runner = _learn_runner(loop)
-    try:
-        while True:
-            i = _operate_until_trigger(loop, ranked[0], params)
-            log.triggers.append(len(log.frames))
-            if i <= params.s:
-                ranked = ranked[params.r:] + ranked[:params.r]
-            else:
-                ranked = ranked[1:] + ranked[:1]
-            start = len(log.frames)
-            candidates = tuple(ranked[:params.r])
-            result = learn(runner, candidates, params.learn)
-            ranked[:params.r] = result.order
-            log.learn_calls.append(LearnCall(start, len(log.frames),
-                                             candidates, result.order))
-    except (_Budget, RunStopped):
-        pass
-    return log
 
+    def adapt(loop, i):
+        turn = params.r if i <= params.s else 1
+        ranked[:] = ranked[turn:] + ranked[:turn]
+        ranked[:params.r] = _learn_logged(loop, tuple(ranked[:params.r]), params.learn)
+        return ranked[0]
 
-def _run_flat(executor, mode, total_frames, log):
-    loop = _FrameLoop(executor, total_frames, log)
-    try:
-        while True:
-            loop.send(mode, "operating")
-    except (_Budget, RunStopped):
-        pass
-    return log
-
-
-def _run_triggered(executor, all_modes, params, total_frames, log, adapt):
-    """Shared trigger loop for the non-SPA adaptive baselines: operate the
-    current mode until the windowed FER trips, then ask adapt() for the
-    next operating mode."""
-    loop = _FrameLoop(executor, total_frames, log)
-    current = all_modes[0]
-    try:
-        while True:
-            _operate_until_trigger(loop, current, params)
-            log.triggers.append(len(log.frames))
-            current = adapt(loop)
-    except (_Budget, RunStopped):
-        pass
-    return log
+    return _run_triggered(executor, all_modes, params, total_frames,
+                          log if log is not None else PolicyRunLog("SPA"), adapt)
 
 
 def policy_key(policy):
@@ -364,40 +366,37 @@ def run_policy(policy, executor, all_modes, params=DEFAULT_PARAMS,
     frames_per_probe = params.w if brute_frames is None else int(brute_frames)
 
     key = policy_key(policy)
-    if isinstance(key, Mode):
-        return _run_flat(executor, key, total_frames, PolicyRunLog(f"Fixed:{key}"))
-    if key == "DT":
-        return _run_flat(executor, None, total_frames, PolicyRunLog("DT"))
+    if key == "DT" or isinstance(key, Mode):
+        mode = None if key == "DT" else key
+        loop = _FrameLoop(executor, total_frames,
+                          PolicyRunLog(f"Fixed:{mode}" if mode else "DT"))
+        return loop.run(lambda: loop.send(mode, "operating"))
     if key == "SPA":
         return spa(executor, modes, params, total_frames, PolicyRunLog("SPA"))
+    log = PolicyRunLog(key if key != "RANDPICK" else "RandPick")
+    if key in ("RANDPICK", "PWR2") and rng is None:
+        raise ValueError(f"{log.policy} needs rng")
+
+    def probe(loop, candidates):
+        """The candidate with the lowest FER over frames_per_probe learning
+        frames each (ties: the earliest)."""
+        measure = _learn_runner(loop)
+        fers = [(measure(m, frames_per_probe), k) for k, m in enumerate(candidates)]
+        return candidates[min(fers)[1]]
 
     if key == "BRUTE":
-        def adapt(loop):
-            measure = _learn_runner(loop)
-            fers = [(measure(m, frames_per_probe), i) for i, m in enumerate(modes)]
-            return modes[min(fers)[1]]
+        def adapt(loop, i):
+            return probe(loop, modes)
     elif key == "RANDPICK":
-        if rng is None:
-            raise ValueError("RandPick needs rng")
-        def adapt(loop):
+        def adapt(loop, i):
             return modes[int(rng.integers(len(modes)))]
     elif key == "PWR2":
-        if rng is None:
-            raise ValueError("PWR2 needs rng")
-        def adapt(loop):
-            i, j = rng.choice(len(modes), size=2, replace=False)
-            pair = [modes[int(i)], modes[int(j)]]
-            measure = _learn_runner(loop)
-            fers = [(measure(m, frames_per_probe), p) for p, m in enumerate(pair)]
-            return pair[min(fers)[1]]
+        def adapt(loop, i):
+            a, b = rng.choice(len(modes), size=2, replace=False)
+            return probe(loop, [modes[int(a)], modes[int(b)]])
     else:  # NRNM or WRNM
         lp = params.learn if key == "WRNM" else replace(params.learn, epsilon=0.0)
-        def adapt(loop):
-            start = len(loop.log.frames)
-            result = learn(_learn_runner(loop), modes, lp)
-            loop.log.learn_calls.append(LearnCall(start, len(loop.log.frames),
-                                                  tuple(modes), result.order))
-            return result.order[0]
+        def adapt(loop, i):
+            return _learn_logged(loop, tuple(modes), lp)[0]
 
-    log = PolicyRunLog(key if key != "RANDPICK" else "RandPick")
     return _run_triggered(executor, modes, params, total_frames, log, adapt)

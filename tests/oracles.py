@@ -6,7 +6,9 @@ They are slow and need scipy, so they live here rather than in the package:
   breakpoints as coopsim.outage._p_omega;
 - p_omega_by_term_expansion: P_omega as a signed sum of elementary
   integrals, independent of the integrand's product form;
-- best_subnetwork_exhaustive: the analytic subset search without pruning.
+- best_subnetwork_exhaustive: the analytic subset search without pruning;
+- run_fixed: a fixed-mode run over a schedule as a per-frame loop, one
+  channel draw and one topology lookup per frame.
 """
 import itertools
 import math
@@ -14,7 +16,9 @@ import warnings
 
 from scipy.integrate import IntegrationWarning, quad
 
+from coopsim.netsim import evaluate_frame
 from coopsim.outage import OutageQuery, QuadratureFailure, outage_upper_bound
+from coopsim.topology import sample_channels, schedule_topology_at
 
 
 def _max_cdf(lams, x):
@@ -126,3 +130,13 @@ def best_subnetwork_exhaustive(t, k, rate, rel_tol):
         if value < best_value:
             best_subset, best_value = subset, value
     return best_subset, best_value
+
+
+def run_fixed(schedule, topologies, mode, strategy, rate, rng):
+    """One FrameOutcome per schedule frame with a fixed mode (None = plain
+    DT); topologies maps schedule labels to Topology objects."""
+    outcomes = []
+    for f in range(schedule.total_frames):
+        t = topologies[schedule_topology_at(schedule, f)]
+        outcomes.append(evaluate_frame(sample_channels(t, rng), mode, strategy, rate))
+    return outcomes

@@ -82,6 +82,27 @@ class TestValidate:
         ("mac_compare", {"mode_policy": "BOGUS"}, "unknown policy 'BOGUS'"),
         ("mac_compare", {"n_packets": 0}, "n_packets must be >= 1"),
         ("ensemble", {"n_samples": 0}, "need at least one sample"),
+        ("ensemble", {"frmes_per_topology": 10},
+         "unknown ensemble key 'frmes_per_topology'"),
+        ("ensemble", {"params": {"bogus": 1}}, "unknown params key 'bogus'"),
+        ("mac_compare", {"mac": {"max_retx": 1}}, "unknown mac key 'max_retx'"),
+        ("outage_sweep", {"k_values": [1.7]},
+         "k_values must be a list of integers, got [1.7]"),
+        ("outage_sweep", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ("mac_compare", {"n_packets": 10.9}, "n_packets must be an integer, got 10.9"),
+        ("mac_compare", {"mac": {"max_retx_coop": True}},
+         "mac max_retx_coop must be an integer, got True"),
+        ("adaptive_compare", {"params": {"r": 2.5}},
+         "params r must be an integer, got 2.5"),
+        ("ensemble", {"segment_len": "10"}, "segment_len must be an integer, got '10'"),
+        ("fixed_modes", {"modes": ["DT", "R5"]},
+         "mode R5 invalid for a 3-relay topology"),
+        ("adaptive_compare", {"policies": ["SPA", "Fixed:R5"]},
+         "mode R5 invalid for a 3-relay topology"),
+        ("ensemble", {"policies": ["Fixed:R1R4"]},
+         "mode R1R4 invalid for a 3-relay topology"),
+        ("mac_compare", {"mode_policy": "Fixed:R3"},
+         "mode R3 invalid for a 2-relay topology"),
     ])
     def test_rejects_what_the_run_rejects(self, tmp_path, capsys, kind,
                                           override, message):
@@ -92,6 +113,13 @@ class TestValidate:
                          "topologies": schedule_doc()["topologies"],
                          "frames_per_topology": 50, "segment_len": 10,
                          "n_samples": 2, "policies": ["SPA"]},
+            "outage_sweep": {"kind": "outage_sweep", "topology": topo_doc(),
+                             "rate": 1.0, "k_values": [0, 1], "snr_grid": [0.0]},
+            "fixed_modes": {"kind": "fixed_modes", "schedule": schedule_doc(),
+                            "rate": 1.0},
+            "adaptive_compare": {"kind": "adaptive_compare",
+                                 "schedule": schedule_doc(), "rate": 1.0,
+                                 "policies": ["SPA"]},
         }[kind]
         cfg = write_yaml(tmp_path / "c.yaml", {**base, **override,
                                                "out_dir": "o"})
@@ -100,6 +128,13 @@ class TestValidate:
         assert main(["run", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_integral_float_counts_accepted(self, tmp_path):
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "kind": "mac_compare", "topology": topo_doc(), "rate": 1.0,
+            "n_packets": 10.0, "seed": 2.0, "mac": {"max_retx_coop": 1.0},
+            "params": {"r": 2.0}})
+        assert validate_config(cfg).startswith("ok:")
 
     def test_list_kinds(self, capsys):
         assert main(["validate", "--list"]) == 0
@@ -346,6 +381,18 @@ class TestRunConfig:
          "data row 2: category must be 0, 1 or 2, got 'x'"),
         ("--coop-trace", "frame_index,topology_id,mode,category\n0,,DT,7\n",
          "data row 1: category must be 0, 1 or 2, got '7'"),
+        ("--path-traces", "path,hop,packet,attempt,success\nS-D,0,0,0,yes\n",
+         "data row 1: success must be 0, 1, true or false, got 'yes'"),
+        ("--path-traces", "path,hop,packet,attempt,success\nS-D,0,0,0,1\nS-D,0,x,1,0\n",
+         "data row 2: hop, packet and attempt must be integers >= 0"),
+        ("--path-traces", "path,hop,packet,attempt,success\nS-D,0,0,0,1\nS-D,0,2,0,0\n",
+         "path 'S-D' hop 0 packet 1 is missing"),
+        ("--path-traces", "path,hop,packet,attempt,success\nP,0,0,0,1\nP,0,1,0,1\n"
+         "Q,0,0,0,1\n", "path 'Q' hop 0 packet 1 is missing"),
+        ("--path-traces", "path,hop,packet,attempt,success\nP,1,0,0,1\n",
+         "path 'P' hop 0 is missing"),
+        ("--path-traces", "path,hop,packet,attempt,success\nP,0,0,0,0\nP,0,0,2,1\n",
+         "path 'P' hop 0 packet 0 attempt 1 is missing"),
     ])
     def test_mac_rejects_malformed_traces(self, tmp_path, capsys, flag, text,
                                           message):

@@ -43,23 +43,24 @@ class TestRecordDataset:
         assert d.topologies == ("A", "B")
         assert len(d.mode_keys) == 4  # DT slot + 3 modes of a 2-relay net
         assert None in d.mode_keys
-        assert all(len(d.outcomes[(t, k)]) == 100
-                   for t in d.topologies for k in d.mode_keys)
+        assert all(len(d.outcomes[t, k]) == 100
+                   for t in range(len(d.topologies))
+                   for k in range(len(d.mode_keys)))
 
     def test_deterministic(self):
         a = record_dataset(small_topologies(), "DIQIF", 1.0, 50, named_rng(1, "d"))
         b = record_dataset(small_topologies(), "DIQIF", 1.0, 50, named_rng(1, "d"))
-        assert a.outcomes == b.outcomes
+        assert np.array_equal(a.outcomes, b.outcomes)
 
     def test_phase1_shared_across_modes(self):
         # one realization per frame: a direct success shows up as category 0
         # for every cooperative slot at that frame index
         d = record_dataset(small_topologies(), "DIQIF", 1.0, 200, named_rng(2, "s"))
-        keys = [k for k in d.mode_keys if k is not None]
-        for t in d.topologies:
-            ref = d.outcomes[(t, keys[0])]
+        keys = [k for k, key in enumerate(d.mode_keys) if key is not None]
+        for t in range(len(d.topologies)):
+            ref = d.outcomes[t, keys[0]]
             for k in keys[1:]:
-                other = d.outcomes[(t, k)]
+                other = d.outcomes[t, k]
                 for f in range(200):
                     assert (ref[f] == 0) == (other[f] == 0)
 
@@ -79,8 +80,8 @@ class TestRecordDataset:
         d = record_dataset(tops, "DIQIF", 1.0, 860, named_rng(4, "vol"),
                            include_dt=False)
         assert len(d.modes) == 6
-        total = sum(len(d.outcomes[(t, m)]) for t in d.topologies
-                    for m in d.modes)
+        total = sum(len(d.outcomes[t, m]) for t in range(len(d.topologies))
+                    for m in range(len(d.mode_keys)))
         assert total == 51_600
 
 
@@ -206,7 +207,7 @@ class TestPersistence:
         back = read_dataset_csv(path)
         assert back.topologies == d.topologies
         assert set(back.mode_keys) == set(d.mode_keys)
-        assert back.outcomes == d.outcomes
+        assert np.array_equal(back.outcomes, d.outcomes)
 
     def test_samples_csv_roundtrip(self, tmp_path):
         from coopsim.ensemble import read_samples_csv, write_samples_csv
@@ -221,8 +222,10 @@ class TestValidation:
     def test_dataset_invariants(self):
         with pytest.raises(ValueError):
             ModeDataset(topologies=("A",), mode_keys=(MODES10[0],),
-                        outcomes={}, frames_per_topology=5)
+                        outcomes=np.zeros((1, 0, 5)))
         with pytest.raises(ValueError):
             ModeDataset(topologies=("A",), mode_keys=(MODES10[0],),
-                        outcomes={("A", MODES10[0]): (0, 0)},
-                        frames_per_topology=5)
+                        outcomes=np.zeros((1, 1, 0)))
+        with pytest.raises(ValueError):
+            ModeDataset(topologies=("A",), mode_keys=(MODES10[0],),
+                        outcomes=np.full((1, 1, 5), 3))

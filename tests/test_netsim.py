@@ -1,16 +1,24 @@
+import csv
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import random_topology
+from coopsim.experiments import _schedule_executor, run_experiment
 from coopsim.netsim import (Mode, Strategy, enumerate_modes,
                             evaluate_frame, mode_key_str, parse_mode_key,
-                            read_trace, run_fixed, simulate_frame, write_trace)
+                            read_trace, write_trace)
 from coopsim.outage import OutageQuery, direct_outage, outage_monte_carlo
 from coopsim.rng import named_rng
-from coopsim.topology import (Topology, TopologySchedule,
-                              sample_channels, schedule_topology_at)
+from coopsim.selection import run_policy
+from coopsim.topology import (Topology, TopologySchedule, sample_channels,
+                              schedule_topology_at, topology_from_dict)
 
 
 class TestModes:
@@ -49,14 +57,14 @@ class TestSimulateFrame:
     def test_high_snr_is_direct_success(self):
         t = Topology.from_snr(1e9, [1e9], [1e9])
         rng = named_rng(0, "hisnr")
-        outs = [simulate_frame(t, Mode((1,)), Strategy.DIQIF, 1.0, rng)
+        outs = [evaluate_frame(sample_channels(t, rng), Mode((1,)), Strategy.DIQIF, 1.0)
                 for _ in range(10_000)]
         assert sum(1 for o in outs if o.category == 0) >= 9990
 
     def test_dead_direct_link_dt_fails(self):
         t = Topology.from_snr(1e-9, [1.0], [1.0])
         rng = named_rng(0, "dead")
-        outs = [simulate_frame(t, None, Strategy.DT, 1.0, rng)
+        outs = [evaluate_frame(sample_channels(t, rng), None, Strategy.DT, 1.0)
                 for _ in range(2_000)]
         assert sum(1 for o in outs if o.category == 2) >= 1995
 
@@ -67,7 +75,7 @@ class TestSimulateFrame:
         rate = 1.0
         rng = named_rng(1, "diqif")
         n = 20_000
-        outs = [simulate_frame(t, Mode((1,)), Strategy.DIQIF, rate, rng)
+        outs = [evaluate_frame(sample_channels(t, rng), Mode((1,)), Strategy.DIQIF, rate)
                 for _ in range(n)]
         assert all(o.category in (1, 2) for o in outs)
         fer = sum(1 for o in outs if o.category == 2) / n
@@ -82,7 +90,8 @@ class TestSimulateFrame:
             rate = 1.0
             n = 5_000
             run_rng = named_rng(3, "cat0", t.snr_sd)
-            outs = [simulate_frame(t, Mode((1, 2)), Strategy.DIF, rate, run_rng)
+            outs = [evaluate_frame(sample_channels(t, run_rng), Mode((1, 2)),
+                                   Strategy.DIF, rate)
                     for _ in range(n)]
             p0 = sum(1 for o in outs if o.category == 0) / n
             expected = 1 - direct_outage(t.lambda_sd, rate)
@@ -92,7 +101,8 @@ class TestSimulateFrame:
     def test_invalid_mode_rejected(self):
         t = Topology.from_snr(1.0, [1.0], [1.0])
         with pytest.raises(ValueError):
-            simulate_frame(t, Mode((2,)), Strategy.DIF, 1.0, named_rng(0, "x"))
+            evaluate_frame(sample_channels(t, named_rng(0, "x")), Mode((2,)),
+                           Strategy.DIF, 1.0)
 
     @pytest.mark.parametrize("rate", [-1.0, math.inf, math.nan])
     def test_invalid_rate_rejected(self, rate):
@@ -135,6 +145,14 @@ class TestStrategyOrdering:
             assert fers[Strategy.DIQIF] <= fers[Strategy.DIF] <= fers[Strategy.DT]
 
 
+def run_fixed(schedule, topologies, mode, strategy, rate, rng):
+    """A fixed-mode run over the schedule, as fixed_modes runs it."""
+    executor = _schedule_executor(schedule, topologies, strategy, rate, rng)
+    log = run_policy("DT" if mode is None else mode, executor, (),
+                     total_frames=schedule.total_frames)
+    return log.outcomes()
+
+
 class TestRunFixed:
     def _schedule(self):
         tops = {
@@ -169,3 +187,58 @@ class TestRunFixed:
         back = read_trace(path)
         assert [o.category for o in back] == [o.category for o in outs]
         assert [o.mode for o in back] == [o.mode for o in outs]
+
+
+@st.composite
+def schedules(draw):
+    """Schedule documents: two topologies of 1-3 relays, mean link SNRs
+    log-uniform over 0.1..30, and 1-5 segments of 1-40 frames."""
+    n = draw(st.integers(1, 3))
+    snr = st.floats(-1.0, 1.5).map(lambda e: 10.0 ** e)
+    topologies = [{"label": label, "n_relays": n, "units": "linear",
+                   "snr_sd": draw(snr),
+                   "snr_sr": draw(st.lists(snr, min_size=n, max_size=n)),
+                   "snr_rd": draw(st.lists(snr, min_size=n, max_size=n))}
+                  for label in ("A", "B")]
+    segments = draw(st.lists(st.tuples(st.sampled_from("AB"), st.integers(1, 40)),
+                             min_size=1, max_size=5))
+    return {"topologies": topologies,
+            "segments": [{"topology": label, "frames": frames}
+                         for label, frames in segments]}
+
+
+def _csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(schedule=schedules(), strategy=st.sampled_from(["DT", "DIF", "DIQIF"]),
+       rate=st.sampled_from([0.5, 1.0, 2.0]), seed=st.integers(0, 2 ** 16))
+def test_fixed_runs_match_per_frame_oracle(schedule, strategy, rate, seed):
+    """fixed_modes traces and the DT / Fixed: run logs of adaptive_compare
+    equal the per-frame reference loop on the same named streams."""
+    tops = {d["label"]: topology_from_dict(d) for d in schedule["topologies"]}
+    sched = TopologySchedule(tuple((s["topology"], s["frames"])
+                                   for s in schedule["segments"]))
+    labels = [schedule_topology_at(sched, f) for f in range(sched.total_frames)]
+    slots = [None] + enumerate_modes(schedule["topologies"][0]["n_relays"])
+    policies = ["DT" if s is None else f"Fixed:{s}" for s in slots]
+    common = {"schedule": schedule, "rate": rate, "strategy": strategy, "seed": seed}
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind, extra in (("fixed_modes", {}), ("adaptive_compare",
+                                                  {"policies": policies})):
+            run_experiment(dict(common, kind=kind, **extra), "<test>", tmp,
+                           lambda name, kind=kind: os.path.join(tmp, kind, name))
+        for slot, policy in zip(slots, policies):
+            name = mode_key_str(slot)
+            fixed = oracles.run_fixed(sched, tops, slot, strategy, rate,
+                                      named_rng(seed, "fixed", name))
+            assert _csv_rows(os.path.join(tmp, "fixed_modes", f"trace_{name}.csv")) == [
+                [str(f), labels[f], name, str(o.category)] for f, o in enumerate(fixed)]
+            adaptive = oracles.run_fixed(sched, tops, slot, strategy, rate,
+                                         named_rng(seed, "frames", policy))
+            runlog = os.path.join(tmp, "adaptive_compare",
+                                  f"runlog_{policy.replace(':', '_')}.csv")
+            assert [row[1:3] for row in _csv_rows(runlog)] == [
+                [name, str(o.category)] for o in adaptive]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopsim.netsim import Mode, enumerate_modes
 from coopsim.selection import (DEFAULT_PARAMS, DegenerateSetError,
@@ -70,6 +72,18 @@ class TestWeightUpdate:
         expected = [0.25 * math.exp(-2.0 * sum(f[i] for f in fer_hist))
                     for i in range(4)]
         assert w == pytest.approx(expected)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(wf=st.integers(2, 8).flatmap(lambda n: st.tuples(
+               st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n),
+               st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))),
+           eta=st.floats(0.01, 10.0), alpha=st.floats(0.0, 0.999))
+    def test_fixed_share_conserves_penalized_mass(self, wf, eta, alpha):
+        # the shared pool only moves mass: the update's total is the total
+        # of the exponentially penalized weights
+        w, f = wf
+        assert math.fsum(weight_update(w, f, eta, alpha)) == pytest.approx(
+            math.fsum(wi * math.exp(-eta * fi) for wi, fi in zip(w, f)), rel=1e-12)
 
     def test_degenerate_set(self):
         with pytest.raises(DegenerateSetError):
@@ -185,7 +199,7 @@ class TestSpa:
         assert log.learn_calls == []
         assert log.switch_count == 0
         assert log.n_frames == 1000
-        assert {f.mode for f in log.frames} == {MODES6[0]}
+        assert set(log.modes) == {MODES6[0]}
 
     def test_window_boundary_four_errors_triggers_three_does_not(self):
         # exactly 4 errors in the first 40 frames => FER 0.1 >= zeta triggers
@@ -229,9 +243,9 @@ class TestSpa:
                              total_frames=2 * seg_len)
             tail_ok = True
             for seg in (0, 1):
-                tail = [f.mode for f in log.frames[(seg + 1) * seg_len - 60:
-                                                   (seg + 1) * seg_len]
-                        if f.phase == "operating"]
+                window = slice((seg + 1) * seg_len - 60, (seg + 1) * seg_len)
+                tail = [m for m, phase in zip(log.modes[window], log.phases[window])
+                        if phase == "operating"]
                 if not tail or Counter(tail).most_common(1)[0][0] != best[seg]:
                     tail_ok = False
             hits += tail_ok
@@ -251,8 +265,9 @@ class TestRunPolicy:
         log = run_policy("BRUTE", lambda m: 2 if fers[m] else 0, modes,
                          SpaParams(r=3, w=10), total_frames=400)
         assert log.triggers
-        operating_after = [f.mode for f in log.frames[log.triggers[0] + 30:]
-                           if f.phase == "operating"]
+        after = slice(log.triggers[0] + 30, None)
+        operating_after = [m for m, phase in zip(log.modes[after], log.phases[after])
+                           if phase == "operating"]
         assert operating_after and set(operating_after) == {"m1"}
 
     def test_pwr2_picks_better_of_two(self):
@@ -267,16 +282,17 @@ class TestRunPolicy:
                          total_frames=600, rng=np.random.default_rng(1),
                          brute_frames=40)
         assert log.triggers
-        tail = [f.mode for f in log.frames[-50:] if f.phase == "operating"]
+        tail = [m for m, phase in zip(log.modes[-50:], log.phases[-50:])
+                if phase == "operating"]
         assert set(tail) == {"b"}
 
     def test_dt_and_fixed_never_adapt(self):
         log = run_policy("DT", lambda m: 0, MODES6, total_frames=100)
-        assert {f.mode for f in log.frames} == {None}
+        assert set(log.modes) == {None}
         log = run_policy(Mode((1, 2)), lambda m: 0, MODES6, total_frames=100)
-        assert {f.mode for f in log.frames} == {Mode((1, 2))}
+        assert set(log.modes) == {Mode((1, 2))}
         log = run_policy("Fixed:R2", lambda m: 0, MODES6, total_frames=100)
-        assert {f.mode for f in log.frames} == {Mode((2,))}
+        assert set(log.modes) == {Mode((2,))}
 
     def test_nrnm_fer_at_least_wrnm_on_planted_modes(self):
         # no early reject trains every mode for all B batches, so its FER
@@ -304,8 +320,8 @@ class TestRunPolicy:
                          total_frames=800)
         rows = log.to_rows()
         assert rows[-1][4] == log.switch_count
-        recomputed = sum(1 for a, b in zip(log.frames, log.frames[1:])
-                         if a.mode != b.mode)
+        recomputed = sum(1 for a, b in zip(log.modes, log.modes[1:])
+                         if a != b)
         assert log.switch_count == recomputed
 
     def test_unknown_policy(self):
