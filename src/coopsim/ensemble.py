@@ -15,7 +15,7 @@ import numpy as np
 
 from . import selection
 from .netsim import (Strategy, TraceFormatError, enumerate_modes, evaluate_frame,
-                     mode_key_str, parse_mode_key, read_csv_rows)
+                     gapless, mode_key_str, parse_mode_key, read_csv_rows)
 from .rng import named_rng
 from .topology import sample_channels
 
@@ -276,21 +276,34 @@ def write_samples_csv(path, samples):
                     w.writerow([si, gi, pos, label, row])
 
 
+def _sample_cell(row):
+    index = [int(row[c]) for c in ("sample", "segment", "position", "row")]
+    if min(index) < 0:
+        raise ValueError("sample, segment, position and row must be >= 0")
+    return (*index[:3], row["topology"], index[3])
+
+
 def read_samples_csv(path):
+    """Read a samples CSV back. The samples, each sample's segments and
+    each segment's positions must count up from 0 without gaps, and a
+    segment has one topology; a gap, a segment of two topologies, an empty
+    file or a field that is not an integer >= 0 is a TraceFormatError."""
     data = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            seg = data.setdefault(int(row["sample"]), {}).setdefault(
-                int(row["segment"]), {})
-            seg[int(row["position"])] = (row["topology"], int(row["row"]))
+    for si, gi, pos, label, row in read_csv_rows(
+            path, ("sample", "segment", "position", "topology", "row"), _sample_cell):
+        data.setdefault(si, {}).setdefault(gi, {})[pos] = (label, row)
     samples = []
-    for si in sorted(data):
-        segments = []
-        for gi in sorted(data[si]):
-            cells = data[si][gi]
-            label = cells[0][0]
-            segments.append((label, tuple(cells[p][1] for p in range(len(cells)))))
-        samples.append(EnsembleSample(segments=tuple(segments)))
+    for si, segments in enumerate(gapless(path, "sample", data, len(data))):
+        where = f"sample {si} segment"
+        segs = []
+        for gi, positions in enumerate(gapless(path, where, segments, len(segments))):
+            cells = gapless(path, f"{where} {gi} position", positions, len(positions))
+            labels = sorted({label for label, _ in cells})
+            if len(labels) > 1:
+                raise TraceFormatError(f"{path}: {where} {gi} mixes topologies "
+                                       f"{', '.join(labels)}")
+            segs.append((labels[0], tuple(row for _, row in cells)))
+        samples.append(EnsembleSample(segments=tuple(segs)))
     return samples
 
 

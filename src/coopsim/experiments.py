@@ -165,6 +165,23 @@ def _rate(doc, path):
     return rate
 
 
+def _strategy(doc, path):
+    try:
+        return netsim.Strategy.parse(doc.get("strategy", "DIQIF"))
+    except ValueError as e:
+        raise ValidationError(f"{path}: {e}") from e
+
+
+def _relay_count(topologies, path):
+    """The relay count that the topologies, one or more, all share: the
+    policies choose among one set of modes."""
+    counts = sorted({t.n_relays for t in topologies})
+    if len(counts) != 1:
+        raise ValidationError(f"{path}: need one or more topologies with the same "
+                              f"relay count, got relay counts {counts}")
+    return counts[0]
+
+
 def _snr_grid(spec, path):
     form = f"{path}: snr_grid must be start:stop:step or a list of numbers"
     if isinstance(spec, dict):
@@ -271,7 +288,7 @@ def _schedule_summary(kind, schedule, topologies):
 def _plan_fixed_modes(doc, path, base_dir):
     schedule, topologies = _resolve_schedule(_need(doc, "schedule", path), base_dir, path)
     rate = _rate(doc, path)
-    strategy = netsim.Strategy.parse(doc.get("strategy", "DIQIF"))
+    strategy = _strategy(doc, path)
     _resolve_params(doc, path)  # checked although fixed modes never learn
     slots = _mode_slots(doc, path, min(t.n_relays for t in topologies.values()))
 
@@ -328,10 +345,11 @@ def _resolve_policies(doc, path, n_relays):
 def _plan_adaptive_compare(doc, path, base_dir):
     schedule, topologies = _resolve_schedule(_need(doc, "schedule", path), base_dir, path)
     rate = _rate(doc, path)
-    strategy = netsim.Strategy.parse(doc.get("strategy", "DIQIF"))
+    strategy = _strategy(doc, path)
     params = _resolve_params(doc, path)
-    policies = _resolve_policies(doc, path, min(t.n_relays for t in topologies.values()))
-    modes = netsim.enumerate_modes(next(iter(topologies.values())).n_relays)
+    n_relays = _relay_count(topologies.values(), path)
+    policies = _resolve_policies(doc, path, n_relays)
+    modes = netsim.enumerate_modes(n_relays)
 
     def run(place, seed, threads):
         outputs = []
@@ -363,7 +381,7 @@ def _plan_ensemble(doc, path, base_dir):
     if len({t.label for t in topologies}) != len(topologies):
         raise ValidationError(f"{path}: ensemble topologies need distinct labels")
     rate = _rate(doc, path)
-    strategy = netsim.Strategy.parse(doc.get("strategy", "DIQIF"))
+    strategy = _strategy(doc, path)
     frames = _int(doc.get("frames_per_topology", 860), "frames_per_topology", path)
     n_transitions = _int(doc.get("n_transitions", 4), "n_transitions", path)
     segment_len = _int(doc.get("segment_len", 172), "segment_len", path)
@@ -373,7 +391,7 @@ def _plan_ensemble(doc, path, base_dir):
     except ValueError as e:
         raise ValidationError(f"{path}: {e}") from e
     params = _resolve_params(doc, path)
-    policies = _resolve_policies(doc, path, min(t.n_relays for t in topologies))
+    policies = _resolve_policies(doc, path, _relay_count(topologies, path))
 
     def run(place, seed, threads):
         dataset = ensemble.record_dataset(topologies, strategy, rate, frames,
@@ -418,7 +436,7 @@ def _plan_mac_compare(doc, path, base_dir):
             topology=topology,
             rate=rate,
             n_packets=_int(_need(doc, "n_packets", path), "n_packets", path),
-            strategy=netsim.Strategy.parse(doc.get("strategy", "DIQIF")),
+            strategy=_strategy(doc, path),
             mode_policy=str(doc.get("mode_policy", "SPA")),
             spa_params=_resolve_params(doc, path),
         )

@@ -12,8 +12,8 @@ import csv
 from dataclasses import dataclass, field
 
 from . import selection
-from .netsim import (FrameOutcome, Mode, Strategy, TraceFormatError,
-                     enumerate_modes, evaluate_frame, mode_key_str, read_csv_rows)
+from .netsim import (FrameOutcome, Mode, Strategy, enumerate_modes,
+                     evaluate_frame, gapless, mode_key_str, read_csv_rows)
 from .rng import named_rng
 from .topology import sample_channels
 
@@ -341,15 +341,6 @@ def write_path_traces(path, traces):
 _SUCCESS = {"1": True, "true": True, "0": False, "false": False}
 
 
-def _gapless(path, where, cells, n):
-    """[cells[0], ..., cells[n-1]]; the keys of cells are >= 0, so any other
-    key set leaves a gap below n, a TraceFormatError naming it."""
-    if set(cells) != set(range(n)):
-        raise TraceFormatError(f"{path}: {where} {min(set(range(n)) - set(cells))} "
-                               f"is missing")
-    return [cells[i] for i in range(n)]
-
-
 def _path_cell(row):
     ok = _SUCCESS.get(str(row["success"]).strip().lower())
     if ok is None:
@@ -382,11 +373,11 @@ def read_path_traces(path):
     for label, hops in sorted(cells.items()):
         where = f"path {label!r} hop"
         hop_data = []
-        for h, packets in enumerate(_gapless(path, where, hops, len(hops))):
-            packets = _gapless(path, f"{where} {h} packet", packets, n_packets)
+        for h, packets in enumerate(gapless(path, where, hops, len(hops))):
+            packets = gapless(path, f"{where} {h} packet", packets, n_packets)
             hop_data.append(tuple(
-                tuple(_gapless(path, f"{where} {h} packet {p} attempt", attempts,
-                               len(attempts)))
+                tuple(gapless(path, f"{where} {h} packet {p} attempt", attempts,
+                              len(attempts)))
                 for p, attempts in enumerate(packets)))
         paths.append(PathTrace(label, tuple(hop_data)))
     return PathTraces(tuple(paths))

@@ -190,6 +190,16 @@ def read_csv_rows(path, columns, parse):
     return parsed
 
 
+def gapless(path, where, cells, n):
+    """[cells[0], ..., cells[n-1]] of the int-keyed mapping cells; any other
+    key set of n or fewer keys leaves a gap below n, a TraceFormatError
+    naming it as "<where> <index> is missing"."""
+    if set(cells) != set(range(n)):
+        raise TraceFormatError(f"{path}: {where} {min(set(range(n)) - set(cells))} "
+                               f"is missing")
+    return [cells[i] for i in range(n)]
+
+
 def _trace_entry(row):
     try:
         category = int(row["category"])

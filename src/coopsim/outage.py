@@ -42,6 +42,8 @@ class QuadratureFailure(ArithmeticError):
 
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_MC_SAMPLES = 100_000
+# Rows of draws whose link capacities the Monte-Carlo estimators hold at once
+_BLOCK_ROWS = 16_384
 
 
 @dataclass(frozen=True)
@@ -91,15 +93,36 @@ def approx_capacity(c, subset):
     caps = c.T[[0, *subset, *(n_relays + i for i in subset)]]
     np.log2(np.add(caps, 1.0, out=caps), out=caps)
     direct, *links = caps
-    src, dst = links[:k], links[k:]
+    return _cut_set(direct, links[:k], links[k:]).T
+
+
+def _cut_set(direct, src, dst):
+    """approx_capacity from the log2(1 + x) capacities of the direct link
+    and of the subset's source-side (src) and destination-side (dst) links."""
     # min over cuts of max(direct, relayed) = max(direct, min over cuts of relayed)
     relayed = np.inf
-    for mask in range(1 << k):
+    for mask in range(1 << len(src)):
         sides = ([a for p, a in enumerate(src) if mask >> p & 1],
                  [b for p, b in enumerate(dst) if not mask >> p & 1])
         relayed = np.minimum(relayed, sum(
             functools.reduce(np.maximum, side) for side in sides if side))
-    return np.maximum(direct, relayed).T
+    return np.maximum(direct, relayed)
+
+
+def _outage_counts(draws, subsets, rate):
+    """For each subset, the number of rows of the (n, 2N+1) draw array whose
+    approx_capacity is below rate. All subsets share each column-contiguous
+    block of log2(1 + x), so memory beyond the draws is one block."""
+    n_relays = (draws.shape[1] - 1) // 2
+    counts = [0] * len(subsets)
+    for start in range(0, len(draws), _BLOCK_ROWS):
+        caps = np.array(draws[start:start + _BLOCK_ROWS].T, order="C")
+        np.log2(np.add(caps, 1.0, out=caps), out=caps)
+        for i, subset in enumerate(subsets):
+            cap = _cut_set(caps[0], [caps[j] for j in subset],
+                           [caps[n_relays + j] for j in subset])
+            counts[i] += int(np.count_nonzero(cap < rate))
+    return counts
 
 
 def direct_outage(lambda_sd, rate):
@@ -244,8 +267,8 @@ def outage_monte_carlo(t, q, rng):
         raise ValueError(f"mc_samples must be >= 100, got {q.mc_samples}")
     _check_subset(t, q.subset)
     n = int(q.mc_samples)
-    cap = approx_capacity(sample_channels(t, rng, n), q.subset)
-    p = float(np.count_nonzero(cap < q.rate)) / n
+    count, = _outage_counts(sample_channels(t, rng, n), [q.subset], q.rate)
+    p = count / n
     return p, math.sqrt(p * (1.0 - p) / n)
 
 
@@ -279,9 +302,9 @@ def best_subnetwork(t, k, rate, method="analytic", rel_tol=DEFAULT_REL_TOL,
         raise ValueError(f"k must be in [0, {t.n_relays}], got {k}")
     if method not in ("analytic", "montecarlo"):
         raise ValueError(f"unknown method {method!r}")
-    subsets = itertools.combinations(range(1, t.n_relays + 1), k)
-    best_subset, best_value = None, math.inf
+    subsets = list(itertools.combinations(range(1, t.n_relays + 1), k))
     if method == "analytic":
+        best_subset, best_value = None, math.inf
         queries = [OutageQuery(rate=rate, subset=s, quadrature_rel_tol=rel_tol)
                    for s in subsets]
         for floor, q in sorted(((_bound_floor(t, q), q) for q in queries),
@@ -295,13 +318,9 @@ def best_subnetwork(t, k, rate, method="analytic", rel_tol=DEFAULT_REL_TOL,
 
     n = int(mc_samples)
     draw_rng = rng if rng is not None else named_rng(0, "best_subnetwork")
-    draws = sample_channels(t, draw_rng, n)
-    for subset in subsets:
-        cap = approx_capacity(draws, subset)
-        value = float(np.count_nonzero(cap < rate)) / n
-        if value < best_value:
-            best_subset, best_value = subset, value
-    return best_subset, best_value
+    counts = _outage_counts(sample_channels(t, draw_rng, n), subsets, rate)
+    best = counts.index(min(counts))
+    return subsets[best], counts[best] / n
 
 
 def _snr_scale(snr_linear, k, normalization):

@@ -26,10 +26,6 @@ class LengthMismatchError(TopologyError):
     """A per-relay parameter list does not have n_relays entries."""
 
 
-class ScheduleOutOfRangeError(IndexError):
-    """Frame index beyond the end of a topology schedule."""
-
-
 @dataclass(frozen=True)
 class Topology:
     """Per-link exponential rate parameters of an N-relay network.
@@ -140,19 +136,6 @@ class TopologySchedule:
     @property
     def total_frames(self):
         return sum(n for _, n in self.segments)
-
-
-def schedule_topology_at(schedule, frame_index):
-    """Topology label governing frame_index; segments are half-open [start, start+len)."""
-    if frame_index < 0:
-        raise ScheduleOutOfRangeError(f"frame index {frame_index} is negative")
-    start = 0
-    for label, n in schedule.segments:
-        if frame_index < start + n:
-            return label
-        start += n
-    raise ScheduleOutOfRangeError(
-        f"frame index {frame_index} beyond schedule length {schedule.total_frames}")
 
 
 def topology_from_dict(doc):

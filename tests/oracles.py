@@ -7,18 +7,26 @@ They are slow and need scipy, so they live here rather than in the package:
 - p_omega_by_term_expansion: P_omega as a signed sum of elementary
   integrals, independent of the integrand's product form;
 - best_subnetwork_exhaustive: the analytic subset search without pruning;
+- best_subnetwork_montecarlo_scan: the Monte-Carlo subset search as one
+  approx_capacity call per subset on the whole draw array;
 - run_fixed: a fixed-mode run over a schedule as a per-frame loop, one
-  channel draw and one topology lookup per frame.
+  channel draw and one topology lookup (schedule_topology_at) per frame.
 """
 import itertools
 import math
 import warnings
 
+import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from coopsim.netsim import evaluate_frame
-from coopsim.outage import OutageQuery, QuadratureFailure, outage_upper_bound
-from coopsim.topology import sample_channels, schedule_topology_at
+from coopsim.outage import (OutageQuery, QuadratureFailure, approx_capacity,
+                            outage_upper_bound)
+from coopsim.topology import sample_channels
+
+
+class ScheduleOutOfRangeError(IndexError):
+    """Frame index beyond the end of a topology schedule."""
 
 
 def _max_cdf(lams, x):
@@ -130,6 +138,33 @@ def best_subnetwork_exhaustive(t, k, rate, rel_tol):
         if value < best_value:
             best_subset, best_value = subset, value
     return best_subset, best_value
+
+
+def best_subnetwork_montecarlo_scan(t, k, rate, mc_samples, rng):
+    """The fraction of mc_samples draws whose approx_capacity is below rate,
+    for every k-relay subset in lexicographic order on one batch of draws;
+    the smallest, ties keeping the earliest subset."""
+    draws = sample_channels(t, rng, mc_samples)
+    best_subset, best_value = None, math.inf
+    for subset in itertools.combinations(range(1, t.n_relays + 1), k):
+        cap = approx_capacity(draws, subset)
+        value = float(np.count_nonzero(cap < rate)) / mc_samples
+        if value < best_value:
+            best_subset, best_value = subset, value
+    return best_subset, best_value
+
+
+def schedule_topology_at(schedule, frame_index):
+    """Topology label governing frame_index; segments are half-open [start, start+len)."""
+    if frame_index < 0:
+        raise ScheduleOutOfRangeError(f"frame index {frame_index} is negative")
+    start = 0
+    for label, n in schedule.segments:
+        if frame_index < start + n:
+            return label
+        start += n
+    raise ScheduleOutOfRangeError(
+        f"frame index {frame_index} beyond schedule length {schedule.total_frames}")
 
 
 def run_fixed(schedule, topologies, mode, strategy, rate, rng):

@@ -39,6 +39,13 @@ def schedule_doc():
     }
 
 
+def mixed_schedule_doc():
+    """schedule_doc with topology B cut to 2 relays."""
+    doc = schedule_doc()
+    doc["topologies"][1] = topo_doc("B")
+    return doc
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -103,6 +110,15 @@ class TestValidate:
          "mode R1R4 invalid for a 3-relay topology"),
         ("mac_compare", {"mode_policy": "Fixed:R3"},
          "mode R3 invalid for a 2-relay topology"),
+        ("fixed_modes", {"strategy": "BOGUS"}, "unknown strategy 'BOGUS'"),
+        ("adaptive_compare", {"strategy": "BOGUS"}, "unknown strategy 'BOGUS'"),
+        ("ensemble", {"strategy": "BOGUS"}, "unknown strategy 'BOGUS'"),
+        ("mac_compare", {"strategy": "BOGUS"}, "unknown strategy 'BOGUS'"),
+        ("adaptive_compare", {"schedule": mixed_schedule_doc()},
+         "same relay count, got relay counts [2, 3]"),
+        ("ensemble", {"topologies": mixed_schedule_doc()["topologies"]},
+         "same relay count, got relay counts [2, 3]"),
+        ("ensemble", {"topologies": []}, "need one or more topologies"),
     ])
     def test_rejects_what_the_run_rejects(self, tmp_path, capsys, kind,
                                           override, message):

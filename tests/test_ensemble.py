@@ -7,7 +7,7 @@ from coopsim.ensemble import (ModeDataset, SegmentTooLongError,
                               evaluate_on_ensemble, make_ensemble, make_sample,
                               memory_sweep, oracle_fer, record_dataset,
                               replay_policy, synthetic_dataset)
-from coopsim.netsim import Strategy, enumerate_modes
+from coopsim.netsim import Strategy, TraceFormatError, enumerate_modes
 from coopsim.rng import named_rng
 from coopsim.selection import DEFAULT_PARAMS
 from coopsim.topology import Topology
@@ -216,6 +216,26 @@ class TestPersistence:
         path = tmp_path / "samples.csv"
         write_samples_csv(path, samples)
         assert read_samples_csv(path) == samples
+
+    @pytest.mark.parametrize("rows, message", [
+        ([], "no rows after the header"),
+        ([[0, 0, 0, "A", 3], [0, 0, 2, "A", 4]],
+         "sample 0 segment 0 position 1 is missing"),
+        ([[0, 0, 0, "A", 3], [0, 2, 0, "B", 4]], "sample 0 segment 1 is missing"),
+        ([[0, 0, 0, "A", 3], [2, 0, 0, "B", 4]], "sample 1 is missing"),
+        ([[0, 0, 0, "A", 3], [0, 0, 1, "B", 4]],
+         "sample 0 segment 0 mixes topologies A, B"),
+        ([[0, 0, 0, "A", 3], [0, 0, 1, "A", "x"]], "data row 2"),
+        ([[0, 0, -1, "A", 3]], "data row 1"),
+    ])
+    def test_samples_csv_rejects_empty_gapped_and_malformed(self, tmp_path, rows,
+                                                           message):
+        from coopsim.ensemble import read_samples_csv
+        path = tmp_path / "samples.csv"
+        header = ["sample", "segment", "position", "topology", "row"]
+        path.write_text("".join(",".join(map(str, r)) + "\n" for r in [header, *rows]))
+        with pytest.raises(TraceFormatError, match=message):
+            read_samples_csv(path)
 
 
 class TestValidation:

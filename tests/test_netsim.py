@@ -18,7 +18,7 @@ from coopsim.outage import OutageQuery, direct_outage, outage_monte_carlo
 from coopsim.rng import named_rng
 from coopsim.selection import run_policy
 from coopsim.topology import (Topology, TopologySchedule, sample_channels,
-                              schedule_topology_at, topology_from_dict)
+                              topology_from_dict)
 
 
 class TestModes:
@@ -181,7 +181,8 @@ class TestRunFixed:
         sched, tops = self._schedule()
         outs = run_fixed(sched, tops, Mode((1,)), Strategy.DIQIF, 1.0,
                          named_rng(1, "csv"))
-        labels = [schedule_topology_at(sched, f) for f in range(sched.total_frames)]
+        labels = [oracles.schedule_topology_at(sched, f)
+                  for f in range(sched.total_frames)]
         path = tmp_path / "trace.csv"
         write_trace(path, outs, labels)
         back = read_trace(path)
@@ -221,7 +222,8 @@ def test_fixed_runs_match_per_frame_oracle(schedule, strategy, rate, seed):
     tops = {d["label"]: topology_from_dict(d) for d in schedule["topologies"]}
     sched = TopologySchedule(tuple((s["topology"], s["frames"])
                                    for s in schedule["segments"]))
-    labels = [schedule_topology_at(sched, f) for f in range(sched.total_frames)]
+    labels = [oracles.schedule_topology_at(sched, f)
+              for f in range(sched.total_frames)]
     slots = [None] + enumerate_modes(schedule["topologies"][0]["n_relays"])
     policies = ["DT" if s is None else f"Fixed:{s}" for s in slots]
     common = {"schedule": schedule, "rate": rate, "strategy": strategy, "seed": seed}

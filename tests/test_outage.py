@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_topology, topologies
-from coopsim.outage import (DEFAULT_REL_TOL, Cut, IndexOutOfSubsetError,
-                            OutageQuery, QuadratureFailure, _p_omega,
+from coopsim.outage import (_BLOCK_ROWS, DEFAULT_REL_TOL, Cut,
+                            IndexOutOfSubsetError, OutageQuery,
+                            QuadratureFailure, _p_omega,
                             approx_capacity, best_subnetwork,
                             cut_outage_analytic, direct_outage,
                             outage_monte_carlo, outage_sweep,
                             outage_upper_bound, required_snr_db)
-from oracles import (best_subnetwork_exhaustive, p_omega_by_term_expansion,
+from oracles import (best_subnetwork_exhaustive,
+                     best_subnetwork_montecarlo_scan, p_omega_by_term_expansion,
                      p_omega_quad)
 from coopsim.rng import named_rng
 from coopsim.topology import Topology, sample_channels
@@ -317,6 +319,51 @@ class TestBestSubnetwork:
         t = Topology.from_snr(1.0, [1.0], [1.0])
         with pytest.raises(ValueError):
             best_subnetwork(t, 2, 1.0)
+
+    # below one block, one block, one block + 1, several blocks and a tail
+    @pytest.mark.parametrize("n", [100, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   3 * _BLOCK_ROWS + 517])
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(t=topologies(max_relays=5).filter(lambda t: t.n_relays > 0),
+           seed=st.integers(0, 2 ** 32 - 1), planted=st.booleans())
+    def test_montecarlo_search_matches_per_subset_scan(self, n, t, seed, planted):
+        # a planted rate is the all-relay capacity of the last draw, so that
+        # row sits exactly on the outage boundary
+        everyone = tuple(range(1, t.n_relays + 1))
+        rate = 1.0
+        if planted:
+            last = sample_channels(t, np.random.default_rng(seed), n)[-1]
+            rate = float(approx_capacity(last, everyone))
+        for k in range(t.n_relays + 1):
+            expected = best_subnetwork_montecarlo_scan(
+                t, k, rate, n, np.random.default_rng(seed))
+            assert best_subnetwork(t, k, rate, method="montecarlo", mc_samples=n,
+                                   rng=np.random.default_rng(seed)) == expected
+            q = OutageQuery(rate=rate, subset=expected[0], mc_samples=n)
+            est, _ = outage_monte_carlo(t, q, np.random.default_rng(seed))
+            assert est == expected[1]
+
+    def test_montecarlo_tie_keeps_lexicographic_order(self):
+        # relays 2 and 3 have identical gains and, through the generator
+        # below, identical draws: (2,) and (3,) tie, and (2,) must win
+        class TwinRelays:
+            def __init__(self):
+                self.rng = np.random.default_rng(9)
+
+            def exponential(self, scale, size):
+                c = self.rng.exponential(scale, size)
+                c[:, [3, 7]] = c[:, [2, 6]]
+                return c
+
+        t = Topology.from_snr(0.2, [0.3, 5.0, 5.0, 0.3], [0.3, 5.0, 5.0, 0.3])
+        n = _BLOCK_ROWS + 1
+        subset, value = best_subnetwork(t, 1, 1.0, method="montecarlo",
+                                        mc_samples=n, rng=TwinRelays())
+        assert (subset, value) == best_subnetwork_montecarlo_scan(
+            t, 1, 1.0, n, TwinRelays())
+        assert subset == (2,)
+        q = OutageQuery(rate=1.0, subset=(3,), mc_samples=n)
+        assert outage_monte_carlo(t, q, TwinRelays())[0] == value
 
 
 class TestSweep:

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from conftest import topologies
 from coopsim.rng import named_rng, spawn_rngs
 from coopsim.topology import (LengthMismatchError, NonPositiveRateError,
-                              ScheduleOutOfRangeError, Topology,
-                              TopologyError, TopologySchedule, load_topology,
-                              sample_channels,
-                              save_topology, schedule_topology_at,
+                              Topology, TopologyError, TopologySchedule,
+                              load_topology, sample_channels, save_topology,
                               validate_topology)
+from oracles import ScheduleOutOfRangeError, schedule_topology_at
 
 
 def test_validate_symmetric_ok():
