@@ -216,7 +216,7 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 
 

@@ -153,28 +153,26 @@ def make_ensemble(dataset, n_samples, n_transitions, segment_len, seed):
 
 
 def _sample_executor(sample, dataset):
-    """Executor serving recorded outcomes positionally; raises RunStopped
-    at the end of the sample. Learning frames consume the same positions
-    as operating frames would. The sample's (positions, slots) block is
-    gathered from the dataset once."""
+    """Executor serving recorded outcomes positionally until the sample
+    ends; learning frames consume the same positions as operating frames
+    would. The sample's (positions, slots) block is gathered once, as one
+    list per mode slot, and each call is served as a slice of a list."""
     topology_index = {label: t for t, label in enumerate(dataset.topologies)}
-    slot_index = {key: s for s, key in enumerate(dataset.mode_keys)}
     tops = [topology_index[label] for label, seg_rows in sample.segments for _ in seg_rows]
     rows = [row for _, seg_rows in sample.segments for row in seg_rows]
-    block = dataset.outcomes[tops, :, rows].tolist()
-    pos = [0]
+    columns = dict(zip(dataset.mode_keys, dataset.outcomes[tops, :, rows].T.tolist()))
+    pos = 0
 
-    def execute(mode_key):
-        if pos[0] >= len(block):
-            raise selection.RunStopped
+    def execute(mode_key, n):
+        nonlocal pos
         try:
-            slot = slot_index[mode_key]
+            column = columns[mode_key]
         except KeyError:
             raise selection.UnknownPolicyError(
                 f"dataset has no recorded outcomes for mode {mode_key}") from None
-        row = block[pos[0]]
-        pos[0] += 1
-        return row[slot]
+        categories = column[pos:pos + n]
+        pos += len(categories)
+        return categories
 
     return execute
 

@@ -6,6 +6,7 @@ version, so identical config+seed reproduces byte-identical outputs.
 """
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -244,6 +245,8 @@ def _plan_outage_sweep(doc, path, base_dir):
         raise ValidationError(f"{path}: unknown normalization {normalization!r}")
     if method not in ("analytic", "montecarlo"):
         raise ValidationError(f"{path}: unknown method {method!r}")
+    if not k_values:
+        raise ValidationError(f"{path}: k_values must name at least one k")
     if any(k < 0 or k > template.n_relays for k in k_values):
         raise ValidationError(f"{path}: k_values outside [0, {template.n_relays}]")
 
@@ -316,15 +319,16 @@ def _plan_fixed_modes(doc, path, base_dir):
 
 def _schedule_executor(schedule, topologies, strategy, rate, rng):
     """Frame executor over the schedule: one sample_channels batch per
-    segment, drawn when the segment starts, served row by row."""
+    segment, drawn when the segment starts, its rows served in order."""
     def draws():
         for label, frames in schedule.segments:
             yield from sample_channels(topologies[label], rng, frames)
 
     rows = draws()
 
-    def execute(mode_key):
-        return netsim.evaluate_frame(next(rows), mode_key, strategy, rate).category
+    def execute(mode_key, n):
+        return [netsim.evaluate_frame(c, mode_key, strategy, rate).category
+                for c in itertools.islice(rows, n)]
 
     return execute
 

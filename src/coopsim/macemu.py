@@ -251,19 +251,19 @@ def _coop_side(scenario, mac, blocks):
     max_retx_coop + 1 are spent. Returns the policy's run log, whose frames
     are the attempts in packet order."""
     thr_attempts = mac.max_retx_coop + 1
-    cursor = {"p": 0, "a": 0}
+    n_packets, strategy, rate = scenario.n_packets, scenario.strategy, scenario.rate
+    cursor = (0, 0)
 
-    def executor(mode_key):
-        p, a = cursor["p"], cursor["a"]
-        if p >= scenario.n_packets:
-            raise selection.RunStopped
-        category = evaluate_frame(blocks[p, a], mode_key, scenario.strategy,
-                                  scenario.rate).category
-        if category != 2 or a + 1 >= thr_attempts:
-            cursor["p"], cursor["a"] = p + 1, 0
-        else:
-            cursor["a"] = a + 1
-        return category
+    def executor(mode_key, n):
+        nonlocal cursor
+        p, a = cursor
+        categories = []
+        while p < n_packets and len(categories) < n:
+            category = evaluate_frame(blocks[p, a], mode_key, strategy, rate).category
+            categories.append(category)
+            p, a = (p + 1, 0) if category != 2 or a + 1 >= thr_attempts else (p, a + 1)
+        cursor = p, a
+        return categories
 
     modes = enumerate_modes(scenario.topology.n_relays)
     return selection.run_policy(scenario.mode_policy, executor, modes,

@@ -11,11 +11,6 @@ import zlib
 import numpy as np
 
 
-def spawn_rngs(seed, n):
-    """n independent generators reproducibly derived from one root seed."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
 def named_rng(seed, *labels):
     """Independent generator keyed by (seed, *labels).
 

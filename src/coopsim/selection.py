@@ -20,17 +20,8 @@ class DegenerateSetError(ValueError):
     """weight_update needs at least two admissible modes."""
 
 
-class InsufficientHistoryError(ValueError):
-    """Fewer frames available than the FER window."""
-
-
 class UnknownPolicyError(ValueError):
     pass
-
-
-class RunStopped(Exception):
-    """Raised by a frame executor to end a policy run early (e.g. the
-    replayed sample or the packet stream is exhausted)."""
 
 
 @dataclass(frozen=True)
@@ -106,11 +97,12 @@ class LearnCall:
 
 @dataclass
 class PolicyRunLog:
-    """A policy run as per-frame columns (the mode slot, None for plain
-    direct transmission; the outcome category; the phase, "operating" or
-    "learning") plus trigger/LEARN bookkeeping."""
+    """A policy run as per-frame columns (the mode slot, an index into keys,
+    None there being plain direct transmission; the outcome category; the
+    phase, "operating" or "learning") plus trigger/LEARN bookkeeping."""
     policy: str
-    modes: list = field(default_factory=list)
+    keys: tuple = ()
+    slots: list = field(default_factory=list)
     categories: list = field(default_factory=list)
     phases: list = field(default_factory=list)
     triggers: list = field(default_factory=list)
@@ -127,8 +119,12 @@ class PolicyRunLog:
         return self.categories.count(2) / len(self.categories)
 
     @property
+    def modes(self):
+        return [self.keys[s] for s in self.slots]
+
+    @property
     def switch_count(self):
-        return sum(1 for a, b in zip(self.modes, self.modes[1:]) if a != b)
+        return sum(1 for a, b in zip(self.slots, self.slots[1:]) if a != b)
 
     def outcomes(self):
         """The frames as FrameOutcome records, in order: the trace that
@@ -137,15 +133,16 @@ class PolicyRunLog:
 
     def to_rows(self):
         """CSV rows: frame_index, mode, category, phase, cumulative_switches."""
+        names = [mode_key_str(key) for key in self.keys]
         rows = []
         switches = 0
         prev = None
-        for i, (mode, category, phase) in enumerate(
-                zip(self.modes, self.categories, self.phases)):
-            if i > 0 and mode != prev:
+        for i, (slot, category, phase) in enumerate(
+                zip(self.slots, self.categories, self.phases)):
+            if i > 0 and slot != prev:
                 switches += 1
-            prev = mode
-            rows.append([i, mode_key_str(mode), category, phase, switches])
+            prev = slot
+            rows.append([i, names[slot], category, phase, switches])
         return rows
 
 
@@ -225,84 +222,86 @@ def learn(runner, candidates, params):
     return RankedModeList(order=order, weights={m: weights[m] for m in candidates})
 
 
-def windowed_fer(categories, w):
-    """Fraction of the last w outcome categories (a sequence) that are
-    failures (2)."""
-    if len(categories) < w:
-        raise InsufficientHistoryError(
-            f"need at least {w} frames, have {len(categories)}")
-    return categories[-w:].count(2) / w
-
-
-class _Budget(Exception):
-    """Internal: total-frame budget reached."""
+class _RunStopped(Exception):
+    """Internal: the total-frame budget is spent or the executor's stream
+    has ended."""
 
 
 class _FrameLoop:
-    """Sends frames through the executor, recording them into the log and
-    enforcing the total-frame budget."""
+    """Sends blocks of frames through the executor, recording them into the
+    log and enforcing the total-frame budget."""
 
     def __init__(self, executor, total_frames, log):
         self.executor = executor
         self.total_frames = total_frames
         self.log = log
 
-    def send(self, mode, phase):
+    def send(self, slot, phase, n):
+        """Send n frames on mode slot `slot`; returns their categories. A
+        block clipped by the budget or returned short is recorded, then ends the run."""
         log = self.log
-        if len(log.categories) >= self.total_frames:
-            raise _Budget
-        category = int(self.executor(mode))
-        log.modes.append(mode)
-        log.categories.append(category)
-        log.phases.append(phase)
-        return category
+        room = self.total_frames - len(log.categories)
+        if room <= 0:
+            raise _RunStopped
+        categories = self.executor(log.keys[slot], min(n, room))
+        log.slots += [slot] * len(categories)
+        log.categories += categories
+        log.phases += [phase] * len(categories)
+        if len(categories) < n:
+            raise _RunStopped
+        return categories
 
     def run(self, step):
-        """Call step() until the budget is spent or the executor stops the
-        run; returns the log."""
+        """Call step() until the budget is spent or the executor's stream
+        ends; returns the log."""
         try:
             while True:
                 step()
-        except (_Budget, RunStopped):
+        except _RunStopped:
             pass
         return self.log
 
 
-def _operate_until_trigger(loop, mode, params):
+def _operate_until_trigger(loop, slot, params):
     """Run the current mode for w frames, then extend by delta_w until the
-    windowed FER reaches zeta. Returns the number of extensions i."""
-    for _ in range(params.w):
-        loop.send(mode, "operating")
+    FER of the last w frames (fails / w) reaches zeta; returns the extensions i."""
+    w, categories = params.w, loop.log.categories
+    fails = loop.send(slot, "operating", w).count(2)
     i = 0
-    while windowed_fer(loop.log.categories, params.w) < params.zeta:
-        for _ in range(params.delta_w):
-            loop.send(mode, "operating")
+    while fails / w < params.zeta:
+        start = len(categories)
+        fails += loop.send(slot, "operating", params.delta_w).count(2)
+        fails -= categories[start - w:len(categories) - w].count(2)
         i += 1
     return i
 
 
 def _learn_runner(loop):
-    def runner(mode, n):
-        cats = [loop.send(mode, "learning") for _ in range(n)]
-        return cats.count(2) / len(cats)
+    def runner(slot, n):
+        return loop.send(slot, "learning", n).count(2) / n
     return runner
 
 
 def _learn_logged(loop, candidates, learn_params):
-    """LEARN over candidates on the loop's frames, logged as a LearnCall;
-    returns the ranked order."""
-    start = loop.log.n_frames
+    """LEARN over candidate slots on the loop's frames, logged as a
+    LearnCall of their modes; returns the ranked slots."""
+    log = loop.log
+    start = log.n_frames
     order = learn(_learn_runner(loop), candidates, learn_params).order
-    loop.log.learn_calls.append(LearnCall(start, loop.log.n_frames, candidates, order))
+    log.learn_calls.append(LearnCall(start, log.n_frames,
+                                     tuple(log.keys[s] for s in candidates),
+                                     tuple(log.keys[s] for s in order)))
     return order
 
 
-def _run_triggered(executor, all_modes, params, total_frames, log, adapt):
-    """The trigger loop of the adaptive policies: operate the current mode
-    (first all_modes[0]) until the windowed FER trips, then operate
+def _run_triggered(executor, log, params, total_frames, adapt):
+    """The trigger loop of the adaptive policies: operate the current slot
+    (first slot 1, all_modes[0]) until the windowed FER trips, then operate
     adapt(loop, i), i being the trigger's window extensions."""
+    if len(set(log.keys)) < len(log.keys):
+        raise ValueError(f"{log.policy} needs distinct modes")
     loop = _FrameLoop(executor, total_frames, log)
-    current = all_modes[0]
+    current = 1
 
     def step():
         nonlocal current
@@ -313,7 +312,7 @@ def _run_triggered(executor, all_modes, params, total_frames, log, adapt):
     return loop.run(step)
 
 
-def spa(executor, all_modes, params=DEFAULT_PARAMS, total_frames=10_000, log=None):
+def spa(executor, all_modes, params=DEFAULT_PARAMS, total_frames=10_000):
     """SPA: operate the top-ranked mode, re-learn over the top r on trigger.
 
     The ranked list L starts in enumeration order. On a trigger after i
@@ -323,7 +322,7 @@ def spa(executor, all_modes, params=DEFAULT_PARAMS, total_frames=10_000, log=Non
     """
     if len(all_modes) < params.r:
         raise ValueError(f"need |modes| >= r, got {len(all_modes)} < {params.r}")
-    ranked = list(all_modes)
+    ranked = list(range(1, len(all_modes) + 1))
 
     def adapt(loop, i):
         turn = params.r if i <= params.s else 1
@@ -331,8 +330,8 @@ def spa(executor, all_modes, params=DEFAULT_PARAMS, total_frames=10_000, log=Non
         ranked[:params.r] = _learn_logged(loop, tuple(ranked[:params.r]), params.learn)
         return ranked[0]
 
-    return _run_triggered(executor, all_modes, params, total_frames,
-                          log if log is not None else PolicyRunLog("SPA"), adapt)
+    return _run_triggered(executor, PolicyRunLog("SPA", (None, *all_modes)), params,
+                          total_frames, adapt)
 
 
 def policy_key(policy):
@@ -358,45 +357,46 @@ def run_policy(policy, executor, all_modes, params=DEFAULT_PARAMS,
     """Run one selection policy and return its PolicyRunLog.
 
     policy is one of "DT", "BRUTE", "RandPick", "PWR2", "NRNM", "WRNM",
-    "SPA", a Mode instance (fixed mode), or "Fixed:<mode>". RandPick and
-    PWR2 need rng. brute_frames is the per-mode measurement length of
-    BRUTE/PWR2 (defaults to the FER window w).
+    "SPA", a Mode instance (fixed mode), or "Fixed:<mode>". executor(mode, n)
+    returns the categories of n frames sent on mode (None: plain DT) as a
+    list, a short one ending the run. RandPick and PWR2 need rng. brute_frames
+    is the per-mode measurement length of BRUTE/PWR2 (defaults to w).
     """
-    modes = list(all_modes)
     frames_per_probe = params.w if brute_frames is None else int(brute_frames)
 
     key = policy_key(policy)
     if key == "DT" or isinstance(key, Mode):
         mode = None if key == "DT" else key
         loop = _FrameLoop(executor, total_frames,
-                          PolicyRunLog(f"Fixed:{mode}" if mode else "DT"))
-        return loop.run(lambda: loop.send(mode, "operating"))
+                          PolicyRunLog(f"Fixed:{mode}" if mode else "DT", (mode,)))
+        return loop.run(lambda: loop.send(0, "operating", total_frames))
     if key == "SPA":
-        return spa(executor, modes, params, total_frames, PolicyRunLog("SPA"))
-    log = PolicyRunLog(key if key != "RANDPICK" else "RandPick")
+        return spa(executor, all_modes, params, total_frames)
+    log = PolicyRunLog(key if key != "RANDPICK" else "RandPick", (None, *all_modes))
     if key in ("RANDPICK", "PWR2") and rng is None:
         raise ValueError(f"{log.policy} needs rng")
+    slots = range(1, len(log.keys))
 
     def probe(loop, candidates):
         """The candidate with the lowest FER over frames_per_probe learning
         frames each (ties: the earliest)."""
         measure = _learn_runner(loop)
-        fers = [(measure(m, frames_per_probe), k) for k, m in enumerate(candidates)]
+        fers = [(measure(s, frames_per_probe), k) for k, s in enumerate(candidates)]
         return candidates[min(fers)[1]]
 
     if key == "BRUTE":
         def adapt(loop, i):
-            return probe(loop, modes)
+            return probe(loop, slots)
     elif key == "RANDPICK":
         def adapt(loop, i):
-            return modes[int(rng.integers(len(modes)))]
+            return slots[int(rng.integers(len(slots)))]
     elif key == "PWR2":
         def adapt(loop, i):
-            a, b = rng.choice(len(modes), size=2, replace=False)
-            return probe(loop, [modes[int(a)], modes[int(b)]])
+            a, b = rng.choice(len(slots), size=2, replace=False)
+            return probe(loop, [slots[int(a)], slots[int(b)]])
     else:  # NRNM or WRNM
         lp = params.learn if key == "WRNM" else replace(params.learn, epsilon=0.0)
         def adapt(loop, i):
-            return _learn_logged(loop, tuple(modes), lp)[0]
+            return _learn_logged(loop, tuple(slots), lp)[0]
 
-    return _run_triggered(executor, modes, params, total_frames, log, adapt)
+    return _run_triggered(executor, log, params, total_frames, adapt)

@@ -10,18 +10,27 @@ They are slow and need scipy, so they live here rather than in the package:
 - best_subnetwork_montecarlo_scan: the Monte-Carlo subset search as one
   approx_capacity call per subset on the whole draw array;
 - run_fixed: a fixed-mode run over a schedule as a per-frame loop, one
-  channel draw and one topology lookup (schedule_topology_at) per frame.
+  channel draw and one topology lookup (schedule_topology_at) per frame;
+- run_policy_per_frame: selection.run_policy as a loop of one executor
+  call per frame on mode values, with single-frame executors, its trigger
+  the windowed FER of the last w frames (windowed_fer);
+- spawn_rngs: n generators spawned from one root SeedSequence;
+- genie_route_brute_force: genie routing by walking every path of every
+  packet attempt by attempt.
 """
 import itertools
 import math
 import warnings
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from coopsim.netsim import evaluate_frame
+from coopsim.macemu import PacketResult
+from coopsim.netsim import Mode, evaluate_frame
 from coopsim.outage import (OutageQuery, QuadratureFailure, approx_capacity,
                             outage_upper_bound)
+from coopsim.selection import DEFAULT_PARAMS, LearnCall, learn, policy_key
 from coopsim.topology import sample_channels
 
 
@@ -175,3 +184,189 @@ def run_fixed(schedule, topologies, mode, strategy, rate, rng):
         t = topologies[schedule_topology_at(schedule, f)]
         outcomes.append(evaluate_frame(sample_channels(t, rng), mode, strategy, rate))
     return outcomes
+
+
+def spawn_rngs(seed, n):
+    """n independent generators reproducibly derived from one root seed."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
+
+
+class InsufficientHistoryError(ValueError):
+    """Fewer frames available than the FER window."""
+
+
+def windowed_fer(categories, w):
+    """Fraction of the last w outcome categories (a sequence) that are
+    failures (2): the trigger statistic of the per-frame loop."""
+    if len(categories) < w:
+        raise InsufficientHistoryError(
+            f"need at least {w} frames, have {len(categories)}")
+    return categories[-w:].count(2) / w
+
+
+class FrameStreamEnded(Exception):
+    """Raised by a single-frame executor of run_policy_per_frame when its
+    stream has ended; ends the run."""
+
+
+class _Budget(Exception):
+    """Total-frame budget reached."""
+
+
+@dataclass
+class PerFrameRunLog:
+    """The columns of a run_policy_per_frame run, modes stored per frame."""
+    policy: str
+    modes: list = field(default_factory=list)
+    categories: list = field(default_factory=list)
+    phases: list = field(default_factory=list)
+    triggers: list = field(default_factory=list)
+    learn_calls: list = field(default_factory=list)
+
+
+class _FrameLoop:
+    def __init__(self, executor, total_frames, log):
+        self.executor = executor
+        self.total_frames = total_frames
+        self.log = log
+
+    def send(self, mode, phase):
+        log = self.log
+        if len(log.categories) >= self.total_frames:
+            raise _Budget
+        category = int(self.executor(mode))
+        log.modes.append(mode)
+        log.categories.append(category)
+        log.phases.append(phase)
+        return category
+
+    def run(self, step):
+        try:
+            while True:
+                step()
+        except (_Budget, FrameStreamEnded):
+            pass
+        return self.log
+
+
+def _operate_until_trigger(loop, mode, params):
+    for _ in range(params.w):
+        loop.send(mode, "operating")
+    i = 0
+    while windowed_fer(loop.log.categories, params.w) < params.zeta:
+        for _ in range(params.delta_w):
+            loop.send(mode, "operating")
+        i += 1
+    return i
+
+
+def _learn_runner(loop):
+    def runner(mode, n):
+        cats = [loop.send(mode, "learning") for _ in range(n)]
+        return cats.count(2) / len(cats)
+    return runner
+
+
+def _learn_logged(loop, candidates, learn_params):
+    start = len(loop.log.categories)
+    order = learn(_learn_runner(loop), candidates, learn_params).order
+    loop.log.learn_calls.append(
+        LearnCall(start, len(loop.log.categories), candidates, order))
+    return order
+
+
+def _run_triggered(executor, all_modes, params, total_frames, log, adapt):
+    loop = _FrameLoop(executor, total_frames, log)
+    current = all_modes[0]
+
+    def step():
+        nonlocal current
+        i = _operate_until_trigger(loop, current, params)
+        log.triggers.append(len(log.categories))
+        current = adapt(loop, i)
+
+    return loop.run(step)
+
+
+def spa_per_frame(executor, all_modes, params, total_frames, log):
+    if len(all_modes) < params.r:
+        raise ValueError(f"need |modes| >= r, got {len(all_modes)} < {params.r}")
+    ranked = list(all_modes)
+
+    def adapt(loop, i):
+        turn = params.r if i <= params.s else 1
+        ranked[:] = ranked[turn:] + ranked[:turn]
+        ranked[:params.r] = _learn_logged(loop, tuple(ranked[:params.r]), params.learn)
+        return ranked[0]
+
+    return _run_triggered(executor, all_modes, params, total_frames, log, adapt)
+
+
+def run_policy_per_frame(policy, executor, all_modes, params=DEFAULT_PARAMS,
+                         total_frames=10_000, rng=None, brute_frames=None):
+    """selection.run_policy with one executor call per frame: executor(mode)
+    returns the frame's category, or raises FrameStreamEnded to end the
+    run. Returns a PerFrameRunLog."""
+    modes = list(all_modes)
+    frames_per_probe = params.w if brute_frames is None else int(brute_frames)
+
+    key = policy_key(policy)
+    if key == "DT" or isinstance(key, Mode):
+        mode = None if key == "DT" else key
+        loop = _FrameLoop(executor, total_frames,
+                          PerFrameRunLog(f"Fixed:{mode}" if mode else "DT"))
+        return loop.run(lambda: loop.send(mode, "operating"))
+    if key == "SPA":
+        return spa_per_frame(executor, modes, params, total_frames,
+                             PerFrameRunLog("SPA"))
+    log = PerFrameRunLog(key if key != "RANDPICK" else "RandPick")
+    if key in ("RANDPICK", "PWR2") and rng is None:
+        raise ValueError(f"{log.policy} needs rng")
+
+    def probe(loop, candidates):
+        measure = _learn_runner(loop)
+        fers = [(measure(m, frames_per_probe), k) for k, m in enumerate(candidates)]
+        return candidates[min(fers)[1]]
+
+    if key == "BRUTE":
+        def adapt(loop, i):
+            return probe(loop, modes)
+    elif key == "RANDPICK":
+        def adapt(loop, i):
+            return modes[int(rng.integers(len(modes)))]
+    elif key == "PWR2":
+        def adapt(loop, i):
+            a, b = rng.choice(len(modes), size=2, replace=False)
+            return probe(loop, [modes[int(a)], modes[int(b)]])
+    else:  # NRNM or WRNM
+        lp = params.learn if key == "WRNM" else replace(params.learn, epsilon=0.0)
+        def adapt(loop, i):
+            return _learn_logged(loop, tuple(modes), lp)[0]
+
+    return _run_triggered(executor, modes, params, total_frames, log, adapt)
+
+
+def genie_route_brute_force(paths, policy):
+    """Per packet, walk every path attempt by attempt, each hop allowed
+    max_retx_per_link retransmissions; take the delivering path with the
+    fewest attempts, else the path that drops after the fewest, ties to
+    the lowest path index."""
+    budget = policy.max_retx_per_link + 1
+    results = []
+    for packet in range(paths.n_packets):
+        walks = []
+        for idx, path in enumerate(paths.paths):
+            attempts, delivered = 0, True
+            for hop in path.hops:
+                for success in hop[packet][:budget]:
+                    attempts += 1
+                    if success:
+                        break
+                else:
+                    delivered = False
+                    break
+            walks.append((not delivered, attempts, idx))
+        dropped, attempts, idx = min(walks)
+        results.append(PacketResult(not dropped, attempts * policy.airtime_direct_us,
+                                    attempts, paths.paths[idx].label))
+    return results

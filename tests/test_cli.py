@@ -119,6 +119,7 @@ class TestValidate:
         ("ensemble", {"topologies": mixed_schedule_doc()["topologies"]},
          "same relay count, got relay counts [2, 3]"),
         ("ensemble", {"topologies": []}, "need one or more topologies"),
+        ("outage_sweep", {"k_values": []}, "k_values must name at least one k"),
     ])
     def test_rejects_what_the_run_rejects(self, tmp_path, capsys, kind,
                                           override, message):
@@ -198,6 +199,16 @@ class TestRunCommand:
         assert rows[0] == ["frame_index", "mode", "category", "phase",
                            "cumulative_switches"]
         assert len(rows) == 1 + 860
+
+    def test_runtime_error_names_its_type(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise TypeError("boom")
+        monkeypatch.setattr("coopsim.experiments.run_config", fail)
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "kind": "outage_sweep", "topology": topo_doc(), "rate": 1.0,
+            "k_values": [0], "snr_grid": [0.0]})
+        assert main(["run", "--config", cfg]) == 3
+        assert capsys.readouterr().err == "error: TypeError: boom\n"
 
 
 def flags_and_config(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopsim.macemu import (CoopVsRoutingScenario, MacPolicy, PacketResult,
                             PathTrace, PathTraces, TraceExhaustedError,
@@ -7,6 +9,7 @@ from coopsim.macemu import (CoopVsRoutingScenario, MacPolicy, PacketResult,
                             genie_route, throughput_proxy)
 from coopsim.netsim import FrameOutcome, Mode
 from coopsim.topology import Topology
+from oracles import genie_route_brute_force
 
 POLICY = MacPolicy()
 
@@ -99,7 +102,27 @@ def brute_force_min_drops(paths, policy):
     return drops
 
 
+@st.composite
+def capped_path_traces(draw):
+    """(MacPolicy with a random per-hop cap, PathTraces of 1-4 paths of 1-2
+    hops), each hop recording cap+1 to cap+3 attempts per packet."""
+    cap = draw(st.integers(0, 4))
+    n_packets = draw(st.integers(1, 4))
+    attempts = st.lists(st.booleans(), min_size=cap + 1, max_size=cap + 3)
+    hops = st.lists(st.lists(attempts, min_size=n_packets, max_size=n_packets),
+                    min_size=1, max_size=2)
+    paths = [path_from_bools(f"P{i}", draw(hops))
+             for i in range(draw(st.integers(1, 4)))]
+    return MacPolicy(max_retx_per_link=cap), PathTraces(tuple(paths))
+
+
 class TestGenieRoute:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=capped_path_traces())
+    def test_matches_attempt_by_attempt_brute_force(self, case):
+        policy, paths = case
+        assert genie_route(paths, policy) == genie_route_brute_force(paths, policy)
+
     def test_perfect_path_delivers_everything(self):
         paths = PathTraces((path_from_bools(
             "S-R1-D", [[[True] * 5] * 10, [[True] * 5] * 10]),))

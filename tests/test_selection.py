@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopsim.ensemble import EnsembleSample, ModeDataset, _sample_executor
 from coopsim.netsim import Mode, enumerate_modes
-from coopsim.selection import (DEFAULT_PARAMS, DegenerateSetError,
-                               InsufficientHistoryError, LearnParams,
-                               SpaParams, UnknownPolicyError, learn,
-                               run_policy, spa, weight_update,
-                               windowed_fer)
+from coopsim.selection import (BASELINE_POLICIES, DEFAULT_PARAMS,
+                               DegenerateSetError, LearnParams, SpaParams,
+                               UnknownPolicyError, learn, run_policy, spa,
+                               weight_update)
+from oracles import (FrameStreamEnded, InsufficientHistoryError,
+                     run_policy_per_frame, windowed_fer)
 
 MODES6 = enumerate_modes(3)
 
@@ -187,14 +190,19 @@ class TestWindowedFer:
 
 def scripted_executor(categories):
     it = iter(categories)
-    def execute(mode):
-        return next(it)
+    def execute(mode, n):
+        return list(itertools.islice(it, n))
     return execute
+
+
+def per_frame(frame):
+    """Block executor sending each frame through frame(mode)."""
+    return lambda mode, n: [frame(mode) for _ in range(n)]
 
 
 class TestSpa:
     def test_zero_fer_means_zero_triggers_and_switches(self):
-        log = spa(lambda mode: 0, MODES6, DEFAULT_PARAMS, total_frames=1000)
+        log = spa(per_frame(lambda mode: 0), MODES6, DEFAULT_PARAMS, total_frames=1000)
         assert log.triggers == []
         assert log.learn_calls == []
         assert log.switch_count == 0
@@ -217,7 +225,7 @@ class TestSpa:
         fers = dict(zip(MODES6, [0.5, 0.4, 0.3, 0.02, 0.6, 0.7]))
         def execute(mode):
             return 2 if rng.random() < fers[mode] else 0
-        log = spa(execute, MODES6, DEFAULT_PARAMS, total_frames=2000)
+        log = spa(per_frame(execute), MODES6, DEFAULT_PARAMS, total_frames=2000)
         assert log.triggers, "bad initial mode must trigger"
         for call in log.learn_calls:
             assert len(call.candidates) == DEFAULT_PARAMS.r
@@ -239,7 +247,7 @@ class TestSpa:
                 frame[0] += 1
                 p = 0.02 if mode == best[seg] else 0.4
                 return 2 if rng.random() < p else 0
-            log = run_policy("SPA", execute, MODES6, DEFAULT_PARAMS,
+            log = run_policy("SPA", per_frame(execute), MODES6, DEFAULT_PARAMS,
                              total_frames=2 * seg_len)
             tail_ok = True
             for seg in (0, 1):
@@ -253,7 +261,7 @@ class TestSpa:
 
     def test_requires_enough_modes(self):
         with pytest.raises(ValueError):
-            spa(lambda m: 0, MODES6[:2], DEFAULT_PARAMS, total_frames=10)
+            spa(per_frame(lambda m: 0), MODES6[:2], DEFAULT_PARAMS, total_frames=10)
 
 
 class TestRunPolicy:
@@ -262,7 +270,7 @@ class TestRunPolicy:
         # BRUTE must operate the error-free mode
         modes = ["m0", "m1", "m2"]
         fers = {"m0": 1.0, "m1": 0.0, "m2": 1.0}
-        log = run_policy("BRUTE", lambda m: 2 if fers[m] else 0, modes,
+        log = run_policy("BRUTE", per_frame(lambda m: 2 if fers[m] else 0), modes,
                          SpaParams(r=3, w=10), total_frames=400)
         assert log.triggers
         after = slice(log.triggers[0] + 30, None)
@@ -278,7 +286,7 @@ class TestRunPolicy:
         rng = np.random.default_rng(9)
         def execute(mode):
             return 2 if rng.random() < fers[mode] else 0
-        log = run_policy("PWR2", execute, modes, SpaParams(r=2, w=20),
+        log = run_policy("PWR2", per_frame(execute), modes, SpaParams(r=2, w=20),
                          total_frames=600, rng=np.random.default_rng(1),
                          brute_frames=40)
         assert log.triggers
@@ -287,11 +295,11 @@ class TestRunPolicy:
         assert set(tail) == {"b"}
 
     def test_dt_and_fixed_never_adapt(self):
-        log = run_policy("DT", lambda m: 0, MODES6, total_frames=100)
+        log = run_policy("DT", per_frame(lambda m: 0), MODES6, total_frames=100)
         assert set(log.modes) == {None}
-        log = run_policy(Mode((1, 2)), lambda m: 0, MODES6, total_frames=100)
+        log = run_policy(Mode((1, 2)), per_frame(lambda m: 0), MODES6, total_frames=100)
         assert set(log.modes) == {Mode((1, 2))}
-        log = run_policy("Fixed:R2", lambda m: 0, MODES6, total_frames=100)
+        log = run_policy("Fixed:R2", per_frame(lambda m: 0), MODES6, total_frames=100)
         assert set(log.modes) == {Mode((2,))}
 
     def test_nrnm_fer_at_least_wrnm_on_planted_modes(self):
@@ -305,7 +313,7 @@ class TestRunPolicy:
                 rng = np.random.default_rng(200 + seed)
                 def execute(mode):
                     return 2 if rng.random() < fers[mode] else 0
-                log = run_policy(policy, execute, MODES6, DEFAULT_PARAMS,
+                log = run_policy(policy, per_frame(execute), MODES6, DEFAULT_PARAMS,
                                  total_frames=1500)
                 results[policy] = log.fer
             worse += results["NRNM"] >= results["WRNM"]
@@ -316,7 +324,7 @@ class TestRunPolicy:
         fers = dict(zip(MODES6, [0.3, 0.25, 0.2, 0.15, 0.4, 0.5]))
         def execute(mode):
             return 2 if rng.random() < fers[mode] else 0
-        log = run_policy("SPA", execute, MODES6, DEFAULT_PARAMS,
+        log = run_policy("SPA", per_frame(execute), MODES6, DEFAULT_PARAMS,
                          total_frames=800)
         rows = log.to_rows()
         assert rows[-1][4] == log.switch_count
@@ -324,6 +332,84 @@ class TestRunPolicy:
                          if a != b)
         assert log.switch_count == recomputed
 
+    @pytest.mark.parametrize("policy", ["BRUTE", "RandPick", "PWR2", "NRNM",
+                                        "WRNM", "SPA"])
+    def test_adaptive_policies_reject_repeated_modes(self, policy):
+        # the log tells modes apart by slot, so a repeated mode would
+        # count switches between equal modes
+        with pytest.raises(ValueError, match="needs distinct modes"):
+            run_policy(policy, per_frame(lambda m: 2), ["a", "a", "b"],
+                       total_frames=200, rng=np.random.default_rng(0))
+
     def test_unknown_policy(self):
         with pytest.raises(UnknownPolicyError):
-            run_policy("nonsense", lambda m: 0, MODES6, total_frames=10)
+            run_policy("nonsense", per_frame(lambda m: 0), MODES6, total_frames=10)
+
+
+@st.composite
+def planted_runs(draw):
+    """(modes, outcome table, SpaParams, budget, brute_frames): 2-10 modes
+    behind slot 0 (plain DT), each slot's frames failing at a planted FER
+    (0 and 1 included), the table shorter or longer than the budget."""
+    modes = tuple(enumerate_modes(4)[:draw(st.integers(2, 10))])
+    fers = np.array(draw(st.lists(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]),
+                                  min_size=len(modes) + 1, max_size=len(modes) + 1)))
+    length = draw(st.integers(1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    table = np.where(rng.random((len(fers), length)) < fers[:, None], 2,
+                     rng.integers(0, 2, (len(fers), length)))
+    learn_params = LearnParams(l=draw(st.integers(1, 3)),
+                               eta=draw(st.sampled_from([0.5, 3.0])),
+                               alpha=draw(st.sampled_from([0.0, 0.4])),
+                               epsilon=draw(st.sampled_from([0.0, 0.05, 0.3])),
+                               B=draw(st.integers(1, 4)))
+    params = SpaParams(zeta=draw(st.sampled_from([0.05, 0.1, 0.3, 0.5, 1.0])),
+                       r=draw(st.integers(1, len(modes))), w=draw(st.integers(1, 8)),
+                       delta_w=draw(st.integers(1, 4)), s=draw(st.integers(0, 3)),
+                       learn=learn_params)
+    budget = draw(st.integers(1, 130))
+    brute_frames = draw(st.none() | st.integers(1, 5))
+    return modes, table, params, budget, brute_frames
+
+
+def frame_executor(table, keys):
+    """Single-frame executor of run_policy_per_frame over table[slot, pos]."""
+    index = {key: s for s, key in enumerate(keys)}
+    pos = 0
+
+    def execute(mode):
+        nonlocal pos
+        if pos >= table.shape[1]:
+            raise FrameStreamEnded
+        pos += 1
+        return int(table[index[mode], pos - 1])
+
+    return execute
+
+
+class TestBlockLoop:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(run=planted_runs())
+    def test_block_loop_records_the_per_frame_run(self, run):
+        # the block loop (one executor call per operating run, extension,
+        # probe, LEARN batch and fixed-mode run) must record frame for frame
+        # what one executor call per frame records
+        modes, table, params, budget, brute_frames = run
+        keys = (None, *modes)
+        dataset = ModeDataset(topologies=("T",), mode_keys=keys,
+                              outcomes=table[None])
+        sample = EnsembleSample(segments=(("T", tuple(range(table.shape[1]))),))
+        for policy in (*BASELINE_POLICIES, f"Fixed:{modes[-1]}"):
+            log = run_policy(policy, _sample_executor(sample, dataset), modes,
+                             params, total_frames=budget,
+                             rng=np.random.default_rng(5), brute_frames=brute_frames)
+            ref = run_policy_per_frame(policy, frame_executor(table, keys), modes,
+                                       params, total_frames=budget,
+                                       rng=np.random.default_rng(5),
+                                       brute_frames=brute_frames)
+            assert log.policy == ref.policy
+            assert log.modes == ref.modes
+            assert log.categories == ref.categories
+            assert log.phases == ref.phases
+            assert log.triggers == ref.triggers
+            assert log.learn_calls == ref.learn_calls

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import topologies
-from coopsim.rng import named_rng, spawn_rngs
+from coopsim.rng import named_rng
 from coopsim.topology import (LengthMismatchError, NonPositiveRateError,
                               Topology, TopologyError, TopologySchedule,
                               load_topology, sample_channels, save_topology,
                               validate_topology)
-from oracles import ScheduleOutOfRangeError, schedule_topology_at
+from oracles import ScheduleOutOfRangeError, schedule_topology_at, spawn_rngs
 
 
 def test_validate_symmetric_ok():
