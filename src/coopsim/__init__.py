@@ -12,13 +12,12 @@ Submodules:
 
 __version__ = "0.3.0"
 
-from .netsim import FrameOutcome, Mode, Strategy, enumerate_modes
+from .netsim import Mode, Strategy, enumerate_modes
 from .selection import LearnParams, RankedModeList, SpaParams
 from .topology import Topology, TopologySchedule
 
 __all__ = [
     "__version__",
-    "FrameOutcome",
     "LearnParams",
     "Mode",
     "RankedModeList",

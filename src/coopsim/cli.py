@@ -1,10 +1,11 @@
 """coopsim command line: outage sweeps, policy runs, ensembles, MAC
-emulation and config validation.
+trace replay and config validation.
 
 Every subcommand accepts --config FILE to run a full experiment document.
-The outage, run and ensemble flags build the same kind of document and
-run it the same way; the first output goes to --out, every other output
-to <out>.<name>. Exit codes: 0 success, 2 config/validation error,
+The outage, run, ensemble and mac flags build the same kind of document
+(outage_sweep, adaptive_compare, ensemble, mac_replay) and run it the
+same way; the first output goes to --out, every other output to
+<out>.<name>. Exit codes: 0 success, 2 config/validation error,
 3 runtime error.
 """
 import argparse
@@ -13,7 +14,7 @@ import sys
 
 import yaml
 
-from . import __version__, experiments, macemu, netsim
+from . import __version__, experiments
 from .experiments import ConfigParseError, ValidationError
 
 
@@ -149,42 +150,18 @@ def _flag_place(args):
     return place
 
 
-def _cmd_mac(args):
-    seed = 0 if args.seed is None else args.seed
-    policy = macemu.MacPolicy(max_retx_coop=args.max_retx,
-                              max_retx_per_link=args.max_retx_per_link)
-    wrote = []
-    if args.coop_trace:
-        results = macemu.coop_mac_deliver(netsim.read_trace(args.coop_trace), policy)
-        out = _out_path(args)
-        macemu.write_packet_csv(out, results)
-        wrote.append(out)
-        print(f"coop: {len(results)} packets, drop_rate="
-              f"{macemu.drop_rate(results):.6f}")
-    if args.path_traces:
-        traces = macemu.read_path_traces(args.path_traces)
-        results = macemu.genie_route(traces, policy)
-        stem, ext = os.path.splitext(_out_path(args))
-        out = f"{stem}_genie{ext}" if args.coop_trace else _out_path(args)
-        macemu.write_packet_csv(out, results)
-        wrote.append(out)
-        print(f"genie: {len(results)} packets, drop_rate="
-              f"{macemu.drop_rate(results):.6f}")
-    if not wrote:
-        raise ConfigParseError(
-            "mac: need --coop-trace and/or --path-traces (or --config)")
-    doc = {"kind": "mac", "coop_trace": args.coop_trace,
-           "path_traces": args.path_traces, "max_retx": args.max_retx,
-           "max_retx_per_link": args.max_retx_per_link}
-    wrote.append(experiments.write_manifest(f"{wrote[0]}.manifest.json", "mac",
-                                            seed, doc, wrote))
-    return wrote
+def _mac_doc(args):
+    return {"kind": "mac_replay", "coop_trace": args.coop_trace,
+            "path_traces": args.path_traces,
+            "mac": {"max_retx_coop": args.max_retx,
+                    "max_retx_per_link": args.max_retx_per_link}}
 
 
 _FLAG_DOCS = {
     "outage": _outage_doc,
     "run": _run_doc,
     "ensemble": _ensemble_doc,
+    "mac": _mac_doc,
 }
 
 
@@ -203,8 +180,6 @@ def main(argv=None):
         if getattr(args, "config", None):
             files = experiments.run_config(args.config, out_dir=args.out_dir,
                                            seed=args.seed, threads=args.threads)
-        elif args.command == "mac":
-            files = _cmd_mac(args)
         else:
             files = experiments.run_experiment(
                 _FLAG_DOCS[args.command](args), "<flags>", os.getcwd(),
@@ -212,7 +187,7 @@ def main(argv=None):
         for f in files:
             print(f)
         return 0
-    except (ConfigParseError, ValidationError, netsim.TraceFormatError) as e:
+    except (ConfigParseError, ValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

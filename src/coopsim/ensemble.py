@@ -72,9 +72,9 @@ class EnsembleSample:
         return sum(len(rows) for _, rows in self.segments)
 
 
-def record_dataset(topologies, strategy, rate, frames_per_topology, rng,
-                   include_dt=True):
-    """Simulate every mode of every topology over shared per-frame draws.
+def record_dataset(topologies, strategy, rate, frames_per_topology, rng):
+    """Simulate every mode slot (plain DT, then every mode) of every
+    topology over shared per-frame draws.
 
     For each frame index one realization is drawn and evaluated under all
     mode slots (time-interleaved recording), so modes are compared on
@@ -88,13 +88,13 @@ def record_dataset(topologies, strategy, rate, frames_per_topology, rng,
     if any(t.n_relays != n for t in topologies):
         raise ValueError("all topologies must have the same relay count")
     modes = enumerate_modes(n)
-    keys = ([None] if include_dt else []) + modes
+    keys = [None] + modes
     strategy = Strategy.parse(strategy)
     strategies = [Strategy.DT if key is None else strategy for key in keys]
     outcomes = np.empty((len(topologies), len(keys), frames_per_topology), np.int8)
     for ti, t in enumerate(topologies):
         outcomes[ti] = np.transpose(
-            [[evaluate_frame(c, key, strat, rate).category
+            [[evaluate_frame(c, key, strat, rate)
               for key, strat in zip(keys, strategies)]
              for c in sample_channels(t, rng, frames_per_topology)])
     return ModeDataset(topologies=tuple(t.label for t in topologies),
@@ -120,11 +120,16 @@ def synthetic_dataset(fer_table, frames_per_topology, rng):
     return ModeDataset(topologies=labels, mode_keys=keys, outcomes=outcomes)
 
 
-def check_sampling(n_samples, segment_len, frames_per_topology):
-    """Raise unless n_samples >= 1 samples of segment_len-frame segments
-    can be drawn from frames_per_topology recorded frames."""
+def check_sampling(n_samples, n_transitions, segment_len, frames_per_topology):
+    """Raise unless n_samples >= 1 samples of n_transitions + 1 >= 1
+    segments of segment_len >= 1 frames each can be drawn from
+    frames_per_topology recorded frames."""
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got n_samples={n_samples}")
+    if n_transitions < 0:
+        raise ValueError(f"n_transitions must be >= 0, got {n_transitions}")
+    if segment_len < 1:
+        raise ValueError(f"segment_len must be >= 1, got {segment_len}")
     if segment_len > frames_per_topology:
         raise SegmentTooLongError(
             f"segment_len {segment_len} exceeds recorded "
@@ -134,7 +139,7 @@ def check_sampling(n_samples, segment_len, frames_per_topology):
 def make_sample(dataset, n_transitions, segment_len, rng):
     """Random time-varying sample: n_transitions+1 segments, topology
     uniform with repetition, frame rows uniform without replacement."""
-    check_sampling(1, segment_len, dataset.frames_per_topology)
+    check_sampling(1, n_transitions, segment_len, dataset.frames_per_topology)
     segments = []
     for _ in range(n_transitions + 1):
         label = dataset.topologies[int(rng.integers(len(dataset.topologies)))]
@@ -146,7 +151,7 @@ def make_sample(dataset, n_transitions, segment_len, rng):
 
 def make_ensemble(dataset, n_samples, n_transitions, segment_len, seed):
     """n_samples independent samples from per-sample substreams."""
-    check_sampling(n_samples, segment_len, dataset.frames_per_topology)
+    check_sampling(n_samples, n_transitions, segment_len, dataset.frames_per_topology)
     return [make_sample(dataset, n_transitions, segment_len,
                         named_rng(seed, "sample", i))
             for i in range(n_samples)]
@@ -177,12 +182,11 @@ def _sample_executor(sample, dataset):
     return execute
 
 
-def replay_policy(policy, sample, dataset, params, rng=None, brute_frames=None):
+def replay_policy(policy, sample, dataset, params, rng=None):
     """Replay one policy over one sample; returns its PolicyRunLog."""
     executor = _sample_executor(sample, dataset)
     return selection.run_policy(policy, executor, dataset.modes, params,
-                                total_frames=sample.total_frames, rng=rng,
-                                brute_frames=brute_frames)
+                                total_frames=sample.total_frames, rng=rng)
 
 
 @dataclass(frozen=True)
@@ -194,7 +198,7 @@ class EnsembleResult:
 
 
 def evaluate_on_ensemble(policy, samples, dataset, params=selection.DEFAULT_PARAMS,
-                         seed=0, brute_frames=None):
+                         seed=0):
     """Ensemble-average FER and switch count of one policy.
 
     Per-sample randomness (RandPick/PWR2 draws) comes from substreams of
@@ -206,8 +210,7 @@ def evaluate_on_ensemble(policy, samples, dataset, params=selection.DEFAULT_PARA
     rows = []
     for idx, sample in enumerate(samples):
         rng = named_rng(seed, "replay", str(policy), idx)
-        log = replay_policy(policy, sample, dataset, params, rng=rng,
-                            brute_frames=brute_frames)
+        log = replay_policy(policy, sample, dataset, params, rng=rng)
         rows.append((idx, log.fer, log.switch_count, log.n_frames))
     avg_fer = math.fsum(r[1] for r in rows) / len(rows)
     avg_switches = math.fsum(r[2] for r in rows) / len(rows)

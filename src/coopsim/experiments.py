@@ -38,6 +38,7 @@ EXPERIMENT_KINDS = {
     "adaptive_compare": "selection policies over a time-varying schedule",
     "ensemble": "ensemble-average FER/switching of selection policies",
     "mac_compare": "paired coop-MAC vs genie-routing emulation",
+    "mac_replay": "MAC delivery over a recorded coop trace and/or path traces",
 }
 
 
@@ -185,26 +186,25 @@ def _relay_count(topologies, path):
 
 def _snr_grid(spec, path):
     form = f"{path}: snr_grid must be start:stop:step or a list of numbers"
+    try:
+        if isinstance(spec, dict):
+            start, stop, step = (float(spec[k]) for k in ("start", "stop", "step"))
+        else:
+            grid = [float(v) for v in spec]
+    except KeyError as e:
+        raise ConfigParseError(f"{form} (missing {e.args[0]!r})") from e
+    except (TypeError, ValueError) as e:
+        raise ConfigParseError(form) from e
     if isinstance(spec, dict):
-        try:
-            start, stop, step = (float(spec["start"]), float(spec["stop"]),
-                                 float(spec["step"]))
-        except KeyError as e:
-            raise ConfigParseError(f"{form} (missing {e.args[0]!r})") from e
-        except (TypeError, ValueError) as e:
-            raise ConfigParseError(form) from e
-        if step <= 0 or stop < start:
-            raise ValidationError(f"{path}: snr_grid needs step > 0 and stop >= start")
+        if not (all(map(math.isfinite, (start, stop, step))) and step > 0
+                and stop >= start):
+            raise ValidationError(f"{path}: snr_grid needs finite start, stop and "
+                                  f"step, step > 0 and stop >= start")
         grid = []
         v = start
         while v <= stop + 1e-9:
             grid.append(round(v, 9))
             v += step
-        return grid
-    try:
-        grid = [float(v) for v in spec]
-    except (TypeError, ValueError) as e:
-        raise ConfigParseError(form) from e
     try:
         outage.check_snr_grid(grid)
     except ValueError as e:
@@ -306,7 +306,7 @@ def _plan_fixed_modes(doc, path, base_dir):
             log = selection.run_policy("DT" if slot is None else slot, executor, (),
                                        total_frames=schedule.total_frames)
             out = place(f"trace_{name}.csv")
-            netsim.write_trace(out, log.outcomes(), labels)
+            netsim.write_trace(out, log.modes, log.categories, labels)
             outputs.append(out)
             summary.append([name, _fmt(log.fer)])
         out = place("summary.csv")
@@ -327,7 +327,7 @@ def _schedule_executor(schedule, topologies, strategy, rate, rng):
     rows = draws()
 
     def execute(mode_key, n):
-        return [netsim.evaluate_frame(c, mode_key, strategy, rate).category
+        return [netsim.evaluate_frame(c, mode_key, strategy, rate)
                 for c in itertools.islice(rows, n)]
 
     return execute
@@ -391,7 +391,7 @@ def _plan_ensemble(doc, path, base_dir):
     segment_len = _int(doc.get("segment_len", 172), "segment_len", path)
     n_samples = _int(doc.get("n_samples", 200), "n_samples", path)
     try:
-        ensemble.check_sampling(n_samples, segment_len, frames)
+        ensemble.check_sampling(n_samples, n_transitions, segment_len, frames)
     except ValueError as e:
         raise ValidationError(f"{path}: {e}") from e
     params = _resolve_params(doc, path)
@@ -425,17 +425,22 @@ def _plan_ensemble(doc, path, base_dir):
             f"topologies x {len(policies)} policies"), run
 
 
+def _mac_policy(doc, path):
+    """The MacPolicy of doc's `mac` block (retransmission limits)."""
+    block = _mapping(doc.get("mac"), ("max_retx_coop", "max_retx_per_link"), "mac", path)
+    try:
+        return macemu.MacPolicy(**{
+            key: _int(block.get(key, default), f"mac {key}", path)
+            for key, default in (("max_retx_coop", 2), ("max_retx_per_link", 4))})
+    except ValueError as e:
+        raise ValidationError(f"{path}: mac: {e}") from e
+
+
 def _plan_mac_compare(doc, path, base_dir):
     topology = _resolve_topology(_need(doc, "topology", path), base_dir, path)
     rate = _rate(doc, path)
-    mac_block = _mapping(doc.get("mac"), ("max_retx_coop", "max_retx_per_link"), "mac", path)
+    policy = _mac_policy(doc, path)
     try:
-        policy = macemu.MacPolicy(
-            max_retx_coop=_int(mac_block.get("max_retx_coop", 2), "mac max_retx_coop",
-                               path),
-            max_retx_per_link=_int(mac_block.get("max_retx_per_link", 4),
-                                   "mac max_retx_per_link", path),
-        )
         scenario = macemu.CoopVsRoutingScenario(
             topology=topology,
             rate=rate,
@@ -463,6 +468,45 @@ def _plan_mac_compare(doc, path, base_dir):
     return f"ok: mac_compare of {scenario.n_packets} packets on {topology.label!r}", run
 
 
+def _read_trace_file(doc, key, read, base_dir, path):
+    """read(file) of the trace file that doc[key] names, relative to
+    base_dir; None if doc names none."""
+    spec = doc.get(key)
+    if spec is None:
+        return None
+    try:
+        return read(os.path.join(base_dir, str(spec)))
+    except FileNotFoundError as e:
+        raise ValidationError(f"{path}: referenced {key} file {spec!r} "
+                              f"does not exist") from e
+    except netsim.TraceFormatError as e:
+        raise ValidationError(f"{path}: {key}: {e}") from e
+
+
+def _plan_mac_replay(doc, path, base_dir):
+    policy = _mac_policy(doc, path)
+    coop = _read_trace_file(doc, "coop_trace", netsim.read_trace, base_dir, path)
+    paths = _read_trace_file(doc, "path_traces", macemu.read_path_traces,
+                             base_dir, path)
+    if coop is None and paths is None:
+        raise ConfigParseError(f"{path}: mac_replay needs coop_trace and/or "
+                               f"path_traces")
+
+    def run(place, seed, threads):
+        outputs = []
+        if coop is not None:
+            outputs.append(place("packets_coop.csv"))
+            macemu.write_packet_csv(outputs[-1], macemu.coop_mac_deliver(*coop, policy))
+        if paths is not None:
+            outputs.append(place("packets_genie.csv"))
+            macemu.write_packet_csv(outputs[-1], macemu.genie_route(paths, policy))
+        return outputs
+
+    replays = ([f"a {len(coop[1])}-frame coop trace"] if coop else []) + (
+        [f"{paths.n_packets} packets on {len(paths.paths)} paths"] if paths else [])
+    return f"ok: mac_replay of {' and '.join(replays)}", run
+
+
 # Each kind's plan and the top-level keys it reads besides kind, seed and
 # out_dir.
 _PLANS = {
@@ -475,6 +519,7 @@ _PLANS = {
                  "n_transitions segment_len n_samples params policies"),
     "mac_compare": (_plan_mac_compare,
                     "topology rate mac n_packets strategy mode_policy params"),
+    "mac_replay": (_plan_mac_replay, "coop_trace path_traces mac"),
 }
 
 
@@ -506,20 +551,6 @@ def validate_config(path):
     return _plan(_load_yaml(path), path, os.path.dirname(os.path.abspath(path)))[1]
 
 
-def write_manifest(path, kind, seed, config, outputs):
-    """Write the JSON manifest of a run (kind, seed, package version, the
-    config document and the output file names) to path; returns path."""
-    manifest = {"kind": kind, "seed": seed, "version": __version__,
-                "config": config, "outputs": [os.path.basename(p) for p in outputs]}
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as e:
-        raise IoError(f"{path}: {e}") from e
-    return path
-
-
 def run_experiment(doc, path, base_dir, place, seed=None, threads=1):
     """Plan and run the experiment document doc.
 
@@ -527,7 +558,8 @@ def run_experiment(doc, path, base_dir, place, seed=None, threads=1):
     resolve against base_dir. Each output `name` (the manifest's is
     "manifest.json") goes to the file place(name); its directory is
     created only once the whole document has been checked. seed overrides
-    the document's seed. Returns the written files, manifest last.
+    the document's seed. Returns the written files, manifest last; the
+    manifest holds the kind, seed, package version, doc and output names.
     """
     kind, _, run, doc_seed = _plan(doc, path, base_dir)
     seed = doc_seed if seed is None else int(seed)
@@ -541,8 +573,17 @@ def run_experiment(doc, path, base_dir, place, seed=None, threads=1):
         return out
 
     outputs = run(place_in_dir, seed, max(1, int(threads)))
-    return outputs + [write_manifest(place_in_dir("manifest.json"), kind, seed,
-                                     doc, outputs)]
+    manifest = place_in_dir("manifest.json")
+    try:
+        with open(manifest, "w", encoding="utf-8") as fh:
+            json.dump({"kind": kind, "seed": seed, "version": __version__,
+                       "config": doc,
+                       "outputs": [os.path.basename(p) for p in outputs]},
+                      fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as e:
+        raise IoError(f"{manifest}: {e}") from e
+    return outputs + [manifest]
 
 
 def run_config(path, out_dir=None, seed=None, threads=1):

@@ -12,8 +12,8 @@ import csv
 from dataclasses import dataclass, field
 
 from . import selection
-from .netsim import (FrameOutcome, Mode, Strategy, enumerate_modes,
-                     evaluate_frame, gapless, mode_key_str, read_csv_rows)
+from .netsim import (Mode, Strategy, enumerate_modes, evaluate_frame, gapless,
+                     mode_key_str, read_csv_rows)
 from .rng import named_rng
 from .topology import sample_channels
 
@@ -77,65 +77,47 @@ class PathTraces:
         return self.paths[0].n_packets
 
 
-def _category(entry):
-    if isinstance(entry, FrameOutcome):
-        return entry.category
-    cat = int(entry)
-    if cat not in (0, 1, 2):
-        raise ValueError(f"category must be 0, 1 or 2, got {entry!r}")
-    return cat
-
-
-def _attempt_label(entry):
-    if isinstance(entry, FrameOutcome):
-        if entry.category == 0:
-            return "direct"
-        return mode_key_str(entry.mode)
-    return "direct" if _category(entry) == 0 else "coop"
-
-
-def coop_mac_deliver(trace, policy=MacPolicy(), n_packets=None):
+def coop_mac_deliver(modes, categories, policy=MacPolicy(), n_packets=None):
     """Deliver packets over a cooperative PHY trace.
 
-    trace yields outcome categories (ints or FrameOutcome). Each packet
-    consumes one entry per attempt: category 0 delivers after the direct
-    slot, category 1 after both slots, category 2 costs both slots and
-    triggers a retransmission until max_retx_coop retries are spent, after
-    which the packet drops. Raises TraceExhaustedError if the trace ends
-    mid-packet (or before n_packets are delivered, when given).
+    The trace is two parallel sequences: frame f was sent on modes[f] (None:
+    plain DT) with outcome category categories[f]. Each packet consumes one
+    frame per attempt: category 0 delivers after the direct slot (labelled
+    "direct"), category 1 after both slots (labelled with the frame's mode),
+    category 2 costs both slots and triggers a retransmission until
+    max_retx_coop retries are spent, after which the packet drops. A
+    category outside 0, 1, 2 is a ValueError. Raises TraceExhaustedError if
+    the trace ends mid-packet (or before n_packets are delivered, when
+    given).
     """
-    it = iter(trace)
+    frames = zip(modes, categories)
     results = []
     while n_packets is None or len(results) < n_packets:
-        try:
-            entry = next(it)
-        except StopIteration:
-            if n_packets is None:
-                break
-            raise TraceExhaustedError(
-                f"trace ended after {len(results)} of {n_packets} packets") from None
         delay = 0.0
         attempts = 0
-        while True:
+        for mode, cat in frames:
             attempts += 1
-            cat = _category(entry)
+            if cat not in (0, 1, 2):
+                raise ValueError(f"category must be 0, 1 or 2, got {cat!r}")
             if cat == 0:
                 results.append(PacketResult(True, delay + policy.airtime_direct_us,
-                                            attempts, _attempt_label(entry)))
+                                            attempts, "direct"))
                 break
             delay += policy.airtime_both_us
             if cat == 1:
-                results.append(PacketResult(True, delay, attempts,
-                                            _attempt_label(entry)))
+                results.append(PacketResult(True, delay, attempts, mode_key_str(mode)))
                 break
             if attempts > policy.max_retx_coop:
                 results.append(PacketResult(False, delay, attempts, ""))
                 break
-            try:
-                entry = next(it)
-            except StopIteration:
+        else:  # the trace has ended
+            if attempts:
                 raise TraceExhaustedError(
-                    f"trace ended mid-packet after {len(results)} packets") from None
+                    f"trace ended mid-packet after {len(results)} packets")
+            if n_packets is not None:
+                raise TraceExhaustedError(
+                    f"trace ended after {len(results)} of {n_packets} packets")
+            break
     return results
 
 
@@ -248,8 +230,8 @@ def _realization_blocks(scenario, mac, rng):
 def _coop_side(scenario, mac, blocks):
     """Run the coop policy over the MAC attempt stream: a packet's attempts
     take successive slots of its block until one succeeds or
-    max_retx_coop + 1 are spent. Returns the policy's run log, whose frames
-    are the attempts in packet order."""
+    max_retx_coop + 1 are spent. Returns the packets that coop_mac_deliver
+    makes of the policy's frames, the attempts in packet order."""
     thr_attempts = mac.max_retx_coop + 1
     n_packets, strategy, rate = scenario.n_packets, scenario.strategy, scenario.rate
     cursor = (0, 0)
@@ -259,16 +241,17 @@ def _coop_side(scenario, mac, blocks):
         p, a = cursor
         categories = []
         while p < n_packets and len(categories) < n:
-            category = evaluate_frame(blocks[p, a], mode_key, strategy, rate).category
+            category = evaluate_frame(blocks[p, a], mode_key, strategy, rate)
             categories.append(category)
             p, a = (p + 1, 0) if category != 2 or a + 1 >= thr_attempts else (p, a + 1)
         cursor = p, a
         return categories
 
     modes = enumerate_modes(scenario.topology.n_relays)
-    return selection.run_policy(scenario.mode_policy, executor, modes,
-                                scenario.spa_params,
-                                total_frames=scenario.n_packets * thr_attempts)
+    log = selection.run_policy(scenario.mode_policy, executor, modes,
+                               scenario.spa_params,
+                               total_frames=scenario.n_packets * thr_attempts)
+    return coop_mac_deliver(log.modes, log.categories, mac, n_packets=n_packets)
 
 
 def _routing_side(scenario, mac, blocks):
@@ -301,9 +284,7 @@ def compare_coop_vs_genie(scenario, policy=MacPolicy(), rng=None, seed=0):
     rng = rng if rng is not None else named_rng(seed, "coop_vs_genie")
     blocks = _realization_blocks(scenario, policy, rng)
 
-    coop_results = coop_mac_deliver(_coop_side(scenario, policy, blocks).outcomes(),
-                                    policy, n_packets=scenario.n_packets)
-
+    coop_results = _coop_side(scenario, policy, blocks)
     genie_results = genie_route(_routing_side(scenario, policy, blocks), policy)
     return ComparisonReport(
         coop_results=tuple(coop_results),

@@ -79,17 +79,6 @@ def parse_mode_key(text):
     return None if str(text).upper() == "DT" else Mode.parse(text)
 
 
-@dataclass(frozen=True)
-class FrameOutcome:
-    """category 0: direct success, 1: cooperative success, 2: failure."""
-    category: int
-    mode: object = None
-
-    def __post_init__(self):
-        if self.category not in (0, 1, 2):
-            raise ValueError(f"category must be 0, 1 or 2, got {self.category}")
-
-
 def enumerate_modes(n_relays):
     """All N one-relay modes in index order, then the C(N,2) two-relay
     modes in lexicographic order."""
@@ -137,9 +126,10 @@ def _phase2_success(c, mode, strategy, rate):
 
 
 def evaluate_frame(c, mode, strategy, rate):
-    """Frame outcome for one (2N+1,) draw c of topology.sample_channels
-    (pure; no draws), so that every mode can be compared on identical
-    per-frame channels.
+    """Outcome category of one frame on the (2N+1,) draw c of
+    topology.sample_channels: 0 direct success, 1 cooperative success,
+    2 failure (pure; no draws), so that every mode can be compared on
+    identical per-frame channels.
     """
     strategy = Strategy.parse(strategy)
     if not (math.isfinite(rate) and rate >= 0):
@@ -151,21 +141,22 @@ def evaluate_frame(c, mode, strategy, rate):
     if mode is not None:
         mode.check_relays((len(c) - 1) // 2)
     if 2.0 ** rate - 1.0 <= c[0]:
-        return FrameOutcome(0, mode)
+        return 0
     if _phase2_success(c, mode, strategy, rate):
-        return FrameOutcome(1, mode)
-    return FrameOutcome(2, mode)
+        return 1
+    return 2
 
 
-def write_trace(path, outcomes, topology_labels=None):
+def write_trace(path, modes, categories, topology_labels=None):
     """Trace CSV shared with macemu/ensemble: frame_index, topology_id,
-    mode, category."""
+    mode, category; frame f was sent on modes[f] with outcome
+    categories[f]."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["frame_index", "topology_id", "mode", "category"])
-        for f, out in enumerate(outcomes):
+        for f, (mode, category) in enumerate(zip(modes, categories)):
             label = topology_labels[f] if topology_labels is not None else ""
-            w.writerow([f, label, mode_key_str(out.mode), out.category])
+            w.writerow([f, label, mode_key_str(mode), category])
 
 
 def read_csv_rows(path, columns, parse):
@@ -207,11 +198,12 @@ def _trace_entry(row):
         category = None
     if category not in (0, 1, 2):
         raise ValueError(f"category must be 0, 1 or 2, got {row['category']!r}")
-    return FrameOutcome(category, parse_mode_key(row["mode"]))
+    return parse_mode_key(row["mode"]), category
 
 
 def read_trace(path):
-    """Read a trace CSV back into FrameOutcome objects; a category that is
-    not 0, 1 or 2, or a mode that does not parse, is a TraceFormatError
-    naming the file and the data row (1-based)."""
-    return read_csv_rows(path, ("mode", "category"), _trace_entry)
+    """Read a trace CSV back as (modes, categories), two parallel lists; a
+    category that is not 0, 1 or 2, or a mode that does not parse, is a
+    TraceFormatError naming the file and the data row (1-based)."""
+    modes, categories = zip(*read_csv_rows(path, ("mode", "category"), _trace_entry))
+    return list(modes), list(categories)

@@ -333,7 +333,10 @@ def _snr_scale(snr_linear, k, normalization):
 
 
 def check_snr_grid(grid):
-    """Raise ValueError unless the SNR grid is nonempty and strictly ascending."""
+    """Raise ValueError unless the SNR grid is nonempty, finite and strictly
+    ascending."""
+    if not all(map(math.isfinite, grid)):
+        raise ValueError(f"snr_grid values must be finite, got {list(grid)}")
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("snr_grid must be nonempty and strictly ascending")
 

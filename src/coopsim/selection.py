@@ -13,7 +13,7 @@ how they pick the next operating mode.
 import math
 from dataclasses import dataclass, field, replace
 
-from .netsim import FrameOutcome, Mode, mode_key_str
+from .netsim import Mode, mode_key_str
 
 
 class DegenerateSetError(ValueError):
@@ -125,11 +125,6 @@ class PolicyRunLog:
     @property
     def switch_count(self):
         return sum(1 for a, b in zip(self.slots, self.slots[1:]) if a != b)
-
-    def outcomes(self):
-        """The frames as FrameOutcome records, in order: the trace that
-        write_trace and macemu.coop_mac_deliver take."""
-        return [FrameOutcome(c, m) for m, c in zip(self.modes, self.categories)]
 
     def to_rows(self):
         """CSV rows: frame_index, mode, category, phase, cumulative_switches."""
@@ -353,17 +348,15 @@ def policy_key(policy):
 
 
 def run_policy(policy, executor, all_modes, params=DEFAULT_PARAMS,
-               total_frames=10_000, rng=None, brute_frames=None):
+               total_frames=10_000, rng=None):
     """Run one selection policy and return its PolicyRunLog.
 
     policy is one of "DT", "BRUTE", "RandPick", "PWR2", "NRNM", "WRNM",
     "SPA", a Mode instance (fixed mode), or "Fixed:<mode>". executor(mode, n)
     returns the categories of n frames sent on mode (None: plain DT) as a
-    list, a short one ending the run. RandPick and PWR2 need rng. brute_frames
-    is the per-mode measurement length of BRUTE/PWR2 (defaults to w).
+    list, a short one ending the run. RandPick and PWR2 need rng. BRUTE and
+    PWR2 probe each candidate for w learning frames.
     """
-    frames_per_probe = params.w if brute_frames is None else int(brute_frames)
-
     key = policy_key(policy)
     if key == "DT" or isinstance(key, Mode):
         mode = None if key == "DT" else key
@@ -378,10 +371,10 @@ def run_policy(policy, executor, all_modes, params=DEFAULT_PARAMS,
     slots = range(1, len(log.keys))
 
     def probe(loop, candidates):
-        """The candidate with the lowest FER over frames_per_probe learning
-        frames each (ties: the earliest)."""
+        """The candidate with the lowest FER over w learning frames each
+        (ties: the earliest)."""
         measure = _learn_runner(loop)
-        fers = [(measure(s, frames_per_probe), k) for k, s in enumerate(candidates)]
+        fers = [(measure(s, params.w), k) for k, s in enumerate(candidates)]
         return candidates[min(fers)[1]]
 
     if key == "BRUTE":

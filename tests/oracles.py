@@ -177,8 +177,8 @@ def schedule_topology_at(schedule, frame_index):
 
 
 def run_fixed(schedule, topologies, mode, strategy, rate, rng):
-    """One FrameOutcome per schedule frame with a fixed mode (None = plain
-    DT); topologies maps schedule labels to Topology objects."""
+    """The outcome category of each schedule frame with a fixed mode
+    (None = plain DT); topologies maps schedule labels to Topology objects."""
     outcomes = []
     for f in range(schedule.total_frames):
         t = topologies[schedule_topology_at(schedule, f)]
@@ -303,12 +303,11 @@ def spa_per_frame(executor, all_modes, params, total_frames, log):
 
 
 def run_policy_per_frame(policy, executor, all_modes, params=DEFAULT_PARAMS,
-                         total_frames=10_000, rng=None, brute_frames=None):
+                         total_frames=10_000, rng=None):
     """selection.run_policy with one executor call per frame: executor(mode)
     returns the frame's category, or raises FrameStreamEnded to end the
     run. Returns a PerFrameRunLog."""
     modes = list(all_modes)
-    frames_per_probe = params.w if brute_frames is None else int(brute_frames)
 
     key = policy_key(policy)
     if key == "DT" or isinstance(key, Mode):
@@ -325,7 +324,7 @@ def run_policy_per_frame(policy, executor, all_modes, params=DEFAULT_PARAMS,
 
     def probe(loop, candidates):
         measure = _learn_runner(loop)
-        fers = [(measure(m, frames_per_probe), k) for k, m in enumerate(candidates)]
+        fers = [(measure(m, params.w), k) for k, m in enumerate(candidates)]
         return candidates[min(fers)[1]]
 
     if key == "BRUTE":

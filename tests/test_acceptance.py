@@ -270,7 +270,7 @@ def test_acceptance_9_strategy_ordering():
         mode = netsim.Mode((1,))
         for _ in range(10_000):
             c = sample_channels(t, draw_rng)
-            cats = {s: netsim.evaluate_frame(c, mode, s, 1.0).category
+            cats = {s: netsim.evaluate_frame(c, mode, s, 1.0)
                     for s in errs}
             for s in errs:
                 errs[s] += cats[s] == 2

@@ -3,6 +3,7 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 import yaml
 
@@ -10,6 +11,8 @@ from coopsim import __version__
 from coopsim.cli import main
 from coopsim.experiments import (ValidationError, list_experiments,
                                  run_config, validate_config)
+from coopsim.macemu import PathTrace, PathTraces, write_path_traces
+from coopsim.netsim import enumerate_modes, write_trace
 
 
 def write_yaml(path, doc):
@@ -120,6 +123,10 @@ class TestValidate:
          "same relay count, got relay counts [2, 3]"),
         ("ensemble", {"topologies": []}, "need one or more topologies"),
         ("outage_sweep", {"k_values": []}, "k_values must name at least one k"),
+        ("ensemble", {"n_transitions": -1}, "n_transitions must be >= 0, got -1"),
+        ("ensemble", {"segment_len": 0}, "segment_len must be >= 1, got 0"),
+        ("ensemble", {"frames_per_topology": 0, "segment_len": 0},
+         "segment_len must be >= 1, got 0"),
     ])
     def test_rejects_what_the_run_rejects(self, tmp_path, capsys, kind,
                                           override, message):
@@ -156,9 +163,9 @@ class TestValidate:
     def test_list_kinds(self, capsys):
         assert main(["validate", "--list"]) == 0
         out = capsys.readouterr().out
-        assert len(list_experiments()) == 5
+        assert len(list_experiments()) == 6
         for kind in ("outage_sweep", "fixed_modes", "adaptive_compare",
-                     "ensemble", "mac_compare"):
+                     "ensemble", "mac_compare", "mac_replay"):
             assert kind in out
 
 
@@ -211,6 +218,19 @@ class TestRunCommand:
         assert capsys.readouterr().err == "error: TypeError: boom\n"
 
 
+def write_mac_traces(directory):
+    """coop.csv, a 300-frame coop trace ending on a delivered packet, and
+    paths.csv, path traces of 40 packets over S-D and S-R1-D, in directory."""
+    rng = np.random.default_rng(6)
+    modes = [None] + enumerate_modes(2)
+    write_trace(directory / "coop.csv", [modes[f % 4] for f in range(300)],
+                rng.integers(0, 3, size=299).tolist() + [0])
+    hops = [tuple(tuple(bool(v) for v in attempts)
+                  for attempts in rng.random((40, 5)) < 0.5) for _ in range(2)]
+    write_path_traces(directory / "paths.csv", PathTraces((
+        PathTrace("S-D", tuple(hops[:1])), PathTrace("S-R1-D", tuple(hops)))))
+
+
 def flags_and_config(tmp_path):
     """For each flag subcommand: its argv, the equivalent config document
     (paths relative to tmp_path) and the config run's primary output."""
@@ -218,6 +238,7 @@ def flags_and_config(tmp_path):
     write_yaml(tmp_path / "s.yaml", schedule_doc())
     for name, topo in zip(("a.yaml", "b.yaml"), schedule_doc()["topologies"]):
         write_yaml(tmp_path / name, topo)
+    write_mac_traces(tmp_path)
     return {
         "outage": (
             ["outage", "--topology", str(tmp_path / "t.yaml"), "--rate", "1.0",
@@ -243,12 +264,20 @@ def flags_and_config(tmp_path):
              "rate": 1.0, "frames_per_topology": 120, "segment_len": 40,
              "n_transitions": 2, "n_samples": 6, "policies": ["SPA", "Fixed:R1"]},
             "ensemble.csv"),
+        "mac": (
+            ["mac", "--coop-trace", str(tmp_path / "coop.csv"),
+             "--path-traces", str(tmp_path / "paths.csv"), "--max-retx", "1",
+             "--max-retx-per-link", "3"],
+            {"kind": "mac_replay", "coop_trace": "coop.csv",
+             "path_traces": "paths.csv",
+             "mac": {"max_retx_coop": 1, "max_retx_per_link": 3}},
+            "packets_coop.csv"),
     }
 
 
 class TestFlagPipeline:
     @pytest.mark.parametrize("command, threads", [
-        ("outage", 1), ("outage", 2), ("run", 1), ("ensemble", 1)])
+        ("outage", 1), ("outage", 2), ("run", 1), ("ensemble", 1), ("mac", 1)])
     def test_flags_write_what_the_config_writes(self, tmp_path, command, threads):
         argv, doc, primary = flags_and_config(tmp_path)[command]
         out = tmp_path / "flags" / "out.csv"
@@ -282,6 +311,22 @@ class TestFlagPipeline:
          "must be start:stop:step or a list of numbers"),
         ("outage", ["--k", "a"], {"k_values": ["a"]},
          "must be a list of integers"),
+        ("outage", ["--snr-grid", "nan"], {"snr_grid": [float("nan")]},
+         "snr_grid values must be finite"),
+        ("outage", ["--snr-grid", "0,inf"], {"snr_grid": [0.0, float("inf")]},
+         "snr_grid values must be finite"),
+        ("outage", ["--snr-grid", "nan:10:5"],
+         {"snr_grid": {"start": float("nan"), "stop": 10.0, "step": 5.0}},
+         "snr_grid needs finite start, stop and step"),
+        ("outage", ["--snr-grid", "0:inf:5"],
+         {"snr_grid": {"start": 0.0, "stop": float("inf"), "step": 5.0}},
+         "snr_grid needs finite start, stop and step"),
+        ("mac", ["--max-retx", "-1"],
+         {"mac": {"max_retx_coop": -1, "max_retx_per_link": 4}},
+         "mac: retransmission limits must be >= 0"),
+        ("mac", ["--max-retx-per-link", "-2"],
+         {"mac": {"max_retx_coop": 2, "max_retx_per_link": -2}},
+         "mac: retransmission limits must be >= 0"),
     ])
     def test_flags_reject_what_the_config_rejects(self, tmp_path, capsys,
                                                   command, flags, override,
@@ -371,31 +416,56 @@ class TestRunConfig:
     def test_cli_exit_code_for_missing_config(self, capsys):
         assert main(["run", "--config", "does-not-exist.yaml"]) == 2
 
-    def test_mac_subcommand_end_to_end(self, tmp_path):
-        import numpy as np
-
-        from coopsim.macemu import PathTrace, PathTraces, write_path_traces
-        from coopsim.netsim import FrameOutcome, write_trace
-        rng = np.random.default_rng(6)
-        trace = [FrameOutcome(int(c)) for c in rng.integers(0, 3, size=299)]
-        trace.append(FrameOutcome(0))  # end on a delivered packet
-        coop_path = tmp_path / "trace.csv"
-        write_trace(coop_path, trace)
-        hops = tuple(
-            tuple(tuple(bool(rng.random() < 0.5) for _ in range(5))
-                  for _ in range(40))
-            for _ in range(2))
-        paths_path = tmp_path / "paths.csv"
-        write_path_traces(paths_path, PathTraces((PathTrace("S-R1-D", hops),)))
+    def test_mac_subcommand_end_to_end(self, tmp_path, capsys):
+        write_mac_traces(tmp_path)
         out = tmp_path / "packets.csv"
-        rc = main(["mac", "--coop-trace", str(coop_path),
-                   "--path-traces", str(paths_path), "--max-retx", "2",
+        rc = main(["mac", "--coop-trace", str(tmp_path / "coop.csv"),
+                   "--path-traces", str(tmp_path / "paths.csv"), "--max-retx", "2",
                    "--out", str(out)])
         assert rc == 0
+        genie = f"{out}.packets_genie.csv"
+        manifest = f"{out}.manifest.json"
+        assert capsys.readouterr().out.split() == [str(out), genie, manifest]
         assert read_rows(out)[0] == ["packet_index", "delivered", "attempts",
                                      "delay_us", "path_or_mode"]
-        genie_rows = read_rows(tmp_path / "packets_genie.csv")
-        assert len(genie_rows) == 41
+        assert len(read_rows(genie)) == 41
+        assert json.loads(open(manifest).read())["kind"] == "mac_replay"
+
+    def test_mac_path_traces_alone_go_to_out(self, tmp_path):
+        write_mac_traces(tmp_path)
+        out = tmp_path / "genie.csv"
+        assert main(["mac", "--path-traces", str(tmp_path / "paths.csv"),
+                     "--out", str(out)]) == 0
+        assert len(read_rows(out)) == 41
+        assert sorted(os.listdir(tmp_path)) == ["coop.csv", "genie.csv",
+                                                "genie.csv.manifest.json",
+                                                "paths.csv"]
+
+    def test_mac_replay_config(self, tmp_path):
+        write_mac_traces(tmp_path)
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "kind": "mac_replay", "coop_trace": "coop.csv",
+            "path_traces": "paths.csv", "out_dir": "m"})
+        assert validate_config(cfg) == ("ok: mac_replay of a 300-frame coop trace "
+                                        "and 40 packets on 2 paths")
+        files = run_config(cfg)
+        assert [os.path.basename(f) for f in files] == [
+            "packets_coop.csv", "packets_genie.csv", "manifest.json"]
+        assert len(read_rows(files[1])) == 41
+
+    def test_mac_needs_a_trace(self, tmp_path, capsys):
+        assert main(["mac", "--out", str(tmp_path / "packets.csv")]) == 2
+        assert "needs coop_trace and/or path_traces" in capsys.readouterr().err
+        cfg = write_yaml(tmp_path / "c.yaml", {"kind": "mac_replay"})
+        assert main(["validate", cfg]) == 2
+        assert not os.path.exists(tmp_path / "packets.csv")
+
+    def test_mac_missing_trace_file(self, tmp_path, capsys):
+        cfg = write_yaml(tmp_path / "c.yaml", {"kind": "mac_replay",
+                                               "coop_trace": "nope.csv"})
+        assert main(["validate", cfg]) == 2
+        assert "referenced coop_trace file 'nope.csv' does not exist" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, text, message", [
         ("--coop-trace", "frame_index,topology_id,mode,category\n",
@@ -429,6 +499,12 @@ class TestRunConfig:
                      "--out", str(tmp_path / "packets.csv")]) == 2
         err = capsys.readouterr().err
         assert str(trace) in err and message in err
+        cfg = write_yaml(tmp_path / "c.yaml", {"kind": "mac_replay",
+                                               flag[2:].replace("-", "_"): "trace.csv"})
+        assert main(["validate", cfg]) == 2
+        err = capsys.readouterr().err
+        assert str(trace) in err and message in err
+        assert not (tmp_path / "packets.csv").exists()
 
     def test_threads_do_not_change_results(self, tmp_path):
         topo = write_yaml(tmp_path / "t.yaml", topo_doc())

@@ -71,18 +71,17 @@ class TestRecordDataset:
             record_dataset(tops, "DIQIF", 1.0, 10, named_rng(0, "m"))
 
     def test_full_recording_volume(self):
-        # 10 topologies x 6 modes x 860 frames of mode outcomes
+        # 10 topologies x (DT + 6 modes) x 860 frames of mode outcomes
         rng = np.random.default_rng(31)
         tops = [Topology.from_snr(float(rng.uniform(0.1, 3)),
                                   rng.uniform(0.1, 3, 3).tolist(),
                                   rng.uniform(0.1, 3, 3).tolist(),
                                   label=f"t{i}") for i in range(10)]
-        d = record_dataset(tops, "DIQIF", 1.0, 860, named_rng(4, "vol"),
-                           include_dt=False)
+        d = record_dataset(tops, "DIQIF", 1.0, 860, named_rng(4, "vol"))
         assert len(d.modes) == 6
         total = sum(len(d.outcomes[t, m]) for t in range(len(d.topologies))
                     for m in range(len(d.mode_keys)))
-        assert total == 51_600
+        assert total == 60_200
 
 
 class TestSamples:

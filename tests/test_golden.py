@@ -1,6 +1,6 @@
-"""Golden outputs: every CSV that small runs of the five experiment kinds
-and one `coopsim mac` flag run write, compared by SHA-256 with digests
-recorded from coopsim 0.3.0.
+"""Golden outputs: every CSV that small runs of the experiment kinds write
+(mac_replay through one `coopsim mac` flag run), compared by SHA-256 with
+digests recorded from coopsim 0.3.0.
 
 Acceptance 10 only shows that a rerun reproduces itself; this test shows
 that output stays byte-identical from one version of the code to the
@@ -186,7 +186,7 @@ GOLDEN = {
     'mac_flags': {
         'packets.csv':
             '2aebc6b38cd47d33e298684c5b86f5333fc088ba281278f4c807284dc5ccd0ad',
-        'packets_genie.csv':
+        'packets.csv.packets_genie.csv':
             '86570bc1e102e90a70ad9437b8a42db0f9b5b1fd0ca7cdc62e8ce49ed7233491',
     },
     'mac_spa': {
@@ -251,7 +251,7 @@ def _run_mac_flags(tmp_dir):
     assert main(["mac", "--coop-trace", coop, "--path-traces", paths,
                  "--max-retx", "2", "--max-retx-per-link", "3",
                  "--out", out]) == 0
-    return _digests([out, os.path.join(tmp_dir, "mac", "packets_genie.csv")])
+    return _digests([out, f"{out}.packets_genie.csv"])
 
 
 def _run(name, tmp_dir):

@@ -7,51 +7,53 @@ from coopsim.macemu import (CoopVsRoutingScenario, MacPolicy, PacketResult,
                             PathTrace, PathTraces, TraceExhaustedError,
                             compare_coop_vs_genie, coop_mac_deliver, drop_rate,
                             genie_route, throughput_proxy)
-from coopsim.netsim import FrameOutcome, Mode
+from coopsim.netsim import Mode
 from coopsim.topology import Topology
 from oracles import genie_route_brute_force
 
 POLICY = MacPolicy()
 
 
+R1, R1R2 = Mode((1,)), Mode((1, 2))
+
+
 class TestCoopDeliver:
     def test_direct_success(self):
-        (r,) = coop_mac_deliver([0], POLICY)
+        (r,) = coop_mac_deliver([R1], [0], POLICY)
         assert r == PacketResult(True, 180.0, 1, "direct")
 
     def test_coop_success(self):
-        (r,) = coop_mac_deliver([1], POLICY)
-        assert (r.delivered, r.total_delay_us, r.attempts) == (True, 372.0, 1)
+        (r,) = coop_mac_deliver([R1], [1], POLICY)
+        assert r == PacketResult(True, 372.0, 1, "R1")
 
     def test_retry_then_coop(self):
-        (r,) = coop_mac_deliver([2, 1], POLICY)
-        assert (r.delivered, r.total_delay_us, r.attempts) == (True, 744.0, 2)
+        (r,) = coop_mac_deliver([None, None], [2, 1], POLICY)
+        assert r == PacketResult(True, 744.0, 2, "DT")
 
     def test_retry_then_direct(self):
-        (r,) = coop_mac_deliver([2, 0], POLICY)
+        (r,) = coop_mac_deliver([R1, R1], [2, 0], POLICY)
         assert (r.delivered, r.total_delay_us, r.attempts) == (True, 552.0, 2)
 
     def test_drop_after_max_retransmissions(self):
-        (r,) = coop_mac_deliver([2, 2, 2], POLICY)
-        assert (r.delivered, r.total_delay_us, r.attempts) == (False, 1116.0, 3)
+        (r,) = coop_mac_deliver([R1] * 3, [2, 2, 2], POLICY)
+        assert r == PacketResult(False, 1116.0, 3, "")
 
     def test_multiple_packets_and_exhaustion(self):
-        rs = coop_mac_deliver([0, 2, 1, 0], POLICY)
+        rs = coop_mac_deliver([R1] * 4, [0, 2, 1, 0], POLICY)
         assert [r.attempts for r in rs] == [1, 2, 1]
         with pytest.raises(TraceExhaustedError):
-            coop_mac_deliver([0, 2], POLICY)  # second packet needs a retry
+            coop_mac_deliver([R1] * 2, [0, 2], POLICY)  # second packet needs a retry
         with pytest.raises(TraceExhaustedError):
-            coop_mac_deliver([0], POLICY, n_packets=2)
+            coop_mac_deliver([R1], [0], POLICY, n_packets=2)
 
-    def test_mode_labels_from_frame_outcomes(self):
-        trace = [FrameOutcome(2, Mode((1,))), FrameOutcome(1, Mode((1, 2)))]
-        (r,) = coop_mac_deliver(trace, POLICY)
+    def test_label_is_the_mode_of_the_delivering_frame(self):
+        (r,) = coop_mac_deliver([R1, R1R2], [2, 1], POLICY)
         assert r.path_or_mode == "R1R2"
 
     def test_delay_composition_invariant(self, rng):
         # every coop delay is a*180 + b*372 with a in {0,1}, b >= 0
         trace = list(rng.integers(0, 3, size=2000))
-        for r in coop_mac_deliver(trace, POLICY):
+        for r in coop_mac_deliver([R1] * len(trace), trace, POLICY):
             rem = r.total_delay_us
             a = 1 if r.delivered and rem % 372.0 == 180.0 else 0
             b = (rem - a * 180.0) / 372.0
@@ -59,11 +61,11 @@ class TestCoopDeliver:
 
     def test_rejects_categories_outside_0_1_2(self):
         with pytest.raises(ValueError, match="got 7"):
-            coop_mac_deliver([7, 0], POLICY)
+            coop_mac_deliver([R1, R1], [7, 0], POLICY)
 
     def test_configurable_retx(self):
         p = MacPolicy(max_retx_coop=0)
-        (r,) = coop_mac_deliver([2, 0], p, n_packets=1)
+        (r,) = coop_mac_deliver([R1, R1], [2, 0], p, n_packets=1)
         assert not r.delivered and r.attempts == 1
 
 
@@ -178,14 +180,14 @@ class TestMetrics:
         assert drop_rate(rs) * 100 == pytest.approx(0.023, abs=5e-4)
 
     def test_throughput_all_direct(self):
-        rs = coop_mac_deliver([0] * 100, POLICY)
+        rs = coop_mac_deliver([R1] * 100, [0] * 100, POLICY)
         bps = throughput_proxy(rs, POLICY)
         assert bps == pytest.approx(7776 / 180e-6)
         assert bps == pytest.approx(43.2e6, rel=1e-3)
 
     def test_throughput_bounded_by_direct_rate(self, rng):
         trace = list(rng.integers(0, 3, size=3000))
-        rs = coop_mac_deliver(trace, POLICY)
+        rs = coop_mac_deliver([R1] * len(trace), trace, POLICY)
         assert throughput_proxy(rs, POLICY) <= 7776 / 180e-6 + 1e-6
 
 

@@ -59,14 +59,14 @@ class TestSimulateFrame:
         rng = named_rng(0, "hisnr")
         outs = [evaluate_frame(sample_channels(t, rng), Mode((1,)), Strategy.DIQIF, 1.0)
                 for _ in range(10_000)]
-        assert sum(1 for o in outs if o.category == 0) >= 9990
+        assert outs.count(0) >= 9990
 
     def test_dead_direct_link_dt_fails(self):
         t = Topology.from_snr(1e-9, [1.0], [1.0])
         rng = named_rng(0, "dead")
         outs = [evaluate_frame(sample_channels(t, rng), None, Strategy.DT, 1.0)
                 for _ in range(2_000)]
-        assert sum(1 for o in outs if o.category == 2) >= 1995
+        assert outs.count(2) >= 1995
 
     def test_dead_direct_diqif_matches_outage_oracle(self):
         # with the direct link off, DIQIF failure coincides with cut-set
@@ -77,8 +77,8 @@ class TestSimulateFrame:
         n = 20_000
         outs = [evaluate_frame(sample_channels(t, rng), Mode((1,)), Strategy.DIQIF, rate)
                 for _ in range(n)]
-        assert all(o.category in (1, 2) for o in outs)
-        fer = sum(1 for o in outs if o.category == 2) / n
+        assert all(o in (1, 2) for o in outs)
+        fer = outs.count(2) / n
         q = OutageQuery(rate=rate, subset=(1,), mc_samples=200_000)
         est, se = outage_monte_carlo(t, q, named_rng(2, "oracle"))
         sigma = math.sqrt(se ** 2 + fer * (1 - fer) / n)
@@ -93,7 +93,7 @@ class TestSimulateFrame:
             outs = [evaluate_frame(sample_channels(t, run_rng), Mode((1, 2)),
                                    Strategy.DIF, rate)
                     for _ in range(n)]
-            p0 = sum(1 for o in outs if o.category == 0) / n
+            p0 = outs.count(0) / n
             expected = 1 - direct_outage(t.lambda_sd, rate)
             se = math.sqrt(expected * (1 - expected) / n)
             assert abs(p0 - expected) <= 3 * se
@@ -118,8 +118,8 @@ class TestStrategyOrdering:
             t = random_topology(rng, 2)
             c = sample_channels(t, rng)
             for mode in enumerate_modes(2):
-                dif = evaluate_frame(c, mode, Strategy.DIF, 1.0).category
-                diqif = evaluate_frame(c, mode, Strategy.DIQIF, 1.0).category
+                dif = evaluate_frame(c, mode, Strategy.DIF, 1.0)
+                diqif = evaluate_frame(c, mode, Strategy.DIQIF, 1.0)
                 assert (diqif == 2) <= (dif == 2)
 
     def test_one_relay_chain_pointwise(self, rng):
@@ -127,9 +127,9 @@ class TestStrategyOrdering:
         for _ in range(2_000):
             t = random_topology(rng, 1)
             c = sample_channels(t, rng)
-            dt = evaluate_frame(c, Mode((1,)), Strategy.DT, 1.0).category
-            dif = evaluate_frame(c, Mode((1,)), Strategy.DIF, 1.0).category
-            diqif = evaluate_frame(c, Mode((1,)), Strategy.DIQIF, 1.0).category
+            dt = evaluate_frame(c, Mode((1,)), Strategy.DT, 1.0)
+            dif = evaluate_frame(c, Mode((1,)), Strategy.DIF, 1.0)
+            diqif = evaluate_frame(c, Mode((1,)), Strategy.DIQIF, 1.0)
             assert (diqif == 2) <= (dif == 2) <= (dt == 2)
 
     def test_seed_paired_fer_ordering(self):
@@ -140,17 +140,17 @@ class TestStrategyOrdering:
             fers = {}
             for strat in (Strategy.DT, Strategy.DIF, Strategy.DIQIF):
                 errs = sum(1 for c in draws
-                           if evaluate_frame(c, Mode((1,)), strat, 1.0).category == 2)
+                           if evaluate_frame(c, Mode((1,)), strat, 1.0) == 2)
                 fers[strat] = errs / len(draws)
             assert fers[Strategy.DIQIF] <= fers[Strategy.DIF] <= fers[Strategy.DT]
 
 
 def run_fixed(schedule, topologies, mode, strategy, rate, rng):
-    """A fixed-mode run over the schedule, as fixed_modes runs it."""
+    """The run log of a fixed-mode run over the schedule, as fixed_modes
+    runs it."""
     executor = _schedule_executor(schedule, topologies, strategy, rate, rng)
-    log = run_policy("DT" if mode is None else mode, executor, (),
-                     total_frames=schedule.total_frames)
-    return log.outcomes()
+    return run_policy("DT" if mode is None else mode, executor, (),
+                      total_frames=schedule.total_frames)
 
 
 class TestRunFixed:
@@ -165,9 +165,9 @@ class TestRunFixed:
 
     def test_one_outcome_per_frame(self):
         sched, tops = self._schedule()
-        outs = run_fixed(sched, tops, Mode((1,)), Strategy.DIQIF, 1.0,
-                         named_rng(0, "fixed"))
-        assert len(outs) == 860
+        log = run_fixed(sched, tops, Mode((1,)), Strategy.DIQIF, 1.0,
+                        named_rng(0, "fixed"))
+        assert len(log.modes) == len(log.categories) == 860
 
     def test_same_seed_same_trace(self):
         sched, tops = self._schedule()
@@ -175,19 +175,19 @@ class TestRunFixed:
                       named_rng(5, "trace"))
         b = run_fixed(sched, tops, Mode((1, 2)), Strategy.DIF, 1.0,
                       named_rng(5, "trace"))
-        assert a == b
+        assert (a.modes, a.categories) == (b.modes, b.categories)
 
     def test_trace_csv_roundtrip(self, tmp_path):
         sched, tops = self._schedule()
-        outs = run_fixed(sched, tops, Mode((1,)), Strategy.DIQIF, 1.0,
-                         named_rng(1, "csv"))
+        log = run_fixed(sched, tops, Mode((1,)), Strategy.DIQIF, 1.0,
+                        named_rng(1, "csv"))
         labels = [oracles.schedule_topology_at(sched, f)
                   for f in range(sched.total_frames)]
         path = tmp_path / "trace.csv"
-        write_trace(path, outs, labels)
-        back = read_trace(path)
-        assert [o.category for o in back] == [o.category for o in outs]
-        assert [o.mode for o in back] == [o.mode for o in outs]
+        write_trace(path, log.modes, log.categories, labels)
+        modes, categories = read_trace(path)
+        assert categories == log.categories
+        assert modes == log.modes
 
 
 @st.composite
@@ -237,10 +237,10 @@ def test_fixed_runs_match_per_frame_oracle(schedule, strategy, rate, seed):
             fixed = oracles.run_fixed(sched, tops, slot, strategy, rate,
                                       named_rng(seed, "fixed", name))
             assert _csv_rows(os.path.join(tmp, "fixed_modes", f"trace_{name}.csv")) == [
-                [str(f), labels[f], name, str(o.category)] for f, o in enumerate(fixed)]
+                [str(f), labels[f], name, str(c)] for f, c in enumerate(fixed)]
             adaptive = oracles.run_fixed(sched, tops, slot, strategy, rate,
                                          named_rng(seed, "frames", policy))
             runlog = os.path.join(tmp, "adaptive_compare",
                                   f"runlog_{policy.replace(':', '_')}.csv")
             assert [row[1:3] for row in _csv_rows(runlog)] == [
-                [name, str(o.category)] for o in adaptive]
+                [name, str(c)] for c in adaptive]

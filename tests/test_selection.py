@@ -286,9 +286,8 @@ class TestRunPolicy:
         rng = np.random.default_rng(9)
         def execute(mode):
             return 2 if rng.random() < fers[mode] else 0
-        log = run_policy("PWR2", per_frame(execute), modes, SpaParams(r=2, w=20),
-                         total_frames=600, rng=np.random.default_rng(1),
-                         brute_frames=40)
+        log = run_policy("PWR2", per_frame(execute), modes, SpaParams(r=2, w=40),
+                         total_frames=600, rng=np.random.default_rng(1))
         assert log.triggers
         tail = [m for m, phase in zip(log.modes[-50:], log.phases[-50:])
                 if phase == "operating"]
@@ -348,7 +347,7 @@ class TestRunPolicy:
 
 @st.composite
 def planted_runs(draw):
-    """(modes, outcome table, SpaParams, budget, brute_frames): 2-10 modes
+    """(modes, outcome table, SpaParams, budget): 2-10 modes
     behind slot 0 (plain DT), each slot's frames failing at a planted FER
     (0 and 1 included), the table shorter or longer than the budget."""
     modes = tuple(enumerate_modes(4)[:draw(st.integers(2, 10))])
@@ -368,8 +367,7 @@ def planted_runs(draw):
                        delta_w=draw(st.integers(1, 4)), s=draw(st.integers(0, 3)),
                        learn=learn_params)
     budget = draw(st.integers(1, 130))
-    brute_frames = draw(st.none() | st.integers(1, 5))
-    return modes, table, params, budget, brute_frames
+    return modes, table, params, budget
 
 
 def frame_executor(table, keys):
@@ -394,7 +392,7 @@ class TestBlockLoop:
         # the block loop (one executor call per operating run, extension,
         # probe, LEARN batch and fixed-mode run) must record frame for frame
         # what one executor call per frame records
-        modes, table, params, budget, brute_frames = run
+        modes, table, params, budget = run
         keys = (None, *modes)
         dataset = ModeDataset(topologies=("T",), mode_keys=keys,
                               outcomes=table[None])
@@ -402,11 +400,10 @@ class TestBlockLoop:
         for policy in (*BASELINE_POLICIES, f"Fixed:{modes[-1]}"):
             log = run_policy(policy, _sample_executor(sample, dataset), modes,
                              params, total_frames=budget,
-                             rng=np.random.default_rng(5), brute_frames=brute_frames)
+                             rng=np.random.default_rng(5))
             ref = run_policy_per_frame(policy, frame_executor(table, keys), modes,
                                        params, total_frames=budget,
-                                       rng=np.random.default_rng(5),
-                                       brute_frames=brute_frames)
+                                       rng=np.random.default_rng(5))
             assert log.policy == ref.policy
             assert log.modes == ref.modes
             assert log.categories == ref.categories
