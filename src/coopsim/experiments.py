@@ -184,6 +184,9 @@ def _relay_count(topologies, path):
     return counts[0]
 
 
+_MAX_SNR_POINTS = 100_000
+
+
 def _snr_grid(spec, path):
     form = f"{path}: snr_grid must be start:stop:step or a list of numbers"
     try:
@@ -200,6 +203,10 @@ def _snr_grid(spec, path):
                 and stop >= start):
             raise ValidationError(f"{path}: snr_grid needs finite start, stop and "
                                   f"step, step > 0 and stop >= start")
+        points = (stop - start) / step + 1
+        if points > _MAX_SNR_POINTS:
+            raise ValidationError(f"{path}: snr_grid range has {points:,.0f} points, "
+                                  f"more than {_MAX_SNR_POINTS:,}")
         grid = []
         v = start
         while v <= stop + 1e-9:
@@ -468,42 +475,50 @@ def _plan_mac_compare(doc, path, base_dir):
     return f"ok: mac_compare of {scenario.n_packets} packets on {topology.label!r}", run
 
 
-def _read_trace_file(doc, key, read, base_dir, path):
-    """read(file) of the trace file that doc[key] names, relative to
-    base_dir; None if doc names none."""
+def _replay_trace_file(doc, key, read, replay, base_dir, path):
+    """(trace, replay(trace)) of the trace file trace = read(file) that
+    doc[key] names, relative to base_dir; None if doc names none. A missing
+    or malformed file, and a trace that replay rejects (too few attempts
+    recorded, a trace that ends mid-packet), is a ValidationError naming
+    the file."""
     spec = doc.get(key)
     if spec is None:
         return None
+    file = os.path.join(base_dir, str(spec))
     try:
-        return read(os.path.join(base_dir, str(spec)))
+        trace = read(file)
+        return trace, replay(trace)
     except FileNotFoundError as e:
         raise ValidationError(f"{path}: referenced {key} file {spec!r} "
                               f"does not exist") from e
     except netsim.TraceFormatError as e:
         raise ValidationError(f"{path}: {key}: {e}") from e
+    except (ValueError, macemu.TraceExhaustedError) as e:
+        raise ValidationError(f"{path}: {key}: {file}: {e}") from e
 
 
 def _plan_mac_replay(doc, path, base_dir):
     policy = _mac_policy(doc, path)
-    coop = _read_trace_file(doc, "coop_trace", netsim.read_trace, base_dir, path)
-    paths = _read_trace_file(doc, "path_traces", macemu.read_path_traces,
-                             base_dir, path)
+    coop = _replay_trace_file(doc, "coop_trace", netsim.read_trace,
+                              lambda trace: macemu.coop_mac_deliver(*trace, policy),
+                              base_dir, path)
+    paths = _replay_trace_file(doc, "path_traces", macemu.read_path_traces,
+                               lambda traces: macemu.genie_route(traces, policy),
+                               base_dir, path)
     if coop is None and paths is None:
         raise ConfigParseError(f"{path}: mac_replay needs coop_trace and/or "
                                f"path_traces")
 
     def run(place, seed, threads):
         outputs = []
-        if coop is not None:
-            outputs.append(place("packets_coop.csv"))
-            macemu.write_packet_csv(outputs[-1], macemu.coop_mac_deliver(*coop, policy))
-        if paths is not None:
-            outputs.append(place("packets_genie.csv"))
-            macemu.write_packet_csv(outputs[-1], macemu.genie_route(paths, policy))
+        for name, replayed in (("packets_coop.csv", coop), ("packets_genie.csv", paths)):
+            if replayed is not None:
+                outputs.append(place(name))
+                macemu.write_packet_csv(outputs[-1], replayed[1])
         return outputs
 
-    replays = ([f"a {len(coop[1])}-frame coop trace"] if coop else []) + (
-        [f"{paths.n_packets} packets on {len(paths.paths)} paths"] if paths else [])
+    replays = ([f"a {len(coop[0][1])}-frame coop trace"] if coop else []) + (
+        [f"{paths[0].n_packets} packets on {len(paths[0].paths)} paths"] if paths else [])
     return f"ok: mac_replay of {' and '.join(replays)}", run
 
 

@@ -12,7 +12,7 @@ import csv
 from dataclasses import dataclass, field
 
 from . import selection
-from .netsim import (Mode, Strategy, enumerate_modes, evaluate_frame, gapless,
+from .netsim import (Mode, Strategy, enumerate_modes, evaluate_frames, gapless,
                      mode_key_str, read_csv_rows)
 from .rng import named_rng
 from .topology import sample_channels
@@ -231,23 +231,32 @@ def _coop_side(scenario, mac, blocks):
     """Run the coop policy over the MAC attempt stream: a packet's attempts
     take successive slots of its block until one succeeds or
     max_retx_coop + 1 are spent. Returns the packets that coop_mac_deliver
-    makes of the policy's frames, the attempts in packet order."""
+    makes of the policy's frames, the attempts in packet order.
+
+    Every mode slot's categories of attempt a of packet p are evaluated
+    up front, one evaluate_frames pass per slot, into a bytes table at
+    p * thr_attempts + a (indexing bytes gives the int category)."""
     thr_attempts = mac.max_retx_coop + 1
-    n_packets, strategy, rate = scenario.n_packets, scenario.strategy, scenario.rate
+    n_packets = scenario.n_packets
+    modes = enumerate_modes(scenario.topology.n_relays)
+    frames = blocks[:, :thr_attempts]
+    tables = {slot: evaluate_frames(frames, slot, scenario.strategy,
+                                    scenario.rate).tobytes()
+              for slot in (None, *modes)}
     cursor = (0, 0)
 
     def executor(mode_key, n):
         nonlocal cursor
+        table = tables[mode_key]
         p, a = cursor
         categories = []
         while p < n_packets and len(categories) < n:
-            category = evaluate_frame(blocks[p, a], mode_key, strategy, rate)
+            category = table[p * thr_attempts + a]
             categories.append(category)
             p, a = (p + 1, 0) if category != 2 or a + 1 >= thr_attempts else (p, a + 1)
         cursor = p, a
         return categories
 
-    modes = enumerate_modes(scenario.topology.n_relays)
     log = selection.run_policy(scenario.mode_policy, executor, modes,
                                scenario.spa_params,
                                total_frames=scenario.n_packets * thr_attempts)

@@ -135,7 +135,7 @@ def evaluate_frame(c, mode, strategy, rate):
     if not (math.isfinite(rate) and rate >= 0):
         raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
     c = np.asarray(c, dtype=float)
-    if c.ndim != 1:
+    if c.ndim != 1 or len(c) % 2 == 0:
         raise ValueError(f"evaluate_frame takes one (2N+1,) draw, got shape {c.shape}")
     c = c.tolist()  # Python floats: cheaper scalar arithmetic
     if mode is not None:
@@ -145,6 +145,45 @@ def evaluate_frame(c, mode, strategy, rate):
     if _phase2_success(c, mode, strategy, rate):
         return 1
     return 2
+
+
+def evaluate_frames(c, mode, strategy, rate):
+    """evaluate_frame on every (2N+1,) row of the draw array c, which may
+    have any leading axes: an int8 array of categories of c's shape without
+    its last axis, equal to the row-by-row result exactly.
+
+    evaluate_frame stays the form for one row, where a numpy pass costs
+    more than Python arithmetic on its floats.
+    """
+    strategy = Strategy.parse(strategy)
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
+    c = np.asarray(c, dtype=float)
+    if c.ndim < 1 or c.shape[-1] % 2 == 0:
+        raise ValueError(f"evaluate_frames takes (..., 2N+1) draws, got shape {c.shape}")
+    n_relays = (c.shape[-1] - 1) // 2
+    if mode is not None:
+        mode.check_relays(n_relays)
+    thr = 2.0 ** rate - 1.0
+    h_sd2 = c[..., 0]
+    if strategy is Strategy.DT or mode is None:
+        ok = 2.0 * h_sd2 >= thr
+    else:
+        # the branches of _phase2_success, one boolean array each
+        decoded = [c[..., i] >= thr for i in mode.relays]
+        g = [c[..., n_relays + i] for i in mode.relays]
+        if len(mode.relays) == 1:
+            ok = np.where(decoded[0], 2.0 * h_sd2 + g[0], 2.0 * h_sd2) >= thr
+        else:
+            # h_sd2 + (g_i + g_j), the order of h_sd2 + sum(...) over the
+            # decoded relays (0.0 + g is g exactly)
+            relayed = np.where(decoded[0], g[0], 0.0) + np.where(decoded[1], g[1], 0.0)
+            ok = (decoded[0] | decoded[1]) & (h_sd2 + relayed >= thr)
+        if strategy is Strategy.DIQIF:
+            ok |= approx_capacity(c, mode.relays) >= rate
+    categories = np.where(ok, np.int8(1), np.int8(2))
+    categories[thr <= h_sd2] = 0
+    return categories
 
 
 def write_trace(path, modes, categories, topology_labels=None):

@@ -321,6 +321,9 @@ class TestFlagPipeline:
         ("outage", ["--snr-grid", "0:inf:5"],
          {"snr_grid": {"start": 0.0, "stop": float("inf"), "step": 5.0}},
          "snr_grid needs finite start, stop and step"),
+        ("outage", ["--snr-grid", "0:10:1e-12"],
+         {"snr_grid": {"start": 0.0, "stop": 10.0, "step": 1e-12}},
+         "snr_grid range has 10,000,000,000,001 points, more than 100,000"),
         ("mac", ["--max-retx", "-1"],
          {"mac": {"max_retx_coop": -1, "max_retx_per_link": 4}},
          "mac: retransmission limits must be >= 0"),
@@ -490,6 +493,10 @@ class TestRunConfig:
          "path 'P' hop 0 is missing"),
         ("--path-traces", "path,hop,packet,attempt,success\nP,0,0,0,0\nP,0,0,2,1\n",
          "path 'P' hop 0 packet 0 attempt 1 is missing"),
+        ("--path-traces", "path,hop,packet,attempt,success\nS-D,0,0,0,0\nS-D,0,0,1,0\n",
+         "path S-D: only 2 attempts recorded, need 5 to cover the retransmission budget"),
+        ("--coop-trace", "frame_index,topology_id,mode,category\n0,,DT,0\n1,,DT,2\n",
+         "trace ended mid-packet after 1 packets"),
     ])
     def test_mac_rejects_malformed_traces(self, tmp_path, capsys, flag, text,
                                           message):

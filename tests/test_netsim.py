@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_topology
+from conftest import random_topology, topologies
 from coopsim.experiments import _schedule_executor, run_experiment
 from coopsim.netsim import (Mode, Strategy, enumerate_modes,
-                            evaluate_frame, mode_key_str, parse_mode_key,
-                            read_trace, write_trace)
-from coopsim.outage import OutageQuery, direct_outage, outage_monte_carlo
+                            evaluate_frame, evaluate_frames, mode_key_str,
+                            parse_mode_key, read_trace, write_trace)
+from coopsim.outage import (OutageQuery, approx_capacity, direct_outage,
+                            outage_monte_carlo)
 from coopsim.rng import named_rng
 from coopsim.selection import run_policy
 from coopsim.topology import (Topology, TopologySchedule, sample_channels,
@@ -104,6 +105,10 @@ class TestSimulateFrame:
             evaluate_frame(sample_channels(t, named_rng(0, "x")), Mode((2,)),
                            Strategy.DIF, 1.0)
 
+    def test_even_draw_rejected(self):
+        with pytest.raises(ValueError, match=r"takes one \(2N\+1,\) draw"):
+            evaluate_frame(np.ones(4), None, Strategy.DT, 1.0)
+
     @pytest.mark.parametrize("rate", [-1.0, math.inf, math.nan])
     def test_invalid_rate_rejected(self, rate):
         c = sample_channels(Topology.from_snr(1.0, [1.0], [1.0]), named_rng(0, "r"))
@@ -143,6 +148,121 @@ class TestStrategyOrdering:
                            if evaluate_frame(c, Mode((1,)), strat, 1.0) == 2)
                 fers[strat] = errs / len(draws)
             assert fers[Strategy.DIQIF] <= fers[Strategy.DIF] <= fers[Strategy.DT]
+
+
+def _at_thr(f, x, thr):
+    """x moved by ulps towards f(x) == thr, for as long as a few steps take."""
+    for _ in range(4):
+        y = f(x)
+        if y == thr:
+            break
+        x = float(np.nextafter(x, math.inf if y < thr else -math.inf))
+    return x
+
+
+def _plant(c, mode, thr, kind):
+    """Put the draw row c (a list of floats) on the boundary of one
+    comparison of evaluate_frame at threshold thr: "direct" h_sd2 = thr,
+    "repeat" 2 h_sd2 = thr, "decode" the mode's relays decode with h = thr
+    and that decides the frame, "relayed" the phase-2 sum equals thr. The
+    relayed sum keeps each destination-side link g as the fraction
+    0.45 g / (1 + g) of thr, so that its rounding is as generic as g's."""
+    n = (len(c) - 1) // 2
+    relays = mode.relays if mode is not None else ()
+    if kind == "direct":
+        c[0] = thr
+        return
+    if kind == "repeat" or not relays:
+        c[0] = thr / 2
+        return
+    g = [0.45 * c[n + i] / (1.0 + c[n + i]) * thr for i in relays]
+    for i, g_i in zip(relays, g):
+        c[i] = thr
+        c[n + i] = thr if kind == "decode" else g_i
+    if kind == "decode":
+        c[0] = thr / 4
+    elif len(relays) == 1:
+        c[0] = _at_thr(lambda h: 2.0 * h + g[0], (thr - g[0]) / 2, thr)
+    else:
+        # h_sd2 + (g_i + g_j) = thr, Python's order; where one of a few
+        # scalings of g_j gives it, (h_sd2 + g_i) + g_j falls short of thr
+        for scale in np.linspace(1.0, 0.5, 16):
+            g_j = c[n + mode.relays[1]] = g[1] * scale
+            h = c[0] = _at_thr(lambda h: h + (g[0] + g_j), thr - (g[0] + g_j), thr)
+            if (h + g[0]) + g_j < thr:
+                break
+
+
+_KINDS = ("direct", "repeat", "decode", "relayed")
+
+
+@st.composite
+def frame_cases(draw):
+    """(draws, mode, rate): draws of a generated topology with leading shape
+    (), (n,) or (p, a), a mode slot of it, and a rate (0 included). About
+    half the cases put the rate, or else every row, exactly on a boundary
+    that evaluate_frame compares against: the rate on a row's cut-set
+    capacity, and the other rows' links or sums on the threshold (_plant)."""
+    t = draw(topologies())
+    shape = draw(st.sampled_from([(), (12,), (0,), (4, 3), (1, 5)]))
+    mode = draw(st.sampled_from((enumerate_modes(t.n_relays) if t.n_relays else [])
+                                + [None]))
+    rate = draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
+    rows = sample_channels(t, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))),
+                           math.prod(shape)).tolist()
+    if rows and draw(st.booleans()):
+        on_capacity = None
+        if mode is not None and draw(st.booleans()):
+            # preferably a row that only the quantize path carries at the
+            # rate of its own capacity, so that the comparison decides it
+            capacities = [float(approx_capacity(row, mode.relays)) for row in rows]
+            on_capacity = next((k for k, (row, cap) in enumerate(zip(rows, capacities))
+                                if evaluate_frame(row, mode, "DIF", cap) == 2
+                                and evaluate_frame(row, mode, "DIQIF", cap) == 1), 0)
+            rate = capacities[on_capacity]
+        thr = 2.0 ** rate - 1.0
+        for k, row in enumerate(rows):
+            if k != on_capacity:
+                _plant(row, mode, thr, draw(st.sampled_from(_KINDS)))
+    return np.array(rows).reshape(shape + (2 * t.n_relays + 1,)), mode, rate
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=frame_cases())
+def test_evaluate_frames_equals_evaluate_frame(case):
+    """evaluate_frames equals evaluate_frame row by row, on every strategy;
+    on the same draws DIQIF success contains DIF success, which contains DT
+    success on one-relay modes and on no cooperation (two-relay DIF leaves
+    the source silent in phase 2)."""
+    draws, mode, rate = case
+    rows = draws.reshape(-1, draws.shape[-1])
+    success = {}
+    for strategy in Strategy:
+        batch = evaluate_frames(draws, mode, strategy, rate)
+        assert batch.dtype == np.int8 and batch.shape == draws.shape[:-1]
+        one_by_one = [evaluate_frame(c, mode, strategy, rate) for c in rows]
+        assert batch.reshape(-1).tolist() == one_by_one
+        success[strategy] = batch.reshape(-1) != 2
+    assert np.all(success[Strategy.DIQIF] >= success[Strategy.DIF])
+    if mode is None or len(mode.relays) == 1:
+        assert np.all(success[Strategy.DIF] >= success[Strategy.DT])
+
+
+class TestEvaluateFramesRejects:
+    @pytest.mark.parametrize("rate", [-1.0, math.inf, math.nan])
+    def test_rate(self, rate):
+        c = np.ones((3, 5))
+        with pytest.raises(ValueError, match="rate must be finite"):
+            evaluate_frames(c, Mode((1,)), Strategy.DIQIF, rate)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (0,), ()])
+    def test_shape(self, shape):
+        with pytest.raises(ValueError, match=r"takes \(\.\.\., 2N\+1\) draws"):
+            evaluate_frames(np.ones(shape), None, Strategy.DT, 1.0)
+
+    def test_mode_beyond_relays(self):
+        with pytest.raises(ValueError, match="invalid for a 2-relay topology"):
+            evaluate_frames(np.ones((2, 3, 5)), Mode((1, 3)), Strategy.DIF, 1.0)
 
 
 def run_fixed(schedule, topologies, mode, strategy, rate, rng):
