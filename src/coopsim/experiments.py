@@ -237,6 +237,18 @@ def _subset_str(subset):
     return "-".join(str(i) for i in subset)
 
 
+def _map(fn, tasks, threads):
+    """[fn(*task) for task in tasks], in task order. Runs on a process pool
+    of min(threads, len(tasks), cpu count) workers, and starts none when
+    that is 1; fn and the tasks must pickle. With the fork start method
+    the pool starts all its workers at once, hence the cap."""
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*tasks)))
+
+
 def _plan_outage_sweep(doc, path, base_dir):
     template = _resolve_topology(_need(doc, "topology", path), base_dir, path)
     rate = _rate(doc, path)
@@ -262,11 +274,7 @@ def _plan_outage_sweep(doc, path, base_dir):
         point = functools.partial(outage.sweep_point, template, rate,
                                   normalization=normalization, method=method,
                                   seed=seed)
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(point, *zip(*cells)))
-        else:
-            results = list(map(point, *zip(*cells)))
+        results = _map(point, cells, threads)
         rows = [[_fmt(snr_db), k, _subset_str(subset), _fmt(value), method]
                 for (_, snr_db, k), (subset, value) in zip(cells, results)]
         out = place("outage.csv")
@@ -409,11 +417,11 @@ def _plan_ensemble(doc, path, base_dir):
                                           named_rng(seed, "dataset"))
         samples = ensemble.make_ensemble(dataset, n_samples, n_transitions,
                                          segment_len, seed)
+        replay = functools.partial(ensemble.evaluate_on_ensemble, samples=samples,
+                                   dataset=dataset, params=params, seed=seed)
         summary = []
         sample_rows = []
-        for policy in policies:
-            res = ensemble.evaluate_on_ensemble(policy, samples, dataset,
-                                                params, seed=seed)
+        for res in _map(replay, [(policy,) for policy in policies], threads):
             summary.append([res.policy, _fmt(res.avg_fer), _fmt(res.avg_switches)])
             for idx, fer, switches, n_frames in res.rows:
                 sample_rows.append([res.policy, idx, _fmt(fer), switches, n_frames])

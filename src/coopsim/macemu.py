@@ -227,11 +227,12 @@ def _realization_blocks(scenario, mac, rng):
     return draws.reshape(scenario.n_packets, n_slots, -1)
 
 
-def _coop_side(scenario, mac, blocks):
+def _coop_side(scenario, mac, blocks, rng):
     """Run the coop policy over the MAC attempt stream: a packet's attempts
     take successive slots of its block until one succeeds or
     max_retx_coop + 1 are spent. Returns the packets that coop_mac_deliver
-    makes of the policy's frames, the attempts in packet order.
+    makes of the policy's frames, the attempts in packet order. rng serves
+    the policy's own draws (RandPick, PWR2).
 
     Every mode slot's categories of attempt a of packet p are evaluated
     up front, one evaluate_frames pass per slot, into a bytes table at
@@ -259,7 +260,8 @@ def _coop_side(scenario, mac, blocks):
 
     log = selection.run_policy(scenario.mode_policy, executor, modes,
                                scenario.spa_params,
-                               total_frames=scenario.n_packets * thr_attempts)
+                               total_frames=scenario.n_packets * thr_attempts,
+                               rng=rng)
     return coop_mac_deliver(log.modes, log.categories, mac, n_packets=n_packets)
 
 
@@ -288,12 +290,16 @@ def compare_coop_vs_genie(scenario, policy=MacPolicy(), rng=None, seed=0):
 
     The coop side runs the scenario's selection policy frame by frame with
     MAC retransmissions; the genie side routes each packet over the direct
-    and S-R_i-D paths of the same realization blocks.
+    and S-R_i-D paths of the same realization blocks. The blocks come from
+    rng, by default the (seed, "coop_vs_genie") stream; a policy that draws
+    (RandPick, PWR2) draws from the (seed, "mac_policy", policy) stream.
     """
     rng = rng if rng is not None else named_rng(seed, "coop_vs_genie")
     blocks = _realization_blocks(scenario, policy, rng)
 
-    coop_results = _coop_side(scenario, policy, blocks)
+    coop_results = _coop_side(
+        scenario, policy, blocks,
+        named_rng(seed, "mac_policy", str(scenario.mode_policy)))
     genie_results = genie_route(_routing_side(scenario, policy, blocks), policy)
     return ComparisonReport(
         coop_results=tuple(coop_results),

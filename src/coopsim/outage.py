@@ -112,11 +112,15 @@ def _cut_set(direct, src, dst):
 def _outage_counts(draws, subsets, rate):
     """For each subset, the number of rows of the (n, 2N+1) draw array whose
     approx_capacity is below rate. All subsets share each column-contiguous
-    block of log2(1 + x), so memory beyond the draws is one block."""
+    block of log2(1 + x), computed in one buffer reused by every block, so
+    memory beyond the draws is one block."""
     n_relays = (draws.shape[1] - 1) // 2
     counts = [0] * len(subsets)
+    buf = np.empty((draws.shape[1], min(len(draws), _BLOCK_ROWS)))
     for start in range(0, len(draws), _BLOCK_ROWS):
-        caps = np.array(draws[start:start + _BLOCK_ROWS].T, order="C")
+        block = draws[start:start + _BLOCK_ROWS]
+        caps = buf[:, :len(block)]
+        np.copyto(caps, block.T)
         np.log2(np.add(caps, 1.0, out=caps), out=caps)
         for i, subset in enumerate(subsets):
             cap = _cut_set(caps[0], [caps[j] for j in subset],

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from coopsim import __version__
+from coopsim import __version__, experiments
 from coopsim.cli import main
 from coopsim.experiments import (ValidationError, list_experiments,
                                  run_config, validate_config)
@@ -277,7 +277,8 @@ def flags_and_config(tmp_path):
 
 class TestFlagPipeline:
     @pytest.mark.parametrize("command, threads", [
-        ("outage", 1), ("outage", 2), ("run", 1), ("ensemble", 1), ("mac", 1)])
+        ("outage", 1), ("outage", 2), ("run", 1), ("ensemble", 1), ("ensemble", 2),
+        ("mac", 1)])
     def test_flags_write_what_the_config_writes(self, tmp_path, command, threads):
         argv, doc, primary = flags_and_config(tmp_path)[command]
         out = tmp_path / "flags" / "out.csv"
@@ -403,6 +404,19 @@ class TestRunConfig:
         assert rows[0] == ["system", "drop_rate", "throughput_bits_per_s"]
         assert {r[0] for r in rows[1:]} == {"coop", "genie"}
 
+    @pytest.mark.parametrize("mode_policy", ["RandPick", "PWR2"])
+    def test_mac_compare_runs_policies_that_draw(self, tmp_path, mode_policy):
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "kind": "mac_compare", "seed": 3, "topology": topo_doc(),
+            "rate": 1.0, "n_packets": 20, "mode_policy": mode_policy})
+        assert main(["validate", cfg]) == 0
+        runs = []
+        for out in ("a", "b"):
+            assert main(["run", "--config", cfg, "--out-dir", out]) == 0
+            runs.append({name: (tmp_path / out / name).read_bytes() for name in
+                         ("mac_compare.csv", "packets_coop.csv", "packets_genie.csv")})
+        assert runs[0] == runs[1]
+
     def test_ensemble_config(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", {
             "kind": "ensemble", "seed": 5,
@@ -514,13 +528,51 @@ class TestRunConfig:
         assert not (tmp_path / "packets.csv").exists()
 
     def test_threads_do_not_change_results(self, tmp_path):
-        topo = write_yaml(tmp_path / "t.yaml", topo_doc())
-        doc = {"kind": "outage_sweep", "seed": 1, "topology": "t.yaml",
-               "rate": 1.0, "k_values": [0, 1, 2],
-               "snr_grid": {"start": 0, "stop": 9, "step": 3}}
-        cfg = write_yaml(tmp_path / "c.yaml", doc)
-        seq = run_config(cfg, out_dir=str(tmp_path / "seq"), threads=1)
-        par = run_config(cfg, out_dir=str(tmp_path / "par"), threads=3)
-        seq_csv = open([f for f in seq if f.endswith("outage.csv")][0], "rb").read()
-        par_csv = open([f for f in par if f.endswith("outage.csv")][0], "rb").read()
-        assert seq_csv == par_csv
+        sweep = {"kind": "outage_sweep", "seed": 1, "topology": topo_doc(),
+                 "rate": 1.0, "k_values": [0, 1, 2],
+                 "snr_grid": {"start": 0, "stop": 9, "step": 3}}
+        replay = {"kind": "ensemble", "seed": 2,
+                  "topologies": schedule_doc()["topologies"], "rate": 1.0,
+                  "frames_per_topology": 60, "segment_len": 20,
+                  "n_transitions": 2, "n_samples": 3,
+                  "policies": ["SPA", "RandPick", "PWR2", "DT"]}
+        for doc, n_csv in ((sweep, 1), (replay, 4)):
+            cfg = write_yaml(tmp_path / f"{doc['kind']}.yaml", doc)
+            outputs = []
+            for threads in (1, 2, 3):
+                files = run_config(cfg, out_dir=f"{doc['kind']}{threads}",
+                                   threads=threads)[:-1]  # manifest last
+                outputs.append({os.path.basename(f): open(f, "rb").read()
+                                for f in files})
+            assert len(outputs[0]) == n_csv
+            assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_pool_workers_are_capped_by_tasks_and_cores(self, tmp_path, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            """Records max_workers and maps in this process."""
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "kind": "outage_sweep", "seed": 1, "topology": topo_doc(),
+            "rate": 1.0, "k_values": [0, 1], "snr_grid": [0.0, 6.0]})  # 4 cells
+        serial = open(run_config(cfg, out_dir="t1", threads=1)[0], "rb").read()
+        assert pools == []
+        for cores, expected in ((64, 4), (3, 3), (1, None), (None, None)):
+            monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+            out = run_config(cfg, out_dir=f"c{cores}", threads=64)[0]
+            assert open(out, "rb").read() == serial
+            assert pools == ([] if expected is None else [expected])
+            pools.clear()
