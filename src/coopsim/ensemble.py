@@ -158,28 +158,13 @@ def make_ensemble(dataset, n_samples, n_transitions, segment_len, seed):
 
 
 def _sample_executor(sample, dataset):
-    """Executor serving recorded outcomes positionally until the sample
-    ends; learning frames consume the same positions as operating frames
-    would. The sample's (positions, slots) block is gathered once, as one
-    list per mode slot, and each call is served as a slice of a list."""
+    """The table_executor of the sample's recorded outcomes, gathered once
+    as one bytes column per mode slot."""
     topology_index = {label: t for t, label in enumerate(dataset.topologies)}
     tops = [topology_index[label] for label, seg_rows in sample.segments for _ in seg_rows]
     rows = [row for _, seg_rows in sample.segments for row in seg_rows]
-    columns = dict(zip(dataset.mode_keys, dataset.outcomes[tops, :, rows].T.tolist()))
-    pos = 0
-
-    def execute(mode_key, n):
-        nonlocal pos
-        try:
-            column = columns[mode_key]
-        except KeyError:
-            raise selection.UnknownPolicyError(
-                f"dataset has no recorded outcomes for mode {mode_key}") from None
-        categories = column[pos:pos + n]
-        pos += len(categories)
-        return categories
-
-    return execute
+    columns = dataset.outcomes[tops, :, rows].T
+    return selection.table_executor(dict(zip(dataset.mode_keys, map(bytes, columns))))
 
 
 def replay_policy(policy, sample, dataset, params, rng=None):

@@ -6,7 +6,6 @@ version, so identical config+seed reproduces byte-identical outputs.
 """
 import csv
 import functools
-import itertools
 import json
 import math
 import os
@@ -76,6 +75,14 @@ def _int(value, what, path):
     return int(value)
 
 
+def _list(doc, key, path):
+    """doc[key], which must be a list; ConfigParseError naming key."""
+    value = _need(doc, key, path)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigParseError(f"{path}: {key} must be a list, got {value!r}")
+    return value
+
+
 def _mapping(value, allowed, where, path):
     """value ({} if None), which must be a mapping whose keys are all in
     allowed; ConfigParseError naming the first other key."""
@@ -113,11 +120,14 @@ def _resolve_schedule(spec, base_dir, path):
     if not isinstance(spec, dict):
         raise ConfigParseError(f"{path}: schedule must be a file path or mapping")
     topologies = {}
-    for item in _need(spec, "topologies", path):
+    for item in _list(spec, "topologies", path):
         t = _resolve_topology(item, base_dir, path)
         topologies[t.label] = t
     segments = []
-    for seg in _need(spec, "segments", path):
+    for seg in _list(spec, "segments", path):
+        if not isinstance(seg, dict):
+            raise ConfigParseError(f"{path}: segments entries must be mappings, "
+                                   f"got {seg!r}")
         label = str(_need(seg, "topology", path))
         if label not in topologies:
             raise ValidationError(f"{path}: segment references unknown topology {label!r}")
@@ -286,11 +296,10 @@ def _plan_outage_sweep(doc, path, base_dir):
 
 
 def _mode_slots(doc, path, n_relays):
-    spec = doc.get("modes", "all")
-    if spec == "all":
+    if doc.get("modes", "all") == "all":
         return [None] + netsim.enumerate_modes(n_relays)
     try:
-        slots = [netsim.parse_mode_key(m) for m in spec]
+        slots = [netsim.parse_mode_key(m) for m in _list(doc, "modes", path)]
         for slot in filter(None, slots):
             slot.check_relays(n_relays)
     except ValueError as e:
@@ -316,8 +325,8 @@ def _plan_fixed_modes(doc, path, base_dir):
         summary = []
         for slot in slots:
             name = netsim.mode_key_str(slot)
-            executor = _schedule_executor(schedule, topologies, strategy, rate,
-                                          named_rng(seed, "fixed", name))
+            executor = _schedule_executor(schedule, topologies, [slot], strategy,
+                                          rate, named_rng(seed, "fixed", name))
             log = selection.run_policy("DT" if slot is None else slot, executor, (),
                                        total_frames=schedule.total_frames)
             out = place(f"trace_{name}.csv")
@@ -332,25 +341,22 @@ def _plan_fixed_modes(doc, path, base_dir):
     return _schedule_summary("fixed_modes", schedule, topologies), run
 
 
-def _schedule_executor(schedule, topologies, strategy, rate, rng):
-    """Frame executor over the schedule: one sample_channels batch per
-    segment, drawn when the segment starts, its rows served in order."""
-    def draws():
-        for label, frames in schedule.segments:
-            yield from sample_channels(topologies[label], rng, frames)
-
-    rows = draws()
-
-    def execute(mode_key, n):
-        return [netsim.evaluate_frame(c, mode_key, strategy, rate)
-                for c in itertools.islice(rows, n)]
-
-    return execute
+def _schedule_executor(schedule, topologies, slots, strategy, rate, rng):
+    """The table_executor of the schedule's frames under each mode slot of
+    slots: one sample_channels batch per segment, drawn in segment order,
+    evaluated under every slot into one byte per frame."""
+    columns = {slot: [] for slot in slots}
+    for label, frames in schedule.segments:
+        draws = sample_channels(topologies[label], rng, frames)
+        for slot, column in columns.items():
+            column.append(netsim.evaluate_frames(draws, slot, strategy, rate).tobytes())
+    return selection.table_executor(
+        {slot: b"".join(column) for slot, column in columns.items()})
 
 
 def _resolve_policies(doc, path, n_relays):
     """The policy names of doc; a fixed mode beyond n_relays is rejected."""
-    policies = [str(p) for p in _need(doc, "policies", path)]
+    policies = [str(p) for p in _list(doc, "policies", path)]
     try:
         for policy in policies:
             key = selection.policy_key(policy)
@@ -376,7 +382,8 @@ def _plan_adaptive_compare(doc, path, base_dir):
         for policy in policies:
             exec_rng = named_rng(seed, "frames", policy)
             policy_rng = named_rng(seed, "policy", policy)
-            executor = _schedule_executor(schedule, topologies, strategy, rate, exec_rng)
+            executor = _schedule_executor(schedule, topologies, [None, *modes],
+                                          strategy, rate, exec_rng)
             log = selection.run_policy(policy, executor, modes, params,
                                        total_frames=schedule.total_frames,
                                        rng=policy_rng)
@@ -395,8 +402,8 @@ def _plan_adaptive_compare(doc, path, base_dir):
 
 
 def _plan_ensemble(doc, path, base_dir):
-    topo_specs = _need(doc, "topologies", path)
-    topologies = [_resolve_topology(s, base_dir, path) for s in topo_specs]
+    topologies = [_resolve_topology(s, base_dir, path)
+                  for s in _list(doc, "topologies", path)]
     if len({t.label for t in topologies}) != len(topologies):
         raise ValidationError(f"{path}: ensemble topologies need distinct labels")
     rate = _rate(doc, path)
@@ -546,6 +553,13 @@ _PLANS = {
 }
 
 
+def _seed(seed, path):
+    """seed, which must be >= 0 (a SeedSequence entropy); else a ValidationError."""
+    if seed < 0:
+        raise ValidationError(f"{path}: seed must be >= 0, got {seed}")
+    return seed
+
+
 def _plan(doc, path, base_dir):
     """Resolve and check everything the run of a config document needs.
 
@@ -561,7 +575,7 @@ def _plan(doc, path, base_dir):
             f"{', '.join(sorted(EXPERIMENT_KINDS))}")
     plan, keys = _PLANS[kind]
     _mapping(doc, ["kind", "seed", "out_dir"] + keys.split(), kind, path)
-    seed = _int(doc.get("seed", 0), "seed", path)
+    seed = _seed(_int(doc.get("seed", 0), "seed", path), path)
     summary, run = plan(doc, path, base_dir)
     return kind, summary, run, seed
 
@@ -584,8 +598,10 @@ def run_experiment(doc, path, base_dir, place, seed=None, threads=1):
     the document's seed. Returns the written files, manifest last; the
     manifest holds the kind, seed, package version, doc and output names.
     """
+    if seed is not None:
+        seed = _seed(int(seed), path)
     kind, _, run, doc_seed = _plan(doc, path, base_dir)
-    seed = doc_seed if seed is None else int(seed)
+    seed = doc_seed if seed is None else seed
 
     def place_in_dir(name):
         out = place(name)

@@ -38,8 +38,8 @@ class LearnParams:
     def __post_init__(self):
         if self.l < 1:
             raise ValueError(f"l must be >= 1, got {self.l}")
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not (self.eta > 0 and math.isfinite(self.eta)):
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
         if not 0.0 <= self.epsilon < 1.0:
@@ -217,6 +217,23 @@ def learn(runner, candidates, params):
     return RankedModeList(order=order, weights={m: weights[m] for m in candidates})
 
 
+def table_executor(columns):
+    """Executor serving columns[mode][pos:pos + n] from one position that
+    all modes share; columns maps each mode slot (None: plain DT) to one
+    category byte per frame. A mode without a column is an UnknownPolicyError."""
+    pos = 0
+
+    def execute(mode_key, n):
+        nonlocal pos
+        if mode_key not in columns:
+            raise UnknownPolicyError(f"no outcome column for mode {mode_key}")
+        categories = columns[mode_key][pos:pos + n]
+        pos += len(categories)
+        return categories
+
+    return execute
+
+
 class _RunStopped(Exception):
     """Internal: the total-frame budget is spent or the executor's stream
     has ended."""
@@ -354,8 +371,8 @@ def run_policy(policy, executor, all_modes, params=DEFAULT_PARAMS,
     policy is one of "DT", "BRUTE", "RandPick", "PWR2", "NRNM", "WRNM",
     "SPA", a Mode instance (fixed mode), or "Fixed:<mode>". executor(mode, n)
     returns the categories of n frames sent on mode (None: plain DT) as a
-    list, a short one ending the run. RandPick and PWR2 need rng. BRUTE and
-    PWR2 probe each candidate for w learning frames.
+    list or bytes, a short one ending the run. RandPick and PWR2 need rng.
+    BRUTE and PWR2 probe each candidate for w learning frames.
     """
     key = policy_key(policy)
     if key == "DT" or isinstance(key, Mode):

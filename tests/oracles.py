@@ -11,6 +11,11 @@ They are slow and need scipy, so they live here rather than in the package:
   approx_capacity call per subset on the whole draw array;
 - run_fixed: a fixed-mode run over a schedule as a per-frame loop, one
   channel draw and one topology lookup (schedule_topology_at) per frame;
+- schedule_executor: a block executor over a schedule that draws one
+  sample_channels batch per segment as the run reaches it and evaluates
+  the frames it sends one row at a time with evaluate_frame;
+- single_frame: a block executor as a single-frame executor of
+  run_policy_per_frame;
 - run_policy_per_frame: selection.run_policy as a loop of one executor
   call per frame on mode values, with single-frame executors, its trigger
   the windowed FER of the last w frames (windowed_fer);
@@ -184,6 +189,34 @@ def run_fixed(schedule, topologies, mode, strategy, rate, rng):
         t = topologies[schedule_topology_at(schedule, f)]
         outcomes.append(evaluate_frame(sample_channels(t, rng), mode, strategy, rate))
     return outcomes
+
+
+def schedule_executor(schedule, topologies, strategy, rate, rng):
+    """Block executor over the schedule: one sample_channels batch per
+    segment, drawn when the segment starts, its rows served in order."""
+    def draws():
+        for label, frames in schedule.segments:
+            yield from sample_channels(topologies[label], rng, frames)
+
+    rows = draws()
+
+    def execute(mode_key, n):
+        return [evaluate_frame(c, mode_key, strategy, rate)
+                for c in itertools.islice(rows, n)]
+
+    return execute
+
+
+def single_frame(executor):
+    """executor(mode, n) as executor(mode) of one frame, which raises
+    FrameStreamEnded once the block executor's stream has ended."""
+    def execute(mode):
+        categories = executor(mode, 1)
+        if not categories:
+            raise FrameStreamEnded
+        return categories[0]
+
+    return execute
 
 
 def spawn_rngs(seed, n):

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +128,20 @@ class TestValidate:
         ("ensemble", {"segment_len": 0}, "segment_len must be >= 1, got 0"),
         ("ensemble", {"frames_per_topology": 0, "segment_len": 0},
          "segment_len must be >= 1, got 0"),
+        ("fixed_modes", {"modes": 5}, "modes must be a list, got 5"),
+        ("adaptive_compare", {"policies": 5}, "policies must be a list, got 5"),
+        ("adaptive_compare", {"policies": "SPA"}, "policies must be a list, got 'SPA'"),
+        ("ensemble", {"policies": "SPA"}, "policies must be a list, got 'SPA'"),
+        ("ensemble", {"topologies": 5}, "topologies must be a list, got 5"),
+        ("adaptive_compare", {"schedule": {**schedule_doc(), "topologies": 5}},
+         "topologies must be a list, got 5"),
+        ("fixed_modes", {"schedule": {**schedule_doc(), "segments": 5}},
+         "segments must be a list, got 5"),
+        ("fixed_modes", {"schedule": {**schedule_doc(), "segments": [5]}},
+         "segments entries must be mappings, got 5"),
+        ("outage_sweep", {"seed": -1}, "seed must be >= 0, got -1"),
+        ("adaptive_compare", {"params": {"eta": float("inf")}},
+         "eta must be positive and finite, got inf"),
     ])
     def test_rejects_what_the_run_rejects(self, tmp_path, capsys, kind,
                                           override, message):
@@ -289,9 +304,9 @@ class TestFlagPipeline:
         # first output at --out, every other one at <out>.<name>
         flag_files = [str(out)] + [f"{out}.{os.path.basename(f)}"
                                    for f in cfg_files[1:]]
-        assert ([open(f, "rb").read() for f in flag_files]
-                == [open(f, "rb").read() for f in cfg_files])
-        manifest = json.loads(open(f"{out}.manifest.json").read())
+        assert ([Path(f).read_bytes() for f in flag_files]
+                == [Path(f).read_bytes() for f in cfg_files])
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         assert manifest["outputs"] == [os.path.basename(f) for f in flag_files]
 
     @pytest.mark.parametrize("command, flags, override, message", [
@@ -331,6 +346,7 @@ class TestFlagPipeline:
         ("mac", ["--max-retx-per-link", "-2"],
          {"mac": {"max_retx_coop": 2, "max_retx_per_link": -2}},
          "mac: retransmission limits must be >= 0"),
+        ("run", ["--seed", "-1"], {"seed": -1}, "seed must be >= 0, got -1"),
     ])
     def test_flags_reject_what_the_config_rejects(self, tmp_path, capsys,
                                                   command, flags, override,
@@ -383,9 +399,9 @@ class TestRunConfig:
         doc = {"kind": "fixed_modes", "seed": 4, "schedule": schedule_doc(),
                "rate": 1.0, "modes": ["DT", "R1", "R1R2"], "out_dir": "o"}
         cfg = write_yaml(tmp_path / "c.yaml", doc)
-        first = {os.path.basename(f): open(f, "rb").read()
+        first = {os.path.basename(f): Path(f).read_bytes()
                  for f in run_config(cfg)}
-        second = {os.path.basename(f): open(f, "rb").read()
+        second = {os.path.basename(f): Path(f).read_bytes()
                   for f in run_config(cfg)}
         assert first == second
 
@@ -446,7 +462,7 @@ class TestRunConfig:
         assert read_rows(out)[0] == ["packet_index", "delivered", "attempts",
                                      "delay_us", "path_or_mode"]
         assert len(read_rows(genie)) == 41
-        assert json.loads(open(manifest).read())["kind"] == "mac_replay"
+        assert json.loads(Path(manifest).read_text())["kind"] == "mac_replay"
 
     def test_mac_path_traces_alone_go_to_out(self, tmp_path):
         write_mac_traces(tmp_path)
@@ -542,7 +558,7 @@ class TestRunConfig:
             for threads in (1, 2, 3):
                 files = run_config(cfg, out_dir=f"{doc['kind']}{threads}",
                                    threads=threads)[:-1]  # manifest last
-                outputs.append({os.path.basename(f): open(f, "rb").read()
+                outputs.append({os.path.basename(f): Path(f).read_bytes()
                                 for f in files})
             assert len(outputs[0]) == n_csv
             assert outputs[0] == outputs[1] == outputs[2]
@@ -568,11 +584,11 @@ class TestRunConfig:
         cfg = write_yaml(tmp_path / "c.yaml", {
             "kind": "outage_sweep", "seed": 1, "topology": topo_doc(),
             "rate": 1.0, "k_values": [0, 1], "snr_grid": [0.0, 6.0]})  # 4 cells
-        serial = open(run_config(cfg, out_dir="t1", threads=1)[0], "rb").read()
+        serial = Path(run_config(cfg, out_dir="t1", threads=1)[0]).read_bytes()
         assert pools == []
         for cores, expected in ((64, 4), (3, 3), (1, None), (None, None)):
             monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
             out = run_config(cfg, out_dir=f"c{cores}", threads=64)[0]
-            assert open(out, "rb").read() == serial
+            assert Path(out).read_bytes() == serial
             assert pools == ([] if expected is None else [expected])
             pools.clear()

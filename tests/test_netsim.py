@@ -17,7 +17,7 @@ from coopsim.netsim import (Mode, Strategy, enumerate_modes,
 from coopsim.outage import (OutageQuery, approx_capacity, direct_outage,
                             outage_monte_carlo)
 from coopsim.rng import named_rng
-from coopsim.selection import run_policy
+from coopsim.selection import SpaParams, run_policy
 from coopsim.topology import (Topology, TopologySchedule, sample_channels,
                               topology_from_dict)
 
@@ -268,7 +268,7 @@ class TestEvaluateFramesRejects:
 def run_fixed(schedule, topologies, mode, strategy, rate, rng):
     """The run log of a fixed-mode run over the schedule, as fixed_modes
     runs it."""
-    executor = _schedule_executor(schedule, topologies, strategy, rate, rng)
+    executor = _schedule_executor(schedule, topologies, [mode], strategy, rate, rng)
     return run_policy("DT" if mode is None else mode, executor, (),
                       total_frames=schedule.total_frames)
 
@@ -337,19 +337,27 @@ def _csv_rows(path):
 @given(schedule=schedules(), strategy=st.sampled_from(["DT", "DIF", "DIQIF"]),
        rate=st.sampled_from([0.5, 1.0, 2.0]), seed=st.integers(0, 2 ** 16))
 def test_fixed_runs_match_per_frame_oracle(schedule, strategy, rate, seed):
-    """fixed_modes traces and the DT / Fixed: run logs of adaptive_compare
-    equal the per-frame reference loop on the same named streams."""
+    """fixed_modes traces and the adaptive_compare run logs equal the
+    per-frame reference loops on the same named streams: the DT and Fixed:
+    runs equal oracles.run_fixed, and the adaptive policies equal
+    run_policy_per_frame on the per-row schedule executor."""
     tops = {d["label"]: topology_from_dict(d) for d in schedule["topologies"]}
     sched = TopologySchedule(tuple((s["topology"], s["frames"])
                                    for s in schedule["segments"]))
     labels = [oracles.schedule_topology_at(sched, f)
               for f in range(sched.total_frames)]
-    slots = [None] + enumerate_modes(schedule["topologies"][0]["n_relays"])
+    modes = enumerate_modes(schedule["topologies"][0]["n_relays"])
+    slots = [None] + modes
     policies = ["DT" if s is None else f"Fixed:{s}" for s in slots]
-    common = {"schedule": schedule, "rate": rate, "strategy": strategy, "seed": seed}
+    # PWR2 draws two distinct candidates
+    adaptive = [p for p in ("SPA", "WRNM", "NRNM", "RandPick", "PWR2", "BRUTE")
+                if p != "PWR2" or len(modes) > 1]
+    params = SpaParams(w=5, r=min(3, len(modes)))
+    common = {"schedule": schedule, "rate": rate, "strategy": strategy, "seed": seed,
+              "params": {"w": params.w, "r": params.r}}
     with tempfile.TemporaryDirectory() as tmp:
         for kind, extra in (("fixed_modes", {}), ("adaptive_compare",
-                                                  {"policies": policies})):
+                                                  {"policies": policies + adaptive})):
             run_experiment(dict(common, kind=kind, **extra), "<test>", tmp,
                            lambda name, kind=kind: os.path.join(tmp, kind, name))
         for slot, policy in zip(slots, policies):
@@ -358,9 +366,22 @@ def test_fixed_runs_match_per_frame_oracle(schedule, strategy, rate, seed):
                                       named_rng(seed, "fixed", name))
             assert _csv_rows(os.path.join(tmp, "fixed_modes", f"trace_{name}.csv")) == [
                 [str(f), labels[f], name, str(c)] for f, c in enumerate(fixed)]
-            adaptive = oracles.run_fixed(sched, tops, slot, strategy, rate,
-                                         named_rng(seed, "frames", policy))
+            per_frame = oracles.run_fixed(sched, tops, slot, strategy, rate,
+                                          named_rng(seed, "frames", policy))
             runlog = os.path.join(tmp, "adaptive_compare",
                                   f"runlog_{policy.replace(':', '_')}.csv")
             assert [row[1:3] for row in _csv_rows(runlog)] == [
-                [name, str(c)] for c in adaptive]
+                [name, str(c)] for c in per_frame]
+        triggers = {row[0]: row[3] for row in _csv_rows(
+            os.path.join(tmp, "adaptive_compare", "summary.csv"))}
+        for policy in adaptive:
+            executor = oracles.schedule_executor(sched, tops, strategy, rate,
+                                                 named_rng(seed, "frames", policy))
+            ref = oracles.run_policy_per_frame(
+                policy, oracles.single_frame(executor), modes, params,
+                total_frames=sched.total_frames, rng=named_rng(seed, "policy", policy))
+            runlog = os.path.join(tmp, "adaptive_compare", f"runlog_{policy}.csv")
+            assert [row[1:4] for row in _csv_rows(runlog)] == [
+                [mode_key_str(m), str(c), phase]
+                for m, c, phase in zip(ref.modes, ref.categories, ref.phases)]
+            assert triggers[policy] == str(len(ref.triggers))

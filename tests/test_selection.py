@@ -166,6 +166,13 @@ class TestLearn:
                 more += 1
         assert more >= 45
 
+    @pytest.mark.parametrize("eta", [math.inf, math.nan, 0.0, -1.0])
+    def test_eta_must_be_positive_and_finite(self, eta):
+        # an infinite eta turns every weight into nan, and LEARN then ranks
+        # the zero-FER mode last
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            LearnParams(eta=eta)
+
 
 class TestWindowedFer:
     def test_values(self):
