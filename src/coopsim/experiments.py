@@ -119,6 +119,7 @@ def _resolve_schedule(spec, base_dir, path):
         base_dir = os.path.dirname(os.path.abspath(schedule_path))
     if not isinstance(spec, dict):
         raise ConfigParseError(f"{path}: schedule must be a file path or mapping")
+    _mapping(spec, ("topologies", "segments"), "schedule", path)
     topologies = {}
     for item in _list(spec, "topologies", path):
         t = _resolve_topology(item, base_dir, path)
@@ -128,6 +129,7 @@ def _resolve_schedule(spec, base_dir, path):
         if not isinstance(seg, dict):
             raise ConfigParseError(f"{path}: segments entries must be mappings, "
                                    f"got {seg!r}")
+        _mapping(seg, ("topology", "frames"), "segment", path)
         label = str(_need(seg, "topology", path))
         if label not in topologies:
             raise ValidationError(f"{path}: segment references unknown topology {label!r}")
@@ -185,12 +187,14 @@ def _strategy(doc, path):
 
 
 def _relay_count(topologies, path):
-    """The relay count that the topologies, one or more, all share: the
-    policies choose among one set of modes."""
+    """The relay count, one or more, that the topologies, one or more, all
+    share: the policies choose among one set of modes."""
     counts = sorted({t.n_relays for t in topologies})
     if len(counts) != 1:
         raise ValidationError(f"{path}: need one or more topologies with the same "
                               f"relay count, got relay counts {counts}")
+    if counts[0] < 1:
+        raise ValidationError(f"{path}: the policies need at least one relay, got 0")
     return counts[0]
 
 
@@ -296,9 +300,9 @@ def _plan_outage_sweep(doc, path, base_dir):
 
 
 def _mode_slots(doc, path, n_relays):
-    if doc.get("modes", "all") == "all":
-        return [None] + netsim.enumerate_modes(n_relays)
     try:
+        if doc.get("modes", "all") == "all":
+            return [None] + netsim.enumerate_modes(n_relays)
         slots = [netsim.parse_mode_key(m) for m in _list(doc, "modes", path)]
         for slot in filter(None, slots):
             slot.check_relays(n_relays)
@@ -354,14 +358,13 @@ def _schedule_executor(schedule, topologies, slots, strategy, rate, rng):
         {slot: b"".join(column) for slot, column in columns.items()})
 
 
-def _resolve_policies(doc, path, n_relays):
-    """The policy names of doc; a fixed mode beyond n_relays is rejected."""
+def _resolve_policies(doc, path, n_relays, params):
+    """The policy names of doc, each one that run_policy can run on the
+    modes of n_relays relays (selection.check_policy)."""
     policies = [str(p) for p in _list(doc, "policies", path)]
     try:
         for policy in policies:
-            key = selection.policy_key(policy)
-            if isinstance(key, netsim.Mode):
-                key.check_relays(n_relays)
+            selection.check_policy(policy, n_relays, params)
     except ValueError as e:
         raise ValidationError(f"{path}: {e}") from e
     return policies
@@ -373,7 +376,7 @@ def _plan_adaptive_compare(doc, path, base_dir):
     strategy = _strategy(doc, path)
     params = _resolve_params(doc, path)
     n_relays = _relay_count(topologies.values(), path)
-    policies = _resolve_policies(doc, path, n_relays)
+    policies = _resolve_policies(doc, path, n_relays, params)
     modes = netsim.enumerate_modes(n_relays)
 
     def run(place, seed, threads):
@@ -417,7 +420,7 @@ def _plan_ensemble(doc, path, base_dir):
     except ValueError as e:
         raise ValidationError(f"{path}: {e}") from e
     params = _resolve_params(doc, path)
-    policies = _resolve_policies(doc, path, _relay_count(topologies, path))
+    policies = _resolve_policies(doc, path, _relay_count(topologies, path), params)
 
     def run(place, seed, threads):
         dataset = ensemble.record_dataset(topologies, strategy, rate, frames,

@@ -12,7 +12,7 @@ import csv
 from dataclasses import dataclass, field
 
 from . import selection
-from .netsim import (Mode, Strategy, enumerate_modes, evaluate_frames, gapless,
+from .netsim import (Strategy, enumerate_modes, evaluate_frames, gapless,
                      mode_key_str, read_csv_rows)
 from .rng import named_rng
 from .topology import sample_channels
@@ -203,9 +203,8 @@ class CoopVsRoutingScenario:
     def __post_init__(self):
         if self.n_packets < 1:
             raise ValueError(f"n_packets must be >= 1, got {self.n_packets}")
-        key = selection.policy_key(self.mode_policy)
-        if isinstance(key, Mode):
-            key.check_relays(self.topology.n_relays)
+        selection.check_policy(self.mode_policy, self.topology.n_relays,
+                               self.spa_params)
 
 
 @dataclass(frozen=True)

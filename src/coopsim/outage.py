@@ -44,6 +44,8 @@ DEFAULT_REL_TOL = 1e-8
 DEFAULT_MC_SAMPLES = 100_000
 # Rows of draws whose link capacities the Monte-Carlo estimators hold at once
 _BLOCK_ROWS = 16_384
+# Subsets whose packed outage bits _outage_counts holds at once
+_CHUNK_SUBSETS = 32
 
 
 @dataclass(frozen=True)
@@ -93,40 +95,92 @@ def approx_capacity(c, subset):
     caps = c.T[[0, *subset, *(n_relays + i for i in subset)]]
     np.log2(np.add(caps, 1.0, out=caps), out=caps)
     direct, *links = caps
-    return _cut_set(direct, links[:k], links[k:]).T
-
-
-def _cut_set(direct, src, dst):
-    """approx_capacity from the log2(1 + x) capacities of the direct link
-    and of the subset's source-side (src) and destination-side (dst) links."""
+    src, dst = links[:k], links[k:]
     # min over cuts of max(direct, relayed) = max(direct, min over cuts of relayed)
     relayed = np.inf
-    for mask in range(1 << len(src)):
+    for mask in range(1 << k):
         sides = ([a for p, a in enumerate(src) if mask >> p & 1],
                  [b for p, b in enumerate(dst) if not mask >> p & 1])
         relayed = np.minimum(relayed, sum(
             functools.reduce(np.maximum, side) for side in sides if side))
-    return np.maximum(direct, relayed)
+    return np.maximum(direct, relayed).T
+
+
+# Set bits of each byte value: np.bitwise_count needs numpy >= 2.0
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _cut_plans(subsets, n_relays):
+    """The bit-table plan of _outage_counts for subsets of one size k.
+
+    Returns (sources, plans). A source is a tuple of rows of the
+    log2(1 + x) block whose sum is compared with the rate: (l,) for one
+    link, (i, N + j) for the pair h_i + g_j. plans holds, for each of the
+    2^k cuts, a (terms, subsets) array of source numbers whose AND is the
+    cut's below-rate bits. Source 0 is the direct link; it also stands in
+    for the linkless cut of k = 0, whose relayed capacity is 0.
+    """
+    sources = {(0,): 0}
+    plans = []
+    for mask in range(1 << len(subsets[0])):
+        terms = []
+        for subset in subsets:
+            src = [i for p, i in enumerate(subset) if mask >> p & 1]
+            dst = [n_relays + j for p, j in enumerate(subset) if not mask >> p & 1]
+            cut = ([(i, j) for i in src for j in dst] if src and dst
+                   else [(link,) for link in src + dst] or [(0,)])
+            terms.append([sources.setdefault(term, len(sources)) for term in cut])
+        plans.append(np.array(terms).T)
+    return list(sources), plans
 
 
 def _outage_counts(draws, subsets, rate):
     """For each subset, the number of rows of the (n, 2N+1) draw array whose
-    approx_capacity is below rate. All subsets share each column-contiguous
-    block of log2(1 + x), computed in one buffer reused by every block, so
-    memory beyond the draws is one block."""
+    approx_capacity is below rate. The subsets, one or more, share one size.
+
+    A row is in outage exactly when its direct link and at least one cut are
+    below rate. Rounding is monotone, so fl(max h_i + max g_j) equals
+    max fl(h_i + g_j): a cut with links on both sides is below rate exactly
+    when every pair h_i + g_j across it is, and a one-sided cut when each of
+    its links is. Each block of rows takes log2(1 + x) once, in one buffer
+    reused by every block, and packs one bit row per source of _cut_plans
+    (2 KB per row). A subset's outage bits are the OR over its cuts of the
+    AND of their rows, ANDed with the direct row, and are counted through
+    _POPCOUNT, _CHUNK_SUBSETS subsets at a time. Memory beyond the draws is
+    one float block, the packed rows (about 180 KB for all pairs at N = 10)
+    and a few (_CHUNK_SUBSETS, 2 KB) arrays.
+    """
     n_relays = (draws.shape[1] - 1) // 2
-    counts = [0] * len(subsets)
-    buf = np.empty((draws.shape[1], min(len(draws), _BLOCK_ROWS)))
+    sources, plans = _cut_plans(subsets, n_relays)
+    rows = min(len(draws), _BLOCK_ROWS)
+    buf = np.empty((draws.shape[1], rows))
+    pair_sum = np.empty(rows)
+    below = np.empty(rows, dtype=bool)
+    bits = np.empty((len(sources), (rows + 7) // 8), dtype=np.uint8)
+    counts = np.zeros(len(subsets), dtype=np.int64)
     for start in range(0, len(draws), _BLOCK_ROWS):
         block = draws[start:start + _BLOCK_ROWS]
-        caps = buf[:, :len(block)]
+        n = len(block)
+        caps = buf[:, :n]
         np.copyto(caps, block.T)
         np.log2(np.add(caps, 1.0, out=caps), out=caps)
-        for i, subset in enumerate(subsets):
-            cap = _cut_set(caps[0], [caps[j] for j in subset],
-                           [caps[n_relays + j] for j in subset])
-            counts[i] += int(np.count_nonzero(cap < rate))
-    return counts
+        # packbits zero-fills the tail of each row's last byte
+        table = bits[:, :(n + 7) // 8]
+        for row, source in enumerate(sources):
+            value = caps[source[0]] if len(source) == 1 else np.add(
+                caps[source[0]], caps[source[1]], out=pair_sum[:n])
+            table[row] = np.packbits(np.less(value, rate, out=below[:n]))
+        for lo in range(0, len(subsets), _CHUNK_SUBSETS):
+            hi = lo + _CHUNK_SUBSETS
+            hit = np.zeros((len(subsets[lo:hi]), table.shape[1]), dtype=np.uint8)
+            for plan in plans:
+                cut = table[plan[0, lo:hi]]
+                for terms in plan[1:, lo:hi]:
+                    cut &= table[terms]
+                hit |= cut
+            hit &= table[0]
+            counts[lo:hi] += _POPCOUNT[hit].sum(axis=1, dtype=np.int64)
+    return counts.tolist()
 
 
 def direct_outage(lambda_sd, rate):
@@ -297,10 +351,12 @@ def best_subnetwork(t, k, rate, method="analytic", rel_tol=DEFAULT_REL_TOL,
     method="analytic" subsets are visited in ascending order of
     _bound_floor, and the search stops at the first floor strictly above
     the best bound so far: no later subset can reach it. With
-    method="montecarlo" every subset is scanned in lexicographic order on
-    one batch of draws shared by all of them (common random numbers), which
-    preserves the capacity monotonicity of nested subsets in the empirical
-    estimates.
+    method="montecarlo" every subset is counted on one batch of draws
+    shared by all of them (common random numbers), which preserves the
+    capacity monotonicity of nested subsets in the empirical estimates. The
+    counts come from the packed below-rate bit tables of _outage_counts and
+    equal those of one approx_capacity call per subset; the least count
+    wins, ties keeping lexicographic order.
     """
     if not 0 <= k <= t.n_relays:
         raise ValueError(f"k must be in [0, {t.n_relays}], got {k}")

@@ -13,7 +13,7 @@ how they pick the next operating mode.
 import math
 from dataclasses import dataclass, field, replace
 
-from .netsim import Mode, mode_key_str
+from .netsim import Mode, enumerate_modes, mode_key_str
 
 
 class DegenerateSetError(ValueError):
@@ -362,6 +362,22 @@ def policy_key(policy):
     if key not in {p.upper() for p in BASELINE_POLICIES}:
         raise UnknownPolicyError(f"unknown policy {policy!r}")
     return key
+
+
+def check_policy(policy, n_relays, params=DEFAULT_PARAMS):
+    """Raise ValueError unless run_policy can run policy on the modes of
+    n_relays relays (one relay or more): a fixed mode must lie within them,
+    SPA needs at least r modes and PWR2 two."""
+    key = policy_key(policy)
+    n_modes = len(enumerate_modes(n_relays))
+    if isinstance(key, Mode):
+        key.check_relays(n_relays)
+    elif key == "SPA" and n_modes < params.r:
+        raise ValueError(f"SPA needs |modes| >= r, got {n_modes} < {params.r} "
+                         f"on {n_relays} relays")
+    elif key == "PWR2" and n_modes < 2:
+        raise ValueError(f"PWR2 needs at least 2 modes, got {n_modes} "
+                         f"on {n_relays} relays")
 
 
 def run_policy(policy, executor, all_modes, params=DEFAULT_PARAMS,

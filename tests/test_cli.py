@@ -50,6 +50,12 @@ def mixed_schedule_doc():
     return doc
 
 
+def one_relay_schedule_doc():
+    """A one-relay (one-mode) schedule."""
+    return {"topologies": [topo_doc("A", 1)],
+            "segments": [{"topology": "A", "frames": 50}]}
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -142,6 +148,41 @@ class TestValidate:
         ("outage_sweep", {"seed": -1}, "seed must be >= 0, got -1"),
         ("adaptive_compare", {"params": {"eta": float("inf")}},
          "eta must be positive and finite, got inf"),
+        ("adaptive_compare", {"schedule": one_relay_schedule_doc()},
+         "SPA needs |modes| >= r, got 1 < 3 on 1 relays"),
+        ("adaptive_compare", {"schedule": one_relay_schedule_doc(),
+                              "policies": ["DT", "PWR2"]},
+         "PWR2 needs at least 2 modes, got 1 on 1 relays"),
+        ("adaptive_compare", {"schedule": one_relay_schedule_doc(),
+                              "params": {"r": 2}},
+         "SPA needs |modes| >= r, got 1 < 2 on 1 relays"),
+        ("ensemble", {"topologies": [topo_doc("A", 1), topo_doc("B", 1)]},
+         "SPA needs |modes| >= r, got 1 < 3 on 1 relays"),
+        ("ensemble", {"topologies": [topo_doc("A", 1), topo_doc("B", 1)],
+                      "policies": ["PWR2"]},
+         "PWR2 needs at least 2 modes, got 1 on 1 relays"),
+        ("ensemble", {"topologies": [topo_doc("A", 0)], "policies": []},
+         "the policies need at least one relay, got 0"),
+        ("adaptive_compare", {"schedule": {
+            "topologies": [topo_doc("A", 0)],
+            "segments": [{"topology": "A", "frames": 50}]}, "policies": ["DT"]},
+         "the policies need at least one relay, got 0"),
+        ("fixed_modes", {"schedule": {
+            "topologies": [topo_doc("A", 0)],
+            "segments": [{"topology": "A", "frames": 50}]}},
+         "modes: need at least one relay, got 0"),
+        ("mac_compare", {"topology": topo_doc(n=1)},
+         "SPA needs |modes| >= r, got 1 < 3 on 1 relays"),
+        ("mac_compare", {"topology": topo_doc(n=1), "mode_policy": "PWR2"},
+         "PWR2 needs at least 2 modes, got 1 on 1 relays"),
+        ("mac_compare", {"topology": topo_doc(n=0), "mode_policy": "DT"},
+         "need at least one relay, got 0"),
+        ("fixed_modes", {"schedule": {**schedule_doc(), "lenght": 5}},
+         "unknown schedule key 'lenght'"),
+        ("adaptive_compare", {"schedule": {
+            **schedule_doc(),
+            "segments": [{"topology": "A", "frames": 50, "frmaes": 5}]}},
+         "unknown segment key 'frmaes'"),
     ])
     def test_rejects_what_the_run_rejects(self, tmp_path, capsys, kind,
                                           override, message):
@@ -174,6 +215,15 @@ class TestValidate:
             "n_packets": 10.0, "seed": 2.0, "mac": {"max_retx_coop": 1.0},
             "params": {"r": 2.0}})
         assert validate_config(cfg).startswith("ok:")
+
+    def test_one_mode_policies_run(self, tmp_path):
+        # BRUTE probes its one mode; only SPA and PWR2 need more modes
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "kind": "adaptive_compare", "schedule": one_relay_schedule_doc(),
+            "rate": 1.0, "policies": ["DT", "BRUTE", "RandPick", "NRNM", "WRNM",
+                                      "Fixed:R1"]})
+        assert main(["validate", cfg]) == 0
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
 
     def test_list_kinds(self, capsys):
         assert main(["validate", "--list"]) == 0

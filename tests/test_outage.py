@@ -219,6 +219,22 @@ class TestUpperBound:
                 mc, se = outage_monte_carlo(t, q, named_rng(i, "ub", rate))
                 assert bound >= mc - 3 * se
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(t=topologies(), rate=st.floats(0.25, 4.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_dominates_monte_carlo_on_every_subset(self, t, rate, seed):
+        # within k = 4 standard errors; the standard error is floored at that
+        # of one event in n draws, so that an estimate of 0 or 1 (standard
+        # error 0) still gets the slack of a binomial count
+        n, k = 20_000, 4
+        floor = math.sqrt((n - 1) / n ** 3)
+        relays = range(1, t.n_relays + 1)
+        for size in range(t.n_relays + 1):
+            for subset in itertools.combinations(relays, size):
+                q = OutageQuery(rate=rate, subset=subset, mc_samples=n)
+                mc, se = outage_monte_carlo(t, q, np.random.default_rng(seed))
+                assert outage_upper_bound(t, q) >= mc - k * max(se, floor), subset
+
     def test_monotone_in_rate(self):
         t = Topology.from_snr(1.0, [2.0, 0.5], [1.0, 1.5])
         values = [outage_upper_bound(t, OutageQuery(rate=r, subset=(1, 2)))
@@ -323,17 +339,27 @@ class TestBestSubnetwork:
     # below one block, one block, one block + 1, several blocks and a tail
     @pytest.mark.parametrize("n", [100, _BLOCK_ROWS, _BLOCK_ROWS + 1,
                                    3 * _BLOCK_ROWS + 517])
-    @settings(max_examples=8, deadline=None, derandomize=True)
+    @settings(max_examples=12, deadline=None, derandomize=True)
     @given(t=topologies(max_relays=5).filter(lambda t: t.n_relays > 0),
-           seed=st.integers(0, 2 ** 32 - 1), planted=st.booleans())
-    def test_montecarlo_search_matches_per_subset_scan(self, n, t, seed, planted):
-        # a planted rate is the all-relay capacity of the last draw, so that
-        # row sits exactly on the outage boundary
+           seed=st.integers(0, 2 ** 32 - 1),
+           planted=st.sampled_from([None, "capacity", "pair", "link"]),
+           data=st.data())
+    def test_montecarlo_search_matches_per_subset_scan(self, n, t, seed, planted,
+                                                       data):
+        # a planted rate puts the last draw exactly on an outage boundary:
+        # its all-relay capacity, one pair sum h_i + g_j (i != j when there
+        # are two relays or more) or one link's log2(1 + x)
         everyone = tuple(range(1, t.n_relays + 1))
         rate = 1.0
-        if planted:
-            last = sample_channels(t, np.random.default_rng(seed), n)[-1]
+        last = sample_channels(t, np.random.default_rng(seed), n)[-1]
+        caps = np.log2(last + 1.0)
+        if planted == "capacity":
             rate = float(approx_capacity(last, everyone))
+        elif planted == "pair":
+            order = data.draw(st.permutations(everyone))
+            rate = float(caps[order[0]] + caps[t.n_relays + order[-1]])
+        elif planted == "link":
+            rate = float(caps[data.draw(st.integers(0, 2 * t.n_relays))])
         for k in range(t.n_relays + 1):
             expected = best_subnetwork_montecarlo_scan(
                 t, k, rate, n, np.random.default_rng(seed))
