@@ -251,16 +251,23 @@ def _subset_str(subset):
     return "-".join(str(i) for i in subset)
 
 
+def _in_worker(*task):
+    """_in_worker.fn(*task): the fn that _map's pool initializer set."""
+    return _in_worker.fn(*task)
+
+
 def _map(fn, tasks, threads):
     """[fn(*task) for task in tasks], in task order. Runs on a process pool
     of min(threads, len(tasks), cpu count) workers, and starts none when
-    that is 1; fn and the tasks must pickle. With the fork start method
-    the pool starts all its workers at once, hence the cap."""
+    that is 1; fn (sent once per worker) and the tasks must pickle. With the
+    fork start method the pool starts all its workers at once, hence the cap."""
     workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(*task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*tasks)))
+    install = functools.partial(setattr, _in_worker, "fn")
+    with ProcessPoolExecutor(max_workers=workers, initializer=install,
+                             initargs=(fn,)) as pool:
+        return list(pool.map(_in_worker, *zip(*tasks)))
 
 
 def _plan_outage_sweep(doc, path, base_dir):
@@ -284,13 +291,13 @@ def _plan_outage_sweep(doc, path, base_dir):
         raise ValidationError(f"{path}: k_values outside [0, {template.n_relays}]")
 
     def run(place, seed, threads):
-        cells = [(gi, snr_db, k) for gi, snr_db in enumerate(grid) for k in k_values]
         point = functools.partial(outage.sweep_point, template, rate,
-                                  normalization=normalization, method=method,
-                                  seed=seed)
-        results = _map(point, cells, threads)
+                                  k_values=k_values, normalization=normalization,
+                                  method=method, seed=seed)
+        results = _map(point, list(enumerate(grid)), threads)
         rows = [[_fmt(snr_db), k, _subset_str(subset), _fmt(value), method]
-                for (_, snr_db, k), (subset, value) in zip(cells, results)]
+                for snr_db, cells in zip(grid, results)
+                for k, (subset, value) in zip(k_values, cells)]
         out = place("outage.csv")
         _write_csv(out, ["snr_db", "k", "subset", "outage", "method"], rows)
         return [out]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import named_rng
-from .topology import sample_channels
+from .topology import link_scales, unit_draws
 
 
 class IndexOutOfSubsetError(ValueError):
@@ -134,35 +134,36 @@ def _cut_plans(subsets, n_relays):
     return list(sources), plans
 
 
-def _outage_counts(draws, subsets, rate):
-    """For each subset, the number of rows of the (n, 2N+1) draw array whose
-    approx_capacity is below rate. The subsets, one or more, share one size.
+def _outage_counts(unit, scales, subsets, rate):
+    """For each subset, the number of rows of the (n, 2N+1) draws unit *
+    scales (unit exponentials times link_scales) whose approx_capacity is
+    below rate. The subsets, one or more, share one size.
 
     A row is in outage exactly when its direct link and at least one cut are
     below rate. Rounding is monotone, so fl(max h_i + max g_j) equals
     max fl(h_i + g_j): a cut with links on both sides is below rate exactly
     when every pair h_i + g_j across it is, and a one-sided cut when each of
-    its links is. Each block of rows takes log2(1 + x) once, in one buffer
-    reused by every block, and packs one bit row per source of _cut_plans
-    (2 KB per row). A subset's outage bits are the OR over its cuts of the
-    AND of their rows, ANDed with the direct row, and are counted through
-    _POPCOUNT, _CHUNK_SUBSETS subsets at a time. Memory beyond the draws is
-    one float block, the packed rows (about 180 KB for all pairs at N = 10)
-    and a few (_CHUNK_SUBSETS, 2 KB) arrays.
+    its links is. Each block of rows is scaled as it is copied into one
+    buffer reused by every block, takes log2(1 + x) there and packs one bit
+    row per source of _cut_plans (2 KB per row). A subset's outage bits are
+    the OR over its cuts of the AND of their rows, ANDed with the direct
+    row, and are counted through _POPCOUNT, _CHUNK_SUBSETS subsets at a
+    time. Memory beyond unit is one float block, the packed rows (about
+    180 KB for all pairs at N = 10) and a few (_CHUNK_SUBSETS, 2 KB) arrays.
     """
-    n_relays = (draws.shape[1] - 1) // 2
+    n_relays = (unit.shape[1] - 1) // 2
     sources, plans = _cut_plans(subsets, n_relays)
-    rows = min(len(draws), _BLOCK_ROWS)
-    buf = np.empty((draws.shape[1], rows))
+    rows = min(len(unit), _BLOCK_ROWS)
+    buf = np.empty((unit.shape[1], rows))
     pair_sum = np.empty(rows)
     below = np.empty(rows, dtype=bool)
     bits = np.empty((len(sources), (rows + 7) // 8), dtype=np.uint8)
     counts = np.zeros(len(subsets), dtype=np.int64)
-    for start in range(0, len(draws), _BLOCK_ROWS):
-        block = draws[start:start + _BLOCK_ROWS]
+    for start in range(0, len(unit), _BLOCK_ROWS):
+        block = unit[start:start + _BLOCK_ROWS]
         n = len(block)
         caps = buf[:, :n]
-        np.copyto(caps, block.T)
+        np.multiply(block.T, scales[:, None], out=caps)
         np.log2(np.add(caps, 1.0, out=caps), out=caps)
         # packbits zero-fills the tail of each row's last byte
         table = bits[:, :(n + 7) // 8]
@@ -325,8 +326,7 @@ def outage_monte_carlo(t, q, rng):
         raise ValueError(f"mc_samples must be >= 100, got {q.mc_samples}")
     _check_subset(t, q.subset)
     n = int(q.mc_samples)
-    count, = _outage_counts(sample_channels(t, rng, n), [q.subset], q.rate)
-    p = count / n
+    _, p = _least_outage(t, [q.subset], q.rate, unit_draws(t, rng, n))
     return p, math.sqrt(p * (1.0 - p) / n)
 
 
@@ -355,32 +355,40 @@ def best_subnetwork(t, k, rate, method="analytic", rel_tol=DEFAULT_REL_TOL,
     shared by all of them (common random numbers), which preserves the
     capacity monotonicity of nested subsets in the empirical estimates. The
     counts come from the packed below-rate bit tables of _outage_counts and
-    equal those of one approx_capacity call per subset; the least count
-    wins, ties keeping lexicographic order.
+    equal those of one approx_capacity call per subset on
+    sample_channels(t, rng, mc_samples); the least wins, ties keeping
+    lexicographic order.
     """
-    if not 0 <= k <= t.n_relays:
-        raise ValueError(f"k must be in [0, {t.n_relays}], got {k}")
+    subsets = _subsets(t, k)
     if method not in ("analytic", "montecarlo"):
         raise ValueError(f"unknown method {method!r}")
-    subsets = list(itertools.combinations(range(1, t.n_relays + 1), k))
-    if method == "analytic":
-        best_subset, best_value = None, math.inf
-        queries = [OutageQuery(rate=rate, subset=s, quadrature_rel_tol=rel_tol)
-                   for s in subsets]
-        for floor, q in sorted(((_bound_floor(t, q), q) for q in queries),
-                               key=lambda fq: (fq[0], fq[1].subset)):
-            if floor > best_value:
-                break
-            value = outage_upper_bound(t, q)
-            if value < best_value or (value == best_value and q.subset < best_subset):
-                best_subset, best_value = q.subset, value
-        return best_subset, best_value
+    if method == "montecarlo":
+        draw_rng = rng if rng is not None else named_rng(0, "best_subnetwork")
+        return _least_outage(t, subsets, rate, unit_draws(t, draw_rng, mc_samples))
+    best_subset, best_value = None, math.inf
+    queries = [OutageQuery(rate=rate, subset=s, quadrature_rel_tol=rel_tol)
+               for s in subsets]
+    for floor, q in sorted(((_bound_floor(t, q), q) for q in queries),
+                           key=lambda fq: (fq[0], fq[1].subset)):
+        if floor > best_value:
+            break
+        value = outage_upper_bound(t, q)
+        if value < best_value or (value == best_value and q.subset < best_subset):
+            best_subset, best_value = q.subset, value
+    return best_subset, best_value
 
-    n = int(mc_samples)
-    draw_rng = rng if rng is not None else named_rng(0, "best_subnetwork")
-    counts = _outage_counts(sample_channels(t, draw_rng, n), subsets, rate)
+
+def _subsets(t, k):
+    if not 0 <= k <= t.n_relays:
+        raise ValueError(f"k must be in [0, {t.n_relays}], got {k}")
+    return list(itertools.combinations(range(1, t.n_relays + 1), k))
+
+
+def _least_outage(t, subsets, rate, unit):
+    """The least-outage subset and its outage on the unit draws scaled to t."""
+    counts = _outage_counts(unit, link_scales(t), subsets, rate)
     best = counts.index(min(counts))
-    return subsets[best], counts[best] / n
+    return subsets[best], counts[best] / len(unit)
 
 
 def _snr_scale(snr_linear, k, normalization):
@@ -401,17 +409,22 @@ def check_snr_grid(grid):
         raise ValueError("snr_grid must be nonempty and strictly ascending")
 
 
-def sweep_point(template, rate, gi, snr_db, k, normalization="per_node",
+def sweep_point(template, rate, gi, snr_db, k_values, normalization="per_node",
                 method="analytic", rel_tol=DEFAULT_REL_TOL,
                 mc_samples=DEFAULT_MC_SAMPLES, seed=0):
-    """(subset, outage) of the best k-relay subnetwork at point gi of an
-    SNR sweep: the template scaled to snr_db, with the Monte-Carlo draws
-    taken from the (seed, "sweep", gi) stream so that every point can be
-    computed on its own, in any order or process."""
-    scaled = template.scaled(_snr_scale(10.0 ** (snr_db / 10.0), k, normalization))
-    return best_subnetwork(
-        scaled, k, rate, method=method, rel_tol=rel_tol, mc_samples=mc_samples,
-        rng=named_rng(seed, "sweep", gi) if method == "montecarlo" else None)
+    """[best_subnetwork(scaled_k, k, ...) for k in k_values] at point gi of
+    an SNR sweep, scaled_k being the template scaled to snr_db for k. The
+    Monte-Carlo draws come from the (seed, "sweep", gi) stream, so that
+    every point can be computed on its own, in any order or process; they
+    are drawn once and shared by every k, which scales them to its links."""
+    snr = 10.0 ** (snr_db / 10.0)
+    scaled = [template.scaled(_snr_scale(snr, k, normalization)) for k in k_values]
+    if method != "montecarlo":
+        return [best_subnetwork(t, k, rate, method=method, rel_tol=rel_tol)
+                for t, k in zip(scaled, k_values)]
+    searches = [(t, _subsets(t, k)) for t, k in zip(scaled, k_values)]
+    unit = unit_draws(template, named_rng(seed, "sweep", gi), mc_samples)
+    return [_least_outage(t, subsets, rate, unit) for t, subsets in searches]
 
 
 def outage_sweep(template, k_values, rate, snr_grid_db, normalization="per_node",
@@ -421,25 +434,18 @@ def outage_sweep(template, k_values, rate, snr_grid_db, normalization="per_node"
 
     The template topology holds the relative link gains; each grid point
     scales every mean link SNR by the reference SNR (per_node) or by
-    reference/(k+1) (total_power). Rows come out as dicts with keys
-    snr_db, k, subset, outage, method.
+    reference/(k+1) (total_power), in one sweep_point call per grid point.
+    Rows come out as dicts with keys snr_db, k, subset, outage, method.
     """
     grid = [float(s) for s in snr_grid_db]
     check_snr_grid(grid)
-    rows = []
-    for gi, snr_db in enumerate(grid):
-        for k in k_values:
-            subset, value = sweep_point(
-                template, rate, gi, snr_db, k, normalization=normalization,
-                method=method, rel_tol=rel_tol, mc_samples=mc_samples, seed=seed)
-            rows.append({
-                "snr_db": snr_db,
-                "k": k,
-                "subset": subset,
-                "outage": value,
-                "method": method,
-            })
-    return rows
+    point = functools.partial(sweep_point, template, rate, k_values=k_values,
+                              normalization=normalization, method=method,
+                              rel_tol=rel_tol, mc_samples=mc_samples, seed=seed)
+    return [{"snr_db": snr_db, "k": k, "subset": subset, "outage": value,
+             "method": method}
+            for gi, snr_db in enumerate(grid)
+            for k, (subset, value) in zip(k_values, point(gi, snr_db))]
 
 
 def required_snr_db(template, k, rate, target, normalization="per_node",

@@ -106,6 +106,17 @@ def validate_topology(t):
     return True
 
 
+def link_scales(t):
+    """The mean 1 / lambda of each link, in the column order of sample_channels."""
+    return 1.0 / np.array((t.lambda_sd, *t.lambda_sr, *t.lambda_rd))
+
+
+def unit_draws(t, rng, n=None):
+    """sample_channels(t, rng, n) before its scaling by link_scales(t)."""
+    links = 2 * t.n_relays + 1
+    return rng.standard_exponential(links if n is None else (int(n), links))
+
+
 def sample_channels(t, rng, n=None):
     """Draw independent realizations of all 2N+1 links.
 
@@ -114,10 +125,11 @@ def sample_channels(t, rng, n=None):
     g2_1..g2_N]: 1-based relay i is column i on the source side and
     column N+i on the destination side. The shape is (2N+1,) for n=None
     and (n, 2N+1) otherwise. Rows are drawn in order from one call, so a
-    batch of n equals n single draws from the same generator state.
+    batch of n equals n single draws from the same generator state. The
+    values and stream position are those of rng.exponential(link_scales(t), size).
     """
-    scales = 1.0 / np.array((t.lambda_sd, *t.lambda_sr, *t.lambda_rd))
-    return rng.exponential(scales, size=None if n is None else (n, len(scales)))
+    draws = unit_draws(t, rng, n)
+    return np.multiply(draws, link_scales(t), out=draws)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ They are slow and need scipy, so they live here rather than in the package:
 - best_subnetwork_exhaustive: the analytic subset search without pruning;
 - best_subnetwork_montecarlo_scan: the Monte-Carlo subset search as one
   approx_capacity call per subset on the whole draw array;
+- sample_channels_exponential: a channel draw as one rng.exponential call
+  with the per-link scales;
 - run_fixed: a fixed-mode run over a schedule as a per-frame loop, one
   channel draw and one topology lookup (schedule_topology_at) per frame;
 - schedule_executor: a block executor over a schedule that draws one
@@ -166,6 +168,13 @@ def best_subnetwork_montecarlo_scan(t, k, rate, mc_samples, rng):
         if value < best_value:
             best_subset, best_value = subset, value
     return best_subset, best_value
+
+
+def sample_channels_exponential(t, rng, n=None):
+    """sample_channels(t, rng, n) as one Generator.exponential call that
+    broadcasts the per-link scales."""
+    scales = 1.0 / np.array((t.lambda_sd, *t.lambda_sr, *t.lambda_rd))
+    return rng.exponential(scales, size=None if n is None else (n, len(scales)))
 
 
 def schedule_topology_at(schedule, frame_index):

@@ -61,6 +61,19 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
+class CountsPickles:
+    """Multiplies its arguments; counts in this process how often it is
+    pickled."""
+    pickled = 0
+
+    def __call__(self, a, b):
+        return a * b
+
+    def __reduce__(self):
+        CountsPickles.pickled += 1
+        return CountsPickles, ()
+
+
 def test_version_matches_pyproject():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
@@ -597,16 +610,17 @@ class TestRunConfig:
         sweep = {"kind": "outage_sweep", "seed": 1, "topology": topo_doc(),
                  "rate": 1.0, "k_values": [0, 1, 2],
                  "snr_grid": {"start": 0, "stop": 9, "step": 3}}
+        mc_sweep = dict(sweep, method="montecarlo", normalization="total_power")
         replay = {"kind": "ensemble", "seed": 2,
                   "topologies": schedule_doc()["topologies"], "rate": 1.0,
                   "frames_per_topology": 60, "segment_len": 20,
                   "n_transitions": 2, "n_samples": 3,
                   "policies": ["SPA", "RandPick", "PWR2", "DT"]}
-        for doc, n_csv in ((sweep, 1), (replay, 4)):
-            cfg = write_yaml(tmp_path / f"{doc['kind']}.yaml", doc)
+        for i, (doc, n_csv) in enumerate(((sweep, 1), (mc_sweep, 1), (replay, 4))):
+            cfg = write_yaml(tmp_path / f"{i}.yaml", doc)
             outputs = []
             for threads in (1, 2, 3):
-                files = run_config(cfg, out_dir=f"{doc['kind']}{threads}",
+                files = run_config(cfg, out_dir=f"{i}-{threads}",
                                    threads=threads)[:-1]  # manifest last
                 outputs.append({os.path.basename(f): Path(f).read_bytes()
                                 for f in files})
@@ -617,9 +631,10 @@ class TestRunConfig:
         pools = []
 
         class SerialPool:
-            """Records max_workers and maps in this process."""
-            def __init__(self, max_workers):
+            """Records max_workers, and initializes and maps in this process."""
+            def __init__(self, max_workers, initializer, initargs):
                 pools.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -631,9 +646,11 @@ class TestRunConfig:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiments._in_worker, "fn", None, raising=False)
         cfg = write_yaml(tmp_path / "c.yaml", {
             "kind": "outage_sweep", "seed": 1, "topology": topo_doc(),
-            "rate": 1.0, "k_values": [0, 1], "snr_grid": [0.0, 6.0]})  # 4 cells
+            "rate": 1.0, "k_values": [0, 1],
+            "snr_grid": [0.0, 3.0, 6.0, 9.0]})  # 4 tasks, one per grid point
         serial = Path(run_config(cfg, out_dir="t1", threads=1)[0]).read_bytes()
         assert pools == []
         for cores, expected in ((64, 4), (3, 3), (1, None), (None, None)):
@@ -642,3 +659,10 @@ class TestRunConfig:
             assert Path(out).read_bytes() == serial
             assert pools == ([] if expected is None else [expected])
             pools.clear()
+
+    def test_pool_sends_fn_once_per_worker(self, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(CountsPickles, "pickled", 0)
+        fn, tasks = CountsPickles(), [(i, i + 1) for i in range(8)]
+        assert experiments._map(fn, tasks, threads=2) == [fn(*task) for task in tasks]
+        assert CountsPickles.pickled <= 2  # none under fork, one per worker otherwise

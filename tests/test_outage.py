@@ -376,8 +376,8 @@ class TestBestSubnetwork:
             def __init__(self):
                 self.rng = np.random.default_rng(9)
 
-            def exponential(self, scale, size):
-                c = self.rng.exponential(scale, size)
+            def standard_exponential(self, size):
+                c = self.rng.standard_exponential(size)
                 c[:, [3, 7]] = c[:, [2, 6]]
                 return c
 
@@ -405,6 +405,26 @@ class TestSweep:
             ordered = [v for _, v in sorted(pairs)]
             assert all(a >= b - 1e-12 for a, b in zip(ordered, ordered[1:])), \
                 f"not monotone at {snr_db} dB: {ordered}"
+
+    @pytest.mark.parametrize("normalization", ["per_node", "total_power"])
+    def test_montecarlo_rows_equal_per_cell_searches(self, normalization):
+        # one unit draw per grid point, shared by every k, gives each cell
+        # the search a fresh (seed, "sweep", gi) stream would
+        template = Topology.from_snr(0.2, [1.0, 0.8, 0.5, 0.3],
+                                     [0.6, 1.2, 0.5, 0.9], label="sweep4")
+        k_values, grid, n, seed = [0, 1, 2, 3, 4], [0.0, 6.0, 12.0], _BLOCK_ROWS + 500, 17
+        rows = outage_sweep(template, k_values, 1.0, grid, normalization=normalization,
+                            method="montecarlo", mc_samples=n, seed=seed)
+        assert [(r["snr_db"], r["k"]) for r in rows] == [
+            (s, k) for s in grid for k in k_values]
+        for r in rows:
+            snr = 10.0 ** (r["snr_db"] / 10.0)
+            scaled = template.scaled(snr / (r["k"] + 1)
+                                     if normalization == "total_power" else snr)
+            gi = grid.index(r["snr_db"])
+            assert (r["subset"], r["outage"]) == best_subnetwork(
+                scaled, r["k"], 1.0, method="montecarlo", mc_samples=n,
+                rng=named_rng(seed, "sweep", gi))
 
     def test_rows_shape_and_grid_validation(self):
         template = Topology.from_snr(0.5, [1.0], [1.0])

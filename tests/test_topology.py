@@ -11,7 +11,8 @@ from coopsim.topology import (LengthMismatchError, NonPositiveRateError,
                               Topology, TopologyError, TopologySchedule,
                               load_topology, sample_channels, save_topology,
                               validate_topology)
-from oracles import ScheduleOutOfRangeError, schedule_topology_at, spawn_rngs
+from oracles import (ScheduleOutOfRangeError, sample_channels_exponential,
+                     schedule_topology_at, spawn_rngs)
 
 
 def test_validate_symmetric_ok():
@@ -86,6 +87,20 @@ def test_batch_equals_single_draws(t, n, seed):
     links = (t.lambda_sd, *t.lambda_sr, *t.lambda_rd)
     scalars = [[rng.exponential(1.0 / lam) for lam in links] for _ in range(n)]
     assert np.array_equal(batch, np.reshape(scalars, batch.shape))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(t=topologies(), n=st.none() | st.integers(0, 20),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_draw_equals_scaled_exponential(t, n, seed):
+    # the scaled standard-exponential draw gives the values of
+    # rng.exponential(scales) bit for bit and leaves the stream where it does
+    mine, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    draw = sample_channels(t, mine, n)
+    expected = sample_channels_exponential(t, oracle, n)
+    assert draw.shape == expected.shape
+    assert np.array_equal(draw, expected)
+    assert np.array_equal(mine.standard_exponential(3), oracle.standard_exponential(3))
 
 
 def test_named_rng_streams_distinct_and_stable():
