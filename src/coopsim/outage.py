@@ -19,11 +19,14 @@ h_i^2 and Y the max of the complement-side g_j^2, both maxima of
 independent exponentials. A vectorized Monte-Carlo estimator serves as the
 bound's tightness oracle. The outage-optimal k-relay subnetwork comes from
 a subset search that the bound's closed-form cuts prune (analytic), or from
-an exhaustive scan over common random numbers (Monte-Carlo).
+an exhaustive scan over common random numbers (Monte-Carlo). The SNR that
+a target outage requires is bisected on a yes/no test that walks the
+analytic search's subset order only until it can answer.
 """
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -366,10 +369,7 @@ def best_subnetwork(t, k, rate, method="analytic", rel_tol=DEFAULT_REL_TOL,
         draw_rng = rng if rng is not None else named_rng(0, "best_subnetwork")
         return _least_outage(t, subsets, rate, unit_draws(t, draw_rng, mc_samples))
     best_subset, best_value = None, math.inf
-    queries = [OutageQuery(rate=rate, subset=s, quadrature_rel_tol=rel_tol)
-               for s in subsets]
-    for floor, q in sorted(((_bound_floor(t, q), q) for q in queries),
-                           key=lambda fq: (fq[0], fq[1].subset)):
+    for floor, q in _floor_order(t, subsets, rate, rel_tol):
         if floor > best_value:
             break
         value = outage_upper_bound(t, q)
@@ -382,6 +382,29 @@ def _subsets(t, k):
     if not 0 <= k <= t.n_relays:
         raise ValueError(f"k must be in [0, {t.n_relays}], got {k}")
     return list(itertools.combinations(range(1, t.n_relays + 1), k))
+
+
+def _floor_order(t, subsets, rate, rel_tol):
+    """(floor, query) pairs of the subsets in ascending order of
+    _bound_floor, ties in lexicographic order: the order in which the
+    analytic searches visit them."""
+    queries = [OutageQuery(rate=rate, subset=s, quadrature_rel_tol=rel_tol)
+               for s in subsets]
+    return sorted(((_bound_floor(t, q), q) for q in queries),
+                  key=lambda fq: (fq[0], fq[1].subset))
+
+
+def _reaches(t, k, rate, level, rel_tol):
+    """Whether some k-subset's outage_upper_bound is <= level, that is
+    best_subnetwork(t, k, rate, rel_tol=rel_tol)[1] <= level. Subsets are
+    visited in floor order; the walk stops at the first bound <= level, or
+    at the first floor > level, since no later bound can be below it."""
+    for floor, q in _floor_order(t, _subsets(t, k), rate, rel_tol):
+        if floor > level:
+            return False
+        if outage_upper_bound(t, q) <= level:
+            return True
+    return False
 
 
 def _least_outage(t, subsets, rate, unit):
@@ -453,22 +476,38 @@ def required_snr_db(template, k, rate, target, normalization="per_node",
                     rel_tol=DEFAULT_REL_TOL):
     """Reference SNR (dB) at which the best k-relay analytic outage bound
     crosses the target, found by bisection (the bound is monotone
-    decreasing in SNR)."""
+    decreasing in SNR).
 
-    def level(snr_db):
+    Each step asks only whether the least k-subset bound is at or below
+    the target (_reaches), which equals comparing best_subnetwork's value,
+    so the result is that of a bisection on full searches. Raises
+    ValueError unless iterations is an integer >= 0, lo_db < hi_db are
+    finite and 0 < target < 1, or when the bound is already below the
+    target at lo_db or above it at hi_db.
+    """
+    if isinstance(iterations, bool) or not isinstance(iterations, numbers.Integral) \
+            or iterations < 0:
+        raise ValueError(f"iterations must be an integer >= 0, got {iterations!r}")
+    if not (math.isfinite(lo_db) and math.isfinite(hi_db) and lo_db < hi_db):
+        raise ValueError(f"lo_db and hi_db must be finite with lo_db < hi_db, "
+                         f"got lo_db={lo_db!r}, hi_db={hi_db!r}")
+    if not 0.0 < target < 1.0:
+        raise ValueError(f"target must be in (0, 1), got {target!r}")
+
+    def reaches(snr_db, level):
         scaled = template.scaled(_snr_scale(10.0 ** (snr_db / 10.0), k, normalization))
-        _, value = best_subnetwork(scaled, k, rate, method="analytic", rel_tol=rel_tol)
-        return value
+        return _reaches(scaled, k, rate, level, rel_tol)
 
-    if level(lo_db) < target:
+    # least bound < target, as least bound <= the float just below target
+    if reaches(lo_db, math.nextafter(target, -math.inf)):
         raise ValueError(f"target {target} already met at lo_db={lo_db}")
-    if level(hi_db) > target:
+    if not reaches(hi_db, target):
         raise ValueError(f"target {target} not reached at hi_db={hi_db}")
     lo, hi = lo_db, hi_db
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        if level(mid) > target:
-            lo = mid
-        else:
+        if reaches(mid, target):
             hi = mid
+        else:
+            lo = mid
     return 0.5 * (lo + hi)

@@ -9,6 +9,8 @@ They are slow and need scipy, so they live here rather than in the package:
 - best_subnetwork_exhaustive: the analytic subset search without pruning;
 - best_subnetwork_montecarlo_scan: the Monte-Carlo subset search as one
   approx_capacity call per subset on the whole draw array;
+- required_snr_db_full_search: the required-SNR bisection with one full
+  best_subnetwork search per step;
 - sample_channels_exponential: a channel draw as one rng.exponential call
   with the per-link scales;
 - run_fixed: a fixed-mode run over a schedule as a per-frame loop, one
@@ -35,8 +37,8 @@ from scipy.integrate import IntegrationWarning, quad
 
 from coopsim.macemu import PacketResult
 from coopsim.netsim import Mode, evaluate_frame
-from coopsim.outage import (OutageQuery, QuadratureFailure, approx_capacity,
-                            outage_upper_bound)
+from coopsim.outage import (DEFAULT_REL_TOL, OutageQuery, QuadratureFailure,
+                            approx_capacity, best_subnetwork, outage_upper_bound)
 from coopsim.selection import DEFAULT_PARAMS, LearnCall, learn, policy_key
 from coopsim.topology import sample_channels
 
@@ -168,6 +170,34 @@ def best_subnetwork_montecarlo_scan(t, k, rate, mc_samples, rng):
         if value < best_value:
             best_subset, best_value = subset, value
     return best_subset, best_value
+
+
+def required_snr_db_full_search(template, k, rate, target,
+                                normalization="per_node", lo_db=-20.0,
+                                hi_db=60.0, iterations=40,
+                                rel_tol=DEFAULT_REL_TOL):
+    """Bisection for the SNR (dB) at which the least k-subset union bound
+    crosses the target, each step comparing the exact least bound of a
+    full best_subnetwork search with the target."""
+
+    def level(snr_db):
+        snr = 10.0 ** (snr_db / 10.0)
+        scaled = template.scaled(snr / (k + 1) if normalization == "total_power" else snr)
+        _, value = best_subnetwork(scaled, k, rate, method="analytic", rel_tol=rel_tol)
+        return value
+
+    if level(lo_db) < target:
+        raise ValueError(f"target {target} already met at lo_db={lo_db}")
+    if level(hi_db) > target:
+        raise ValueError(f"target {target} not reached at hi_db={hi_db}")
+    lo, hi = lo_db, hi_db
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        if level(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def sample_channels_exponential(t, rng, n=None):

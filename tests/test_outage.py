@@ -3,20 +3,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_topology, topologies
 from coopsim.outage import (_BLOCK_ROWS, DEFAULT_REL_TOL, Cut,
                             IndexOutOfSubsetError, OutageQuery,
-                            QuadratureFailure, _p_omega,
-                            approx_capacity, best_subnetwork,
+                            QuadratureFailure, _bound_floor, _p_omega,
+                            _reaches, approx_capacity, best_subnetwork,
                             cut_outage_analytic, direct_outage,
                             outage_monte_carlo, outage_sweep,
                             outage_upper_bound, required_snr_db)
 from oracles import (best_subnetwork_exhaustive,
                      best_subnetwork_montecarlo_scan, p_omega_by_term_expansion,
-                     p_omega_quad)
+                     p_omega_quad, required_snr_db_full_search)
 from coopsim.rng import named_rng
 from coopsim.topology import Topology, sample_channels
 
@@ -440,3 +440,95 @@ class TestSweep:
         scaled = template.scaled(10 ** (snr / 10.0))
         _, value = best_subnetwork(scaled, 1, 1.0)
         assert value == pytest.approx(1e-2, rel=1e-3)
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's return value, or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+class TestRequiredSnr:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(t=topologies(max_relays=5).filter(lambda t: t.n_relays > 0),
+           rate=st.sampled_from([0.5, 1.0, 2.0]),
+           target=st.one_of(st.sampled_from([1e-1, 1e-2, 1e-3]),
+                            st.floats(1e-6, 0.9)),
+           normalization=st.sampled_from(["per_node", "total_power"]),
+           bracket=st.sampled_from([(-20.0, 60.0), (-10.0, 20.0), (0.0, 30.0)]),
+           iterations=st.integers(0, 25))
+    def test_equals_full_search_bisection(self, t, rate, target, normalization,
+                                          bracket, iterations):
+        # k = n_relays + 1 compares the out-of-range k error
+        lo_db, hi_db = bracket
+        for k in range(t.n_relays + 2):
+            args = (t, k, rate, target)
+            kwargs = dict(normalization=normalization, lo_db=lo_db, hi_db=hi_db,
+                          iterations=iterations)
+            try:
+                expected = _outcome(required_snr_db_full_search, *args, **kwargs)
+            except QuadratureFailure:
+                # the walk computes a prefix of the bounds the full search
+                # does, so it may stop before the failing one
+                event("full search hit a QuadratureFailure")
+                continue
+            event("raises" if isinstance(expected, tuple) else "returns")
+            assert _outcome(required_snr_db, *args, **kwargs) == expected, k
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(t=topologies(max_relays=4).filter(lambda t: t.n_relays > 0),
+           rate=st.floats(0.25, 4.0))
+    def test_reaches_at_planted_levels(self, t, rate):
+        # levels exactly at the least bound and at every subset's floor, and
+        # one float either side of each; for k <= 1 floor and bound coincide
+        for k in range(t.n_relays + 1):
+            best = best_subnetwork(t, k, rate)[1]
+            planted = [best] + [
+                _bound_floor(t, OutageQuery(rate=rate, subset=s))
+                for s in itertools.combinations(range(1, t.n_relays + 1), k)]
+            for level in planted:
+                for x in (level, math.nextafter(level, math.inf),
+                          math.nextafter(level, -math.inf)):
+                    assert _reaches(t, k, rate, x, DEFAULT_REL_TOL) == (best <= x), \
+                        (k, x, best)
+
+    @pytest.mark.parametrize("normalization", ["per_node", "total_power"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_target_equal_to_least_bound_at_lo_db_is_not_met(self, normalization, k):
+        # "already met" needs the least bound strictly below the target
+        template = Topology.from_snr(0.2, [1.0, 0.6, 0.3], [0.8, 0.5, 0.4])
+        lo_db, hi_db = 10.0, 40.0
+        snr = 10.0 ** (lo_db / 10.0)
+        scaled = template.scaled(snr / (k + 1) if normalization == "total_power" else snr)
+        best = best_subnetwork(scaled, k, 1.0)[1]
+        assert 0.0 < best < 1.0
+        kwargs = dict(normalization=normalization, lo_db=lo_db, hi_db=hi_db,
+                      iterations=20)
+        snr_db = required_snr_db(template, k, 1.0, best, **kwargs)
+        assert snr_db == required_snr_db_full_search(template, k, 1.0, best, **kwargs)
+        above = math.nextafter(best, math.inf)
+        with pytest.raises(ValueError, match="already met"):
+            required_snr_db(template, k, 1.0, above, **kwargs)
+        with pytest.raises(ValueError, match="already met"):
+            required_snr_db_full_search(template, k, 1.0, above, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, names", [
+        (dict(iterations=-3), "iterations.*-3"),
+        (dict(iterations=2.5), "iterations.*2.5"),
+        (dict(iterations=True), "iterations.*True"),
+        (dict(target=math.nan), "target.*nan"),
+        (dict(target=0.0), "target.*0.0"),
+        (dict(target=1.0), "target.*1.0"),
+        (dict(hi_db=math.inf), "hi_db=inf"),
+        (dict(lo_db=math.nan), "lo_db=nan"),
+        (dict(lo_db=10.0, hi_db=-10.0), "lo_db=10.0, hi_db=-10.0"),
+        (dict(lo_db=10.0, hi_db=10.0), "lo_db=10.0, hi_db=10.0"),
+    ])
+    def test_rejects_bad_inputs(self, kwargs, names):
+        template = Topology.from_snr(0.5, [1.0, 1.0], [1.0, 1.0])
+        call = {"target": 1e-2, **kwargs}
+        with pytest.raises(ValueError, match=names) as info:
+            required_snr_db(template, 1, 1.0, **call)
+        assert type(info.value) is ValueError
