@@ -12,10 +12,8 @@ import argparse
 import os
 import sys
 
-import yaml
-
 from . import __version__, experiments
-from .experiments import ConfigParseError, ValidationError
+from .experiments import ValidationError
 
 
 def _add_common(p):
@@ -36,17 +34,16 @@ def _build_parser():
     p.add_argument("--topology")
     p.add_argument("--rate", type=float)
     p.add_argument("--k", help="comma list of subnetwork sizes, e.g. 0,1,2")
-    p.add_argument("--method", choices=["analytic", "montecarlo"], default="analytic")
+    p.add_argument("--method")
     p.add_argument("--snr-grid", help="start:stop:step in dB, or comma list")
-    p.add_argument("--normalization", choices=["per_node", "total_power"],
-                   default="per_node")
+    p.add_argument("--normalization")
     p.add_argument("--out", default="outage.csv")
 
     p = sub.add_parser("run", help="run one selection policy over a schedule")
     _add_common(p)
     p.add_argument("--policy")
     p.add_argument("--schedule")
-    p.add_argument("--strategy", default="DIQIF")
+    p.add_argument("--strategy")
     p.add_argument("--rate", type=float)
     p.add_argument("--params", help="YAML file with SPA/LEARN parameters")
     p.add_argument("--out", default="runlog.csv")
@@ -55,12 +52,12 @@ def _build_parser():
     _add_common(p)
     p.add_argument("--topologies", help="comma list of topology files")
     p.add_argument("--policies", help="comma list of policies")
-    p.add_argument("--strategy", default="DIQIF")
+    p.add_argument("--strategy")
     p.add_argument("--rate", type=float)
-    p.add_argument("--frames-per-topology", type=int, default=860)
-    p.add_argument("--transitions", type=int, default=4)
-    p.add_argument("--segment-len", type=int, default=172)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--frames-per-topology", type=int)
+    p.add_argument("--transitions", type=int)
+    p.add_argument("--segment-len", type=int)
+    p.add_argument("--samples", type=int)
     p.add_argument("--params")
     p.add_argument("--out", default="ensemble.csv")
 
@@ -68,8 +65,8 @@ def _build_parser():
     _add_common(p)
     p.add_argument("--coop-trace", help="PHY trace CSV to deliver packets over")
     p.add_argument("--path-traces", help="per-hop path trace CSV for genie routing")
-    p.add_argument("--max-retx", type=int, default=2)
-    p.add_argument("--max-retx-per-link", type=int, default=4)
+    p.add_argument("--max-retx", type=int)
+    p.add_argument("--max-retx-per-link", type=int)
     p.add_argument("--out", default="packets.csv")
 
     p = sub.add_parser("validate", help="validate an experiment config")
@@ -81,23 +78,19 @@ def _build_parser():
 def _require(args, *flags):
     for flag in flags:
         if getattr(args, flag.replace("-", "_")) is None:
-            raise ConfigParseError(
+            raise ValidationError(
                 f"{args.command}: --{flag} is required without --config")
-
-
-def _out_path(args):
-    return os.path.join(args.out_dir or "", args.out)
 
 
 def _params_doc(args):
     """The SPA/LEARN parameter block of the --params YAML file, if any."""
-    if args.params is None:
-        return {}
-    try:
-        with open(args.params, "r", encoding="utf-8") as fh:
-            return yaml.safe_load(fh) or {}
-    except (OSError, yaml.YAMLError) as e:
-        raise ConfigParseError(f"--params: {e}") from e
+    return None if args.params is None else experiments._load_yaml(args.params)
+
+
+def _given(**keys):
+    """The keys whose flags were given: a key that is None, or an empty
+    block, is left out, so that its kind's schema supplies the default."""
+    return {key: value for key, value in keys.items() if value not in (None, {})}
 
 
 def _outage_doc(args):
@@ -109,37 +102,37 @@ def _outage_doc(args):
         else:
             grid = [float(v) for v in args.snr_grid.split(",")]
     except ValueError:
-        raise ConfigParseError(f"--snr-grid must be start:stop:step or a list of "
-                               f"numbers, got {args.snr_grid!r}") from None
+        raise ValidationError(f"--snr-grid must be start:stop:step or a list of "
+                              f"numbers, got {args.snr_grid!r}") from None
     try:
         k_values = [int(v) for v in args.k.split(",")]
     except ValueError:
-        raise ConfigParseError(f"--k must be a list of integers, got {args.k!r}") from None
-    return {"kind": "outage_sweep", "topology": args.topology, "rate": args.rate,
-            "k_values": k_values, "snr_grid": grid,
-            "method": args.method, "normalization": args.normalization}
+        raise ValidationError(f"--k must be a list of integers, got {args.k!r}") from None
+    return _given(kind="outage_sweep", topology=args.topology, rate=args.rate,
+                  k_values=k_values, snr_grid=grid, method=args.method,
+                  normalization=args.normalization)
 
 
 def _run_doc(args):
     _require(args, "policy", "schedule", "rate")
-    return {"kind": "adaptive_compare", "schedule": args.schedule,
-            "policies": [args.policy], "strategy": args.strategy,
-            "rate": args.rate, "params": _params_doc(args)}
+    return _given(kind="adaptive_compare", schedule=args.schedule,
+                  policies=[args.policy], strategy=args.strategy, rate=args.rate,
+                  params=_params_doc(args))
 
 
 def _ensemble_doc(args):
     _require(args, "topologies", "policies", "rate")
-    return {"kind": "ensemble", "topologies": args.topologies.split(","),
-            "policies": args.policies.split(","), "strategy": args.strategy,
-            "rate": args.rate, "frames_per_topology": args.frames_per_topology,
-            "n_transitions": args.transitions, "segment_len": args.segment_len,
-            "n_samples": args.samples, "params": _params_doc(args)}
+    return _given(kind="ensemble", topologies=args.topologies.split(","),
+                  policies=args.policies.split(","), strategy=args.strategy,
+                  rate=args.rate, frames_per_topology=args.frames_per_topology,
+                  n_transitions=args.transitions, segment_len=args.segment_len,
+                  n_samples=args.samples, params=_params_doc(args))
 
 
 def _flag_place(args):
     """Output placement of a flag run: the first output goes to --out,
     every later output `name` to <out>.<name>."""
-    out = _out_path(args)
+    out = os.path.join(args.out_dir or "", args.out)
     placed = []
 
     def place(name):
@@ -151,10 +144,10 @@ def _flag_place(args):
 
 
 def _mac_doc(args):
-    return {"kind": "mac_replay", "coop_trace": args.coop_trace,
-            "path_traces": args.path_traces,
-            "mac": {"max_retx_coop": args.max_retx,
-                    "max_retx_per_link": args.max_retx_per_link}}
+    return _given(kind="mac_replay", coop_trace=args.coop_trace,
+                  path_traces=args.path_traces,
+                  mac=_given(max_retx_coop=args.max_retx,
+                             max_retx_per_link=args.max_retx_per_link))
 
 
 _FLAG_DOCS = {
@@ -174,7 +167,7 @@ def main(argv=None):
                     print(f"{kind}: {desc}")
                 return 0
             if not args.config:
-                raise ConfigParseError("validate: config path required")
+                raise ValidationError("validate: config path required")
             print(experiments.validate_config(args.config))
             return 0
         if getattr(args, "config", None):
@@ -187,7 +180,7 @@ def main(argv=None):
         for f in files:
             print(f)
         return 0
-    except (ConfigParseError, ValidationError) as e:
+    except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

@@ -5,6 +5,7 @@ result CSVs plus a manifest.json echoing the config, seed and package
 version, so identical config+seed reproduces byte-identical outputs.
 """
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -19,30 +20,18 @@ from .topology import (TopologyError, TopologySchedule, load_topology,
                        sample_channels, topology_from_dict)
 
 
-class ConfigParseError(Exception):
-    """Config file unreadable or structurally wrong (unknown kind, missing key)."""
-
-
 class ValidationError(Exception):
-    """Config parsed but a parameter block fails module-level validation."""
+    """A config that cannot run: unreadable, structurally wrong (unknown
+    kind, unknown or missing key, a value of the wrong type) or failing a
+    parameter check."""
 
 
 class IoError(Exception):
     """Filesystem failure while reading inputs or writing outputs."""
 
 
-EXPERIMENT_KINDS = {
-    "outage_sweep": "best-subnetwork outage across an SNR grid",
-    "fixed_modes": "fixed-mode frame traces over a topology schedule",
-    "adaptive_compare": "selection policies over a time-varying schedule",
-    "ensemble": "ensemble-average FER/switching of selection policies",
-    "mac_compare": "paired coop-MAC vs genie-routing emulation",
-    "mac_replay": "MAC delivery over a recorded coop trace and/or path traces",
-}
-
-
 def list_experiments():
-    return sorted(EXPERIMENT_KINDS.items())
+    return sorted((kind, description) for kind, (description, *_) in _KINDS.items())
 
 
 def _load_yaml(path):
@@ -50,190 +39,255 @@ def _load_yaml(path):
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
     except FileNotFoundError as e:
-        raise ConfigParseError(f"{path}: file not found") from e
+        raise ValidationError(f"{path}: file not found") from e
     except OSError as e:
         raise IoError(f"{path}: {e}") from e
     except yaml.YAMLError as e:
-        raise ConfigParseError(f"{path}: {e}") from e
+        raise ValidationError(f"{path}: {e}") from e
     if not isinstance(doc, dict):
-        raise ConfigParseError(f"{path}: expected a mapping at top level")
+        raise ValidationError(f"{path}: expected a mapping at top level")
     return doc
 
 
-def _need(doc, key, path):
-    if key not in doc:
-        raise ConfigParseError(f"{path}: missing required key {key!r}")
-    return doc[key]
+# The default of a key that its block must give.
+_REQUIRED = object()
 
 
-def _int(value, what, path):
+def _read(block, schema, where, base_dir, top=False):
+    """The parsed keys of block (None reads as {}), a mapping checked
+    against schema, which maps each key it allows to (parser, default).
+    parser(value, what, base_dir) parses the key's value, or its default
+    where block leaves it out, and raises ValueError naming what: the key,
+    after `where` unless top. A _REQUIRED key must be given."""
+    block = {} if block is None else block
+    if not isinstance(block, dict):
+        raise ValueError(f"{where} must be a mapping, got {block!r}")
+    unknown = [k for k in block if k not in schema]
+    if unknown:
+        raise ValueError(f"unknown {where} key {unknown[0]!r}; "
+                         f"expected one of {', '.join(sorted(schema))}")
+    parsed = {}
+    for key, (parse, default) in schema.items():
+        value = block.get(key, default)
+        if value is _REQUIRED:
+            raise ValueError(f"missing required key {key!r}")
+        parsed[key] = parse(value, key if top else f"{where} {key}", base_dir)
+    return parsed
+
+
+def _int(value, what, base_dir=None):
     """value as an int; anything but an int or an integral float (2.5, "3",
-    true) is a ConfigParseError naming what."""
+    true) is rejected, naming what."""
     if isinstance(value, bool) or not (isinstance(value, int) or (
             isinstance(value, float) and value.is_integer())):
-        raise ConfigParseError(f"{path}: {what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
-def _list(doc, key, path):
-    """doc[key], which must be a list; ConfigParseError naming key."""
-    value = _need(doc, key, path)
+def _number(value, what, base_dir=None):
+    """value as a float; anything but an int or a float ("1.0", true) is
+    rejected, naming what."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _str(value, what, base_dir):
+    return str(value)
+
+
+def _path(value, what, base_dir):
+    """value, a path string, or None where no path is given."""
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"{what} must be a path, got {value!r}")
+    return value
+
+
+def _list(value, what):
     if not isinstance(value, (list, tuple)):
-        raise ConfigParseError(f"{path}: {key} must be a list, got {value!r}")
+        raise ValueError(f"{what} must be a list, got {value!r}")
     return value
 
 
-def _mapping(value, allowed, where, path):
-    """value ({} if None), which must be a mapping whose keys are all in
-    allowed; ConfigParseError naming the first other key."""
-    value = {} if value is None else value
-    if not isinstance(value, dict):
-        raise ConfigParseError(f"{path}: {where} must be a mapping")
-    unknown = [k for k in value if k not in allowed]
-    if unknown:
-        raise ConfigParseError(f"{path}: unknown {where} key {unknown[0]!r}; "
-                               f"expected one of {', '.join(sorted(allowed))}")
-    return value
+def _strs(value, what, base_dir):
+    return [str(v) for v in _list(value, what)]
 
 
-def _resolve_topology(spec, base_dir, path):
+def _choice(*options):
+    """The parser of a string among options."""
+    def parse(value, what, base_dir):
+        if str(value) not in options:
+            raise ValueError(f"unknown {what} {str(value)!r}")
+        return str(value)
+    return parse
+
+
+def _seed(value, what, base_dir=None):
+    """value, a root seed: an integer >= 0 (a SeedSequence entropy)."""
+    seed = _int(value, what)
+    if seed < 0:
+        raise ValueError(f"{what} must be >= 0, got {seed}")
+    return seed
+
+
+def _rate(value, what, base_dir):
+    rate = _number(value, what)
+    if not math.isfinite(rate) or rate < 0:
+        raise ValueError(f"{what} must be finite and >= 0, got {rate!r}")
+    return rate
+
+
+def _modes(value, what, base_dir):
+    """"all", or a list of mode keys."""
+    return value if value == "all" else _list(value, what)
+
+
+def _topology(spec, what, base_dir):
+    """The topology of a mapping, or of the file that spec names relative
+    to base_dir."""
     try:
         if isinstance(spec, str):
             return load_topology(os.path.join(base_dir, spec))
         if isinstance(spec, dict):
             return topology_from_dict(spec)
     except FileNotFoundError as e:
-        raise ValidationError(f"{path}: referenced topology file {spec!r} "
-                              f"does not exist") from e
-    except OSError as e:
-        raise IoError(f"{path}: topology file: {e}") from e
-    except TopologyError as e:
-        raise ValidationError(f"{path}: topology: {e}") from e
-    raise ConfigParseError(f"{path}: topology must be a file path or mapping")
+        raise ValueError(f"referenced topology file {spec!r} does not exist") from e
+    except (TopologyError, yaml.YAMLError) as e:
+        raise ValueError(f"topology: {e}") from e
+    raise ValueError(f"{what} must be a file path or mapping")
 
 
-def _resolve_schedule(spec, base_dir, path):
+def _topologies(value, what, base_dir):
+    """A list of topologies with distinct labels."""
+    topologies = [_topology(spec, what, base_dir) for spec in _list(value, what)]
+    if len({t.label for t in topologies}) != len(topologies):
+        raise ValueError(f"{what} need distinct labels")
+    return topologies
+
+
+_SEGMENT = {"topology": (_str, _REQUIRED), "frames": (_int, _REQUIRED)}
+
+
+def _segments(value, what, base_dir):
+    """[(label, frames)] of a list of segment mappings."""
+    segments = []
+    for seg in _list(value, what):
+        if not isinstance(seg, dict):
+            raise ValueError(f"{what} entries must be mappings, got {seg!r}")
+        segments.append(tuple(_read(seg, _SEGMENT, "segment", base_dir).values()))
+    return segments
+
+
+_SCHEDULE = {"topologies": (_topologies, _REQUIRED), "segments": (_segments, _REQUIRED)}
+
+
+def _schedule(spec, what, base_dir):
+    """(TopologySchedule, {label: topology}) of a schedule mapping, or of
+    the schedule file that spec names, whose own paths resolve against its
+    directory."""
     if isinstance(spec, str):
         schedule_path = os.path.join(base_dir, spec)
         spec = _load_yaml(schedule_path)
         base_dir = os.path.dirname(os.path.abspath(schedule_path))
-    if not isinstance(spec, dict):
-        raise ConfigParseError(f"{path}: schedule must be a file path or mapping")
-    _mapping(spec, ("topologies", "segments"), "schedule", path)
-    topologies = {}
-    for item in _list(spec, "topologies", path):
-        t = _resolve_topology(item, base_dir, path)
-        topologies[t.label] = t
-    segments = []
-    for seg in _list(spec, "segments", path):
-        if not isinstance(seg, dict):
-            raise ConfigParseError(f"{path}: segments entries must be mappings, "
-                                   f"got {seg!r}")
-        _mapping(seg, ("topology", "frames"), "segment", path)
-        label = str(_need(seg, "topology", path))
+    block = _read(spec, _SCHEDULE, what, base_dir)
+    topologies = {t.label: t for t in block["topologies"]}
+    for label, _ in block["segments"]:
         if label not in topologies:
-            raise ValidationError(f"{path}: segment references unknown topology {label!r}")
-        segments.append((label, _int(_need(seg, "frames", path), "segment frames", path)))
+            raise ValueError(f"segment references unknown topology {label!r}")
+    return TopologySchedule(tuple(block["segments"])), topologies
+
+
+# The params block: each field of LearnParams and SpaParams (but the nested
+# learn) with its type's parser and its default.
+_PARAMS = {f.name: ({int: _int, float: _number}[f.type], f.default)
+           for cls in (selection.LearnParams, selection.SpaParams)
+           for f in dataclasses.fields(cls) if f.name != "learn"}
+
+
+def _params(value, what, base_dir):
+    """The SpaParams of a params block."""
+    block = _read(value, _PARAMS, what, base_dir)
+    learn = {f.name: block.pop(f.name) for f in dataclasses.fields(selection.LearnParams)}
     try:
-        return TopologySchedule(tuple(segments)), topologies
-    except TopologyError as e:
-        raise ValidationError(f"{path}: schedule: {e}") from e
-
-
-_PARAMS_KEYS = ("l", "eta", "alpha", "epsilon", "B", "zeta", "r", "w", "delta_w", "s")
-
-
-def _resolve_params(doc, path):
-    block = _mapping(doc.get("params"), _PARAMS_KEYS, "params", path)
-
-    def integer(key, default):
-        return _int(block.get(key, default), f"params {key}", path)
-
-    try:
-        learn = selection.LearnParams(
-            l=integer("l", 1),
-            eta=float(block.get("eta", 3.0)),
-            alpha=float(block.get("alpha", 0.4)),
-            epsilon=float(block.get("epsilon", 0.05)),
-            B=integer("B", 50),
-        )
-        return selection.SpaParams(
-            zeta=float(block.get("zeta", 0.1)),
-            r=integer("r", 3),
-            w=integer("w", 40),
-            delta_w=integer("delta_w", 1),
-            s=integer("s", 3),
-            learn=learn,
-        )
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"{path}: params (LearnParams/SpaParams): {e}") from e
-
-
-def _rate(doc, path):
-    try:
-        rate = float(_need(doc, "rate", path))
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"{path}: rate must be a number") from e
-    if not math.isfinite(rate) or rate < 0:
-        raise ValidationError(f"{path}: rate must be finite and >= 0, got {rate!r}")
-    return rate
-
-
-def _strategy(doc, path):
-    try:
-        return netsim.Strategy.parse(doc.get("strategy", "DIQIF"))
+        return selection.SpaParams(learn=selection.LearnParams(**learn), **block)
     except ValueError as e:
-        raise ValidationError(f"{path}: {e}") from e
+        raise ValueError(f"{what} (LearnParams/SpaParams): {e}") from e
 
 
-def _relay_count(topologies, path):
-    """The relay count, one or more, that the topologies, one or more, all
-    share: the policies choose among one set of modes."""
-    counts = sorted({t.n_relays for t in topologies})
-    if len(counts) != 1:
-        raise ValidationError(f"{path}: need one or more topologies with the same "
-                              f"relay count, got relay counts {counts}")
-    if counts[0] < 1:
-        raise ValidationError(f"{path}: the policies need at least one relay, got 0")
-    return counts[0]
+# The mac block: MacPolicy's retransmission limits, with its defaults.
+_MAC = {f.name: (_int, f.default) for f in dataclasses.fields(macemu.MacPolicy)
+        if f.name.startswith("max_retx")}
+
+
+def _mac(value, what, base_dir):
+    """The MacPolicy of a mac block."""
+    block = _read(value, _MAC, what, base_dir)
+    try:
+        return macemu.MacPolicy(**block)
+    except ValueError as e:
+        raise ValueError(f"{what}: {e}") from e
+
+
+def _k_values(value, what, base_dir):
+    try:
+        k_values = [_int(k, what) for k in value]
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}") from None
+    if not k_values:
+        raise ValueError(f"{what} must name at least one k")
+    return k_values
 
 
 _MAX_SNR_POINTS = 100_000
 
 
-def _snr_grid(spec, path):
-    form = f"{path}: snr_grid must be start:stop:step or a list of numbers"
+def _snr_grid(spec, what, base_dir):
+    """The SNR grid in dB of a start/stop/step mapping or a list."""
+    form = f"{what} must be start:stop:step or a list of numbers"
     try:
         if isinstance(spec, dict):
-            start, stop, step = (float(spec[k]) for k in ("start", "stop", "step"))
+            start, stop, step = (_number(spec[k], what) for k in ("start", "stop", "step"))
         else:
-            grid = [float(v) for v in spec]
+            grid = [_number(v, what) for v in spec]
     except KeyError as e:
-        raise ConfigParseError(f"{form} (missing {e.args[0]!r})") from e
+        raise ValueError(f"{form} (missing {e.args[0]!r})") from e
     except (TypeError, ValueError) as e:
-        raise ConfigParseError(form) from e
+        raise ValueError(form) from e
     if isinstance(spec, dict):
         if not (all(map(math.isfinite, (start, stop, step))) and step > 0
                 and stop >= start):
-            raise ValidationError(f"{path}: snr_grid needs finite start, stop and "
-                                  f"step, step > 0 and stop >= start")
+            raise ValueError(f"{what} needs finite start, stop and step, "
+                             f"step > 0 and stop >= start")
         points = (stop - start) / step + 1
         if points > _MAX_SNR_POINTS:
-            raise ValidationError(f"{path}: snr_grid range has {points:,.0f} points, "
-                                  f"more than {_MAX_SNR_POINTS:,}")
+            raise ValueError(f"{what} range has {points:,.0f} points, "
+                             f"more than {_MAX_SNR_POINTS:,}")
         grid = []
         v = start
         while v <= stop + 1e-9:
             grid.append(round(v, 9))
             v += step
-    try:
-        outage.check_snr_grid(grid)
-    except ValueError as e:
-        raise ValidationError(f"{path}: {e}") from e
+    outage.check_snr_grid(grid)
     return grid
 
 
+def _relay_count(topologies, policies, params):
+    """The relay count, one or more, that the topologies, one or more, all
+    share (the policies choose among one set of modes), checked to run
+    each of policies on its modes (selection.check_policy)."""
+    counts = sorted({t.n_relays for t in topologies})
+    if len(counts) != 1:
+        raise ValueError(f"need one or more topologies with the same "
+                         f"relay count, got relay counts {counts}")
+    if counts[0] < 1:
+        raise ValueError("the policies need at least one relay, got 0")
+    for policy in policies:
+        selection.check_policy(policy, counts[0], params)
+    return counts[0]
+
+
 def _write_csv(path, header, rows):
+    """Write the CSV file path; returns path."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
@@ -241,6 +295,7 @@ def _write_csv(path, header, rows):
             w.writerows(rows)
     except OSError as e:
         raise IoError(f"{path}: {e}") from e
+    return path
 
 
 def _fmt(value):
@@ -270,51 +325,37 @@ def _map(fn, tasks, threads):
         return list(pool.map(_in_worker, *zip(*tasks)))
 
 
-def _plan_outage_sweep(doc, path, base_dir):
-    template = _resolve_topology(_need(doc, "topology", path), base_dir, path)
-    rate = _rate(doc, path)
-    try:
-        k_values = [_int(k, "k_values", path) for k in _need(doc, "k_values", path)]
-    except (ConfigParseError, TypeError):
-        raise ConfigParseError(f"{path}: k_values must be a list of integers, "
-                               f"got {doc['k_values']!r}") from None
-    grid = _snr_grid(_need(doc, "snr_grid", path), path)
-    normalization = str(doc.get("normalization", "per_node"))
-    method = str(doc.get("method", "analytic"))
-    if normalization not in ("per_node", "total_power"):
-        raise ValidationError(f"{path}: unknown normalization {normalization!r}")
-    if method not in ("analytic", "montecarlo"):
-        raise ValidationError(f"{path}: unknown method {method!r}")
-    if not k_values:
-        raise ValidationError(f"{path}: k_values must name at least one k")
+def _plan_outage_sweep(cfg, base_dir):
+    template, k_values, grid = cfg["topology"], cfg["k_values"], cfg["snr_grid"]
     if any(k < 0 or k > template.n_relays for k in k_values):
-        raise ValidationError(f"{path}: k_values outside [0, {template.n_relays}]")
+        raise ValueError(f"k_values outside [0, {template.n_relays}]")
 
     def run(place, seed, threads):
-        point = functools.partial(outage.sweep_point, template, rate,
-                                  k_values=k_values, normalization=normalization,
-                                  method=method, seed=seed)
+        point = functools.partial(outage.sweep_point, template, cfg["rate"],
+                                  k_values=k_values,
+                                  normalization=cfg["normalization"],
+                                  method=cfg["method"], seed=seed)
         results = _map(point, list(enumerate(grid)), threads)
-        rows = [[_fmt(snr_db), k, _subset_str(subset), _fmt(value), method]
+        rows = [[_fmt(snr_db), k, _subset_str(subset), _fmt(value), cfg["method"]]
                 for snr_db, cells in zip(grid, results)
                 for k, (subset, value) in zip(k_values, cells)]
-        out = place("outage.csv")
-        _write_csv(out, ["snr_db", "k", "subset", "outage", "method"], rows)
-        return [out]
+        return [_write_csv(place("outage.csv"),
+                           ["snr_db", "k", "subset", "outage", "method"], rows)]
 
     return (f"ok: outage_sweep over {len(grid)} SNR points x {len(k_values)} k "
             f"values on {template.n_relays}-relay topology {template.label!r}"), run
 
 
-def _mode_slots(doc, path, n_relays):
+def _mode_slots(modes, n_relays):
+    """The mode slots of a modes list, or of every mode if modes is "all"."""
     try:
-        if doc.get("modes", "all") == "all":
+        if modes == "all":
             return [None] + netsim.enumerate_modes(n_relays)
-        slots = [netsim.parse_mode_key(m) for m in _list(doc, "modes", path)]
+        slots = [netsim.parse_mode_key(m) for m in modes]
         for slot in filter(None, slots):
             slot.check_relays(n_relays)
     except ValueError as e:
-        raise ValidationError(f"{path}: modes: {e}") from e
+        raise ValueError(f"modes: {e}") from e
     return slots
 
 
@@ -323,12 +364,10 @@ def _schedule_summary(kind, schedule, topologies):
             f"({schedule.total_frames} frames, {len(topologies)} topologies)")
 
 
-def _plan_fixed_modes(doc, path, base_dir):
-    schedule, topologies = _resolve_schedule(_need(doc, "schedule", path), base_dir, path)
-    rate = _rate(doc, path)
-    strategy = _strategy(doc, path)
-    _resolve_params(doc, path)  # checked although fixed modes never learn
-    slots = _mode_slots(doc, path, min(t.n_relays for t in topologies.values()))
+def _plan_fixed_modes(cfg, base_dir):
+    schedule, topologies = cfg["schedule"]
+    strategy, rate = cfg["strategy"], cfg["rate"]
+    slots = _mode_slots(cfg["modes"], min(t.n_relays for t in topologies.values()))
 
     def run(place, seed, threads):
         labels = [label for label, frames in schedule.segments for _ in range(frames)]
@@ -344,10 +383,7 @@ def _plan_fixed_modes(doc, path, base_dir):
             netsim.write_trace(out, log.modes, log.categories, labels)
             outputs.append(out)
             summary.append([name, _fmt(log.fer)])
-        out = place("summary.csv")
-        _write_csv(out, ["mode", "fer"], summary)
-        outputs.append(out)
-        return outputs
+        return outputs + [_write_csv(place("summary.csv"), ["mode", "fer"], summary)]
 
     return _schedule_summary("fixed_modes", schedule, topologies), run
 
@@ -365,26 +401,10 @@ def _schedule_executor(schedule, topologies, slots, strategy, rate, rng):
         {slot: b"".join(column) for slot, column in columns.items()})
 
 
-def _resolve_policies(doc, path, n_relays, params):
-    """The policy names of doc, each one that run_policy can run on the
-    modes of n_relays relays (selection.check_policy)."""
-    policies = [str(p) for p in _list(doc, "policies", path)]
-    try:
-        for policy in policies:
-            selection.check_policy(policy, n_relays, params)
-    except ValueError as e:
-        raise ValidationError(f"{path}: {e}") from e
-    return policies
-
-
-def _plan_adaptive_compare(doc, path, base_dir):
-    schedule, topologies = _resolve_schedule(_need(doc, "schedule", path), base_dir, path)
-    rate = _rate(doc, path)
-    strategy = _strategy(doc, path)
-    params = _resolve_params(doc, path)
-    n_relays = _relay_count(topologies.values(), path)
-    policies = _resolve_policies(doc, path, n_relays, params)
-    modes = netsim.enumerate_modes(n_relays)
+def _plan_adaptive_compare(cfg, base_dir):
+    schedule, topologies = cfg["schedule"]
+    policies, params = cfg["policies"], cfg["params"]
+    modes = netsim.enumerate_modes(_relay_count(topologies.values(), policies, params))
 
     def run(place, seed, threads):
         outputs = []
@@ -393,45 +413,32 @@ def _plan_adaptive_compare(doc, path, base_dir):
             exec_rng = named_rng(seed, "frames", policy)
             policy_rng = named_rng(seed, "policy", policy)
             executor = _schedule_executor(schedule, topologies, [None, *modes],
-                                          strategy, rate, exec_rng)
+                                          cfg["strategy"], cfg["rate"], exec_rng)
             log = selection.run_policy(policy, executor, modes, params,
                                        total_frames=schedule.total_frames,
                                        rng=policy_rng)
-            out = place(f"runlog_{log.policy.replace(':', '_')}.csv")
-            _write_csv(out, ["frame_index", "mode", "category", "phase",
-                             "cumulative_switches"], log.to_rows())
-            outputs.append(out)
+            outputs.append(_write_csv(
+                place(f"runlog_{log.policy.replace(':', '_')}.csv"),
+                ["frame_index", "mode", "category", "phase", "cumulative_switches"],
+                log.to_rows()))
             summary.append([log.policy, _fmt(log.fer), log.switch_count,
                             len(log.triggers)])
-        out = place("summary.csv")
-        _write_csv(out, ["policy", "fer", "switches", "triggers"], summary)
-        outputs.append(out)
-        return outputs
+        return outputs + [_write_csv(place("summary.csv"),
+                                     ["policy", "fer", "switches", "triggers"], summary)]
 
     return _schedule_summary("adaptive_compare", schedule, topologies), run
 
 
-def _plan_ensemble(doc, path, base_dir):
-    topologies = [_resolve_topology(s, base_dir, path)
-                  for s in _list(doc, "topologies", path)]
-    if len({t.label for t in topologies}) != len(topologies):
-        raise ValidationError(f"{path}: ensemble topologies need distinct labels")
-    rate = _rate(doc, path)
-    strategy = _strategy(doc, path)
-    frames = _int(doc.get("frames_per_topology", 860), "frames_per_topology", path)
-    n_transitions = _int(doc.get("n_transitions", 4), "n_transitions", path)
-    segment_len = _int(doc.get("segment_len", 172), "segment_len", path)
-    n_samples = _int(doc.get("n_samples", 200), "n_samples", path)
-    try:
-        ensemble.check_sampling(n_samples, n_transitions, segment_len, frames)
-    except ValueError as e:
-        raise ValidationError(f"{path}: {e}") from e
-    params = _resolve_params(doc, path)
-    policies = _resolve_policies(doc, path, _relay_count(topologies, path), params)
+def _plan_ensemble(cfg, base_dir):
+    topologies, policies, params = cfg["topologies"], cfg["policies"], cfg["params"]
+    frames, n_samples = cfg["frames_per_topology"], cfg["n_samples"]
+    n_transitions, segment_len = cfg["n_transitions"], cfg["segment_len"]
+    ensemble.check_sampling(n_samples, n_transitions, segment_len, frames)
+    _relay_count(topologies, policies, params)
 
     def run(place, seed, threads):
-        dataset = ensemble.record_dataset(topologies, strategy, rate, frames,
-                                          named_rng(seed, "dataset"))
+        dataset = ensemble.record_dataset(topologies, cfg["strategy"], cfg["rate"],
+                                          frames, named_rng(seed, "dataset"))
         samples = ensemble.make_ensemble(dataset, n_samples, n_transitions,
                                          segment_len, seed)
         replay = functools.partial(ensemble.evaluate_on_ensemble, samples=samples,
@@ -442,11 +449,10 @@ def _plan_ensemble(doc, path, base_dir):
             summary.append([res.policy, _fmt(res.avg_fer), _fmt(res.avg_switches)])
             for idx, fer, switches, n_frames in res.rows:
                 sample_rows.append([res.policy, idx, _fmt(fer), switches, n_frames])
-        out1 = place("ensemble.csv")
-        _write_csv(out1, ["policy", "avg_fer", "avg_switches"], summary)
-        out2 = place("sample_metrics.csv")
-        _write_csv(out2, ["policy", "sample", "fer", "switches", "n_frames"],
-                   sample_rows)
+        out1 = _write_csv(place("ensemble.csv"), ["policy", "avg_fer", "avg_switches"],
+                          summary)
+        out2 = _write_csv(place("sample_metrics.csv"),
+                          ["policy", "sample", "fer", "switches", "n_frames"], sample_rows)
         out3 = place("dataset.csv")
         ensemble.write_dataset_csv(out3, dataset)
         out4 = place("samples.csv")
@@ -457,37 +463,15 @@ def _plan_ensemble(doc, path, base_dir):
             f"topologies x {len(policies)} policies"), run
 
 
-def _mac_policy(doc, path):
-    """The MacPolicy of doc's `mac` block (retransmission limits)."""
-    block = _mapping(doc.get("mac"), ("max_retx_coop", "max_retx_per_link"), "mac", path)
-    try:
-        return macemu.MacPolicy(**{
-            key: _int(block.get(key, default), f"mac {key}", path)
-            for key, default in (("max_retx_coop", 2), ("max_retx_per_link", 4))})
-    except ValueError as e:
-        raise ValidationError(f"{path}: mac: {e}") from e
-
-
-def _plan_mac_compare(doc, path, base_dir):
-    topology = _resolve_topology(_need(doc, "topology", path), base_dir, path)
-    rate = _rate(doc, path)
-    policy = _mac_policy(doc, path)
-    try:
-        scenario = macemu.CoopVsRoutingScenario(
-            topology=topology,
-            rate=rate,
-            n_packets=_int(_need(doc, "n_packets", path), "n_packets", path),
-            strategy=_strategy(doc, path),
-            mode_policy=str(doc.get("mode_policy", "SPA")),
-            spa_params=_resolve_params(doc, path),
-        )
-    except ValueError as e:
-        raise ValidationError(f"{path}: mac_compare: {e}") from e
+def _plan_mac_compare(cfg, base_dir):
+    scenario = macemu.CoopVsRoutingScenario(
+        spa_params=cfg["params"], **{key: cfg[key] for key in (
+            "topology", "rate", "n_packets", "strategy", "mode_policy")})
 
     def run(place, seed, threads):
-        report = macemu.compare_coop_vs_genie(scenario, policy, seed=seed)
-        out1 = place("mac_compare.csv")
-        _write_csv(out1, ["system", "drop_rate", "throughput_bits_per_s"], [
+        report = macemu.compare_coop_vs_genie(scenario, cfg["mac"], seed=seed)
+        header = ["system", "drop_rate", "throughput_bits_per_s"]
+        out1 = _write_csv(place("mac_compare.csv"), header, [
             ["coop", _fmt(report.coop_drop_rate), _fmt(report.coop_throughput)],
             ["genie", _fmt(report.genie_drop_rate), _fmt(report.genie_throughput)],
         ])
@@ -497,42 +481,41 @@ def _plan_mac_compare(doc, path, base_dir):
         macemu.write_packet_csv(out3, report.genie_results)
         return [out1, out2, out3]
 
-    return f"ok: mac_compare of {scenario.n_packets} packets on {topology.label!r}", run
+    return (f"ok: mac_compare of {scenario.n_packets} packets on "
+            f"{scenario.topology.label!r}"), run
 
 
-def _replay_trace_file(doc, key, read, replay, base_dir, path):
+def _replay_trace_file(cfg, key, read, replay, base_dir):
     """(trace, replay(trace)) of the trace file trace = read(file) that
-    doc[key] names, relative to base_dir; None if doc names none. A missing
+    cfg[key] names, relative to base_dir; None if it names none. A missing
     or malformed file, and a trace that replay rejects (too few attempts
-    recorded, a trace that ends mid-packet), is a ValidationError naming
-    the file."""
-    spec = doc.get(key)
+    recorded, a trace that ends mid-packet), is a ValueError naming the
+    file."""
+    spec = cfg[key]
     if spec is None:
         return None
-    file = os.path.join(base_dir, str(spec))
+    file = os.path.join(base_dir, spec)
     try:
         trace = read(file)
         return trace, replay(trace)
     except FileNotFoundError as e:
-        raise ValidationError(f"{path}: referenced {key} file {spec!r} "
-                              f"does not exist") from e
+        raise ValueError(f"referenced {key} file {spec!r} does not exist") from e
     except netsim.TraceFormatError as e:
-        raise ValidationError(f"{path}: {key}: {e}") from e
+        raise ValueError(f"{key}: {e}") from e
     except (ValueError, macemu.TraceExhaustedError) as e:
-        raise ValidationError(f"{path}: {key}: {file}: {e}") from e
+        raise ValueError(f"{key}: {file}: {e}") from e
 
 
-def _plan_mac_replay(doc, path, base_dir):
-    policy = _mac_policy(doc, path)
-    coop = _replay_trace_file(doc, "coop_trace", netsim.read_trace,
+def _plan_mac_replay(cfg, base_dir):
+    policy = cfg["mac"]
+    coop = _replay_trace_file(cfg, "coop_trace", netsim.read_trace,
                               lambda trace: macemu.coop_mac_deliver(*trace, policy),
-                              base_dir, path)
-    paths = _replay_trace_file(doc, "path_traces", macemu.read_path_traces,
+                              base_dir)
+    paths = _replay_trace_file(cfg, "path_traces", macemu.read_path_traces,
                                lambda traces: macemu.genie_route(traces, policy),
-                               base_dir, path)
+                               base_dir)
     if coop is None and paths is None:
-        raise ConfigParseError(f"{path}: mac_replay needs coop_trace and/or "
-                               f"path_traces")
+        raise ValueError("mac_replay needs coop_trace and/or path_traces")
 
     def run(place, seed, threads):
         outputs = []
@@ -547,47 +530,71 @@ def _plan_mac_replay(doc, path, base_dir):
     return f"ok: mac_replay of {' and '.join(replays)}", run
 
 
-# Each kind's plan and the top-level keys it reads besides kind, seed and
-# out_dir.
-_PLANS = {
-    "outage_sweep": (_plan_outage_sweep,
-                     "topology rate k_values snr_grid normalization method"),
-    "fixed_modes": (_plan_fixed_modes, "schedule rate strategy params modes"),
-    "adaptive_compare": (_plan_adaptive_compare,
-                         "schedule rate strategy params policies"),
-    "ensemble": (_plan_ensemble, "topologies rate strategy frames_per_topology "
-                 "n_transitions segment_len n_samples params policies"),
-    "mac_compare": (_plan_mac_compare,
-                    "topology rate mac n_packets strategy mode_policy params"),
-    "mac_replay": (_plan_mac_replay, "coop_trace path_traces mac"),
+# The keys of every kind.
+_COMMON = {"kind": (_str, _REQUIRED), "seed": (_seed, 0), "out_dir": (_path, None)}
+_STRATEGY = (lambda value, what, base_dir: netsim.Strategy.parse(value), "DIQIF")
+
+# Each kind: its description, its plan(cfg, base_dir) -> (summary, run) of
+# the parsed keys cfg, and its schema, each key it reads besides _COMMON's
+# -> (parser, default), in the order they are checked.
+_KINDS = {
+    "outage_sweep": ("best-subnetwork outage across an SNR grid", _plan_outage_sweep, {
+        "topology": (_topology, _REQUIRED), "rate": (_rate, _REQUIRED),
+        "k_values": (_k_values, _REQUIRED), "snr_grid": (_snr_grid, _REQUIRED),
+        "normalization": (_choice("per_node", "total_power"), "per_node"),
+        "method": (_choice("analytic", "montecarlo"), "analytic")}),
+    "fixed_modes": ("fixed-mode frame traces over a topology schedule", _plan_fixed_modes, {
+        "schedule": (_schedule, _REQUIRED), "rate": (_rate, _REQUIRED),
+        "strategy": _STRATEGY,
+        "params": (_params, None),  # checked although fixed modes never learn
+        "modes": (_modes, "all")}),
+    "adaptive_compare": ("selection policies over a time-varying schedule",
+                         _plan_adaptive_compare, {
+        "schedule": (_schedule, _REQUIRED), "rate": (_rate, _REQUIRED),
+        "strategy": _STRATEGY, "params": (_params, None),
+        "policies": (_strs, _REQUIRED)}),
+    "ensemble": ("ensemble-average FER/switching of selection policies", _plan_ensemble, {
+        "topologies": (_topologies, _REQUIRED), "rate": (_rate, _REQUIRED),
+        "strategy": _STRATEGY, "frames_per_topology": (_int, 860),
+        "n_transitions": (_int, 4), "segment_len": (_int, 172),
+        "n_samples": (_int, 200), "params": (_params, None),
+        "policies": (_strs, _REQUIRED)}),
+    "mac_compare": ("paired coop-MAC vs genie-routing emulation", _plan_mac_compare, {
+        "topology": (_topology, _REQUIRED), "rate": (_rate, _REQUIRED),
+        "mac": (_mac, None), "n_packets": (_int, _REQUIRED), "strategy": _STRATEGY,
+        "mode_policy": (_str, "SPA"), "params": (_params, None)}),
+    "mac_replay": ("MAC delivery over a recorded coop trace and/or path traces",
+                   _plan_mac_replay, {
+        "coop_trace": (_path, None), "path_traces": (_path, None),
+        "mac": (_mac, None)}),
 }
 
 
-def _seed(seed, path):
-    """seed, which must be >= 0 (a SeedSequence entropy); else a ValidationError."""
-    if seed < 0:
-        raise ValidationError(f"{path}: seed must be >= 0, got {seed}")
-    return seed
-
-
-def _plan(doc, path, base_dir):
+def _plan(doc, path, base_dir, **overrides):
     """Resolve and check everything the run of a config document needs.
 
-    Returns (kind, summary, run, seed), where run(place, seed, threads)
-    executes the experiment, writes each output `name` to the file
-    place(name), and returns the files it wrote; seed is the document's
-    (default 0).
+    The overrides that are not None (seed, out_dir) replace the
+    document's keys and are checked alike. Returns (cfg, summary, run):
+    cfg maps each key of the kind to its parsed value, or its parsed
+    default, and run(place, seed, threads) executes the experiment, writes
+    each output `name` to the file place(name), and returns the files it
+    wrote. Any check that fails is a ValidationError naming path.
     """
-    kind = str(_need(doc, "kind", path))
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigParseError(
-            f"{path}: unknown experiment kind {kind!r}; expected one of "
-            f"{', '.join(sorted(EXPERIMENT_KINDS))}")
-    plan, keys = _PLANS[kind]
-    _mapping(doc, ["kind", "seed", "out_dir"] + keys.split(), kind, path)
-    seed = _seed(_int(doc.get("seed", 0), "seed", path), path)
-    summary, run = plan(doc, path, base_dir)
-    return kind, summary, run, seed
+    try:
+        if "kind" not in doc:
+            raise ValueError("missing required key 'kind'")
+        kind = str(doc["kind"])
+        if kind not in _KINDS:
+            raise ValueError(f"unknown experiment kind {kind!r}; expected one of "
+                             f"{', '.join(sorted(_KINDS))}")
+        _, plan, schema = _KINDS[kind]
+        doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
+        cfg = _read(doc, {**_COMMON, **schema}, kind, base_dir, top=True)
+        return (cfg, *plan(cfg, base_dir))
+    except ValueError as e:
+        raise ValidationError(f"{path}: {e}") from e
+    except OSError as e:
+        raise IoError(f"{path}: {e}") from e
 
 
 def validate_config(path):
@@ -598,20 +605,22 @@ def validate_config(path):
     return _plan(_load_yaml(path), path, os.path.dirname(os.path.abspath(path)))[1]
 
 
-def run_experiment(doc, path, base_dir, place, seed=None, threads=1):
+def run_experiment(doc, path, base_dir, place=None, seed=None, threads=1,
+                   out_dir=None):
     """Plan and run the experiment document doc.
 
     path names the document in error messages, and relative input paths
     resolve against base_dir. Each output `name` (the manifest's is
-    "manifest.json") goes to the file place(name); its directory is
-    created only once the whole document has been checked. seed overrides
-    the document's seed. Returns the written files, manifest last; the
-    manifest holds the kind, seed, package version, doc and output names.
+    "manifest.json") goes to the file place(name), by default to name in
+    out_dir, else in the document's out_dir, else in base_dir (a relative
+    out_dir is taken from base_dir); its directory is created only once
+    the whole document has been checked. seed and out_dir override the
+    document's. Returns the written files, manifest last; the manifest
+    holds the kind, seed, package version, doc and output names.
     """
-    if seed is not None:
-        seed = _seed(int(seed), path)
-    kind, _, run, doc_seed = _plan(doc, path, base_dir)
-    seed = doc_seed if seed is None else seed
+    cfg, _, run = _plan(doc, path, base_dir, seed=seed, out_dir=out_dir)
+    if place is None:
+        place = functools.partial(os.path.join, base_dir, cfg["out_dir"] or ".")
 
     def place_in_dir(name):
         out = place(name)
@@ -621,11 +630,11 @@ def run_experiment(doc, path, base_dir, place, seed=None, threads=1):
             raise IoError(f"{out}: {e}") from e
         return out
 
-    outputs = run(place_in_dir, seed, max(1, int(threads)))
+    outputs = run(place_in_dir, cfg["seed"], max(1, int(threads)))
     manifest = place_in_dir("manifest.json")
     try:
         with open(manifest, "w", encoding="utf-8") as fh:
-            json.dump({"kind": kind, "seed": seed, "version": __version__,
+            json.dump({"kind": cfg["kind"], "seed": cfg["seed"], "version": __version__,
                        "config": doc,
                        "outputs": [os.path.basename(p) for p in outputs]},
                       fh, indent=2, sort_keys=True)
@@ -642,8 +651,5 @@ def run_config(path, out_dir=None, seed=None, threads=1):
     override the config's values when given; a relative out_dir is taken
     from the config's directory.
     """
-    doc = _load_yaml(path)
-    base_dir = os.path.dirname(os.path.abspath(path))
-    out_dir = os.path.join(base_dir, out_dir or doc.get("out_dir") or ".")
-    return run_experiment(doc, path, base_dir,
-                          lambda name: os.path.join(out_dir, name), seed, threads)
+    return run_experiment(_load_yaml(path), path, os.path.dirname(os.path.abspath(path)),
+                          seed=seed, threads=threads, out_dir=out_dir)

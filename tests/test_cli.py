@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -8,12 +9,13 @@ import numpy as np
 import pytest
 import yaml
 
-from coopsim import __version__, experiments
+from coopsim import __version__, experiments, selection
 from coopsim.cli import main
 from coopsim.experiments import (ValidationError, list_experiments,
                                  run_config, validate_config)
 from coopsim.macemu import PathTrace, PathTraces, write_path_traces
 from coopsim.netsim import enumerate_modes, write_trace
+from coopsim.selection import DEFAULT_PARAMS
 
 
 def write_yaml(path, doc):
@@ -108,6 +110,14 @@ class TestValidate:
         with pytest.raises(ValidationError):
             validate_config(cfg)
 
+    def test_malformed_topology_file(self, tmp_path, capsys):
+        (tmp_path / "t.yaml").write_text("label: [a\n")
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "kind": "outage_sweep", "topology": "t.yaml", "rate": 1.0,
+            "k_values": [0], "snr_grid": [0.0]})
+        assert main(["validate", cfg]) == 2
+        assert "topology: while parsing a flow sequence" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind, override, message", [
         ("mac_compare", {"mode_policy": "BOGUS"}, "unknown policy 'BOGUS'"),
         ("mac_compare", {"n_packets": 0}, "n_packets must be >= 1"),
@@ -196,6 +206,22 @@ class TestValidate:
             **schedule_doc(),
             "segments": [{"topology": "A", "frames": 50, "frmaes": 5}]}},
          "unknown segment key 'frmaes'"),
+        ("adaptive_compare", {"schedule": {
+            **schedule_doc(),
+            "topologies": [schedule_doc()["topologies"][0], topo_doc("A")]}},
+         "schedule topologies need distinct labels"),
+        ("ensemble", {"topologies": [topo_doc("A"), topo_doc("A")]},
+         "topologies need distinct labels"),
+        ("outage_sweep", {"rate": True}, "rate must be a number, got True"),
+        ("mac_compare", {"rate": "1.0"}, "rate must be a number, got '1.0'"),
+        ("adaptive_compare", {"params": {"eta": True}},
+         "params eta must be a number, got True"),
+        ("adaptive_compare", {"params": {"alpha": "0.4"}},
+         "params alpha must be a number, got '0.4'"),
+        ("ensemble", {"params": {"epsilon": False}},
+         "params epsilon must be a number, got False"),
+        ("adaptive_compare", {"params": {"zeta": "0.2"}},
+         "params zeta must be a number, got '0.2'"),
     ])
     def test_rejects_what_the_run_rejects(self, tmp_path, capsys, kind,
                                           override, message):
@@ -221,6 +247,58 @@ class TestValidate:
         assert main(["run", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("out_dir", [5, True, ["a"]])
+    def test_out_dir_must_be_a_path(self, tmp_path, capsys, out_dir):
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "kind": "outage_sweep", "topology": topo_doc(), "rate": 1.0,
+            "k_values": [0], "snr_grid": [0.0], "out_dir": out_dir})
+        message = f"out_dir must be a path, got {out_dir!r}"
+        assert main(["validate", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert main(["run", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.yaml"]
+
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+        ("2", "seed must be an integer, got '2'"),
+        (-1, "seed must be >= 0, got -1")])
+    def test_seed_override_checked_like_the_documents(self, tmp_path, seed, message):
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "kind": "outage_sweep", "topology": topo_doc(), "rate": 1.0,
+            "k_values": [0], "snr_grid": [0.0], "out_dir": "o"})
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            run_config(cfg, seed=seed)
+        assert not (tmp_path / "o").exists()
+
+    def test_params_block_may_name_every_field(self, tmp_path):
+        fields = {**dataclasses.asdict(DEFAULT_PARAMS.learn),
+                  **dataclasses.asdict(DEFAULT_PARAMS)}
+        del fields["learn"]
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "kind": "adaptive_compare", "schedule": schedule_doc(), "rate": 1.0,
+            "policies": ["SPA"], "params": fields})
+        assert sorted(fields) == ["B", "alpha", "delta_w", "epsilon", "eta", "l",
+                                  "r", "s", "w", "zeta"]
+        assert validate_config(cfg).startswith("ok:")
+
+    def test_no_params_block_runs_with_the_default_params(self, tmp_path,
+                                                          monkeypatch):
+        seen = []
+        run_policy = selection.run_policy
+
+        def spy(policy, executor, modes, params=None, **kwargs):
+            seen.append(params)
+            return run_policy(policy, executor, modes, params, **kwargs)
+
+        monkeypatch.setattr(selection, "run_policy", spy)
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "kind": "adaptive_compare", "schedule": one_relay_schedule_doc(),
+            "rate": 1.0, "policies": ["DT", "BRUTE"], "out_dir": "o"})
+        run_config(cfg)
+        assert seen == [DEFAULT_PARAMS, DEFAULT_PARAMS]
 
     def test_integral_float_counts_accepted(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", {
@@ -410,6 +488,10 @@ class TestFlagPipeline:
          {"mac": {"max_retx_coop": 2, "max_retx_per_link": -2}},
          "mac: retransmission limits must be >= 0"),
         ("run", ["--seed", "-1"], {"seed": -1}, "seed must be >= 0, got -1"),
+        ("outage", ["--method", "bogus"], {"method": "bogus"},
+         "unknown method 'bogus'"),
+        ("outage", ["--normalization", "bogus"], {"normalization": "bogus"},
+         "unknown normalization 'bogus'"),
     ])
     def test_flags_reject_what_the_config_rejects(self, tmp_path, capsys,
                                                   command, flags, override,
@@ -421,6 +503,14 @@ class TestFlagPipeline:
         assert main(["run", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["outage", "run", "ensemble", "mac"])
+    def test_manifest_echoes_only_the_given_flags(self, tmp_path, command):
+        argv, doc, _ = flags_and_config(tmp_path)[command]
+        out = tmp_path / "flags" / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        config = json.loads(Path(f"{out}.manifest.json").read_text())["config"]
+        assert sorted(config) == sorted(set(doc) - {"seed"})
 
     def test_schedule_file_paths_resolve_against_its_directory(
             self, tmp_path, monkeypatch):
