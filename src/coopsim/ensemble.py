@@ -8,6 +8,8 @@ policy picks at each frame position; average FER and switch counts across
 the ensemble.
 """
 import csv
+import functools
+import io
 import math
 from dataclasses import dataclass, replace
 
@@ -72,14 +74,20 @@ class EnsembleSample:
         return sum(len(rows) for _, rows in self.segments)
 
 
-def record_dataset(topologies, strategy, rate, frames_per_topology, rng):
+def record_dataset(topologies, strategy, rate, frames_per_topology, rng,
+                   map=map, chunks=1):
     """Simulate every mode slot (plain DT, then every mode) of every
     topology over shared per-frame draws.
 
     For each frame index one realization is drawn and evaluated under all
     mode slots (time-interleaved recording), so modes are compared on
-    identical channels; each topology's frames come from one batch draw.
-    All topologies must have the same relay count.
+    identical channels; each topology's frames come from one batch draw,
+    drawn in topology order. All topologies must have the same relay count.
+    The draws, all topologies' rows in order, are cut into `chunks`
+    contiguous row chunks (fewer if there are fewer rows, none empty) and
+    evaluated by map(fn, chunks), which may be a process pool's map (fn
+    and the chunks then go by pickle); the result does not depend on map
+    or chunks.
     """
     if frames_per_topology < 1:
         raise ValueError("frames_per_topology must be >= 1")
@@ -87,18 +95,25 @@ def record_dataset(topologies, strategy, rate, frames_per_topology, rng):
     n = topologies[0].n_relays
     if any(t.n_relays != n for t in topologies):
         raise ValueError("all topologies must have the same relay count")
-    modes = enumerate_modes(n)
-    keys = [None] + modes
+    keys = [None] + enumerate_modes(n)
     strategy = Strategy.parse(strategy)
     strategies = [Strategy.DT if key is None else strategy for key in keys]
-    outcomes = np.empty((len(topologies), len(keys), frames_per_topology), np.int8)
-    for ti, t in enumerate(topologies):
-        outcomes[ti] = np.transpose(
-            [[evaluate_frame(c, key, strat, rate)
-              for key, strat in zip(keys, strategies)]
-             for c in sample_channels(t, rng, frames_per_topology)])
+    draws = np.concatenate([sample_channels(t, rng, frames_per_topology)
+                            for t in topologies])
+    parts = map(functools.partial(_record_rows, keys, strategies, rate),
+                np.array_split(draws, min(chunks, len(draws))))
+    outcomes = np.concatenate(list(parts)).reshape(
+        len(topologies), frames_per_topology, len(keys)).transpose(0, 2, 1)
     return ModeDataset(topologies=tuple(t.label for t in topologies),
-                       mode_keys=tuple(keys), outcomes=outcomes)
+                       mode_keys=tuple(keys), outcomes=np.ascontiguousarray(outcomes))
+
+
+def _record_rows(keys, strategies, rate, draws):
+    """The (rows, slots) int8 categories of each draw row under each mode
+    slot of keys, evaluated frame by frame."""
+    return np.array([[evaluate_frame(c, key, strat, rate)
+                      for key, strat in zip(keys, strategies)]
+                     for c in draws], np.int8)
 
 
 def synthetic_dataset(fer_table, frames_per_topology, rng):
@@ -145,7 +160,7 @@ def make_sample(dataset, n_transitions, segment_len, rng):
         label = dataset.topologies[int(rng.integers(len(dataset.topologies)))]
         rows = rng.choice(dataset.frames_per_topology, size=segment_len,
                           replace=False)
-        segments.append((label, tuple(int(r) for r in rows)))
+        segments.append((label, tuple(rows.tolist())))
     return EnsembleSample(segments=tuple(segments))
 
 
@@ -159,12 +174,13 @@ def make_ensemble(dataset, n_samples, n_transitions, segment_len, seed):
 
 def _sample_executor(sample, dataset):
     """The table_executor of the sample's recorded outcomes, gathered once
-    as one bytes column per mode slot."""
+    segment by segment into one bytes column per mode slot."""
     topology_index = {label: t for t, label in enumerate(dataset.topologies)}
-    tops = [topology_index[label] for label, seg_rows in sample.segments for _ in seg_rows]
-    rows = [row for _, seg_rows in sample.segments for row in seg_rows]
-    columns = dataset.outcomes[tops, :, rows].T
-    return selection.table_executor(dict(zip(dataset.mode_keys, map(bytes, columns))))
+    columns = np.concatenate(
+        [dataset.outcomes[topology_index[label]][:, rows]
+         for label, rows in sample.segments], axis=1)
+    return selection.table_executor(
+        dict(zip(dataset.mode_keys, (column.tobytes() for column in columns))))
 
 
 def replay_policy(policy, sample, dataset, params, rng=None):
@@ -216,15 +232,27 @@ def oracle_fer(sample, dataset):
     return errors / total
 
 
+def _csv_cells(*fields):
+    """fields as csv.writer writes them on one row, without the line
+    terminator: quoted where csv.writer quotes them."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()[:-2]
+
+
 def write_dataset_csv(path, dataset):
-    """Dataset CSV: topology, mode, frame_index, category."""
+    """Dataset CSV: topology, mode, frame_index, category. Each
+    (topology, mode) block is written as one string, byte for byte what
+    csv.writer writes row by row."""
+    endings = [[f"{f},{category}\r\n" for f in range(dataset.frames_per_topology)]
+               for category in range(3)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["topology", "mode", "frame_index", "category"])
+        csv.writer(fh).writerow(["topology", "mode", "frame_index", "category"])
         for label, table in zip(dataset.topologies, dataset.outcomes.tolist()):
             for key, categories in zip(dataset.mode_keys, table):
-                for f, cat in enumerate(categories):
-                    w.writerow([label, mode_key_str(key), f, cat])
+                prefix = _csv_cells(label, mode_key_str(key)) + ","
+                fh.write("".join([prefix + endings[category][f]
+                                  for f, category in enumerate(categories)]))
 
 
 def _dataset_cell(row):
@@ -252,14 +280,17 @@ def read_dataset_csv(path):
 
 
 def write_samples_csv(path, samples):
-    """Sample schedule CSV: sample, segment, position, topology, row."""
+    """Sample schedule CSV: sample, segment, position, topology, row. Each
+    segment is written as one string, byte for byte what csv.writer writes
+    row by row."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample", "segment", "position", "topology", "row"])
+        csv.writer(fh).writerow(["sample", "segment", "position", "topology", "row"])
         for si, sample in enumerate(samples):
             for gi, (label, rows) in enumerate(sample.segments):
-                for pos, row in enumerate(rows):
-                    w.writerow([si, gi, pos, label, row])
+                head = f"{si},{gi},"
+                cell = _csv_cells("", label, "")  # ",<label>,"
+                fh.write("".join([f"{head}{pos}{cell}{row}\r\n"
+                                  for pos, row in enumerate(rows)]))
 
 
 def _sample_cell(row):

@@ -311,12 +311,17 @@ def _in_worker(*task):
     return _in_worker.fn(*task)
 
 
+def _workers(threads, n_tasks):
+    """The worker count of _map for n_tasks tasks."""
+    return min(threads, n_tasks, os.cpu_count() or 1)
+
+
 def _map(fn, tasks, threads):
     """[fn(*task) for task in tasks], in task order. Runs on a process pool
     of min(threads, len(tasks), cpu count) workers, and starts none when
     that is 1; fn (sent once per worker) and the tasks must pickle. With the
     fork start method the pool starts all its workers at once, hence the cap."""
-    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    workers = _workers(threads, len(tasks))
     if workers <= 1:
         return [fn(*task) for task in tasks]
     install = functools.partial(setattr, _in_worker, "fn")
@@ -437,8 +442,11 @@ def _plan_ensemble(cfg, base_dir):
     _relay_count(topologies, policies, params)
 
     def run(place, seed, threads):
-        dataset = ensemble.record_dataset(topologies, cfg["strategy"], cfg["rate"],
-                                          frames, named_rng(seed, "dataset"))
+        # the recording's row chunks, one per worker, share the replay's pool cap
+        dataset = ensemble.record_dataset(
+            topologies, cfg["strategy"], cfg["rate"], frames, named_rng(seed, "dataset"),
+            map=lambda fn, chunks: _map(fn, [(chunk,) for chunk in chunks], threads),
+            chunks=_workers(threads, len(topologies) * frames))
         samples = ensemble.make_ensemble(dataset, n_samples, n_transitions,
                                          segment_len, seed)
         replay = functools.partial(ensemble.evaluate_on_ensemble, samples=samples,

@@ -148,16 +148,19 @@ def _outage_counts(unit, scales, subsets, rate):
     when every pair h_i + g_j across it is, and a one-sided cut when each of
     its links is. Each block of rows is scaled as it is copied into one
     buffer reused by every block, takes log2(1 + x) there and packs one bit
-    row per source of _cut_plans (2 KB per row). A subset's outage bits are
-    the OR over its cuts of the AND of their rows, ANDed with the direct
-    row, and are counted through _POPCOUNT, _CHUNK_SUBSETS subsets at a
-    time. Memory beyond unit is one float block, the packed rows (about
-    180 KB for all pairs at N = 10) and a few (_CHUNK_SUBSETS, 2 KB) arrays.
+    row per source of _cut_plans (2 KB per row); only the links up to the
+    last one a source reads are scaled and logged, at k = 0 the direct
+    link alone. A subset's outage bits are the OR over its cuts of the AND
+    of their rows, ANDed with the direct row, and are counted through
+    _POPCOUNT, _CHUNK_SUBSETS subsets at a time. Memory beyond unit is one
+    float block, the packed rows (about 180 KB for all pairs at N = 10) and
+    a few (_CHUNK_SUBSETS, 2 KB) arrays.
     """
     n_relays = (unit.shape[1] - 1) // 2
     sources, plans = _cut_plans(subsets, n_relays)
+    links = max(map(max, sources)) + 1
     rows = min(len(unit), _BLOCK_ROWS)
-    buf = np.empty((unit.shape[1], rows))
+    buf = np.empty((links, rows))
     pair_sum = np.empty(rows)
     below = np.empty(rows, dtype=bool)
     bits = np.empty((len(sources), (rows + 7) // 8), dtype=np.uint8)
@@ -166,7 +169,7 @@ def _outage_counts(unit, scales, subsets, rate):
         block = unit[start:start + _BLOCK_ROWS]
         n = len(block)
         caps = buf[:, :n]
-        np.multiply(block.T, scales[:, None], out=caps)
+        np.multiply(block[:, :links].T, scales[:links, None], out=caps)
         np.log2(np.add(caps, 1.0, out=caps), out=caps)
         # packbits zero-fills the tail of each row's last byte
         table = bits[:, :(n + 7) // 8]

@@ -97,14 +97,15 @@ class LearnCall:
 
 @dataclass
 class PolicyRunLog:
-    """A policy run as per-frame columns (the mode slot, an index into keys,
-    None there being plain direct transmission; the outcome category; the
-    phase, "operating" or "learning") plus trigger/LEARN bookkeeping."""
+    """A policy run as the runs of frames it sent, each (slot, phase, n): n
+    frames on mode slot `slot` (an index into keys, None there being plain
+    direct transmission) in phase "operating" or "learning", in the order
+    sent; the per-frame outcome categories; and trigger/LEARN bookkeeping.
+    The per-frame slot, phase and mode columns are derived from the runs."""
     policy: str
     keys: tuple = ()
-    slots: list = field(default_factory=list)
+    runs: list = field(default_factory=list)
     categories: list = field(default_factory=list)
-    phases: list = field(default_factory=list)
     triggers: list = field(default_factory=list)
     learn_calls: list = field(default_factory=list)
 
@@ -119,12 +120,23 @@ class PolicyRunLog:
         return self.categories.count(2) / len(self.categories)
 
     @property
+    def slots(self):
+        return [slot for slot, _, n in self.runs for _ in range(n)]
+
+    @property
+    def phases(self):
+        return [phase for _, phase, n in self.runs for _ in range(n)]
+
+    @property
     def modes(self):
         return [self.keys[s] for s in self.slots]
 
     @property
     def switch_count(self):
-        return sum(1 for a, b in zip(self.slots, self.slots[1:]) if a != b)
+        """Mode changes between consecutive frames; a run of no frames
+        changes nothing."""
+        slots = [slot for slot, _, n in self.runs if n]
+        return sum(1 for a, b in zip(slots, slots[1:]) if a != b)
 
     def to_rows(self):
         """CSV rows: frame_index, mode, category, phase, cumulative_switches."""
@@ -225,9 +237,11 @@ def table_executor(columns):
 
     def execute(mode_key, n):
         nonlocal pos
-        if mode_key not in columns:
-            raise UnknownPolicyError(f"no outcome column for mode {mode_key}")
-        categories = columns[mode_key][pos:pos + n]
+        try:
+            column = columns[mode_key]
+        except KeyError:
+            raise UnknownPolicyError(f"no outcome column for mode {mode_key}") from None
+        categories = column[pos:pos + n]
         pos += len(categories)
         return categories
 
@@ -256,10 +270,10 @@ class _FrameLoop:
         if room <= 0:
             raise _RunStopped
         categories = self.executor(log.keys[slot], min(n, room))
-        log.slots += [slot] * len(categories)
+        sent = len(categories)
+        log.runs.append((slot, phase, sent))
         log.categories += categories
-        log.phases += [phase] * len(categories)
-        if len(categories) < n:
+        if sent < n:
             raise _RunStopped
         return categories
 

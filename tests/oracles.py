@@ -24,9 +24,12 @@ They are slow and need scipy, so they live here rather than in the package:
   call per frame on mode values, with single-frame executors, its trigger
   the windowed FER of the last w frames (windowed_fer);
 - spawn_rngs: n generators spawned from one root SeedSequence;
+- write_dataset_csv_rows and write_samples_csv_rows: the ensemble CSVs
+  written one csv.writer row per frame;
 - genie_route_brute_force: genie routing by walking every path of every
   packet attempt by attempt.
 """
+import csv
 import itertools
 import math
 import warnings
@@ -36,7 +39,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from coopsim.macemu import PacketResult
-from coopsim.netsim import Mode, evaluate_frame
+from coopsim.netsim import Mode, evaluate_frame, mode_key_str
 from coopsim.outage import (DEFAULT_REL_TOL, OutageQuery, QuadratureFailure,
                             approx_capacity, best_subnetwork, outage_upper_bound)
 from coopsim.selection import DEFAULT_PARAMS, LearnCall, learn, policy_key
@@ -295,6 +298,21 @@ class PerFrameRunLog:
     triggers: list = field(default_factory=list)
     learn_calls: list = field(default_factory=list)
 
+    @property
+    def switch_count(self):
+        return sum(1 for a, b in zip(self.modes, self.modes[1:]) if a != b)
+
+    def to_rows(self):
+        """selection.PolicyRunLog.to_rows, one frame at a time."""
+        rows = []
+        switches = 0
+        for i, (mode, category, phase) in enumerate(
+                zip(self.modes, self.categories, self.phases)):
+            if i > 0 and mode != self.modes[i - 1]:
+                switches += 1
+            rows.append([i, mode_key_str(mode), category, phase, switches])
+        return rows
+
 
 class _FrameLoop:
     def __init__(self, executor, total_frames, log):
@@ -415,6 +433,28 @@ def run_policy_per_frame(policy, executor, all_modes, params=DEFAULT_PARAMS,
             return _learn_logged(loop, tuple(modes), lp)[0]
 
     return _run_triggered(executor, modes, params, total_frames, log, adapt)
+
+
+def write_dataset_csv_rows(path, dataset):
+    """ensemble.write_dataset_csv as one csv.writer row per frame."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["topology", "mode", "frame_index", "category"])
+        for label, table in zip(dataset.topologies, dataset.outcomes.tolist()):
+            for key, categories in zip(dataset.mode_keys, table):
+                for f, cat in enumerate(categories):
+                    w.writerow([label, mode_key_str(key), f, cat])
+
+
+def write_samples_csv_rows(path, samples):
+    """ensemble.write_samples_csv as one csv.writer row per position."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["sample", "segment", "position", "topology", "row"])
+        for si, sample in enumerate(samples):
+            for gi, (label, rows) in enumerate(sample.segments):
+                for pos, row in enumerate(rows):
+                    w.writerow([si, gi, pos, label, row])
 
 
 def genie_route_brute_force(paths, policy):

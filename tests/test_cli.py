@@ -706,7 +706,12 @@ class TestRunConfig:
                   "frames_per_topology": 60, "segment_len": 20,
                   "n_transitions": 2, "n_samples": 3,
                   "policies": ["SPA", "RandPick", "PWR2", "DT"]}
-        for i, (doc, n_csv) in enumerate(((sweep, 1), (mc_sweep, 1), (replay, 4))):
+        # 3 x 61 recorded rows: a chunk boundary of the pooled recording
+        # falls inside a topology
+        odd_replay = dict(replay, frames_per_topology=61, topologies=[
+            *replay["topologies"], dict(replay["topologies"][0], label="C")])
+        for i, (doc, n_csv) in enumerate(((sweep, 1), (mc_sweep, 1), (replay, 4),
+                                          (odd_replay, 4))):
             cfg = write_yaml(tmp_path / f"{i}.yaml", doc)
             outputs = []
             for threads in (1, 2, 3):

@@ -1,16 +1,21 @@
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from coopsim.ensemble import (ModeDataset, SegmentTooLongError,
+from coopsim.ensemble import (EnsembleSample, ModeDataset, SegmentTooLongError,
                               evaluate_on_ensemble, make_ensemble, make_sample,
-                              memory_sweep, oracle_fer, record_dataset,
-                              replay_policy, synthetic_dataset)
-from coopsim.netsim import Strategy, TraceFormatError, enumerate_modes
+                              memory_sweep, oracle_fer, read_dataset_csv,
+                              read_samples_csv, record_dataset, replay_policy,
+                              synthetic_dataset, write_dataset_csv,
+                              write_samples_csv)
+from coopsim.netsim import (Mode, Strategy, TraceFormatError, enumerate_modes,
+                            evaluate_frame)
 from coopsim.rng import named_rng
 from coopsim.selection import DEFAULT_PARAMS
-from coopsim.topology import Topology
+from coopsim.topology import Topology, sample_channels
+from oracles import write_dataset_csv_rows, write_samples_csv_rows
 
 MODES10 = enumerate_modes(4)
 
@@ -34,6 +39,12 @@ def small_topologies():
         Topology.from_snr(0.4, [2.0, 1.0], [1.5, 0.7], label="A"),
         Topology.from_snr(1.5, [0.6, 2.5], [0.9, 2.0], label="B"),
     ]
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        yield pool
 
 
 class TestRecordDataset:
@@ -82,6 +93,39 @@ class TestRecordDataset:
         total = sum(len(d.outcomes[t, m]) for t in range(len(d.topologies))
                     for m in range(len(d.mode_keys)))
         assert total == 60_200
+
+    @pytest.mark.parametrize("frames", [1, 7, 61])
+    @pytest.mark.parametrize("n_topologies", [1, 2, 3])
+    def test_pooled_recording_equals_serial(self, pool, frames, n_topologies):
+        # row chunks cut anywhere, inside a topology too, and evaluated on
+        # pool workers must give the serial recording
+        tops = small_topologies() + [
+            Topology.from_snr(0.8, [1.2, 0.3], [0.4, 3.0], label="C")]
+        tops = tops[:n_topologies]
+        serial = record_dataset(tops, "DIQIF", 1.0, frames, named_rng(6, "pool"))
+        rng = named_rng(6, "pool")
+        strategies = [Strategy.DT if key is None else Strategy.DIQIF
+                      for key in serial.mode_keys]
+        for t, top in enumerate(tops):  # frame by frame, topology by topology
+            for f, c in enumerate(sample_channels(top, rng, frames)):
+                assert serial.outcomes[t, :, f].tolist() == [
+                    evaluate_frame(c, key, strat, 1.0)
+                    for key, strat in zip(serial.mode_keys, strategies)]
+        rows = n_topologies * frames
+        for chunks in (2, 3, 5):
+            sizes = []
+
+            def pool_map(fn, parts):
+                sizes.append([len(part) for part in parts])
+                return pool.map(fn, parts)
+
+            pooled = record_dataset(tops, "DIQIF", 1.0, frames, named_rng(6, "pool"),
+                                    map=pool_map, chunks=chunks)
+            assert (pooled.topologies, pooled.mode_keys) == (serial.topologies,
+                                                            serial.mode_keys)
+            assert np.array_equal(pooled.outcomes, serial.outcomes)
+            assert len(sizes[0]) == min(chunks, rows)
+            assert min(sizes[0]) >= 1 and sum(sizes[0]) == rows
 
 
 class TestSamples:
@@ -235,6 +279,33 @@ class TestPersistence:
         path.write_text("".join(",".join(map(str, r)) + "\n" for r in [header, *rows]))
         with pytest.raises(TraceFormatError, match=message):
             read_samples_csv(path)
+
+    # topology labels that csv.writer quotes, and ones it leaves alone
+    LABELS = ("plain", "a,b", 'say "hi"', "two\r\nlines", "cr\ronly", "lf\nonly",
+              " padded ", "trailing ", "")
+
+    def quoted_dataset(self):
+        table = {label: {None: 0.5, Mode((1,)): 0.2, Mode((1, 2)): 0.9}
+                 for label in self.LABELS}
+        return synthetic_dataset(table, 13, named_rng(3, "quoted"))
+
+    def test_dataset_csv_is_csv_writer_rows(self, tmp_path):
+        d = self.quoted_dataset()
+        write_dataset_csv(tmp_path / "bulk.csv", d)
+        write_dataset_csv_rows(tmp_path / "rows.csv", d)
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        back = read_dataset_csv(tmp_path / "bulk.csv")
+        assert (back.topologies, back.mode_keys) == (d.topologies, d.mode_keys)
+        assert np.array_equal(back.outcomes, d.outcomes)
+
+    def test_samples_csv_is_csv_writer_rows(self, tmp_path):
+        samples = make_ensemble(self.quoted_dataset(), 4, 3, 5, seed=3)
+        samples.append(EnsembleSample(segments=tuple(
+            (label, (2 * i, 1, 12)) for i, label in enumerate(self.LABELS))))
+        write_samples_csv(tmp_path / "bulk.csv", samples)
+        write_samples_csv_rows(tmp_path / "rows.csv", samples)
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert read_samples_csv(tmp_path / "bulk.csv") == samples
 
 
 class TestValidation:

@@ -413,7 +413,32 @@ class TestBlockLoop:
                                        rng=np.random.default_rng(5))
             assert log.policy == ref.policy
             assert log.modes == ref.modes
+            assert log.slots == [log.keys.index(mode) for mode in ref.modes]
             assert log.categories == ref.categories
             assert log.phases == ref.phases
             assert log.triggers == ref.triggers
             assert log.learn_calls == ref.learn_calls
+            assert log.switch_count == ref.switch_count
+            assert log.to_rows() == ref.to_rows()
+
+    def test_an_empty_block_is_no_switch(self):
+        # the stream ends just as SPA's first LEARN batch moves to another
+        # mode: that send records a run of no frames, which switches nothing
+        params = SpaParams(w=5)
+        served = []
+
+        def execute(mode, n):
+            served.append(mode)
+            return bytes([2] * n) if len(served) == 1 else b""
+
+        log = run_policy("SPA", execute, MODES6, params, total_frames=100)
+        assert served == [MODES6[0], MODES6[3]]
+        assert log.runs == [(1, "operating", 5), (4, "learning", 0)]
+        assert log.slots == [1] * 5
+        assert log.switch_count == 0
+        assert [row[4] for row in log.to_rows()] == [0] * 5
+        ref = run_policy_per_frame("SPA", frame_executor(np.full((7, 5), 2), (None, *MODES6)),
+                                   MODES6, params, total_frames=100)
+        assert log.modes == ref.modes
+        assert log.switch_count == ref.switch_count
+        assert log.to_rows() == ref.to_rows()
