@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import selection
-from .netsim import (Strategy, TraceFormatError, enumerate_modes, evaluate_frame,
-                     gapless, mode_key_str, parse_mode_key, read_csv_rows)
+from .netsim import Strategy, enumerate_modes, evaluate_frame, mode_key_str
 from .rng import named_rng
 from .topology import sample_channels
 
@@ -255,30 +254,6 @@ def write_dataset_csv(path, dataset):
                                   for f, category in enumerate(categories)]))
 
 
-def _dataset_cell(row):
-    return ((row["topology"], parse_mode_key(row["mode"])), int(row["frame_index"]),
-            int(row["category"]))
-
-
-def read_dataset_csv(path):
-    """Read a dataset CSV back; every (topology, mode) pair must hold the
-    same frames 0..F-1."""
-    cells = {}
-    for key, f, category in read_csv_rows(
-            path, ("topology", "mode", "frame_index", "category"), _dataset_cell):
-        cells.setdefault(key, {})[f] = category
-    labels = tuple(dict.fromkeys(label for label, _ in cells))
-    keys = tuple(dict.fromkeys(key for _, key in cells))
-    frames = len(next(iter(cells.values())))
-    if len(cells) != len(labels) * len(keys) or any(
-            set(v) != set(range(frames)) for v in cells.values()):
-        raise TraceFormatError(f"{path}: every (topology, mode) pair needs "
-                               f"frames 0..{frames - 1}")
-    outcomes = [[[cells[(label, key)][f] for f in range(frames)] for key in keys]
-                for label in labels]
-    return ModeDataset(topologies=labels, mode_keys=keys, outcomes=outcomes)
-
-
 def write_samples_csv(path, samples):
     """Sample schedule CSV: sample, segment, position, topology, row. Each
     segment is written as one string, byte for byte what csv.writer writes
@@ -291,37 +266,6 @@ def write_samples_csv(path, samples):
                 cell = _csv_cells("", label, "")  # ",<label>,"
                 fh.write("".join([f"{head}{pos}{cell}{row}\r\n"
                                   for pos, row in enumerate(rows)]))
-
-
-def _sample_cell(row):
-    index = [int(row[c]) for c in ("sample", "segment", "position", "row")]
-    if min(index) < 0:
-        raise ValueError("sample, segment, position and row must be >= 0")
-    return (*index[:3], row["topology"], index[3])
-
-
-def read_samples_csv(path):
-    """Read a samples CSV back. The samples, each sample's segments and
-    each segment's positions must count up from 0 without gaps, and a
-    segment has one topology; a gap, a segment of two topologies, an empty
-    file or a field that is not an integer >= 0 is a TraceFormatError."""
-    data = {}
-    for si, gi, pos, label, row in read_csv_rows(
-            path, ("sample", "segment", "position", "topology", "row"), _sample_cell):
-        data.setdefault(si, {}).setdefault(gi, {})[pos] = (label, row)
-    samples = []
-    for si, segments in enumerate(gapless(path, "sample", data, len(data))):
-        where = f"sample {si} segment"
-        segs = []
-        for gi, positions in enumerate(gapless(path, where, segments, len(segments))):
-            cells = gapless(path, f"{where} {gi} position", positions, len(positions))
-            labels = sorted({label for label, _ in cells})
-            if len(labels) > 1:
-                raise TraceFormatError(f"{path}: {where} {gi} mixes topologies "
-                                       f"{', '.join(labels)}")
-            segs.append((labels[0], tuple(row for _, row in cells)))
-        samples.append(EnsembleSample(segments=tuple(segs)))
-    return samples
 
 
 def memory_sweep(dataset, samples, r_values, params=selection.DEFAULT_PARAMS, seed=0):

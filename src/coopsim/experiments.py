@@ -228,13 +228,25 @@ def _mac(value, what, base_dir):
         raise ValueError(f"{what}: {e}") from e
 
 
+def _distinct(what, noun, entries, keys):
+    """Raise unless the list entries names at least one noun, and keys,
+    the key a run tells each entry by, has no key twice."""
+    if not entries:
+        raise ValueError(f"{what} must name at least one {noun}")
+    first = {}
+    for entry, key in zip(entries, keys):
+        if key in first:
+            raise ValueError(f"{what} name one {noun} twice: "
+                             f"{first[key]!r} and {entry!r}")
+        first[key] = entry
+
+
 def _k_values(value, what, base_dir):
     try:
         k_values = [_int(k, what) for k in value]
     except (TypeError, ValueError):
         raise ValueError(f"{what} must be a list of integers, got {value!r}") from None
-    if not k_values:
-        raise ValueError(f"{what} must name at least one k")
+    _distinct(what, "k", k_values, k_values)
     return k_values
 
 
@@ -274,7 +286,8 @@ def _snr_grid(spec, what, base_dir):
 def _relay_count(topologies, policies, params):
     """The relay count, one or more, that the topologies, one or more, all
     share (the policies choose among one set of modes), checked to run
-    each of policies on its modes (selection.check_policy)."""
+    each of policies, one or more and distinct by selection.policy_key,
+    on its modes (selection.check_policy)."""
     counts = sorted({t.n_relays for t in topologies})
     if len(counts) != 1:
         raise ValueError(f"need one or more topologies with the same "
@@ -283,19 +296,25 @@ def _relay_count(topologies, policies, params):
         raise ValueError("the policies need at least one relay, got 0")
     for policy in policies:
         selection.check_policy(policy, counts[0], params)
+    _distinct("policies", "policy", policies, map(selection.policy_key, policies))
     return counts[0]
 
 
 def _write_csv(path, header, rows):
     """Write the CSV file path; returns path."""
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-    except OSError as e:
-        raise IoError(f"{path}: {e}") from e
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
     return path
+
+
+def _write_packets(path, results):
+    """Write the packet CSV path of the PacketResults results; returns path."""
+    return _write_csv(path, ["packet_index", "delivered", "attempts", "delay_us",
+                             "path_or_mode"],
+                      ([i, int(r.delivered), r.attempts, _fmt(r.total_delay_us),
+                        r.path_or_mode] for i, r in enumerate(results)))
 
 
 def _fmt(value):
@@ -332,6 +351,8 @@ def _map(fn, tasks, threads):
 
 def _plan_outage_sweep(cfg, base_dir):
     template, k_values, grid = cfg["topology"], cfg["k_values"], cfg["snr_grid"]
+    if cfg["rate"] <= 0:  # outage.OutageQuery's bound, held for both methods
+        raise ValueError(f"rate must be > 0, got {cfg['rate']!r}")
     if any(k < 0 or k > template.n_relays for k in k_values):
         raise ValueError(f"k_values outside [0, {template.n_relays}]")
 
@@ -352,7 +373,8 @@ def _plan_outage_sweep(cfg, base_dir):
 
 
 def _mode_slots(modes, n_relays):
-    """The mode slots of a modes list, or of every mode if modes is "all"."""
+    """The mode slots of a modes list, one or more distinct slots, or of
+    every mode if modes is "all"."""
     try:
         if modes == "all":
             return [None] + netsim.enumerate_modes(n_relays)
@@ -361,6 +383,7 @@ def _mode_slots(modes, n_relays):
             slot.check_relays(n_relays)
     except ValueError as e:
         raise ValueError(f"modes: {e}") from e
+    _distinct("modes", "mode", modes, slots)
     return slots
 
 
@@ -483,11 +506,8 @@ def _plan_mac_compare(cfg, base_dir):
             ["coop", _fmt(report.coop_drop_rate), _fmt(report.coop_throughput)],
             ["genie", _fmt(report.genie_drop_rate), _fmt(report.genie_throughput)],
         ])
-        out2 = place("packets_coop.csv")
-        macemu.write_packet_csv(out2, report.coop_results)
-        out3 = place("packets_genie.csv")
-        macemu.write_packet_csv(out3, report.genie_results)
-        return [out1, out2, out3]
+        return [out1, _write_packets(place("packets_coop.csv"), report.coop_results),
+                _write_packets(place("packets_genie.csv"), report.genie_results)]
 
     return (f"ok: mac_compare of {scenario.n_packets} packets on "
             f"{scenario.topology.label!r}"), run
@@ -526,12 +546,10 @@ def _plan_mac_replay(cfg, base_dir):
         raise ValueError("mac_replay needs coop_trace and/or path_traces")
 
     def run(place, seed, threads):
-        outputs = []
-        for name, replayed in (("packets_coop.csv", coop), ("packets_genie.csv", paths)):
-            if replayed is not None:
-                outputs.append(place(name))
-                macemu.write_packet_csv(outputs[-1], replayed[1])
-        return outputs
+        return [_write_packets(place(name), replayed[1])
+                for name, replayed in (("packets_coop.csv", coop),
+                                       ("packets_genie.csv", paths))
+                if replayed is not None]
 
     replays = ([f"a {len(coop[0][1])}-frame coop trace"] if coop else []) + (
         [f"{paths[0].n_packets} packets on {len(paths[0].paths)} paths"] if paths else [])
@@ -624,23 +642,24 @@ def run_experiment(doc, path, base_dir, place=None, seed=None, threads=1,
     out_dir is taken from base_dir); its directory is created only once
     the whole document has been checked. seed and out_dir override the
     document's. Returns the written files, manifest last; the manifest
-    holds the kind, seed, package version, doc and output names.
+    holds the kind, seed, package version, doc and output names. An
+    OSError while writing the outputs is an IoError naming the file.
     """
     cfg, _, run = _plan(doc, path, base_dir, seed=seed, out_dir=out_dir)
     if place is None:
         place = functools.partial(os.path.join, base_dir, cfg["out_dir"] or ".")
 
-    def place_in_dir(name):
-        out = place(name)
-        try:
-            os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-        except OSError as e:
-            raise IoError(f"{out}: {e}") from e
-        return out
+    current = path  # the file being written: the last output placed
 
-    outputs = run(place_in_dir, cfg["seed"], max(1, int(threads)))
-    manifest = place_in_dir("manifest.json")
+    def place_in_dir(name):
+        nonlocal current
+        current = place(name)
+        os.makedirs(os.path.dirname(current) or ".", exist_ok=True)
+        return current
+
     try:
+        outputs = run(place_in_dir, cfg["seed"], max(1, int(threads)))
+        manifest = place_in_dir("manifest.json")
         with open(manifest, "w", encoding="utf-8") as fh:
             json.dump({"kind": cfg["kind"], "seed": cfg["seed"], "version": __version__,
                        "config": doc,
@@ -648,7 +667,7 @@ def run_experiment(doc, path, base_dir, place=None, seed=None, threads=1,
                       fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as e:
-        raise IoError(f"{manifest}: {e}") from e
+        raise IoError(f"{current}: {e}") from e
     return outputs + [manifest]
 
 

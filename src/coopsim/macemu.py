@@ -8,7 +8,6 @@ retransmission cap. Genie routing picks, with full knowledge of future
 per-hop traces, the per-packet path minimizing total attempts (or the
 fastest-dropping path when no path can deliver).
 """
-import csv
 from dataclasses import dataclass, field
 
 from . import selection
@@ -308,29 +307,6 @@ def compare_coop_vs_genie(scenario, policy=MacPolicy(), rng=None, seed=0):
         coop_throughput=throughput_proxy(coop_results, policy),
         genie_throughput=throughput_proxy(genie_results, policy),
     )
-
-
-def write_packet_csv(path, results):
-    """Output CSV: packet_index, delivered, attempts, delay_us, path_or_mode."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["packet_index", "delivered", "attempts", "delay_us",
-                    "path_or_mode"])
-        for i, r in enumerate(results):
-            w.writerow([i, int(r.delivered), r.attempts, repr(r.total_delay_us),
-                        r.path_or_mode])
-
-
-def write_path_traces(path, traces):
-    """Path-trace CSV with columns path, hop, packet, attempt, success."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["path", "hop", "packet", "attempt", "success"])
-        for trace in traces.paths:
-            for h, hop in enumerate(trace.hops):
-                for p, attempts in enumerate(hop):
-                    for a, ok in enumerate(attempts):
-                        w.writerow([trace.label, h, p, a, int(ok)])
 
 
 _SUCCESS = {"1": True, "true": True, "0": False, "false": False}

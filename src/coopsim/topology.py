@@ -179,21 +179,3 @@ def load_topology(path):
     if not isinstance(doc, dict):
         raise TopologyError(f"{path}: expected a mapping at top level")
     return topology_from_dict(doc)
-
-
-def save_topology(t, path, units="linear"):
-    """Write the YAML form read back by load_topology."""
-    if units == "db":
-        conv = lambda v: 10.0 * math.log10(v)
-    else:
-        conv = float
-    doc = {
-        "label": t.label,
-        "n_relays": t.n_relays,
-        "units": units,
-        "snr_sd": conv(t.snr_sd),
-        "snr_sr": [conv(v) for v in t.snr_sr],
-        "snr_rd": [conv(v) for v in t.snr_rd],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)

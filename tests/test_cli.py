@@ -13,7 +13,6 @@ from coopsim import __version__, experiments, selection
 from coopsim.cli import main
 from coopsim.experiments import (ValidationError, list_experiments,
                                  run_config, validate_config)
-from coopsim.macemu import PathTrace, PathTraces, write_path_traces
 from coopsim.netsim import enumerate_modes, write_trace
 from coopsim.selection import DEFAULT_PARAMS
 
@@ -222,6 +221,23 @@ class TestValidate:
          "params epsilon must be a number, got False"),
         ("adaptive_compare", {"params": {"zeta": "0.2"}},
          "params zeta must be a number, got '0.2'"),
+        ("outage_sweep", {"rate": 0}, "rate must be > 0, got 0.0"),
+        ("outage_sweep", {"rate": 0, "method": "montecarlo"},
+         "rate must be > 0, got 0.0"),
+        ("outage_sweep", {"k_values": [0, 1, 0]}, "k_values name one k twice: 0 and 0"),
+        ("adaptive_compare", {"policies": ["SPA", "spa"]},
+         "policies name one policy twice: 'SPA' and 'spa'"),
+        ("adaptive_compare", {"policies": ["SPA", "Fixed:R1", "fixed:r1"]},
+         "policies name one policy twice: 'Fixed:R1' and 'fixed:r1'"),
+        ("ensemble", {"policies": ["DT", "WRNM", "dt"]},
+         "policies name one policy twice: 'DT' and 'dt'"),
+        ("adaptive_compare", {"policies": []}, "policies must name at least one policy"),
+        ("ensemble", {"policies": []}, "policies must name at least one policy"),
+        ("fixed_modes", {"modes": ["R1", "R1"]}, "modes name one mode twice: 'R1' and 'R1'"),
+        ("fixed_modes", {"modes": ["DT", "R1R2", "dt"]},
+         "modes name one mode twice: 'DT' and 'dt'"),
+        ("fixed_modes", {"modes": ["r2", "R2"]}, "modes name one mode twice: 'r2' and 'R2'"),
+        ("fixed_modes", {"modes": []}, "modes must name at least one mode"),
     ])
     def test_rejects_what_the_run_rejects(self, tmp_path, capsys, kind,
                                           override, message):
@@ -299,6 +315,16 @@ class TestValidate:
             "rate": 1.0, "policies": ["DT", "BRUTE"], "out_dir": "o"})
         run_config(cfg)
         assert seen == [DEFAULT_PARAMS, DEFAULT_PARAMS]
+
+    @pytest.mark.parametrize("kind, doc", [
+        ("fixed_modes", {"schedule": one_relay_schedule_doc()}),
+        ("adaptive_compare", {"schedule": one_relay_schedule_doc(),
+                              "policies": ["DT", "Fixed:R1"]}),
+        ("mac_compare", {"topology": topo_doc(), "n_packets": 10})])
+    def test_rate_zero_runs_where_the_kind_runs_it(self, tmp_path, kind, doc):
+        cfg = write_yaml(tmp_path / "c.yaml", {"kind": kind, "rate": 0, **doc})
+        assert validate_config(cfg).startswith("ok:")
+        assert len(run_config(cfg, out_dir=str(tmp_path / "o"))) >= 2
 
     def test_integral_float_counts_accepted(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", {
@@ -381,10 +407,13 @@ def write_mac_traces(directory):
     modes = [None] + enumerate_modes(2)
     write_trace(directory / "coop.csv", [modes[f % 4] for f in range(300)],
                 rng.integers(0, 3, size=299).tolist() + [0])
-    hops = [tuple(tuple(bool(v) for v in attempts)
-                  for attempts in rng.random((40, 5)) < 0.5) for _ in range(2)]
-    write_path_traces(directory / "paths.csv", PathTraces((
-        PathTrace("S-D", tuple(hops[:1])), PathTrace("S-R1-D", tuple(hops)))))
+    hops = rng.random((2, 40, 5)) < 0.5
+    with open(directory / "paths.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["path", "hop", "packet", "attempt", "success"])
+        for label, n_hops in (("S-D", 1), ("S-R1-D", 2)):
+            w.writerows([label, h, p, a, int(hops[h, p, a])]
+                        for h in range(n_hops) for p in range(40) for a in range(5))
 
 
 def flags_and_config(tmp_path):
@@ -429,6 +458,52 @@ def flags_and_config(tmp_path):
              "mac": {"max_retx_coop": 1, "max_retx_per_link": 3}},
             "packets_coop.csv"),
     }
+
+
+# For each kind, a small config and the names of some of its outputs, the
+# first output first.
+WRITES = {
+    "outage_sweep": ({"topology": topo_doc(), "rate": 1.0, "k_values": [0, 1],
+                      "snr_grid": [0.0]}, ["outage.csv", "manifest.json"]),
+    "fixed_modes": ({"schedule": one_relay_schedule_doc(), "rate": 1.0},
+                    ["trace_DT.csv", "trace_R1.csv", "summary.csv"]),
+    "adaptive_compare": ({"schedule": one_relay_schedule_doc(), "rate": 1.0,
+                          "policies": ["DT", "Fixed:R1"]},
+                         ["runlog_DT.csv", "summary.csv"]),
+    "ensemble": ({"topologies": schedule_doc()["topologies"], "rate": 1.0,
+                  "frames_per_topology": 50, "segment_len": 10, "n_samples": 2,
+                  "policies": ["SPA"]},
+                 ["ensemble.csv", "dataset.csv", "samples.csv"]),
+    "mac_compare": ({"topology": topo_doc(), "rate": 1.0, "n_packets": 10},
+                    ["mac_compare.csv", "packets_coop.csv", "packets_genie.csv"]),
+    "mac_replay": ({"coop_trace": "coop.csv", "path_traces": "paths.csv"},
+                   ["packets_coop.csv", "packets_genie.csv"]),
+}
+
+
+class TestWriteFailures:
+    @pytest.mark.parametrize("kind, name", [
+        (kind, name) for kind, (_, names) in WRITES.items() for name in names])
+    def test_write_failure_is_an_io_error_naming_the_file(self, tmp_path, capsys,
+                                                          kind, name):
+        write_mac_traces(tmp_path)
+        cfg = write_yaml(tmp_path / "c.yaml", {"kind": kind, "out_dir": "o",
+                                               **WRITES[kind][0]})
+        blocked = tmp_path / "o" / name
+        blocked.mkdir(parents=True)
+        assert main(["run", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: IoError: {blocked}: ")
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+
+    def test_out_dir_that_is_a_file_is_an_io_error(self, tmp_path, capsys):
+        cfg = write_yaml(tmp_path / "c.yaml", {"kind": "outage_sweep", "out_dir": "o",
+                                               **WRITES["outage_sweep"][0]})
+        (tmp_path / "o").write_text("")
+        assert main(["run", "--config", cfg]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: IoError: {tmp_path / 'o' / 'outage.csv'}: ")
 
 
 class TestFlagPipeline:

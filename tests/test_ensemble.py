@@ -6,12 +6,10 @@ import pytest
 
 from coopsim.ensemble import (EnsembleSample, ModeDataset, SegmentTooLongError,
                               evaluate_on_ensemble, make_ensemble, make_sample,
-                              memory_sweep, oracle_fer, read_dataset_csv,
-                              read_samples_csv, record_dataset, replay_policy,
-                              synthetic_dataset, write_dataset_csv,
+                              memory_sweep, oracle_fer, record_dataset,
+                              replay_policy, synthetic_dataset, write_dataset_csv,
                               write_samples_csv)
-from coopsim.netsim import (Mode, Strategy, TraceFormatError, enumerate_modes,
-                            evaluate_frame)
+from coopsim.netsim import Mode, Strategy, enumerate_modes, evaluate_frame
 from coopsim.rng import named_rng
 from coopsim.selection import DEFAULT_PARAMS
 from coopsim.topology import Topology, sample_channels
@@ -241,45 +239,6 @@ class TestMemorySweep:
 
 
 class TestPersistence:
-    def test_dataset_csv_roundtrip(self, tmp_path):
-        from coopsim.ensemble import read_dataset_csv, write_dataset_csv
-        d = record_dataset(small_topologies(), "DIQIF", 1.0, 30,
-                           named_rng(8, "io"))
-        path = tmp_path / "dataset.csv"
-        write_dataset_csv(path, d)
-        back = read_dataset_csv(path)
-        assert back.topologies == d.topologies
-        assert set(back.mode_keys) == set(d.mode_keys)
-        assert np.array_equal(back.outcomes, d.outcomes)
-
-    def test_samples_csv_roundtrip(self, tmp_path):
-        from coopsim.ensemble import read_samples_csv, write_samples_csv
-        d = synthetic_dataset(planted_table(), 200, named_rng(0, "p"))
-        samples = make_ensemble(d, 7, 3, 50, seed=2)
-        path = tmp_path / "samples.csv"
-        write_samples_csv(path, samples)
-        assert read_samples_csv(path) == samples
-
-    @pytest.mark.parametrize("rows, message", [
-        ([], "no rows after the header"),
-        ([[0, 0, 0, "A", 3], [0, 0, 2, "A", 4]],
-         "sample 0 segment 0 position 1 is missing"),
-        ([[0, 0, 0, "A", 3], [0, 2, 0, "B", 4]], "sample 0 segment 1 is missing"),
-        ([[0, 0, 0, "A", 3], [2, 0, 0, "B", 4]], "sample 1 is missing"),
-        ([[0, 0, 0, "A", 3], [0, 0, 1, "B", 4]],
-         "sample 0 segment 0 mixes topologies A, B"),
-        ([[0, 0, 0, "A", 3], [0, 0, 1, "A", "x"]], "data row 2"),
-        ([[0, 0, -1, "A", 3]], "data row 1"),
-    ])
-    def test_samples_csv_rejects_empty_gapped_and_malformed(self, tmp_path, rows,
-                                                           message):
-        from coopsim.ensemble import read_samples_csv
-        path = tmp_path / "samples.csv"
-        header = ["sample", "segment", "position", "topology", "row"]
-        path.write_text("".join(",".join(map(str, r)) + "\n" for r in [header, *rows]))
-        with pytest.raises(TraceFormatError, match=message):
-            read_samples_csv(path)
-
     # topology labels that csv.writer quotes, and ones it leaves alone
     LABELS = ("plain", "a,b", 'say "hi"', "two\r\nlines", "cr\ronly", "lf\nonly",
               " padded ", "trailing ", "")
@@ -294,9 +253,6 @@ class TestPersistence:
         write_dataset_csv(tmp_path / "bulk.csv", d)
         write_dataset_csv_rows(tmp_path / "rows.csv", d)
         assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
-        back = read_dataset_csv(tmp_path / "bulk.csv")
-        assert (back.topologies, back.mode_keys) == (d.topologies, d.mode_keys)
-        assert np.array_equal(back.outcomes, d.outcomes)
 
     def test_samples_csv_is_csv_writer_rows(self, tmp_path):
         samples = make_ensemble(self.quoted_dataset(), 4, 3, 5, seed=3)
@@ -305,7 +261,6 @@ class TestPersistence:
         write_samples_csv(tmp_path / "bulk.csv", samples)
         write_samples_csv_rows(tmp_path / "rows.csv", samples)
         assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
-        assert read_samples_csv(tmp_path / "bulk.csv") == samples
 
 
 class TestValidation:
