@@ -201,20 +201,22 @@ def evaluate_on_ensemble(policy, samples, dataset, params=selection.DEFAULT_PARA
                          seed=0):
     """Ensemble-average FER and switch count of one policy.
 
-    Per-sample randomness (RandPick/PWR2 draws) comes from substreams of
-    (seed, policy, sample index), so results do not depend on evaluation
-    order. Averages use compensated summation.
+    The result is labelled with the policy's selection.policy_name, and
+    per-sample randomness (RandPick/PWR2 draws) comes from substreams of
+    (seed, "replay", that name, sample index), so results depend on neither
+    evaluation order nor spelling. Averages use compensated summation.
     """
     if not samples:
         raise ValueError("need at least one sample")
+    name = selection.policy_name(policy)
     rows = []
     for idx, sample in enumerate(samples):
-        rng = named_rng(seed, "replay", str(policy), idx)
-        log = replay_policy(policy, sample, dataset, params, rng=rng)
+        rng = named_rng(seed, "replay", name, idx)
+        log = replay_policy(name, sample, dataset, params, rng=rng)
         rows.append((idx, log.fer, log.switch_count, log.n_frames))
     avg_fer = math.fsum(r[1] for r in rows) / len(rows)
     avg_switches = math.fsum(r[2] for r in rows) / len(rows)
-    return EnsembleResult(policy=str(policy), avg_fer=avg_fer,
+    return EnsembleResult(policy=name, avg_fer=avg_fer,
                           avg_switches=avg_switches, rows=tuple(rows))
 
 

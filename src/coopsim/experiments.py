@@ -215,8 +215,7 @@ def _params(value, what, base_dir):
 
 
 # The mac block: MacPolicy's retransmission limits, with its defaults.
-_MAC = {f.name: (_int, f.default) for f in dataclasses.fields(macemu.MacPolicy)
-        if f.name.startswith("max_retx")}
+_MAC = {f.name: (_int, f.default) for f in dataclasses.fields(macemu.MacPolicy)}
 
 
 def _mac(value, what, base_dir):
@@ -283,21 +282,23 @@ def _snr_grid(spec, what, base_dir):
     return grid
 
 
-def _relay_count(topologies, policies, params):
-    """The relay count, one or more, that the topologies, one or more, all
-    share (the policies choose among one set of modes), checked to run
-    each of policies, one or more and distinct by selection.policy_key,
-    on its modes (selection.check_policy)."""
+def _resolve_policies(topologies, policies, params):
+    """(relay count, names): the relay count, one or more, that the
+    topologies, one or more, all share (the policies choose among one set
+    of modes), and the selection.policy_name of each of policies, one or
+    more and distinct by name, each checked to run on the modes
+    (selection.check_policy)."""
     counts = sorted({t.n_relays for t in topologies})
     if len(counts) != 1:
         raise ValueError(f"need one or more topologies with the same "
                          f"relay count, got relay counts {counts}")
     if counts[0] < 1:
         raise ValueError("the policies need at least one relay, got 0")
-    for policy in policies:
-        selection.check_policy(policy, counts[0], params)
-    _distinct("policies", "policy", policies, map(selection.policy_key, policies))
-    return counts[0]
+    names = [selection.policy_name(policy) for policy in policies]
+    for name in names:
+        selection.check_policy(name, counts[0], params)
+    _distinct("policies", "policy", policies, names)
+    return counts[0], names
 
 
 def _write_csv(path, header, rows):
@@ -431,26 +432,25 @@ def _schedule_executor(schedule, topologies, slots, strategy, rate, rng):
 
 def _plan_adaptive_compare(cfg, base_dir):
     schedule, topologies = cfg["schedule"]
-    policies, params = cfg["policies"], cfg["params"]
-    modes = netsim.enumerate_modes(_relay_count(topologies.values(), policies, params))
+    params = cfg["params"]
+    n_relays, names = _resolve_policies(topologies.values(), cfg["policies"], params)
+    modes = netsim.enumerate_modes(n_relays)
 
     def run(place, seed, threads):
         outputs = []
         summary = []
-        for policy in policies:
-            exec_rng = named_rng(seed, "frames", policy)
-            policy_rng = named_rng(seed, "policy", policy)
+        for name in names:
             executor = _schedule_executor(schedule, topologies, [None, *modes],
-                                          cfg["strategy"], cfg["rate"], exec_rng)
-            log = selection.run_policy(policy, executor, modes, params,
+                                          cfg["strategy"], cfg["rate"],
+                                          named_rng(seed, "frames", name))
+            log = selection.run_policy(name, executor, modes, params,
                                        total_frames=schedule.total_frames,
-                                       rng=policy_rng)
+                                       rng=named_rng(seed, "policy", name))
             outputs.append(_write_csv(
-                place(f"runlog_{log.policy.replace(':', '_')}.csv"),
+                place(f"runlog_{name.replace(':', '_')}.csv"),
                 ["frame_index", "mode", "category", "phase", "cumulative_switches"],
                 log.to_rows()))
-            summary.append([log.policy, _fmt(log.fer), log.switch_count,
-                            len(log.triggers)])
+            summary.append([name, _fmt(log.fer), log.switch_count, len(log.triggers)])
         return outputs + [_write_csv(place("summary.csv"),
                                      ["policy", "fer", "switches", "triggers"], summary)]
 
@@ -458,11 +458,11 @@ def _plan_adaptive_compare(cfg, base_dir):
 
 
 def _plan_ensemble(cfg, base_dir):
-    topologies, policies, params = cfg["topologies"], cfg["policies"], cfg["params"]
+    topologies, params = cfg["topologies"], cfg["params"]
     frames, n_samples = cfg["frames_per_topology"], cfg["n_samples"]
     n_transitions, segment_len = cfg["n_transitions"], cfg["segment_len"]
     ensemble.check_sampling(n_samples, n_transitions, segment_len, frames)
-    _relay_count(topologies, policies, params)
+    _, names = _resolve_policies(topologies, cfg["policies"], params)
 
     def run(place, seed, threads):
         # the recording's row chunks, one per worker, share the replay's pool cap
@@ -476,7 +476,7 @@ def _plan_ensemble(cfg, base_dir):
                                    dataset=dataset, params=params, seed=seed)
         summary = []
         sample_rows = []
-        for res in _map(replay, [(policy,) for policy in policies], threads):
+        for res in _map(replay, [(name,) for name in names], threads):
             summary.append([res.policy, _fmt(res.avg_fer), _fmt(res.avg_switches)])
             for idx, fer, switches, n_frames in res.rows:
                 sample_rows.append([res.policy, idx, _fmt(fer), switches, n_frames])
@@ -491,7 +491,7 @@ def _plan_ensemble(cfg, base_dir):
         return [out1, out2, out3, out4]
 
     return (f"ok: ensemble of {n_samples} samples over {len(topologies)} "
-            f"topologies x {len(policies)} policies"), run
+            f"topologies x {len(names)} policies"), run
 
 
 def _plan_mac_compare(cfg, base_dir):

@@ -21,24 +21,22 @@ class TraceExhaustedError(RuntimeError):
     """PHY trace ended in the middle of delivering a packet."""
 
 
+# Airtime of the direct timeslot and of the cooperative second timeslot,
+# the cost of a frame that used both, and the payload of a packet.
+AIRTIME_DIRECT_US = 180.0
+AIRTIME_COOP_PHASE2_US = 192.0
+AIRTIME_BOTH_US = AIRTIME_DIRECT_US + AIRTIME_COOP_PHASE2_US
+PAYLOAD_BITS = 7776
+
+
 @dataclass(frozen=True)
 class MacPolicy:
     max_retx_coop: int = 2
     max_retx_per_link: int = 4
-    airtime_direct_us: float = 180.0
-    airtime_coop_phase2_us: float = 192.0
-    payload_bits: int = 7776
 
     def __post_init__(self):
         if self.max_retx_coop < 0 or self.max_retx_per_link < 0:
             raise ValueError("retransmission limits must be >= 0")
-        if self.airtime_direct_us <= 0 or self.airtime_coop_phase2_us <= 0:
-            raise ValueError("airtimes must be positive")
-
-    @property
-    def airtime_both_us(self):
-        """Cost of a frame that used both timeslots."""
-        return self.airtime_direct_us + self.airtime_coop_phase2_us
 
 
 @dataclass(frozen=True)
@@ -99,10 +97,10 @@ def coop_mac_deliver(modes, categories, policy=MacPolicy(), n_packets=None):
             if cat not in (0, 1, 2):
                 raise ValueError(f"category must be 0, 1 or 2, got {cat!r}")
             if cat == 0:
-                results.append(PacketResult(True, delay + policy.airtime_direct_us,
+                results.append(PacketResult(True, delay + AIRTIME_DIRECT_US,
                                             attempts, "direct"))
                 break
-            delay += policy.airtime_both_us
+            delay += AIRTIME_BOTH_US
             if cat == 1:
                 results.append(PacketResult(True, delay, attempts, mode_key_str(mode)))
                 break
@@ -162,11 +160,11 @@ def genie_route(paths, policy=MacPolicy()):
                     best_drop = (attempts, idx)
         if best_ok is not None:
             attempts, idx = best_ok
-            results.append(PacketResult(True, attempts * policy.airtime_direct_us,
+            results.append(PacketResult(True, attempts * AIRTIME_DIRECT_US,
                                         attempts, paths.paths[idx].label))
         else:
             attempts, idx = best_drop
-            results.append(PacketResult(False, attempts * policy.airtime_direct_us,
+            results.append(PacketResult(False, attempts * AIRTIME_DIRECT_US,
                                         attempts, paths.paths[idx].label))
     return results
 
@@ -177,11 +175,11 @@ def drop_rate(results):
     return sum(1 for r in results if not r.delivered) / len(results)
 
 
-def throughput_proxy(results, policy=MacPolicy()):
+def throughput_proxy(results):
     """Delivered payload bits over total emulated airtime, in bits/s."""
     if not results:
         raise ValueError("no packet results")
-    delivered_bits = sum(policy.payload_bits for r in results if r.delivered)
+    delivered_bits = sum(PAYLOAD_BITS for r in results if r.delivered)
     total_us = sum(r.total_delay_us for r in results)
     if total_us <= 0:
         raise ValueError("zero total airtime")
@@ -283,29 +281,29 @@ def _routing_side(scenario, mac, blocks):
     return PathTraces(tuple(paths))
 
 
-def compare_coop_vs_genie(scenario, policy=MacPolicy(), rng=None, seed=0):
+def compare_coop_vs_genie(scenario, policy=MacPolicy(), seed=0):
     """Paired drop rates and throughput proxies on identical channels.
 
     The coop side runs the scenario's selection policy frame by frame with
     MAC retransmissions; the genie side routes each packet over the direct
     and S-R_i-D paths of the same realization blocks. The blocks come from
-    rng, by default the (seed, "coop_vs_genie") stream; a policy that draws
-    (RandPick, PWR2) draws from the (seed, "mac_policy", policy) stream.
+    the (seed, "coop_vs_genie") stream; a policy that draws (RandPick,
+    PWR2) draws from the (seed, "mac_policy", name) stream, name being
+    selection.policy_name of the policy.
     """
-    rng = rng if rng is not None else named_rng(seed, "coop_vs_genie")
-    blocks = _realization_blocks(scenario, policy, rng)
+    blocks = _realization_blocks(scenario, policy, named_rng(seed, "coop_vs_genie"))
 
     coop_results = _coop_side(
         scenario, policy, blocks,
-        named_rng(seed, "mac_policy", str(scenario.mode_policy)))
+        named_rng(seed, "mac_policy", selection.policy_name(scenario.mode_policy)))
     genie_results = genie_route(_routing_side(scenario, policy, blocks), policy)
     return ComparisonReport(
         coop_results=tuple(coop_results),
         genie_results=tuple(genie_results),
         coop_drop_rate=drop_rate(coop_results),
         genie_drop_rate=drop_rate(genie_results),
-        coop_throughput=throughput_proxy(coop_results, policy),
-        genie_throughput=throughput_proxy(genie_results, policy),
+        coop_throughput=throughput_proxy(coop_results),
+        genie_throughput=throughput_proxy(genie_results),
     )
 
 

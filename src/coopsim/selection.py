@@ -338,83 +338,68 @@ def _run_triggered(executor, log, params, total_frames, adapt):
     return loop.run(step)
 
 
-def spa(executor, all_modes, params=DEFAULT_PARAMS, total_frames=10_000):
-    """SPA: operate the top-ranked mode, re-learn over the top r on trigger.
-
-    The ranked list L starts in enumeration order. On a trigger after i
-    window extensions, the top r modes rotate to the end when i <= s
-    (burst of triggers: the whole partition looks bad), otherwise only the
-    top mode does; LEARN then reranks the new top r in place.
-    """
-    if len(all_modes) < params.r:
-        raise ValueError(f"need |modes| >= r, got {len(all_modes)} < {params.r}")
-    ranked = list(range(1, len(all_modes) + 1))
-
-    def adapt(loop, i):
-        turn = params.r if i <= params.s else 1
-        ranked[:] = ranked[turn:] + ranked[:turn]
-        ranked[:params.r] = _learn_logged(loop, tuple(ranked[:params.r]), params.learn)
-        return ranked[0]
-
-    return _run_triggered(executor, PolicyRunLog("SPA", (None, *all_modes)), params,
-                          total_frames, adapt)
-
-
-def policy_key(policy):
-    """What run_policy dispatches on: the Mode of a fixed-mode policy (a
-    Mode instance or "Fixed:<mode>"), else the upper-cased policy name.
+def policy_name(policy):
+    """The canonical name of a policy: "Fixed:<mode>" for a Mode or a
+    "fixed:<mode>" name, else the BASELINE_POLICIES spelling of the name,
+    both matched in any case.
 
     Raises UnknownPolicyError for a name outside BASELINE_POLICIES and
     ValueError for an unparsable fixed mode.
     """
     if isinstance(policy, Mode):
-        return policy
+        return f"Fixed:{policy}"
     name = str(policy)
     if name.lower().startswith("fixed:"):
-        return Mode.parse(name.split(":", 1)[1])
-    key = name.upper()
-    if key not in {p.upper() for p in BASELINE_POLICIES}:
-        raise UnknownPolicyError(f"unknown policy {policy!r}")
-    return key
+        return f"Fixed:{Mode.parse(name.partition(':')[2])}"
+    for baseline in BASELINE_POLICIES:
+        if name.upper() == baseline.upper():
+            return baseline
+    raise UnknownPolicyError(f"unknown policy {policy!r}")
 
 
 def check_policy(policy, n_relays, params=DEFAULT_PARAMS):
     """Raise ValueError unless run_policy can run policy on the modes of
     n_relays relays (one relay or more): a fixed mode must lie within them,
     SPA needs at least r modes and PWR2 two."""
-    key = policy_key(policy)
+    name = policy_name(policy)
     n_modes = len(enumerate_modes(n_relays))
-    if isinstance(key, Mode):
-        key.check_relays(n_relays)
-    elif key == "SPA" and n_modes < params.r:
+    if name.startswith("Fixed:"):
+        Mode.parse(name.partition(":")[2]).check_relays(n_relays)
+    elif name == "SPA" and n_modes < params.r:
         raise ValueError(f"SPA needs |modes| >= r, got {n_modes} < {params.r} "
                          f"on {n_relays} relays")
-    elif key == "PWR2" and n_modes < 2:
+    elif name == "PWR2" and n_modes < 2:
         raise ValueError(f"PWR2 needs at least 2 modes, got {n_modes} "
                          f"on {n_relays} relays")
 
 
 def run_policy(policy, executor, all_modes, params=DEFAULT_PARAMS,
                total_frames=10_000, rng=None):
-    """Run one selection policy and return its PolicyRunLog.
+    """Run one selection policy and return its PolicyRunLog, named by
+    policy_name(policy).
 
     policy is one of "DT", "BRUTE", "RandPick", "PWR2", "NRNM", "WRNM",
-    "SPA", a Mode instance (fixed mode), or "Fixed:<mode>". executor(mode, n)
-    returns the categories of n frames sent on mode (None: plain DT) as a
-    list or bytes, a short one ending the run. RandPick and PWR2 need rng.
-    BRUTE and PWR2 probe each candidate for w learning frames.
+    "SPA", a Mode instance (fixed mode), or "Fixed:<mode>", in any case.
+    executor(mode, n) returns the categories of n frames sent on mode
+    (None: plain DT) as a list or bytes, a short one ending the run.
+    RandPick and PWR2 need rng. BRUTE and PWR2 probe each candidate for w
+    learning frames.
+
+    SPA operates the top-ranked mode and re-learns over the top r on a
+    trigger; it needs |modes| >= r. The ranked list starts in enumeration
+    order. On a trigger after i window extensions, the top r modes rotate
+    to the end when i <= s (burst of triggers: the whole partition looks
+    bad), otherwise only the top mode does; LEARN then reranks the new top
+    r in place.
     """
-    key = policy_key(policy)
-    if key == "DT" or isinstance(key, Mode):
-        mode = None if key == "DT" else key
-        loop = _FrameLoop(executor, total_frames,
-                          PolicyRunLog(f"Fixed:{mode}" if mode else "DT", (mode,)))
+    name = policy_name(policy)
+    if name == "DT" or name.startswith("Fixed:"):
+        mode = None if name == "DT" else Mode.parse(name.partition(":")[2])
+        loop = _FrameLoop(executor, total_frames, PolicyRunLog(name, (mode,)))
         return loop.run(lambda: loop.send(0, "operating", total_frames))
-    if key == "SPA":
-        return spa(executor, all_modes, params, total_frames)
-    log = PolicyRunLog(key if key != "RANDPICK" else "RandPick", (None, *all_modes))
-    if key in ("RANDPICK", "PWR2") and rng is None:
-        raise ValueError(f"{log.policy} needs rng")
+    if name in ("RandPick", "PWR2") and rng is None:
+        raise ValueError(f"{name} needs rng")
+    log = PolicyRunLog(name, (None, *all_modes))
     slots = range(1, len(log.keys))
 
     def probe(loop, candidates):
@@ -424,18 +409,28 @@ def run_policy(policy, executor, all_modes, params=DEFAULT_PARAMS,
         fers = [(measure(s, params.w), k) for k, s in enumerate(candidates)]
         return candidates[min(fers)[1]]
 
-    if key == "BRUTE":
+    if name == "SPA":
+        if len(all_modes) < params.r:
+            raise ValueError(f"need |modes| >= r, got {len(all_modes)} < {params.r}")
+        ranked = list(slots)
+
+        def adapt(loop, i):
+            turn = params.r if i <= params.s else 1
+            ranked[:] = ranked[turn:] + ranked[:turn]
+            ranked[:params.r] = _learn_logged(loop, tuple(ranked[:params.r]), params.learn)
+            return ranked[0]
+    elif name == "BRUTE":
         def adapt(loop, i):
             return probe(loop, slots)
-    elif key == "RANDPICK":
+    elif name == "RandPick":
         def adapt(loop, i):
             return slots[int(rng.integers(len(slots)))]
-    elif key == "PWR2":
+    elif name == "PWR2":
         def adapt(loop, i):
             a, b = rng.choice(len(slots), size=2, replace=False)
             return probe(loop, [slots[int(a)], slots[int(b)]])
     else:  # NRNM or WRNM
-        lp = params.learn if key == "WRNM" else replace(params.learn, epsilon=0.0)
+        lp = params.learn if name == "WRNM" else replace(params.learn, epsilon=0.0)
         def adapt(loop, i):
             return _learn_logged(loop, tuple(slots), lp)[0]
 

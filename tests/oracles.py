@@ -38,11 +38,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from coopsim.macemu import PacketResult
+from coopsim.macemu import AIRTIME_DIRECT_US, PacketResult
 from coopsim.netsim import Mode, evaluate_frame, mode_key_str
 from coopsim.outage import (DEFAULT_REL_TOL, OutageQuery, QuadratureFailure,
                             approx_capacity, best_subnetwork, outage_upper_bound)
-from coopsim.selection import DEFAULT_PARAMS, LearnCall, learn, policy_key
+from coopsim.selection import DEFAULT_PARAMS, LearnCall, learn, policy_name
 from coopsim.topology import sample_channels
 
 
@@ -399,36 +399,35 @@ def run_policy_per_frame(policy, executor, all_modes, params=DEFAULT_PARAMS,
     run. Returns a PerFrameRunLog."""
     modes = list(all_modes)
 
-    key = policy_key(policy)
-    if key == "DT" or isinstance(key, Mode):
-        mode = None if key == "DT" else key
-        loop = _FrameLoop(executor, total_frames,
-                          PerFrameRunLog(f"Fixed:{mode}" if mode else "DT"))
+    name = policy_name(policy)
+    if name == "DT" or name.startswith("Fixed:"):
+        mode = None if name == "DT" else Mode.parse(name[len("Fixed:"):])
+        loop = _FrameLoop(executor, total_frames, PerFrameRunLog(name))
         return loop.run(lambda: loop.send(mode, "operating"))
-    if key == "SPA":
+    if name == "SPA":
         return spa_per_frame(executor, modes, params, total_frames,
                              PerFrameRunLog("SPA"))
-    log = PerFrameRunLog(key if key != "RANDPICK" else "RandPick")
-    if key in ("RANDPICK", "PWR2") and rng is None:
-        raise ValueError(f"{log.policy} needs rng")
+    log = PerFrameRunLog(name)
+    if name in ("RandPick", "PWR2") and rng is None:
+        raise ValueError(f"{name} needs rng")
 
     def probe(loop, candidates):
         measure = _learn_runner(loop)
         fers = [(measure(m, params.w), k) for k, m in enumerate(candidates)]
         return candidates[min(fers)[1]]
 
-    if key == "BRUTE":
+    if name == "BRUTE":
         def adapt(loop, i):
             return probe(loop, modes)
-    elif key == "RANDPICK":
+    elif name == "RandPick":
         def adapt(loop, i):
             return modes[int(rng.integers(len(modes)))]
-    elif key == "PWR2":
+    elif name == "PWR2":
         def adapt(loop, i):
             a, b = rng.choice(len(modes), size=2, replace=False)
             return probe(loop, [modes[int(a)], modes[int(b)]])
     else:  # NRNM or WRNM
-        lp = params.learn if key == "WRNM" else replace(params.learn, epsilon=0.0)
+        lp = params.learn if name == "WRNM" else replace(params.learn, epsilon=0.0)
         def adapt(loop, i):
             return _learn_logged(loop, tuple(modes), lp)[0]
 
@@ -478,6 +477,6 @@ def genie_route_brute_force(paths, policy):
                     break
             walks.append((not delivered, attempts, idx))
         dropped, attempts, idx = min(walks)
-        results.append(PacketResult(not dropped, attempts * policy.airtime_direct_us,
+        results.append(PacketResult(not dropped, attempts * AIRTIME_DIRECT_US,
                                     attempts, paths.paths[idx].label))
     return results

@@ -661,6 +661,31 @@ class TestRunConfig:
                          ("mac_compare.csv", "packets_coop.csv", "packets_genie.csv")})
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("kind, canonical, lower", [
+        ("adaptive_compare", ["SPA", "RandPick", "Fixed:R1"], ["spa", "randpick", "fixed:r1"]),
+        ("ensemble", ["SPA", "RandPick", "Fixed:R1"], ["spa", "randpick", "fixed:r1"]),
+        ("mac_compare", "RandPick", "randpick"),
+    ])
+    def test_policy_spelling_does_not_change_outputs(self, tmp_path, kind, canonical,
+                                                     lower):
+        # streams, labels and file names key on the policy's canonical name
+        doc = {
+            "adaptive_compare": {"schedule": schedule_doc(), "rate": 1.0},
+            "ensemble": {"topologies": schedule_doc()["topologies"], "rate": 1.0,
+                         "frames_per_topology": 60, "segment_len": 20,
+                         "n_transitions": 2, "n_samples": 3},
+            "mac_compare": {"topology": topo_doc(), "rate": 1.0, "n_packets": 200},
+        }[kind]
+        key = "mode_policy" if kind == "mac_compare" else "policies"
+        runs = []
+        for out, policies in (("canonical", canonical), ("lower", lower)):
+            cfg = write_yaml(tmp_path / f"{out}.yaml", {
+                "kind": kind, "seed": 0, **doc, key: policies, "out_dir": out})
+            files = run_config(cfg)[:-1]  # the CSVs, the manifest left out
+            assert all(f.endswith(".csv") for f in files)
+            runs.append({os.path.basename(f): Path(f).read_bytes() for f in files})
+        assert runs[0] == runs[1]
+
     def test_ensemble_config(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", {
             "kind": "ensemble", "seed": 5,

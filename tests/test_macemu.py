@@ -181,14 +181,14 @@ class TestMetrics:
 
     def test_throughput_all_direct(self):
         rs = coop_mac_deliver([R1] * 100, [0] * 100, POLICY)
-        bps = throughput_proxy(rs, POLICY)
+        bps = throughput_proxy(rs)
         assert bps == pytest.approx(7776 / 180e-6)
         assert bps == pytest.approx(43.2e6, rel=1e-3)
 
     def test_throughput_bounded_by_direct_rate(self, rng):
         trace = list(rng.integers(0, 3, size=3000))
         rs = coop_mac_deliver([R1] * len(trace), trace, POLICY)
-        assert throughput_proxy(rs, POLICY) <= 7776 / 180e-6 + 1e-6
+        assert throughput_proxy(rs) <= 7776 / 180e-6 + 1e-6
 
 
 def decode_limited_scenario(n_packets=2500):

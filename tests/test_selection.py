@@ -10,7 +10,7 @@ from coopsim.ensemble import EnsembleSample, ModeDataset, _sample_executor
 from coopsim.netsim import Mode, enumerate_modes
 from coopsim.selection import (BASELINE_POLICIES, DEFAULT_PARAMS,
                                DegenerateSetError, LearnParams, SpaParams,
-                               UnknownPolicyError, learn, run_policy, spa,
+                               UnknownPolicyError, learn, policy_name, run_policy,
                                weight_update)
 from oracles import (FrameStreamEnded, InsufficientHistoryError,
                      run_policy_per_frame, windowed_fer)
@@ -209,7 +209,8 @@ def per_frame(frame):
 
 class TestSpa:
     def test_zero_fer_means_zero_triggers_and_switches(self):
-        log = spa(per_frame(lambda mode: 0), MODES6, DEFAULT_PARAMS, total_frames=1000)
+        log = run_policy("SPA", per_frame(lambda mode: 0), MODES6, DEFAULT_PARAMS,
+                         total_frames=1000)
         assert log.triggers == []
         assert log.learn_calls == []
         assert log.switch_count == 0
@@ -219,12 +220,12 @@ class TestSpa:
     def test_window_boundary_four_errors_triggers_three_does_not(self):
         # exactly 4 errors in the first 40 frames => FER 0.1 >= zeta triggers
         cats = [2] * 4 + [0] * 36 + [0] * 200
-        log = spa(scripted_executor(cats), MODES6, DEFAULT_PARAMS,
-                  total_frames=60)
+        log = run_policy("SPA", scripted_executor(cats), MODES6, DEFAULT_PARAMS,
+                         total_frames=60)
         assert log.triggers and log.triggers[0] == 40
         cats = [2] * 3 + [0] * 37 + [0] * 200
-        log = spa(scripted_executor(cats), MODES6, DEFAULT_PARAMS,
-                  total_frames=60)
+        log = run_policy("SPA", scripted_executor(cats), MODES6, DEFAULT_PARAMS,
+                         total_frames=60)
         assert log.triggers == []
 
     def test_list_stays_permutation_and_top_r_learned(self):
@@ -232,7 +233,8 @@ class TestSpa:
         fers = dict(zip(MODES6, [0.5, 0.4, 0.3, 0.02, 0.6, 0.7]))
         def execute(mode):
             return 2 if rng.random() < fers[mode] else 0
-        log = spa(per_frame(execute), MODES6, DEFAULT_PARAMS, total_frames=2000)
+        log = run_policy("SPA", per_frame(execute), MODES6, DEFAULT_PARAMS,
+                         total_frames=2000)
         assert log.triggers, "bad initial mode must trigger"
         for call in log.learn_calls:
             assert len(call.candidates) == DEFAULT_PARAMS.r
@@ -268,7 +270,8 @@ class TestSpa:
 
     def test_requires_enough_modes(self):
         with pytest.raises(ValueError):
-            spa(per_frame(lambda m: 0), MODES6[:2], DEFAULT_PARAMS, total_frames=10)
+            run_policy("SPA", per_frame(lambda m: 0), MODES6[:2], DEFAULT_PARAMS,
+                       total_frames=10)
 
 
 class TestRunPolicy:
@@ -350,6 +353,18 @@ class TestRunPolicy:
     def test_unknown_policy(self):
         with pytest.raises(UnknownPolicyError):
             run_policy("nonsense", per_frame(lambda m: 0), MODES6, total_frames=10)
+
+    @pytest.mark.parametrize("policy, name", [
+        (Mode((1, 2)), "Fixed:R1R2"), ("fixed:r1r2", "Fixed:R1R2"),
+        ("Fixed:1", "Fixed:R1"), ("dt", "DT"), ("wrnm", "WRNM")])
+    def test_policy_name_is_canonical(self, policy, name):
+        assert policy_name(policy) == name
+
+    @pytest.mark.parametrize("policy, error", [
+        ("BOGUS", UnknownPolicyError), ("Fixed:xyz", ValueError)])
+    def test_policy_name_rejects(self, policy, error):
+        with pytest.raises(error):
+            policy_name(policy)
 
 
 @st.composite
