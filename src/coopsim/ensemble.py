@@ -9,14 +9,14 @@ the ensemble.
 """
 import csv
 import functools
-import io
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import selection
-from .netsim import Strategy, enumerate_modes, evaluate_frame, mode_key_str
+from .netsim import (Strategy, csv_cells, enumerate_modes, evaluate_frame,
+                     mode_key_str)
 from .rng import named_rng
 from .topology import sample_channels
 
@@ -233,14 +233,6 @@ def oracle_fer(sample, dataset):
     return errors / total
 
 
-def _csv_cells(*fields):
-    """fields as csv.writer writes them on one row, without the line
-    terminator: quoted where csv.writer quotes them."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow(fields)
-    return buf.getvalue()[:-2]
-
-
 def write_dataset_csv(path, dataset):
     """Dataset CSV: topology, mode, frame_index, category. Each
     (topology, mode) block is written as one string, byte for byte what
@@ -251,7 +243,7 @@ def write_dataset_csv(path, dataset):
         csv.writer(fh).writerow(["topology", "mode", "frame_index", "category"])
         for label, table in zip(dataset.topologies, dataset.outcomes.tolist()):
             for key, categories in zip(dataset.mode_keys, table):
-                prefix = _csv_cells(label, mode_key_str(key)) + ","
+                prefix = csv_cells(label, mode_key_str(key)) + ","
                 fh.write("".join([prefix + endings[category][f]
                                   for f, category in enumerate(categories)]))
 
@@ -265,7 +257,7 @@ def write_samples_csv(path, samples):
         for si, sample in enumerate(samples):
             for gi, (label, rows) in enumerate(sample.segments):
                 head = f"{si},{gi},"
-                cell = _csv_cells("", label, "")  # ",<label>,"
+                cell = csv_cells("", label, "")  # ",<label>,"
                 fh.write("".join([f"{head}{pos}{cell}{row}\r\n"
                                   for pos, row in enumerate(rows)]))
 

@@ -311,11 +311,17 @@ def _write_csv(path, header, rows):
 
 
 def _write_packets(path, results):
-    """Write the packet CSV path of the PacketResults results; returns path."""
-    return _write_csv(path, ["packet_index", "delivered", "attempts", "delay_us",
-                             "path_or_mode"],
-                      ([i, int(r.delivered), r.attempts, _fmt(r.total_delay_us),
-                        r.path_or_mode] for i, r in enumerate(results)))
+    """Write the packet CSV path of the PacketResults results; returns path.
+    The rows are written as one string, each distinct result's cells
+    formatted once, byte for byte what csv.writer writes row by row."""
+    cells = {r: netsim.csv_cells(int(r.delivered), r.attempts,
+                                 _fmt(r.total_delay_us), r.path_or_mode)
+             for r in set(results)}
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(["packet_index", "delivered", "attempts",
+                                 "delay_us", "path_or_mode"])
+        fh.write("".join([f"{i},{cells[r]}\r\n" for i, r in enumerate(results)]))
+    return path
 
 
 def _fmt(value):

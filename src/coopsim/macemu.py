@@ -9,6 +9,9 @@ per-hop traces, the per-packet path minimizing total attempts (or the
 fastest-dropping path when no path can deliver).
 """
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from . import selection
 from .netsim import (Strategy, enumerate_modes, evaluate_frames, gapless,
@@ -39,23 +42,55 @@ class MacPolicy:
             raise ValueError("retransmission limits must be >= 0")
 
 
-@dataclass(frozen=True)
-class PacketResult:
+class PacketResult(NamedTuple):
     delivered: bool
     total_delay_us: float
     attempts: int
     path_or_mode: str
 
 
-@dataclass(frozen=True)
+def _hop_table(label, h, hop):
+    """hop h of path label as a (packets, attempts) bool array, ragged
+    attempt lists cut to the shortest."""
+    if not isinstance(hop, np.ndarray):
+        try:
+            cut = min((len(attempts) for attempts in hop), default=0)
+            hop = np.array([attempts[:cut] for attempts in hop],
+                           dtype=bool).reshape(len(hop), cut)
+        except TypeError:  # a flat sequence of bools
+            pass
+    if np.ndim(hop) != 2:
+        raise ValueError(f"path {label!r}: hop {h} must be a (packets, attempts) "
+                         f"table of bools")
+    return hop.astype(bool, copy=False)
+
+
+@dataclass(frozen=True, eq=False)  # == on array hops has no truth value
 class PathTrace:
-    """Per-hop, per-packet, per-attempt success outcomes for one path."""
+    """Per-hop, per-packet, per-attempt success outcomes for one path:
+    hops[h] is a (packets, attempts) bool array, the same packet count on
+    every hop. Nested sequences are converted, ragged attempt lists cut to
+    the shortest; a path without hops or packets, a hop that is not a
+    table and hops that disagree on packet count are ValueErrors naming
+    the path."""
     label: str
-    hops: tuple  # hops[h][packet] = tuple of per-attempt bools
+    hops: tuple
+
+    def __post_init__(self):
+        hops = tuple(_hop_table(self.label, h, hop) for h, hop in enumerate(self.hops))
+        if not hops:
+            raise ValueError(f"path {self.label!r} has no hops")
+        counts = [len(hop) for hop in hops]
+        if len(set(counts)) > 1:
+            raise ValueError(f"path {self.label!r}: hops disagree on packet "
+                             f"count, got {counts}")
+        if not counts[0]:
+            raise ValueError(f"path {self.label!r} records no packets")
+        object.__setattr__(self, "hops", hops)
 
     @property
     def n_packets(self):
-        return len(self.hops[0]) if self.hops else 0
+        return len(self.hops[0])
 
 
 @dataclass(frozen=True)
@@ -118,24 +153,22 @@ def coop_mac_deliver(modes, categories, policy=MacPolicy(), n_packets=None):
     return results
 
 
-def _walk_path(path, packet, policy):
-    """(delivered, total attempts) for one packet along one path, each hop
-    allowed max_retx_per_link retransmissions."""
-    budget = policy.max_retx_per_link + 1
-    attempts = 0
+def _walk(path, budget):
+    """(dropped, attempts) arrays over the packets of one path, each hop
+    allowed budget attempts: a packet stops at its first hop without a
+    success among them."""
+    dropped = np.zeros(path.n_packets, dtype=bool)
+    attempts = np.zeros(path.n_packets, dtype=np.int64)
     for hop in path.hops:
-        outcomes = hop[packet]
-        if len(outcomes) < budget:
+        if hop.shape[1] < budget:
             raise ValueError(
-                f"path {path.label}: only {len(outcomes)} attempts recorded, "
+                f"path {path.label}: only {hop.shape[1]} attempts recorded, "
                 f"need {budget} to cover the retransmission budget")
-        for a in range(budget):
-            if outcomes[a]:
-                attempts += a + 1
-                break
-        else:
-            return False, attempts + budget
-    return True, attempts
+        tries = hop[:, :budget]
+        ok = tries.any(axis=1)
+        attempts += np.where(ok, tries.argmax(axis=1) + 1, budget) * ~dropped
+        dropped |= ~ok
+    return dropped, attempts
 
 
 def genie_route(paths, policy=MacPolicy()):
@@ -144,29 +177,20 @@ def genie_route(paths, policy=MacPolicy()):
     Among paths that can deliver within the per-hop retransmission caps,
     pick the one with the fewest total attempts (ties: lowest path index);
     if none can, send along the path that drops after the fewest attempts.
-    Each attempt is one direct-style link transmission.
+    Each attempt is one direct-style link transmission. Every path is
+    walked for all packets at once, and each packet takes the least key
+    (dropped, attempts, path index) over the paths.
     """
-    results = []
-    for p in range(paths.n_packets):
-        best_ok = None
-        best_drop = None
-        for idx, path in enumerate(paths.paths):
-            ok, attempts = _walk_path(path, p, policy)
-            if ok:
-                if best_ok is None or attempts < best_ok[0]:
-                    best_ok = (attempts, idx)
-            else:
-                if best_drop is None or attempts < best_drop[0]:
-                    best_drop = (attempts, idx)
-        if best_ok is not None:
-            attempts, idx = best_ok
-            results.append(PacketResult(True, attempts * AIRTIME_DIRECT_US,
-                                        attempts, paths.paths[idx].label))
-        else:
-            attempts, idx = best_drop
-            results.append(PacketResult(False, attempts * AIRTIME_DIRECT_US,
-                                        attempts, paths.paths[idx].label))
-    return results
+    budget = policy.max_retx_per_link + 1
+    walks = [_walk(path, budget) for path in paths.paths]
+    dropped = np.array([d for d, _ in walks])
+    attempts = np.array([a for _, a in walks])
+    best = np.argmin(dropped * (attempts.max(initial=0) + 1) + attempts, axis=0)
+    packets = np.arange(paths.n_packets)
+    labels = [path.label for path in paths.paths]
+    return [PacketResult(not lost, n * AIRTIME_DIRECT_US, n, labels[idx])
+            for lost, n, idx in zip(dropped[best, packets].tolist(),
+                                    attempts[best, packets].tolist(), best.tolist())]
 
 
 def drop_rate(results):
@@ -271,7 +295,7 @@ def _routing_side(scenario, mac, blocks):
     n_relays = scenario.topology.n_relays
 
     def hop(slots, column):
-        return tuple(map(tuple, (blocks[:, slots, column] >= thr).tolist()))
+        return blocks[:, slots, column] >= thr
 
     first, second = slice(0, per_hop), slice(per_hop, 2 * per_hop)
     paths = [PathTrace("S-D", (hop(first, 0),))]

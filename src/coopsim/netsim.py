@@ -12,6 +12,7 @@ identical realizations, not absolute error rates.
 """
 import csv
 import enum
+import io
 import math
 from dataclasses import dataclass
 
@@ -64,10 +65,15 @@ class Mode:
 
     @classmethod
     def parse(cls, text):
-        parts = [p for p in str(text).upper().split("R") if p]
-        if not parts:
+        """The mode spelt "R<i>" or "R<i>R<j>" (any case); text whose parts
+        between the Rs are not integers is a ValueError naming it."""
+        try:
+            relays = tuple(int(p) for p in str(text).upper().split("R") if p)
+        except ValueError:
+            relays = ()
+        if not relays:
             raise ValueError(f"cannot parse mode {text!r}")
-        return cls(tuple(int(p) for p in parts))
+        return cls(relays)
 
 
 def mode_key_str(mode):
@@ -196,6 +202,14 @@ def write_trace(path, modes, categories, topology_labels=None):
         for f, (mode, category) in enumerate(zip(modes, categories)):
             label = topology_labels[f] if topology_labels is not None else ""
             w.writerow([f, label, mode_key_str(mode), category])
+
+
+def csv_cells(*fields):
+    """fields as csv.writer writes them on one row, without the line
+    terminator: quoted where csv.writer quotes them."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()[:-2]
 
 
 def read_csv_rows(path, columns, parse):

@@ -26,6 +26,8 @@ They are slow and need scipy, so they live here rather than in the package:
 - spawn_rngs: n generators spawned from one root SeedSequence;
 - write_dataset_csv_rows and write_samples_csv_rows: the ensemble CSVs
   written one csv.writer row per frame;
+- write_packets_csv_rows: the packet CSV written one csv.writer row per
+  packet;
 - genie_route_brute_force: genie routing by walking every path of every
   packet attempt by attempt.
 """
@@ -456,6 +458,17 @@ def write_samples_csv_rows(path, samples):
                     w.writerow([si, gi, pos, label, row])
 
 
+def write_packets_csv_rows(path, results):
+    """experiments._write_packets as one csv.writer row per packet."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["packet_index", "delivered", "attempts", "delay_us",
+                    "path_or_mode"])
+        for i, r in enumerate(results):
+            w.writerow([i, int(r.delivered), r.attempts,
+                        repr(float(r.total_delay_us)), r.path_or_mode])
+
+
 def genie_route_brute_force(paths, policy):
     """Per packet, walk every path attempt by attempt, each hop allowed
     max_retx_per_link retransmissions; take the delivering path with the
@@ -480,3 +493,4 @@ def genie_route_brute_force(paths, policy):
         results.append(PacketResult(not dropped, attempts * AIRTIME_DIRECT_US,
                                     attempts, paths.paths[idx].label))
     return results
+

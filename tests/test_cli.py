@@ -13,8 +13,10 @@ from coopsim import __version__, experiments, selection
 from coopsim.cli import main
 from coopsim.experiments import (ValidationError, list_experiments,
                                  run_config, validate_config)
+from coopsim.macemu import PacketResult
 from coopsim.netsim import enumerate_modes, write_trace
 from coopsim.selection import DEFAULT_PARAMS
+from oracles import write_packets_csv_rows
 
 
 def write_yaml(path, doc):
@@ -142,6 +144,7 @@ class TestValidate:
          "mode R1R4 invalid for a 3-relay topology"),
         ("mac_compare", {"mode_policy": "Fixed:R3"},
          "mode R3 invalid for a 2-relay topology"),
+        ("mac_compare", {"mode_policy": "Fixed:R1+R2"}, "cannot parse mode 'R1+R2'"),
         ("fixed_modes", {"strategy": "BOGUS"}, "unknown strategy 'BOGUS'"),
         ("adaptive_compare", {"strategy": "BOGUS"}, "unknown strategy 'BOGUS'"),
         ("ensemble", {"strategy": "BOGUS"}, "unknown strategy 'BOGUS'"),
@@ -661,6 +664,17 @@ class TestRunConfig:
                          ("mac_compare.csv", "packets_coop.csv", "packets_genie.csv")})
         assert runs[0] == runs[1]
 
+    def test_packet_csv_is_csv_writer_rows(self, tmp_path):
+        results = [PacketResult(True, 180.0, 1, "a,b"),
+                   PacketResult(True, 372.0, 1, 'say "hi"'),
+                   PacketResult(True, 744.0, 2, "line\nbreak"),
+                   PacketResult(False, 1116.0, 3, ""),
+                   PacketResult(True, 180.0, 1, "a,b"),
+                   PacketResult(True, 552.0, 2, "direct")]
+        experiments._write_packets(tmp_path / "bulk.csv", results)
+        write_packets_csv_rows(tmp_path / "rows.csv", results)
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
     @pytest.mark.parametrize("kind, canonical, lower", [
         ("adaptive_compare", ["SPA", "RandPick", "Fixed:R1"], ["spa", "randpick", "fixed:r1"]),
         ("ensemble", ["SPA", "RandPick", "Fixed:R1"], ["spa", "randpick", "fixed:r1"]),
@@ -778,6 +792,11 @@ class TestRunConfig:
          "path 'P' hop 0 packet 0 attempt 1 is missing"),
         ("--path-traces", "path,hop,packet,attempt,success\nS-D,0,0,0,0\nS-D,0,0,1,0\n",
          "path S-D: only 2 attempts recorded, need 5 to cover the retransmission budget"),
+        # packet 0 is dropped on hop 0 and never reaches hop 1, but every
+        # hop must still record the budget for every packet
+        ("--path-traces", "path,hop,packet,attempt,success\n"
+         + "".join(f"P,0,0,{a},0\n" for a in range(5)) + "P,1,0,0,1\n",
+         "path P: only 1 attempts recorded, need 5 to cover the retransmission budget"),
         ("--coop-trace", "frame_index,topology_id,mode,category\n0,,DT,0\n1,,DT,2\n",
          "trace ended mid-packet after 1 packets"),
     ])

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coopsim.macemu import (CoopVsRoutingScenario, MacPolicy, PacketResult,
                             PathTrace, PathTraces, TraceExhaustedError,
@@ -105,17 +108,28 @@ def brute_force_min_drops(paths, policy):
 
 
 @st.composite
-def capped_path_traces(draw):
-    """(MacPolicy with a random per-hop cap, PathTraces of 1-4 paths of 1-2
-    hops), each hop recording cap+1 to cap+3 attempts per packet."""
+def capped_path_traces(draw, as_arrays=False):
+    """(MacPolicy with a random per-hop cap, [(label, hops)] of 1-4 paths of
+    1-2 hops), each hop recording cap+1 to cap+3 attempts per packet: as
+    ragged nested lists, or with as_arrays as one (packets, attempts) bool
+    array per hop."""
     cap = draw(st.integers(0, 4))
     n_packets = draw(st.integers(1, 4))
-    attempts = st.lists(st.booleans(), min_size=cap + 1, max_size=cap + 3)
-    hops = st.lists(st.lists(attempts, min_size=n_packets, max_size=n_packets),
-                    min_size=1, max_size=2)
-    paths = [path_from_bools(f"P{i}", draw(hops))
-             for i in range(draw(st.integers(1, 4)))]
-    return MacPolicy(max_retx_per_link=cap), PathTraces(tuple(paths))
+    if as_arrays:
+        hop = st.integers(cap + 1, cap + 3).flatmap(
+            lambda width: arrays(bool, (n_packets, width)))
+    else:
+        attempts = st.lists(st.booleans(), min_size=cap + 1, max_size=cap + 3)
+        hop = st.lists(attempts, min_size=n_packets, max_size=n_packets)
+    hops = st.lists(hop, min_size=1, max_size=2)
+    paths = [(f"P{i}", draw(hops)) for i in range(draw(st.integers(1, 4)))]
+    return MacPolicy(max_retx_per_link=cap), paths
+
+
+def as_given(paths):
+    """The paths as the brute-force oracle reads them, hops exactly as given."""
+    return SimpleNamespace(n_packets=len(paths[0][1][0]), paths=[
+        SimpleNamespace(label=label, hops=hops) for label, hops in paths])
 
 
 class TestGenieRoute:
@@ -123,7 +137,19 @@ class TestGenieRoute:
     @given(case=capped_path_traces())
     def test_matches_attempt_by_attempt_brute_force(self, case):
         policy, paths = case
-        assert genie_route(paths, policy) == genie_route_brute_force(paths, policy)
+        traces = PathTraces(tuple(PathTrace(label, hops) for label, hops in paths))
+        assert genie_route(traces, policy) == \
+            genie_route_brute_force(as_given(paths), policy)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=capped_path_traces(as_arrays=True))
+    def test_arrays_match_attempt_by_attempt_brute_force(self, case):
+        policy, paths = case
+        traces = PathTraces(tuple(PathTrace(label, hops) for label, hops in paths))
+        assert all(a is b for (_, hops), path in zip(paths, traces.paths)
+                   for a, b in zip(hops, path.hops))
+        assert genie_route(traces, policy) == \
+            genie_route_brute_force(as_given(paths), policy)
 
     def test_perfect_path_delivers_everything(self):
         paths = PathTraces((path_from_bools(
@@ -166,6 +192,37 @@ class TestGenieRoute:
         p = path_from_bools("p", [[[True, True]]])  # only 2 attempts recorded
         with pytest.raises(ValueError):
             genie_route(PathTraces((p,)), POLICY)
+
+    def test_insufficient_attempts_on_a_hop_the_packet_never_reaches(self):
+        # dropped on hop 0 after the budget of 5 failures, one attempt on hop 1
+        p = path_from_bools("p", [[[False] * 5], [[True]]])
+        with pytest.raises(ValueError, match="only 1 attempts recorded, need 5"):
+            genie_route(PathTraces((p,)), POLICY)
+
+
+class TestPathTrace:
+    def test_lists_become_bool_tables_cut_to_the_shortest(self):
+        (hop,) = PathTrace("p", ([[1, 0, 1], [0, 1]],)).hops
+        assert hop.dtype == bool
+        assert hop.tolist() == [[True, False], [False, True]]
+
+    def test_rejects_hops_that_disagree_on_packet_count(self):
+        with pytest.raises(ValueError, match="path 'p': hops disagree on packet "
+                                             r"count, got \[2, 3\]"):
+            PathTrace("p", ([[True]] * 2, [[True]] * 3))
+
+    @pytest.mark.parametrize("hop", [(True, False, True), np.ones(3, dtype=bool),
+                                     np.ones((2, 2, 2), dtype=bool)])
+    def test_rejects_a_hop_that_is_not_a_table(self, hop):
+        with pytest.raises(ValueError, match="path 'p': hop 0 must be a "
+                                             r"\(packets, attempts\) table"):
+            PathTrace("p", (hop,))
+
+    @pytest.mark.parametrize("hops, message", [((), "has no hops"),
+                                               (((),), "records no packets")])
+    def test_rejects_a_path_without_hops_or_packets(self, hops, message):
+        with pytest.raises(ValueError, match=f"path 'p' {message}"):
+            PathTrace("p", hops)
 
 
 class TestMetrics:
