@@ -21,7 +21,9 @@ bound's tightness oracle. The outage-optimal k-relay subnetwork comes from
 a subset search that the bound's closed-form cuts prune (analytic), or from
 an exhaustive scan over common random numbers (Monte-Carlo). The SNR that
 a target outage requires is bisected on a yes/no test that walks the
-analytic search's subset order only until it can answer.
+analytic search's subset order only until it can answer. Both analytic
+walks sum a subset's cuts only until its bound is known to be above the
+level they compare it with.
 """
 import functools
 import itertools
@@ -240,14 +242,37 @@ def _panel_nodes(edges):
     return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
 
 
+def _panel_rule(lams_src, lams_dst, rate, tau, points):
+    """(value, error estimate) of the integral of P_omega on the panels
+    that the points inside (0, tau) cut [0, tau] into: the Gauss-Legendre
+    rule on the halved panels, and its difference from the same rule on
+    the whole panels."""
+    edges = np.array([0.0, *sorted(p for p in points if 0.0 < p < tau), tau])
+    halved = np.empty(2 * len(edges) - 1)
+    halved[::2] = edges
+    halved[1::2] = 0.5 * (edges[:-1] + edges[1:])
+    x_whole, w_whole = _panel_nodes(edges)
+    x_halved, w_halved = _panel_nodes(halved)
+    x = np.concatenate((x_whole, x_halved))
+    f = _max_pdf_at(lams_src, x) * _max_cdf_at(lams_dst, 2.0 ** rate / (1.0 + x) - 1.0)
+    value = float((w_halved * f[len(x_whole):]).sum())
+    return value, abs(value - float((w_whole * f[:len(x_whole)]).sum()))
+
+
 def _p_omega(lams_src, lams_dst, rate, rel_tol):
     """Pr{log2(1+X) + log2(1+Y) < R} for X = max Exp(lams_src), Y = max
     Exp(lams_dst); degenerate sides reduce to a single CDF evaluation.
 
-    Interior breakpoints at the exponential scales keep the rule from
-    overlooking a boundary-concentrated density at large lambda. The value
-    is the Gauss-Legendre rule on the halved panels; its error estimate is
-    the difference from the same rule on the whole panels.
+    Interior breakpoints at the exponential scales keep the rule
+    (_panel_rule) from overlooking a boundary-concentrated density at
+    large lambda. Where its error estimate fails, the rule is rerun with
+    breakpoints where the integrand turns on wide SNR spreads: where each
+    destination CDF rises, at x = 2^R / (1 + s / lambda) - 1 for s in
+    {0.1, 1, 10} (F_Y(2^R/(1+x) - 1) climbs over a width of about
+    (1 + tau) / lambda just below x = tau, which breakpoints on the scale
+    of y miss), and where each source density has fallen by e^-10 and
+    e^-100, at x = 10 / lambda and 100 / lambda. A value that passes on
+    the first breakpoints comes from them alone.
     """
     tau = 2.0 ** rate - 1.0
     if tau <= 0.0:
@@ -264,24 +289,19 @@ def _p_omega(lams_src, lams_dst, rate, rel_tol):
     if ceiling < 1e-14:
         return ceiling
 
-    points = {tau * s for s in (1e-9, 1e-6, 1e-3, 1e-2, 0.1, 0.5)}
-    points |= {1.0 / lam for lam in lams_src + lams_dst}
-    edges = np.array([0.0, *sorted(p for p in points if 0.0 < p < tau), tau])
-    halved = np.empty(2 * len(edges) - 1)
-    halved[::2] = edges
-    halved[1::2] = 0.5 * (edges[:-1] + edges[1:])
-    x_whole, w_whole = _panel_nodes(edges)
-    x_halved, w_halved = _panel_nodes(halved)
-    x = np.concatenate((x_whole, x_halved))
-    f = _max_pdf_at(lams_src, x) * _max_cdf_at(lams_dst, 2.0 ** rate / (1.0 + x) - 1.0)
-    value = float((w_halved * f[len(x_whole):]).sum())
-    abserr = abs(value - float((w_whole * f[:len(x_whole)]).sum()))
-    if not math.isfinite(value) or abserr > 10.0 * rel_tol * max(abs(value), 1e-300):
-        raise QuadratureFailure(
-            f"P_omega quadrature reached error {abserr:.3e} for value {value:.3e} "
-            f"at lams_src={lams_src}, lams_dst={lams_dst}, rate={rate!r}, "
-            f"rel_tol={rel_tol:.1e}")
-    return min(max(value, 0.0), 1.0)
+    scales = {tau * s for s in (1e-9, 1e-6, 1e-3, 1e-2, 0.1, 0.5)}
+    scales |= {1.0 / lam for lam in lams_src + lams_dst}
+    turns = {2.0 ** rate / (1.0 + s / lam) - 1.0
+             for lam in lams_dst for s in (0.1, 1.0, 10.0)}
+    turns |= {s / lam for lam in lams_src for s in (10.0, 100.0)}
+    for points in (scales, scales | turns):
+        value, abserr = _panel_rule(lams_src, lams_dst, rate, tau, points)
+        if math.isfinite(value) and abserr <= 10.0 * rel_tol * max(abs(value), 1e-300):
+            return min(max(value, 0.0), 1.0)
+    raise QuadratureFailure(
+        f"P_omega quadrature reached error {abserr:.3e} for value {value:.3e} "
+        f"at lams_src={lams_src}, lams_dst={lams_dst}, rate={rate!r}, "
+        f"rel_tol={rel_tol:.1e}")
 
 
 def _cut_rates(t, cut, subset):
@@ -315,12 +335,30 @@ def cut_outage_analytic(t, q, cut):
 def outage_upper_bound(t, q):
     """Union bound over all 2^k cuts, clamped to [0, 1]:
     direct_outage * sum_omega P_omega."""
-    subset = q.subset
+    return _bound_unless_above(t, q, math.inf)
+
+
+def _bound_unless_above(t, q, level):
+    """outage_upper_bound(t, q) when it is <= level, else a value above
+    level, found as soon as the cuts summed so far show it.
+
+    The cuts are summed in order of size, lexicographically within a size,
+    so the closed-form cut omega = subset comes last. After each term,
+    min(1, P_direct * (partial sum + that last term)) is a lower bound on
+    the final bound, since every term is >= 0 and rounding is monotone;
+    the sum stops once it is above level. For k = 0 the one cut is the
+    last.
+    """
+    *cuts, last = (Cut(omega) for size in range(len(q.subset) + 1)
+                   for omega in itertools.combinations(q.subset, size))
+    last_term = cut_outage_analytic(t, q, last)
+    p_direct = direct_outage(t.lambda_sd, q.rate)
     total = 0.0
-    for size in range(len(subset) + 1):
-        for omega in itertools.combinations(subset, size):
-            total += cut_outage_analytic(t, q, Cut(omega))
-    return min(1.0, direct_outage(t.lambda_sd, q.rate) * total)
+    for cut in cuts:
+        total += cut_outage_analytic(t, q, cut)
+        if min(1.0, p_direct * (total + last_term)) > level:
+            break
+    return min(1.0, p_direct * (total + last_term))
 
 
 def outage_monte_carlo(t, q, rng):
@@ -336,27 +374,16 @@ def outage_monte_carlo(t, q, rng):
     return p, math.sqrt(p * (1.0 - p) / n)
 
 
-def _bound_floor(t, q):
-    """Lower bound P_direct * (F_Y(tau) + F_X(tau)) on outage_upper_bound:
-    its closed-form cuts omega = {} and omega = subset, from the same term
-    values added in the same order, so rounding cannot lift the floor above
-    the bound."""
-    cuts = (Cut(()), Cut(q.subset)) if q.subset else (Cut(()),)
-    total = 0.0
-    for cut in cuts:
-        total += _p_omega(*_cut_rates(t, cut, q.subset), float(q.rate),
-                          float(q.quadrature_rel_tol))
-    return min(1.0, direct_outage(t.lambda_sd, q.rate) * total)
-
-
 def best_subnetwork(t, k, rate, method="analytic", rel_tol=DEFAULT_REL_TOL,
                     mc_samples=DEFAULT_MC_SAMPLES, rng=None):
     """Search for the outage-optimal k-relay subset.
 
     Ties keep the lexicographically smallest subset. With
-    method="analytic" subsets are visited in ascending order of
-    _bound_floor, and the search stops at the first floor strictly above
-    the best bound so far: no later subset can reach it. With
+    method="analytic" subsets are visited in ascending order of their
+    floors (_floor_order), and the search stops at the first floor
+    strictly above the best bound so far: no later subset can reach it.
+    A subset's bound is summed only until it is above the best so far
+    (_bound_unless_above), so ties are still summed in full. With
     method="montecarlo" every subset is counted on one batch of draws
     shared by all of them (common random numbers), which preserves the
     capacity monotonicity of nested subsets in the empirical estimates. The
@@ -375,7 +402,7 @@ def best_subnetwork(t, k, rate, method="analytic", rel_tol=DEFAULT_REL_TOL,
     for floor, q in _floor_order(t, subsets, rate, rel_tol):
         if floor > best_value:
             break
-        value = outage_upper_bound(t, q)
+        value = _bound_unless_above(t, q, best_value)
         if value < best_value or (value == best_value and q.subset < best_subset):
             best_subset, best_value = q.subset, value
     return best_subset, best_value
@@ -388,24 +415,46 @@ def _subsets(t, k):
 
 
 def _floor_order(t, subsets, rate, rel_tol):
-    """(floor, query) pairs of the subsets in ascending order of
-    _bound_floor, ties in lexicographic order: the order in which the
-    analytic searches visit them."""
-    queries = [OutageQuery(rate=rate, subset=s, quadrature_rel_tol=rel_tol)
-               for s in subsets]
-    return sorted(((_bound_floor(t, q), q) for q in queries),
-                  key=lambda fq: (fq[0], fq[1].subset))
+    """(floor, query) pairs of the subsets in ascending order of floor,
+    ties in lexicographic order: the order in which the analytic searches
+    visit them. A query is built only when the walk reaches its subset;
+    the checks every query makes come first.
+
+    A subset's floor is P_direct * (F_Y(tau) + F_X(tau)), the terms of
+    its bound's two closed-form cuts omega = {} and omega = subset added
+    in the bound's order, so it never exceeds the bound. Each CDF is a
+    product of per-relay factors 1 - exp(-lambda * tau), computed once per
+    relay and side and multiplied in ascending-lambda order as _max_cdf
+    does, so the floor equals the sum of those two cut terms bit for bit
+    (the oracle tests/oracles.bound_floor).
+    """
+    OutageQuery(rate=rate, quadrature_rel_tol=rel_tol)
+    tau = 2.0 ** float(rate) - 1.0
+    members = np.array(subsets, dtype=np.intp) - 1
+    in_subset = np.zeros((len(subsets), t.n_relays), dtype=bool)
+    in_subset[np.arange(len(subsets))[:, None], members] = True
+    # F_Y, the cut omega = {}, comes first; at k = 0 it is the only cut
+    total = np.zeros(len(subsets))
+    for lams in (t.lambda_rd, t.lambda_sr) if members.size else (t.lambda_rd,):
+        cdf = np.ones(len(subsets))
+        for i in sorted(range(t.n_relays), key=lams.__getitem__):
+            np.multiply(cdf, -math.expm1(-lams[i] * tau), out=cdf, where=in_subset[:, i])
+        total += cdf
+    floors = np.minimum(1.0, direct_outage(t.lambda_sd, rate) * total)
+    for floor, subset in sorted(zip(floors.tolist(), subsets)):
+        yield floor, OutageQuery(rate=rate, subset=subset, quadrature_rel_tol=rel_tol)
 
 
 def _reaches(t, k, rate, level, rel_tol):
     """Whether some k-subset's outage_upper_bound is <= level, that is
     best_subnetwork(t, k, rate, rel_tol=rel_tol)[1] <= level. Subsets are
     visited in floor order; the walk stops at the first bound <= level, or
-    at the first floor > level, since no later bound can be below it."""
+    at the first floor > level, since no later bound can be below it. Each
+    bound is summed only until it is above level (_bound_unless_above)."""
     for floor, q in _floor_order(t, _subsets(t, k), rate, rel_tol):
         if floor > level:
             return False
-        if outage_upper_bound(t, q) <= level:
+        if _bound_unless_above(t, q, level) <= level:
             return True
     return False
 

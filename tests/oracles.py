@@ -3,9 +3,12 @@
 They are slow and need scipy, so they live here rather than in the package:
 
 - p_omega_quad: P_omega by adaptive QUADPACK quadrature on the same
-  breakpoints as coopsim.outage._p_omega;
+  breakpoints as coopsim.outage._p_omega, retried as it is;
 - p_omega_by_term_expansion: P_omega as a signed sum of elementary
   integrals, independent of the integrand's product form;
+- union_bound: outage_upper_bound as one sum over every cut;
+- bound_floor: the floor of a subset's union bound that the analytic
+  searches walk by, from its two closed-form cut terms;
 - best_subnetwork_exhaustive: the analytic subset search without pruning;
 - best_subnetwork_montecarlo_scan: the Monte-Carlo subset search as one
   approx_capacity call per subset on the whole draw array;
@@ -42,8 +45,9 @@ from scipy.integrate import IntegrationWarning, quad
 
 from coopsim.macemu import AIRTIME_DIRECT_US, PacketResult
 from coopsim.netsim import Mode, evaluate_frame, mode_key_str
-from coopsim.outage import (DEFAULT_REL_TOL, OutageQuery, QuadratureFailure,
-                            approx_capacity, best_subnetwork, outage_upper_bound)
+from coopsim.outage import (DEFAULT_REL_TOL, Cut, OutageQuery, QuadratureFailure,
+                            approx_capacity, best_subnetwork, cut_outage_analytic,
+                            direct_outage, outage_upper_bound)
 from coopsim.selection import DEFAULT_PARAMS, LearnCall, learn, policy_name
 from coopsim.topology import sample_channels
 
@@ -78,7 +82,8 @@ def _max_pdf(lams, x):
 
 def p_omega_quad(lams_src, lams_dst, rate, rel_tol):
     """Pr{log2(1+X) + log2(1+Y) < R} by adaptive quadrature, with the
-    early exits, breakpoints and error condition of the package rule."""
+    early exits, breakpoints, retry and error condition of the package
+    rule."""
     tau = 2.0 ** rate - 1.0
     if tau <= 0.0:
         return 0.0
@@ -98,19 +103,22 @@ def p_omega_quad(lams_src, lams_dst, rate, rel_tol):
     def integrand(x):
         return _max_pdf(lams_src, x) * _max_cdf(lams_dst, two_r / (1.0 + x) - 1.0)
 
-    points = {tau * s for s in (1e-9, 1e-6, 1e-3, 1e-2, 0.1, 0.5)}
-    points |= {1.0 / lam for lam in lams_src + lams_dst}
-    points = sorted(p for p in points if 0.0 < p < tau)
-    with warnings.catch_warnings():
-        # the abserr check below replaces QUADPACK's roundoff warning
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, abserr = quad(integrand, 0.0, tau, points=points,
-                             epsabs=0.0, epsrel=rel_tol, limit=500)
-    if not math.isfinite(value) or abserr > 10.0 * rel_tol * max(abs(value), 1e-300):
-        raise QuadratureFailure(
-            f"P_omega quadrature reached error {abserr:.3e} for value {value:.3e} "
-            f"(rel_tol {rel_tol:.1e})")
-    return min(max(value, 0.0), 1.0)
+    scales = {tau * s for s in (1e-9, 1e-6, 1e-3, 1e-2, 0.1, 0.5)}
+    scales |= {1.0 / lam for lam in lams_src + lams_dst}
+    turns = {two_r / (1.0 + s / lam) - 1.0 for lam in lams_dst for s in (0.1, 1.0, 10.0)}
+    turns |= {s / lam for lam in lams_src for s in (10.0, 100.0)}
+    for points in (scales, scales | turns):
+        with warnings.catch_warnings():
+            # the abserr check below replaces QUADPACK's roundoff warning
+            warnings.simplefilter("ignore", IntegrationWarning)
+            value, abserr = quad(integrand, 0.0, tau,
+                                 points=sorted(p for p in points if 0.0 < p < tau),
+                                 epsabs=0.0, epsrel=rel_tol, limit=500)
+        if math.isfinite(value) and abserr <= 10.0 * rel_tol * max(abs(value), 1e-300):
+            return min(max(value, 0.0), 1.0)
+    raise QuadratureFailure(
+        f"P_omega quadrature reached error {abserr:.3e} for value {value:.3e} "
+        f"(rel_tol {rel_tol:.1e})")
 
 
 def p_omega_by_term_expansion(lams_src, lams_dst, rate, rel_tol):
@@ -149,6 +157,29 @@ def p_omega_by_term_expansion(lams_src, lams_dst, rate, rel_tol):
                 sign_t = -1.0 if len(tset) % 2 else 1.0
                 total += li * sign_u * sign_t * elementary(alpha, sum(tset))
     return total
+
+
+def union_bound(t, q):
+    """Union bound direct_outage * sum_omega P_omega, clamped to [0, 1],
+    summed over every cut in order of size, lexicographically within a
+    size."""
+    total = 0.0
+    for size in range(len(q.subset) + 1):
+        for omega in itertools.combinations(q.subset, size):
+            total += cut_outage_analytic(t, q, Cut(omega))
+    return min(1.0, direct_outage(t.lambda_sd, q.rate) * total)
+
+
+def bound_floor(t, q):
+    """Lower bound P_direct * (F_Y(tau) + F_X(tau)) on outage_upper_bound:
+    its closed-form cuts omega = {} and omega = subset, from the same term
+    values added in the same order, so rounding cannot lift the floor above
+    the bound."""
+    cuts = (Cut(()), Cut(q.subset)) if q.subset else (Cut(()),)
+    total = 0.0
+    for cut in cuts:
+        total += cut_outage_analytic(t, q, cut)
+    return min(1.0, direct_outage(t.lambda_sd, q.rate) * total)
 
 
 def best_subnetwork_exhaustive(t, k, rate, rel_tol):

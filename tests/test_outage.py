@@ -3,20 +3,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_topology, topologies
 from coopsim.outage import (_BLOCK_ROWS, DEFAULT_REL_TOL, Cut,
                             IndexOutOfSubsetError, OutageQuery,
-                            QuadratureFailure, _bound_floor, _p_omega,
-                            _reaches, approx_capacity, best_subnetwork,
-                            cut_outage_analytic, direct_outage,
+                            QuadratureFailure, _bound_unless_above,
+                            _floor_order, _p_omega, _reaches, approx_capacity,
+                            best_subnetwork, cut_outage_analytic, direct_outage,
                             outage_monte_carlo, outage_sweep,
                             outage_upper_bound, required_snr_db)
 from oracles import (best_subnetwork_exhaustive,
-                     best_subnetwork_montecarlo_scan, p_omega_by_term_expansion,
-                     p_omega_quad, required_snr_db_full_search)
+                     best_subnetwork_montecarlo_scan, bound_floor,
+                     p_omega_by_term_expansion, p_omega_quad,
+                     required_snr_db_full_search, union_bound)
 from coopsim.rng import named_rng
 from coopsim.topology import Topology, sample_channels
 
@@ -168,12 +169,19 @@ class TestCutOutageAnalytic:
             assert direct == pytest.approx(expanded, rel=1e-6, abs=1e-12)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(lams_src=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
-           lams_dst=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+    @given(lams_src=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
+           lams_dst=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
            repeat=st.booleans(), rate=st.floats(0.25, 8.0))
+    @example(lams_src=[1.0], lams_dst=[4.0], repeat=False, rate=0.5)
+    @example(lams_src=[3.5], lams_dst=[-3.0], repeat=False, rate=7.5)
     def test_matches_adaptive_quadrature(self, lams_src, lams_dst, repeat, rate):
-        # lambdas log-uniform over [1e-3, 1e3]; `repeat` makes each side one
-        # repeated value, which the product-rule density must also handle
+        # lambdas log-uniform over [1e-4, 1e4], so that one side's can be
+        # 1e4 times and more the other's; `repeat` makes each side one
+        # repeated value, which the product-rule density must also handle.
+        # The examples fail the first error check: a destination 1e3 times
+        # weaker than the source, whose CDF turns just below x = tau, and
+        # a source 10^6.5 times weaker than the destination at a high rate,
+        # whose density falls by many orders within the first panels
         src = [10.0 ** e for e in lams_src]
         dst = [10.0 ** e for e in lams_dst]
         if repeat:
@@ -442,6 +450,74 @@ class TestSweep:
         assert value == pytest.approx(1e-2, rel=1e-3)
 
 
+@st.composite
+def shared_gain_topologies(draw, max_relays=5):
+    """Topologies of 0..max_relays relays whose links all take their mean
+    SNRs from one pool of three values, so that relays repeat lambdas."""
+    pool = st.sampled_from(draw(st.lists(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+                                         min_size=3, max_size=3)))
+    n = draw(st.integers(0, max_relays))
+    return Topology.from_snr(draw(pool), draw(st.lists(pool, min_size=n, max_size=n)),
+                             draw(st.lists(pool, min_size=n, max_size=n)),
+                             label=f"shared{n}")
+
+
+class TestSubsetWalk:
+    """The floors and the early-stopping bound that the analytic searches
+    (best_subnetwork and _reaches) walk the subsets by."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(t=st.one_of(topologies(max_relays=5), shared_gain_topologies()),
+           rate=st.one_of(st.floats(0.25, 8.0), st.just(1e-17)))
+    def test_floors_equal_the_oracle_bit_for_bit(self, t, rate):
+        # at rate 1e-17, 2^R - 1 rounds to 0 and every cut term is 0
+        assert (2.0 ** 1e-17 - 1.0) == 0.0
+        for k in range(t.n_relays + 1):
+            subsets = list(itertools.combinations(range(1, t.n_relays + 1), k))
+            order = [(floor, q.subset)
+                     for floor, q in _floor_order(t, subsets, rate, DEFAULT_REL_TOL)]
+            assert order == sorted(order)
+            assert sorted(s for _, s in order) == subsets
+            for floor, subset in order:
+                expected = bound_floor(t, OutageQuery(rate=rate, subset=subset))
+                assert floor.hex() == expected.hex(), (k, subset)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(t=topologies(max_relays=4).filter(lambda t: t.n_relays > 0),
+           rate=st.floats(0.25, 4.0))
+    def test_early_stop_answers_bound_at_most_level(self, t, rate):
+        # levels at every k-subset's bound and one float either side; below
+        # the level the value is the bound itself, above it only above.
+        # outage_upper_bound, the helper at level inf, is the full sum.
+        for k in range(t.n_relays + 1):
+            queries = [OutageQuery(rate=rate, subset=s) for s in
+                       itertools.combinations(range(1, t.n_relays + 1), k)]
+            bounds = [outage_upper_bound(t, q) for q in queries]
+            assert [b.hex() for b in bounds] == [union_bound(t, q).hex() for q in queries]
+            levels = {x for b in bounds for x in (
+                b, math.nextafter(b, math.inf), math.nextafter(b, -math.inf))}
+            for q, bound in zip(queries, bounds):
+                for level in levels:
+                    value = _bound_unless_above(t, q, level)
+                    assert (value <= level) == (bound <= level), (q.subset, level)
+                    assert value == bound if bound <= level else value > level
+
+    def test_quadrature_failure_on_the_walk_names_its_inputs(self):
+        # at -20 dB every floor is 1, above the target, so the walk first
+        # sums a bound at 60 dB, and its first quadrature cut, omega = {1},
+        # fails at a tolerance below double precision
+        template = Topology.from_snr(0.8, [1.5, 0.4], [2.0, 0.7], label="two-relay")
+        scaled = template.scaled(10.0 ** (60.0 / 10.0))
+        with pytest.raises(QuadratureFailure) as info:
+            required_snr_db(template, 2, 4.0, 1e-2, rel_tol=1e-30)
+        message = str(info.value)
+        for field in ("topology 'two-relay'", "subset (1, 2)", "cut omega=[1]",
+                      f"lams_src=({scaled.lambda_sr[0]!r},)",
+                      f"lams_dst=({scaled.lambda_rd[1]!r},)", "rate=4.0",
+                      "rel_tol=1.0e-30"):
+            assert field in message
+
+
 def _outcome(fn, *args, **kwargs):
     """fn's return value, or the type and message of the ValueError it raises."""
     try:
@@ -486,7 +562,7 @@ class TestRequiredSnr:
         for k in range(t.n_relays + 1):
             best = best_subnetwork(t, k, rate)[1]
             planted = [best] + [
-                _bound_floor(t, OutageQuery(rate=rate, subset=s))
+                bound_floor(t, OutageQuery(rate=rate, subset=s))
                 for s in itertools.combinations(range(1, t.n_relays + 1), k)]
             for level in planted:
                 for x in (level, math.nextafter(level, math.inf),
