@@ -96,10 +96,9 @@ def record_dataset(topologies, strategy, rate, frames_per_topology, rng,
         raise ValueError("all topologies must have the same relay count")
     keys = [None] + enumerate_modes(n)
     strategy = Strategy.parse(strategy)
-    strategies = [Strategy.DT if key is None else strategy for key in keys]
     draws = np.concatenate([sample_channels(t, rng, frames_per_topology)
                             for t in topologies])
-    parts = map(functools.partial(_record_rows, keys, strategies, rate),
+    parts = map(functools.partial(_record_rows, keys, strategy, rate),
                 np.array_split(draws, min(chunks, len(draws))))
     outcomes = np.concatenate(list(parts)).reshape(
         len(topologies), frames_per_topology, len(keys)).transpose(0, 2, 1)
@@ -107,11 +106,10 @@ def record_dataset(topologies, strategy, rate, frames_per_topology, rng,
                        mode_keys=tuple(keys), outcomes=np.ascontiguousarray(outcomes))
 
 
-def _record_rows(keys, strategies, rate, draws):
+def _record_rows(keys, strategy, rate, draws):
     """The (rows, slots) int8 categories of each draw row under each mode
     slot of keys, evaluated frame by frame."""
-    return np.array([[evaluate_frame(c, key, strat, rate)
-                      for key, strat in zip(keys, strategies)]
+    return np.array([[evaluate_frame(c, key, strategy, rate) for key in keys]
                      for c in draws], np.int8)
 
 

@@ -109,47 +109,43 @@ class PathTraces:
         return self.paths[0].n_packets
 
 
-def coop_mac_deliver(modes, categories, policy=MacPolicy(), n_packets=None):
-    """Deliver packets over a cooperative PHY trace.
+def _packet_end(attempts, mode, category, policy):
+    """The PacketResult that ends a packet on its attempts-th frame, sent on
+    mode (None: plain DT) with outcome category, or None while it goes on:
+    0 delivers after the direct slot ("direct"), 1 after both slots
+    (labelled with the mode), 2 costs both slots and drops the packet once
+    attempts exceeds max_retx_coop. Any other category is a ValueError."""
+    if category == 0:
+        return PacketResult(True, (attempts - 1) * AIRTIME_BOTH_US + AIRTIME_DIRECT_US,
+                            attempts, "direct")
+    if category == 1:
+        return PacketResult(True, attempts * AIRTIME_BOTH_US, attempts,
+                            mode_key_str(mode))
+    if category != 2:
+        raise ValueError(f"category must be 0, 1 or 2, got {category!r}")
+    if attempts > policy.max_retx_coop:
+        return PacketResult(False, attempts * AIRTIME_BOTH_US, attempts, "")
+    return None
+
+
+def coop_mac_deliver(modes, categories, policy=MacPolicy()):
+    """Deliver packets over a recorded cooperative PHY trace.
 
     The trace is two parallel sequences: frame f was sent on modes[f] (None:
     plain DT) with outcome category categories[f]. Each packet consumes one
-    frame per attempt: category 0 delivers after the direct slot (labelled
-    "direct"), category 1 after both slots (labelled with the frame's mode),
-    category 2 costs both slots and triggers a retransmission until
-    max_retx_coop retries are spent, after which the packet drops. A
-    category outside 0, 1, 2 is a ValueError. Raises TraceExhaustedError if
-    the trace ends mid-packet (or before n_packets are delivered, when
-    given).
+    frame per attempt until _packet_end ends it. Raises TraceExhaustedError
+    if the trace ends mid-packet.
     """
-    frames = zip(modes, categories)
     results = []
-    while n_packets is None or len(results) < n_packets:
-        delay = 0.0
-        attempts = 0
-        for mode, cat in frames:
-            attempts += 1
-            if cat not in (0, 1, 2):
-                raise ValueError(f"category must be 0, 1 or 2, got {cat!r}")
-            if cat == 0:
-                results.append(PacketResult(True, delay + AIRTIME_DIRECT_US,
-                                            attempts, "direct"))
-                break
-            delay += AIRTIME_BOTH_US
-            if cat == 1:
-                results.append(PacketResult(True, delay, attempts, mode_key_str(mode)))
-                break
-            if attempts > policy.max_retx_coop:
-                results.append(PacketResult(False, delay, attempts, ""))
-                break
-        else:  # the trace has ended
-            if attempts:
-                raise TraceExhaustedError(
-                    f"trace ended mid-packet after {len(results)} packets")
-            if n_packets is not None:
-                raise TraceExhaustedError(
-                    f"trace ended after {len(results)} of {n_packets} packets")
-            break
+    attempts = 0
+    for mode, category in zip(modes, categories):
+        attempts += 1
+        end = _packet_end(attempts, mode, category, policy)
+        if end is not None:
+            results.append(end)
+            attempts = 0
+    if attempts:
+        raise TraceExhaustedError(f"trace ended mid-packet after {len(results)} packets")
     return results
 
 
@@ -249,10 +245,10 @@ def _realization_blocks(scenario, mac, rng):
 
 def _coop_side(scenario, mac, blocks, rng):
     """Run the coop policy over the MAC attempt stream: a packet's attempts
-    take successive slots of its block until one succeeds or
-    max_retx_coop + 1 are spent. Returns the packets that coop_mac_deliver
-    makes of the policy's frames, the attempts in packet order. rng serves
-    the policy's own draws (RandPick, PWR2).
+    take successive slots of its block until _packet_end ends it, at the
+    latest after max_retx_coop + 1. Returns the packets in order, each
+    ended as the executor serves its last frame. rng serves the policy's
+    own draws (RandPick, PWR2).
 
     Every mode slot's categories of attempt a of packet p are evaluated
     up front, one evaluate_frames pass per slot, into a bytes table at
@@ -264,25 +260,26 @@ def _coop_side(scenario, mac, blocks, rng):
     tables = {slot: evaluate_frames(frames, slot, scenario.strategy,
                                     scenario.rate).tobytes()
               for slot in (None, *modes)}
-    cursor = (0, 0)
+    packets = []
+    attempts = 0
 
     def executor(mode_key, n):
-        nonlocal cursor
+        nonlocal attempts
         table = tables[mode_key]
-        p, a = cursor
         categories = []
-        while p < n_packets and len(categories) < n:
-            category = table[p * thr_attempts + a]
+        while len(packets) < n_packets and len(categories) < n:
+            category = table[len(packets) * thr_attempts + attempts]
             categories.append(category)
-            p, a = (p + 1, 0) if category != 2 or a + 1 >= thr_attempts else (p, a + 1)
-        cursor = p, a
+            attempts += 1
+            end = _packet_end(attempts, mode_key, category, mac)
+            if end is not None:
+                packets.append(end)
+                attempts = 0
         return categories
 
-    log = selection.run_policy(scenario.mode_policy, executor, modes,
-                               scenario.spa_params,
-                               total_frames=scenario.n_packets * thr_attempts,
-                               rng=rng)
-    return coop_mac_deliver(log.modes, log.categories, mac, n_packets=n_packets)
+    selection.run_policy(scenario.mode_policy, executor, modes, scenario.spa_params,
+                         total_frames=n_packets * thr_attempts, rng=rng)
+    return packets
 
 
 def _routing_side(scenario, mac, blocks):

@@ -12,6 +12,7 @@ identical realizations, not absolute error rates.
 """
 import csv
 import enum
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -76,8 +77,9 @@ class Mode:
         return cls(relays)
 
 
+@functools.cache
 def mode_key_str(mode):
-    """CSV form of a mode slot: 'DT' for no cooperation."""
+    """CSV form of a mode slot, 'DT' for no cooperation; one string per mode."""
     return "DT" if mode is None else str(mode)
 
 

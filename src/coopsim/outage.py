@@ -71,8 +71,8 @@ class OutageQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "subset", tuple(int(i) for i in self.subset))
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not (self.rate > 0 and math.isfinite(self.rate)):
+            raise ValueError(f"rate must be finite and > 0, got {self.rate}")
         if len(set(self.subset)) != len(self.subset):
             raise ValueError("subset indices must be distinct")
         if any(i < 1 for i in self.subset):
@@ -396,6 +396,7 @@ def best_subnetwork(t, k, rate, method="analytic", rel_tol=DEFAULT_REL_TOL,
     if method not in ("analytic", "montecarlo"):
         raise ValueError(f"unknown method {method!r}")
     if method == "montecarlo":
+        OutageQuery(rate=rate, mc_samples=mc_samples)
         draw_rng = rng if rng is not None else named_rng(0, "best_subnetwork")
         return _least_outage(t, subsets, rate, unit_draws(t, draw_rng, mc_samples))
     best_subset, best_value = None, math.inf
@@ -497,6 +498,7 @@ def sweep_point(template, rate, gi, snr_db, k_values, normalization="per_node",
     if method != "montecarlo":
         return [best_subnetwork(t, k, rate, method=method, rel_tol=rel_tol)
                 for t, k in zip(scaled, k_values)]
+    OutageQuery(rate=rate, mc_samples=mc_samples)
     searches = [(t, _subsets(t, k)) for t, k in zip(scaled, k_values)]
     unit = unit_draws(template, named_rng(seed, "sweep", gi), mc_samples)
     return [_least_outage(t, subsets, rate, unit) for t, subsets in searches]

@@ -65,7 +65,7 @@ class Topology:
             label=label,
         )
 
-    def scaled(self, snr_factor, label=None):
+    def scaled(self, snr_factor):
         """Topology with every mean link SNR multiplied by snr_factor."""
         if not (snr_factor > 0.0 and math.isfinite(snr_factor)):
             raise NonPositiveRateError(f"snr_factor must be positive, got {snr_factor}")
@@ -74,7 +74,7 @@ class Topology:
             lambda_sd=self.lambda_sd / snr_factor,
             lambda_sr=tuple(l / snr_factor for l in self.lambda_sr),
             lambda_rd=tuple(l / snr_factor for l in self.lambda_rd),
-            label=self.label if label is None else label,
+            label=self.label,
         )
 
     @property

@@ -2,8 +2,8 @@
 
 They are slow and need scipy, so they live here rather than in the package:
 
-- p_omega_quad: P_omega by adaptive QUADPACK quadrature on the same
-  breakpoints as coopsim.outage._p_omega, retried as it is;
+- p_omega_quad: P_omega by adaptive QUADPACK quadrature over the
+  destination side, on breakpoints of its own;
 - p_omega_by_term_expansion: P_omega as a signed sum of elementary
   integrals, independent of the integrand's product form;
 - union_bound: outage_upper_bound as one sum over every cut;
@@ -32,7 +32,9 @@ They are slow and need scipy, so they live here rather than in the package:
 - write_packets_csv_rows: the packet CSV written one csv.writer row per
   packet;
 - genie_route_brute_force: genie routing by walking every path of every
-  packet attempt by attempt.
+  packet attempt by attempt;
+- coop_mac_deliver_frames: cooperative MAC delivery as a frame-by-frame
+  loop with running delay sums, optionally asking for n_packets packets.
 """
 import csv
 import itertools
@@ -43,7 +45,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from coopsim.macemu import AIRTIME_DIRECT_US, PacketResult
+from coopsim.macemu import (AIRTIME_BOTH_US, AIRTIME_DIRECT_US, PacketResult,
+                            TraceExhaustedError)
 from coopsim.netsim import Mode, evaluate_frame, mode_key_str
 from coopsim.outage import (DEFAULT_REL_TOL, Cut, OutageQuery, QuadratureFailure,
                             approx_capacity, best_subnetwork, cut_outage_analytic,
@@ -81,9 +84,12 @@ def _max_pdf(lams, x):
 
 
 def p_omega_quad(lams_src, lams_dst, rate, rel_tol):
-    """Pr{log2(1+X) + log2(1+Y) < R} by adaptive quadrature, with the
-    early exits, breakpoints, retry and error condition of the package
-    rule."""
+    """Pr{log2(1+X) + log2(1+Y) < R} by adaptive quadrature over the
+    destination side, int_0^tau f_Y(y) F_X(2^R/(1+y) - 1) dy, with the
+    package rule's closed-form early exits. The breakpoints share nothing
+    with the package rule: s/lambda on the destination's scales, where its
+    density falls, and 2^R/(1+s/lambda) - 1 on the source's, where the
+    source CDF turns, for s from 0.01 to 100."""
     tau = 2.0 ** rate - 1.0
     if tau <= 0.0:
         return 0.0
@@ -100,22 +106,20 @@ def p_omega_quad(lams_src, lams_dst, rate, rel_tol):
 
     two_r = 2.0 ** rate
 
-    def integrand(x):
-        return _max_pdf(lams_src, x) * _max_cdf(lams_dst, two_r / (1.0 + x) - 1.0)
+    def integrand(y):
+        return _max_pdf(lams_dst, y) * _max_cdf(lams_src, two_r / (1.0 + y) - 1.0)
 
-    scales = {tau * s for s in (1e-9, 1e-6, 1e-3, 1e-2, 0.1, 0.5)}
-    scales |= {1.0 / lam for lam in lams_src + lams_dst}
-    turns = {two_r / (1.0 + s / lam) - 1.0 for lam in lams_dst for s in (0.1, 1.0, 10.0)}
-    turns |= {s / lam for lam in lams_src for s in (10.0, 100.0)}
-    for points in (scales, scales | turns):
-        with warnings.catch_warnings():
-            # the abserr check below replaces QUADPACK's roundoff warning
-            warnings.simplefilter("ignore", IntegrationWarning)
-            value, abserr = quad(integrand, 0.0, tau,
-                                 points=sorted(p for p in points if 0.0 < p < tau),
-                                 epsabs=0.0, epsrel=rel_tol, limit=500)
-        if math.isfinite(value) and abserr <= 10.0 * rel_tol * max(abs(value), 1e-300):
-            return min(max(value, 0.0), 1.0)
+    scales = (0.01, 0.1, 1.0, 10.0, 100.0)
+    points = {s / lam for lam in lams_dst for s in scales}
+    points |= {two_r / (1.0 + s / lam) - 1.0 for lam in lams_src for s in scales}
+    with warnings.catch_warnings():
+        # the abserr check below replaces QUADPACK's roundoff warning
+        warnings.simplefilter("ignore", IntegrationWarning)
+        value, abserr = quad(integrand, 0.0, tau,
+                             points=sorted(p for p in points if 0.0 < p < tau),
+                             epsabs=0.0, epsrel=rel_tol, limit=500)
+    if math.isfinite(value) and abserr <= 10.0 * rel_tol * max(abs(value), 1e-300):
+        return min(max(value, 0.0), 1.0)
     raise QuadratureFailure(
         f"P_omega quadrature reached error {abserr:.3e} for value {value:.3e} "
         f"(rel_tol {rel_tol:.1e})")
@@ -525,3 +529,39 @@ def genie_route_brute_force(paths, policy):
                                     attempts, paths.paths[idx].label))
     return results
 
+
+
+def coop_mac_deliver_frames(modes, categories, policy, n_packets=None):
+    """macemu.coop_mac_deliver frame by frame: each packet sums its delay
+    over its frames, a category 2 retrying until max_retx_coop retries are
+    spent. Raises TraceExhaustedError if the trace ends mid-packet, or
+    before n_packets packets when given."""
+    frames = zip(modes, categories)
+    results = []
+    while n_packets is None or len(results) < n_packets:
+        delay = 0.0
+        attempts = 0
+        for mode, cat in frames:
+            attempts += 1
+            if cat not in (0, 1, 2):
+                raise ValueError(f"category must be 0, 1 or 2, got {cat!r}")
+            if cat == 0:
+                results.append(PacketResult(True, delay + AIRTIME_DIRECT_US,
+                                            attempts, "direct"))
+                break
+            delay += AIRTIME_BOTH_US
+            if cat == 1:
+                results.append(PacketResult(True, delay, attempts, mode_key_str(mode)))
+                break
+            if attempts > policy.max_retx_coop:
+                results.append(PacketResult(False, delay, attempts, ""))
+                break
+        else:  # the trace has ended
+            if attempts:
+                raise TraceExhaustedError(
+                    f"trace ended mid-packet after {len(results)} packets")
+            if n_packets is not None:
+                raise TraceExhaustedError(
+                    f"trace ended after {len(results)} of {n_packets} packets")
+            break
+    return results

@@ -2,17 +2,20 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from coopsim import selection
 from coopsim.macemu import (CoopVsRoutingScenario, MacPolicy, PacketResult,
                             PathTrace, PathTraces, TraceExhaustedError,
                             compare_coop_vs_genie, coop_mac_deliver, drop_rate,
-                            genie_route, throughput_proxy)
-from coopsim.netsim import Mode
+                            _realization_blocks, genie_route, throughput_proxy)
+from coopsim.netsim import Mode, Strategy, evaluate_frame
+from coopsim.rng import named_rng
 from coopsim.topology import Topology
-from oracles import genie_route_brute_force
+from conftest import topologies
+from oracles import coop_mac_deliver_frames, genie_route_brute_force
 
 POLICY = MacPolicy()
 
@@ -46,8 +49,6 @@ class TestCoopDeliver:
         assert [r.attempts for r in rs] == [1, 2, 1]
         with pytest.raises(TraceExhaustedError):
             coop_mac_deliver([R1] * 2, [0, 2], POLICY)  # second packet needs a retry
-        with pytest.raises(TraceExhaustedError):
-            coop_mac_deliver([R1], [0], POLICY, n_packets=2)
 
     def test_label_is_the_mode_of_the_delivering_frame(self):
         (r,) = coop_mac_deliver([R1, R1R2], [2, 1], POLICY)
@@ -68,8 +69,28 @@ class TestCoopDeliver:
 
     def test_configurable_retx(self):
         p = MacPolicy(max_retx_coop=0)
-        (r,) = coop_mac_deliver([R1, R1], [2, 0], p, n_packets=1)
+        r = coop_mac_deliver([R1, R1], [2, 0], p)[0]
         assert not r.delivered and r.attempts == 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(max_retx=st.integers(0, 3),
+           trace=st.lists(st.tuples(st.sampled_from([None, R1, R1R2]),
+                                    st.sampled_from([0, 1, 2, 2, 2, 0, 1, 2, 3])),
+                          max_size=30))
+    @example(max_retx=2, trace=[(R1, 0), (R1, 2), (R1R2, 2)])  # ends mid-packet
+    @example(max_retx=2, trace=[(R1, 2), (None, 7)])  # out-of-range category
+    def test_matches_frame_by_frame_oracle(self, max_retx, trace):
+        policy = MacPolicy(max_retx_coop=max_retx)
+        modes = [mode for mode, _ in trace]
+        categories = [category for _, category in trace]
+
+        def outcome(deliver):
+            try:
+                return deliver(modes, categories, policy)
+            except (TraceExhaustedError, ValueError) as e:
+                return type(e), str(e)
+
+        assert outcome(coop_mac_deliver) == outcome(coop_mac_deliver_frames)
 
 
 def path_from_bools(label, hops):
@@ -272,6 +293,40 @@ class TestCompare:
             POLICY, seed=1)
         assert report.genie_drop_rate <= 0.01
         assert report.coop_drop_rate >= 0.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(t=topologies(max_relays=3).filter(lambda t: t.n_relays >= 2),
+           policy=st.sampled_from(["SPA", "WRNM", "NRNM", "RandPick", "PWR2",
+                                   "BRUTE", "DT", "Fixed:R1"]),
+           mac=st.builds(MacPolicy, st.integers(0, 3), st.integers(0, 4)),
+           strategy=st.sampled_from(list(Strategy)),
+           rate=st.sampled_from([0.5, 1.0, 2.0]),
+           n_packets=st.integers(1, 150), seed=st.integers(0, 2 ** 16))
+    def test_coop_packets_are_the_replay_of_its_run_log(self, t, policy, mac,
+                                                         strategy, rate,
+                                                         n_packets, seed):
+        logs = []
+        run_policy = selection.run_policy
+
+        def recording(*args, **kwargs):
+            logs.append(run_policy(*args, **kwargs))
+            return logs[-1]
+
+        scenario = CoopVsRoutingScenario(topology=t, rate=rate, n_packets=n_packets,
+                                         strategy=strategy, mode_policy=policy)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(selection, "run_policy", recording)
+            report = compare_coop_vs_genie(scenario, mac, seed=seed)
+        (log,) = logs
+        packets = coop_mac_deliver_frames(log.modes, log.categories, mac,
+                                          n_packets=n_packets)
+        assert list(report.coop_results) == packets
+        # frame f of the log is attempt a of packet p: slot a of p's block
+        blocks = _realization_blocks(scenario, mac, named_rng(seed, "coop_vs_genie"))
+        frames = [(p, a) for p, packet in enumerate(packets)
+                  for a in range(packet.attempts)]
+        assert log.categories == [evaluate_frame(blocks[p, a], mode, strategy, rate)
+                                  for (p, a), mode in zip(frames, log.modes)]
 
     def test_paired_channels_are_deterministic(self):
         a = compare_coop_vs_genie(decode_limited_scenario(300), POLICY, seed=7)

@@ -13,7 +13,7 @@ from coopsim.outage import (_BLOCK_ROWS, DEFAULT_REL_TOL, Cut,
                             _floor_order, _p_omega, _reaches, approx_capacity,
                             best_subnetwork, cut_outage_analytic, direct_outage,
                             outage_monte_carlo, outage_sweep,
-                            outage_upper_bound, required_snr_db)
+                            outage_upper_bound, required_snr_db, sweep_point)
 from oracles import (best_subnetwork_exhaustive,
                      best_subnetwork_montecarlo_scan, bound_floor,
                      p_omega_by_term_expansion, p_omega_quad,
@@ -190,6 +190,17 @@ class TestCutOutageAnalytic:
         value = _p_omega(src, dst, rate, DEFAULT_REL_TOL)
         assert value == pytest.approx(p_omega_quad(src, dst, rate, 1e-12),
                                       rel=1e-9, abs=1e-15)
+
+    def test_oracle_and_package_on_a_far_weaker_source(self):
+        # sources 4e8 times weaker than the destination at a high rate: the
+        # oracle once passed its own error check here on a value 1.6e-4
+        # off. 30- and 40-digit mpmath integrals give 7.76080147975020e-10;
+        # _p_omega is 4.3e-9 off, inside its own 10 * rel_tol check
+        src, dst, rate = (4.662784892086327e-05,) * 3, (19977.117398525912,), 4.3728647367979585
+        exact = 7.76080147975020e-10
+        assert p_omega_quad(src, dst, rate, 1e-12) == pytest.approx(exact, rel=1e-12)
+        assert _p_omega(src, dst, rate, DEFAULT_REL_TOL) == pytest.approx(
+            exact, rel=10 * DEFAULT_REL_TOL)
 
     def test_failure_names_its_inputs(self):
         # a tolerance below double precision fails wherever the halved and
@@ -448,6 +459,29 @@ class TestSweep:
         scaled = template.scaled(10 ** (snr / 10.0))
         _, value = best_subnetwork(scaled, 1, 1.0)
         assert value == pytest.approx(1e-2, rel=1e-3)
+
+
+THREE_RELAYS = Topology.from_snr(0.5, [1.0, 0.8, 0.5], [1.0, 0.8, 0.5], label="three")
+RATE_ENTRY_POINTS = {
+    "OutageQuery": lambda rate: OutageQuery(rate=rate, subset=(1, 2)),
+    "best_subnetwork analytic": lambda rate: best_subnetwork(THREE_RELAYS, 2, rate),
+    "best_subnetwork montecarlo": lambda rate: best_subnetwork(
+        THREE_RELAYS, 2, rate, method="montecarlo", mc_samples=1000),
+    "sweep_point montecarlo": lambda rate: sweep_point(
+        THREE_RELAYS, rate, 0, 10.0, [0, 2], method="montecarlo", mc_samples=1000),
+    "outage_sweep analytic": lambda rate: outage_sweep(THREE_RELAYS, [0, 2], rate,
+                                                       [0.0, 10.0]),
+    "outage_sweep montecarlo": lambda rate: outage_sweep(
+        THREE_RELAYS, [0, 2], rate, [0.0, 10.0], method="montecarlo", mc_samples=1000),
+    "required_snr_db": lambda rate: required_snr_db(THREE_RELAYS, 2, rate, 1e-2),
+}
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("entry", list(RATE_ENTRY_POINTS))
+def test_every_entry_point_rejects_a_rate_that_is_not_finite_and_positive(entry, rate):
+    with pytest.raises(ValueError, match="rate must be finite and > 0"):
+        RATE_ENTRY_POINTS[entry](rate)
 
 
 @st.composite
