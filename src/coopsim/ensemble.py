@@ -183,8 +183,7 @@ def _sample_executor(sample, dataset):
 def replay_policy(policy, sample, dataset, params, rng=None):
     """Replay one policy over one sample; returns its PolicyRunLog."""
     executor = _sample_executor(sample, dataset)
-    return selection.run_policy(policy, executor, dataset.modes, params,
-                                total_frames=sample.total_frames, rng=rng)
+    return selection.run_policy(policy, executor, dataset.modes, params, rng=rng)
 
 
 @dataclass(frozen=True)

@@ -412,8 +412,7 @@ def _plan_fixed_modes(cfg, base_dir):
             name = netsim.mode_key_str(slot)
             executor = _schedule_executor(schedule, topologies, [slot], strategy,
                                           rate, named_rng(seed, "fixed", name))
-            log = selection.run_policy("DT" if slot is None else slot, executor, (),
-                                       total_frames=schedule.total_frames)
+            log = selection.run_policy("DT" if slot is None else slot, executor, ())
             out = place(f"trace_{name}.csv")
             netsim.write_trace(out, log.modes, log.categories, labels)
             outputs.append(out)
@@ -450,7 +449,6 @@ def _plan_adaptive_compare(cfg, base_dir):
                                           cfg["strategy"], cfg["rate"],
                                           named_rng(seed, "frames", name))
             log = selection.run_policy(name, executor, modes, params,
-                                       total_frames=schedule.total_frames,
                                        rng=named_rng(seed, "policy", name))
             outputs.append(_write_csv(
                 place(f"runlog_{name.replace(':', '_')}.csv"),

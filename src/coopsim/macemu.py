@@ -277,8 +277,7 @@ def _coop_side(scenario, mac, blocks, rng):
                 attempts = 0
         return categories
 
-    selection.run_policy(scenario.mode_policy, executor, modes, scenario.spa_params,
-                         total_frames=n_packets * thr_attempts, rng=rng)
+    selection.run_policy(scenario.mode_policy, executor, modes, scenario.spa_params, rng=rng)
     return packets
 
 

@@ -194,8 +194,9 @@ def _outage_counts(unit, scales, subsets, rate):
 
 def direct_outage(lambda_sd, rate):
     """Closed form 1 - exp(-lambda * (2^R - 1)) for the direct link."""
-    if not (lambda_sd > 0 and rate > 0):
-        raise ValueError("lambda_sd and rate must be positive")
+    for name, value in (("lambda_sd", lambda_sd), ("rate", rate)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     return -math.expm1(-lambda_sd * (2.0 ** rate - 1.0))
 
 

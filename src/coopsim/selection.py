@@ -11,6 +11,7 @@ RandPick, PWR2, NRNM, WRNM) share SPA's trigger mechanism and differ in
 how they pick the next operating mode.
 """
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 from .netsim import Mode, enumerate_modes, mode_key_str
@@ -249,37 +250,30 @@ def table_executor(columns):
 
 
 class _RunStopped(Exception):
-    """Internal: the total-frame budget is spent or the executor's stream
-    has ended."""
+    """Internal: the executor's stream has ended."""
 
 
 class _FrameLoop:
     """Sends blocks of frames through the executor, recording them into the
-    log and enforcing the total-frame budget."""
+    log, until the executor returns short."""
 
-    def __init__(self, executor, total_frames, log):
+    def __init__(self, executor, log):
         self.executor = executor
-        self.total_frames = total_frames
         self.log = log
 
     def send(self, slot, phase, n):
         """Send n frames on mode slot `slot`; returns their categories. A
-        block clipped by the budget or returned short is recorded, then ends the run."""
+        block returned short is recorded, then ends the run."""
         log = self.log
-        room = self.total_frames - len(log.categories)
-        if room <= 0:
-            raise _RunStopped
-        categories = self.executor(log.keys[slot], min(n, room))
-        sent = len(categories)
-        log.runs.append((slot, phase, sent))
+        categories = self.executor(log.keys[slot], n)
+        log.runs.append((slot, phase, len(categories)))
         log.categories += categories
-        if sent < n:
+        if len(categories) < n:
             raise _RunStopped
         return categories
 
     def run(self, step):
-        """Call step() until the budget is spent or the executor's stream
-        ends; returns the log."""
+        """Call step() until the executor's stream ends; returns the log."""
         try:
             while True:
                 step()
@@ -320,13 +314,13 @@ def _learn_logged(loop, candidates, learn_params):
     return order
 
 
-def _run_triggered(executor, log, params, total_frames, adapt):
+def _run_triggered(executor, log, params, adapt):
     """The trigger loop of the adaptive policies: operate the current slot
     (first slot 1, all_modes[0]) until the windowed FER trips, then operate
     adapt(loop, i), i being the trigger's window extensions."""
     if len(set(log.keys)) < len(log.keys):
         raise ValueError(f"{log.policy} needs distinct modes")
-    loop = _FrameLoop(executor, total_frames, log)
+    loop = _FrameLoop(executor, log)
     current = 1
 
     def step():
@@ -357,46 +351,52 @@ def policy_name(policy):
     raise UnknownPolicyError(f"unknown policy {policy!r}")
 
 
+def _check_mode_count(name, n_modes, params, where=""):
+    """Raise ValueError unless policy `name` can choose among n_modes
+    modes: SPA needs at least r and PWR2 two."""
+    if name == "SPA" and n_modes < params.r:
+        raise ValueError(f"SPA needs |modes| >= r, got {n_modes} < {params.r}{where}")
+    if name == "PWR2" and n_modes < 2:
+        raise ValueError(f"PWR2 needs at least 2 modes, got {n_modes}{where}")
+
+
 def check_policy(policy, n_relays, params=DEFAULT_PARAMS):
     """Raise ValueError unless run_policy can run policy on the modes of
     n_relays relays (one relay or more): a fixed mode must lie within them,
-    SPA needs at least r modes and PWR2 two."""
+    and SPA and PWR2 need enough modes (_check_mode_count)."""
     name = policy_name(policy)
-    n_modes = len(enumerate_modes(n_relays))
     if name.startswith("Fixed:"):
         Mode.parse(name.partition(":")[2]).check_relays(n_relays)
-    elif name == "SPA" and n_modes < params.r:
-        raise ValueError(f"SPA needs |modes| >= r, got {n_modes} < {params.r} "
-                         f"on {n_relays} relays")
-    elif name == "PWR2" and n_modes < 2:
-        raise ValueError(f"PWR2 needs at least 2 modes, got {n_modes} "
-                         f"on {n_relays} relays")
+    _check_mode_count(name, len(enumerate_modes(n_relays)), params,
+                      f" on {n_relays} relays")
 
 
-def run_policy(policy, executor, all_modes, params=DEFAULT_PARAMS,
-               total_frames=10_000, rng=None):
+def run_policy(policy, executor, all_modes, params=DEFAULT_PARAMS, rng=None):
     """Run one selection policy and return its PolicyRunLog, named by
     policy_name(policy).
 
     policy is one of "DT", "BRUTE", "RandPick", "PWR2", "NRNM", "WRNM",
     "SPA", a Mode instance (fixed mode), or "Fixed:<mode>", in any case.
     executor(mode, n) returns the categories of n frames sent on mode
-    (None: plain DT) as a list or bytes, a short one ending the run.
-    RandPick and PWR2 need rng. BRUTE and PWR2 probe each candidate for w
-    learning frames.
+    (None: plain DT) as a list or bytes. It must end its stream: a return
+    shorter than n ends the run, and a run on an executor that never
+    returns short never ends. A DT or fixed-mode run asks for the rest of
+    the stream in one call. RandPick and PWR2 need rng. BRUTE and PWR2
+    probe each candidate for w learning frames.
 
     SPA operates the top-ranked mode and re-learns over the top r on a
-    trigger; it needs |modes| >= r. The ranked list starts in enumeration
-    order. On a trigger after i window extensions, the top r modes rotate
-    to the end when i <= s (burst of triggers: the whole partition looks
-    bad), otherwise only the top mode does; LEARN then reranks the new top
-    r in place.
+    trigger; it needs |modes| >= r (PWR2 needs two modes), checked before
+    any frame is sent. The ranked list starts in enumeration order. On a trigger after i window extensions,
+    the top r modes rotate to the end when i <= s (burst of triggers: the
+    whole partition looks bad), otherwise only the top mode does; LEARN
+    then reranks the new top r in place.
     """
     name = policy_name(policy)
     if name == "DT" or name.startswith("Fixed:"):
         mode = None if name == "DT" else Mode.parse(name.partition(":")[2])
-        loop = _FrameLoop(executor, total_frames, PolicyRunLog(name, (mode,)))
-        return loop.run(lambda: loop.send(0, "operating", total_frames))
+        loop = _FrameLoop(executor, PolicyRunLog(name, (mode,)))
+        return loop.run(lambda: loop.send(0, "operating", sys.maxsize))
+    _check_mode_count(name, len(all_modes), params)
     if name in ("RandPick", "PWR2") and rng is None:
         raise ValueError(f"{name} needs rng")
     log = PolicyRunLog(name, (None, *all_modes))
@@ -410,8 +410,6 @@ def run_policy(policy, executor, all_modes, params=DEFAULT_PARAMS,
         return candidates[min(fers)[1]]
 
     if name == "SPA":
-        if len(all_modes) < params.r:
-            raise ValueError(f"need |modes| >= r, got {len(all_modes)} < {params.r}")
         ranked = list(slots)
 
         def adapt(loop, i):
@@ -434,4 +432,4 @@ def run_policy(policy, executor, all_modes, params=DEFAULT_PARAMS,
         def adapt(loop, i):
             return _learn_logged(loop, tuple(slots), lp)[0]
 
-    return _run_triggered(executor, log, params, total_frames, adapt)
+    return _run_triggered(executor, log, params, adapt)

@@ -321,10 +321,6 @@ class FrameStreamEnded(Exception):
     stream has ended; ends the run."""
 
 
-class _Budget(Exception):
-    """Total-frame budget reached."""
-
-
 @dataclass
 class PerFrameRunLog:
     """The columns of a run_policy_per_frame run, modes stored per frame."""
@@ -352,15 +348,12 @@ class PerFrameRunLog:
 
 
 class _FrameLoop:
-    def __init__(self, executor, total_frames, log):
+    def __init__(self, executor, log):
         self.executor = executor
-        self.total_frames = total_frames
         self.log = log
 
     def send(self, mode, phase):
         log = self.log
-        if len(log.categories) >= self.total_frames:
-            raise _Budget
         category = int(self.executor(mode))
         log.modes.append(mode)
         log.categories.append(category)
@@ -371,7 +364,7 @@ class _FrameLoop:
         try:
             while True:
                 step()
-        except (_Budget, FrameStreamEnded):
+        except FrameStreamEnded:
             pass
         return self.log
 
@@ -402,8 +395,8 @@ def _learn_logged(loop, candidates, learn_params):
     return order
 
 
-def _run_triggered(executor, all_modes, params, total_frames, log, adapt):
-    loop = _FrameLoop(executor, total_frames, log)
+def _run_triggered(executor, all_modes, params, log, adapt):
+    loop = _FrameLoop(executor, log)
     current = all_modes[0]
 
     def step():
@@ -415,7 +408,7 @@ def _run_triggered(executor, all_modes, params, total_frames, log, adapt):
     return loop.run(step)
 
 
-def spa_per_frame(executor, all_modes, params, total_frames, log):
+def spa_per_frame(executor, all_modes, params, log):
     if len(all_modes) < params.r:
         raise ValueError(f"need |modes| >= r, got {len(all_modes)} < {params.r}")
     ranked = list(all_modes)
@@ -426,11 +419,10 @@ def spa_per_frame(executor, all_modes, params, total_frames, log):
         ranked[:params.r] = _learn_logged(loop, tuple(ranked[:params.r]), params.learn)
         return ranked[0]
 
-    return _run_triggered(executor, all_modes, params, total_frames, log, adapt)
+    return _run_triggered(executor, all_modes, params, log, adapt)
 
 
-def run_policy_per_frame(policy, executor, all_modes, params=DEFAULT_PARAMS,
-                         total_frames=10_000, rng=None):
+def run_policy_per_frame(policy, executor, all_modes, params=DEFAULT_PARAMS, rng=None):
     """selection.run_policy with one executor call per frame: executor(mode)
     returns the frame's category, or raises FrameStreamEnded to end the
     run. Returns a PerFrameRunLog."""
@@ -439,11 +431,10 @@ def run_policy_per_frame(policy, executor, all_modes, params=DEFAULT_PARAMS,
     name = policy_name(policy)
     if name == "DT" or name.startswith("Fixed:"):
         mode = None if name == "DT" else Mode.parse(name[len("Fixed:"):])
-        loop = _FrameLoop(executor, total_frames, PerFrameRunLog(name))
+        loop = _FrameLoop(executor, PerFrameRunLog(name))
         return loop.run(lambda: loop.send(mode, "operating"))
     if name == "SPA":
-        return spa_per_frame(executor, modes, params, total_frames,
-                             PerFrameRunLog("SPA"))
+        return spa_per_frame(executor, modes, params, PerFrameRunLog("SPA"))
     log = PerFrameRunLog(name)
     if name in ("RandPick", "PWR2") and rng is None:
         raise ValueError(f"{name} needs rng")
@@ -468,7 +459,7 @@ def run_policy_per_frame(policy, executor, all_modes, params=DEFAULT_PARAMS,
         def adapt(loop, i):
             return _learn_logged(loop, tuple(modes), lp)[0]
 
-    return _run_triggered(executor, modes, params, total_frames, log, adapt)
+    return _run_triggered(executor, modes, params, log, adapt)
 
 
 def write_dataset_csv_rows(path, dataset):

@@ -269,8 +269,7 @@ def run_fixed(schedule, topologies, mode, strategy, rate, rng):
     """The run log of a fixed-mode run over the schedule, as fixed_modes
     runs it."""
     executor = _schedule_executor(schedule, topologies, [mode], strategy, rate, rng)
-    return run_policy("DT" if mode is None else mode, executor, (),
-                      total_frames=schedule.total_frames)
+    return run_policy("DT" if mode is None else mode, executor, ())
 
 
 class TestRunFixed:
@@ -379,7 +378,7 @@ def test_fixed_runs_match_per_frame_oracle(schedule, strategy, rate, seed):
                                                  named_rng(seed, "frames", policy))
             ref = oracles.run_policy_per_frame(
                 policy, oracles.single_frame(executor), modes, params,
-                total_frames=sched.total_frames, rng=named_rng(seed, "policy", policy))
+                rng=named_rng(seed, "policy", policy))
             runlog = os.path.join(tmp, "adaptive_compare", f"runlog_{policy}.csv")
             assert [row[1:4] for row in _csv_rows(runlog)] == [
                 [mode_key_str(m), str(c), phase]

@@ -115,6 +115,9 @@ class TestDirectOutage:
             direct_outage(-1.0, 1.0)
         with pytest.raises(ValueError):
             direct_outage(1.0, 0.0)
+        for lambda_sd in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="lambda_sd must be finite and > 0"):
+                direct_outage(lambda_sd, 1.0)
 
 
 class TestCutOutageAnalytic:
@@ -463,6 +466,7 @@ class TestSweep:
 
 THREE_RELAYS = Topology.from_snr(0.5, [1.0, 0.8, 0.5], [1.0, 0.8, 0.5], label="three")
 RATE_ENTRY_POINTS = {
+    "direct_outage": lambda rate: direct_outage(1.0, rate),
     "OutageQuery": lambda rate: OutageQuery(rate=rate, subset=(1, 2)),
     "best_subnetwork analytic": lambda rate: best_subnetwork(THREE_RELAYS, 2, rate),
     "best_subnetwork montecarlo": lambda rate: best_subnetwork(

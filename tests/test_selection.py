@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from coopsim.ensemble import EnsembleSample, ModeDataset, _sample_executor
 from coopsim.netsim import Mode, enumerate_modes
 from coopsim.selection import (BASELINE_POLICIES, DEFAULT_PARAMS,
-                               DegenerateSetError, LearnParams, SpaParams,
-                               UnknownPolicyError, learn, policy_name, run_policy,
-                               weight_update)
+                               DegenerateSetError, LearnParams, PolicyRunLog,
+                               SpaParams, UnknownPolicyError, check_policy, learn,
+                               policy_name, run_policy, table_executor, weight_update)
 from oracles import (FrameStreamEnded, InsufficientHistoryError,
                      run_policy_per_frame, windowed_fer)
 
@@ -202,15 +202,24 @@ def scripted_executor(categories):
     return execute
 
 
-def per_frame(frame):
-    """Block executor sending each frame through frame(mode)."""
-    return lambda mode, n: [frame(mode) for _ in range(n)]
+def per_frame(frame, n_frames):
+    """Block executor of a stream of n_frames frames, sending each through
+    frame(mode). A request is clipped to what is left of the stream before
+    any frame is sent, since DT and fixed-mode runs ask for the whole rest."""
+    left = n_frames
+
+    def execute(mode, n):
+        nonlocal left
+        n = min(n, left)
+        left -= n
+        return [frame(mode) for _ in range(n)]
+
+    return execute
 
 
 class TestSpa:
     def test_zero_fer_means_zero_triggers_and_switches(self):
-        log = run_policy("SPA", per_frame(lambda mode: 0), MODES6, DEFAULT_PARAMS,
-                         total_frames=1000)
+        log = run_policy("SPA", per_frame(lambda mode: 0, 1000), MODES6, DEFAULT_PARAMS)
         assert log.triggers == []
         assert log.learn_calls == []
         assert log.switch_count == 0
@@ -219,13 +228,11 @@ class TestSpa:
 
     def test_window_boundary_four_errors_triggers_three_does_not(self):
         # exactly 4 errors in the first 40 frames => FER 0.1 >= zeta triggers
-        cats = [2] * 4 + [0] * 36 + [0] * 200
-        log = run_policy("SPA", scripted_executor(cats), MODES6, DEFAULT_PARAMS,
-                         total_frames=60)
+        cats = [2] * 4 + [0] * 36 + [0] * 20
+        log = run_policy("SPA", scripted_executor(cats), MODES6, DEFAULT_PARAMS)
         assert log.triggers and log.triggers[0] == 40
-        cats = [2] * 3 + [0] * 37 + [0] * 200
-        log = run_policy("SPA", scripted_executor(cats), MODES6, DEFAULT_PARAMS,
-                         total_frames=60)
+        cats = [2] * 3 + [0] * 37 + [0] * 20
+        log = run_policy("SPA", scripted_executor(cats), MODES6, DEFAULT_PARAMS)
         assert log.triggers == []
 
     def test_list_stays_permutation_and_top_r_learned(self):
@@ -233,8 +240,7 @@ class TestSpa:
         fers = dict(zip(MODES6, [0.5, 0.4, 0.3, 0.02, 0.6, 0.7]))
         def execute(mode):
             return 2 if rng.random() < fers[mode] else 0
-        log = run_policy("SPA", per_frame(execute), MODES6, DEFAULT_PARAMS,
-                         total_frames=2000)
+        log = run_policy("SPA", per_frame(execute, 2000), MODES6, DEFAULT_PARAMS)
         assert log.triggers, "bad initial mode must trigger"
         for call in log.learn_calls:
             assert len(call.candidates) == DEFAULT_PARAMS.r
@@ -256,8 +262,7 @@ class TestSpa:
                 frame[0] += 1
                 p = 0.02 if mode == best[seg] else 0.4
                 return 2 if rng.random() < p else 0
-            log = run_policy("SPA", per_frame(execute), MODES6, DEFAULT_PARAMS,
-                             total_frames=2 * seg_len)
+            log = run_policy("SPA", per_frame(execute, 2 * seg_len), MODES6, DEFAULT_PARAMS)
             tail_ok = True
             for seg in (0, 1):
                 window = slice((seg + 1) * seg_len - 60, (seg + 1) * seg_len)
@@ -270,8 +275,7 @@ class TestSpa:
 
     def test_requires_enough_modes(self):
         with pytest.raises(ValueError):
-            run_policy("SPA", per_frame(lambda m: 0), MODES6[:2], DEFAULT_PARAMS,
-                       total_frames=10)
+            run_policy("SPA", per_frame(lambda m: 0, 10), MODES6[:2], DEFAULT_PARAMS)
 
 
 class TestRunPolicy:
@@ -280,8 +284,8 @@ class TestRunPolicy:
         # BRUTE must operate the error-free mode
         modes = ["m0", "m1", "m2"]
         fers = {"m0": 1.0, "m1": 0.0, "m2": 1.0}
-        log = run_policy("BRUTE", per_frame(lambda m: 2 if fers[m] else 0), modes,
-                         SpaParams(r=3, w=10), total_frames=400)
+        log = run_policy("BRUTE", per_frame(lambda m: 2 if fers[m] else 0, 400), modes,
+                         SpaParams(r=3, w=10))
         assert log.triggers
         after = slice(log.triggers[0] + 30, None)
         operating_after = [m for m, phase in zip(log.modes[after], log.phases[after])
@@ -296,19 +300,19 @@ class TestRunPolicy:
         rng = np.random.default_rng(9)
         def execute(mode):
             return 2 if rng.random() < fers[mode] else 0
-        log = run_policy("PWR2", per_frame(execute), modes, SpaParams(r=2, w=40),
-                         total_frames=600, rng=np.random.default_rng(1))
+        log = run_policy("PWR2", per_frame(execute, 600), modes, SpaParams(r=2, w=40),
+                         rng=np.random.default_rng(1))
         assert log.triggers
         tail = [m for m, phase in zip(log.modes[-50:], log.phases[-50:])
                 if phase == "operating"]
         assert set(tail) == {"b"}
 
     def test_dt_and_fixed_never_adapt(self):
-        log = run_policy("DT", per_frame(lambda m: 0), MODES6, total_frames=100)
+        log = run_policy("DT", per_frame(lambda m: 0, 100), MODES6)
         assert set(log.modes) == {None}
-        log = run_policy(Mode((1, 2)), per_frame(lambda m: 0), MODES6, total_frames=100)
+        log = run_policy(Mode((1, 2)), per_frame(lambda m: 0, 100), MODES6)
         assert set(log.modes) == {Mode((1, 2))}
-        log = run_policy("Fixed:R2", per_frame(lambda m: 0), MODES6, total_frames=100)
+        log = run_policy("Fixed:R2", per_frame(lambda m: 0, 100), MODES6)
         assert set(log.modes) == {Mode((2,))}
 
     def test_nrnm_fer_at_least_wrnm_on_planted_modes(self):
@@ -322,8 +326,7 @@ class TestRunPolicy:
                 rng = np.random.default_rng(200 + seed)
                 def execute(mode):
                     return 2 if rng.random() < fers[mode] else 0
-                log = run_policy(policy, per_frame(execute), MODES6, DEFAULT_PARAMS,
-                                 total_frames=1500)
+                log = run_policy(policy, per_frame(execute, 1500), MODES6, DEFAULT_PARAMS)
                 results[policy] = log.fer
             worse += results["NRNM"] >= results["WRNM"]
         assert worse >= 15
@@ -333,8 +336,7 @@ class TestRunPolicy:
         fers = dict(zip(MODES6, [0.3, 0.25, 0.2, 0.15, 0.4, 0.5]))
         def execute(mode):
             return 2 if rng.random() < fers[mode] else 0
-        log = run_policy("SPA", per_frame(execute), MODES6, DEFAULT_PARAMS,
-                         total_frames=800)
+        log = run_policy("SPA", per_frame(execute, 800), MODES6, DEFAULT_PARAMS)
         rows = log.to_rows()
         assert rows[-1][4] == log.switch_count
         recomputed = sum(1 for a, b in zip(log.modes, log.modes[1:])
@@ -347,12 +349,47 @@ class TestRunPolicy:
         # the log tells modes apart by slot, so a repeated mode would
         # count switches between equal modes
         with pytest.raises(ValueError, match="needs distinct modes"):
-            run_policy(policy, per_frame(lambda m: 2), ["a", "a", "b"],
-                       total_frames=200, rng=np.random.default_rng(0))
+            run_policy(policy, per_frame(lambda m: 2, 200), ["a", "a", "b"],
+                       rng=np.random.default_rng(0))
 
     def test_unknown_policy(self):
         with pytest.raises(UnknownPolicyError):
-            run_policy("nonsense", per_frame(lambda m: 0), MODES6, total_frames=10)
+            run_policy("nonsense", per_frame(lambda m: 0, 10), MODES6)
+
+    @pytest.mark.parametrize("policy, modes, message", [
+        ("PWR2", MODES6[:1], "PWR2 needs at least 2 modes, got 1$"),
+        ("SPA", MODES6[:2], r"SPA needs \|modes\| >= r, got 2 < 3$")])
+    def test_too_few_modes_raise_before_any_frame(self, policy, modes, message):
+        served = []
+
+        def execute(mode):
+            served.append(mode)
+            return 2
+
+        with pytest.raises(ValueError, match=message):
+            run_policy(policy, per_frame(execute, 100), modes,
+                       rng=np.random.default_rng(0))
+        assert served == []
+
+    @pytest.mark.parametrize("n_relays", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 7, 8])
+    def test_check_policy_and_run_policy_share_the_mode_count_rule(self, n_relays, r):
+        # check_policy fails on n_relays relays exactly when run_policy
+        # fails on their modes, with the same message plus the relay count
+        params = SpaParams(r=r, w=5)
+        for policy in BASELINE_POLICIES:
+            try:
+                check_policy(policy, n_relays, params)
+                expected = None
+            except ValueError as e:
+                expected = str(e)
+            try:
+                run_policy(policy, per_frame(lambda m: 2, 30), enumerate_modes(n_relays),
+                           params, rng=np.random.default_rng(0))
+                got = None
+            except ValueError as e:
+                got = f"{e} on {n_relays} relays"
+            assert got == expected
 
     @pytest.mark.parametrize("policy, name", [
         (Mode((1, 2)), "Fixed:R1R2"), ("fixed:r1r2", "Fixed:R1R2"),
@@ -369,9 +406,9 @@ class TestRunPolicy:
 
 @st.composite
 def planted_runs(draw):
-    """(modes, outcome table, SpaParams, budget): 2-10 modes
-    behind slot 0 (plain DT), each slot's frames failing at a planted FER
-    (0 and 1 included), the table shorter or longer than the budget."""
+    """(modes, outcome table, SpaParams): 2-10 modes behind slot 0 (plain
+    DT), each slot's frames failing at a planted FER (0 and 1 included),
+    over a table of 1-150 frames whose end ends the run."""
     modes = tuple(enumerate_modes(4)[:draw(st.integers(2, 10))])
     fers = np.array(draw(st.lists(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]),
                                   min_size=len(modes) + 1, max_size=len(modes) + 1)))
@@ -388,8 +425,7 @@ def planted_runs(draw):
                        r=draw(st.integers(1, len(modes))), w=draw(st.integers(1, 8)),
                        delta_w=draw(st.integers(1, 4)), s=draw(st.integers(0, 3)),
                        learn=learn_params)
-    budget = draw(st.integers(1, 130))
-    return modes, table, params, budget
+    return modes, table, params
 
 
 def frame_executor(table, keys):
@@ -414,18 +450,16 @@ class TestBlockLoop:
         # the block loop (one executor call per operating run, extension,
         # probe, LEARN batch and fixed-mode run) must record frame for frame
         # what one executor call per frame records
-        modes, table, params, budget = run
+        modes, table, params = run
         keys = (None, *modes)
         dataset = ModeDataset(topologies=("T",), mode_keys=keys,
                               outcomes=table[None])
         sample = EnsembleSample(segments=(("T", tuple(range(table.shape[1]))),))
         for policy in (*BASELINE_POLICIES, f"Fixed:{modes[-1]}"):
             log = run_policy(policy, _sample_executor(sample, dataset), modes,
-                             params, total_frames=budget,
-                             rng=np.random.default_rng(5))
+                             params, rng=np.random.default_rng(5))
             ref = run_policy_per_frame(policy, frame_executor(table, keys), modes,
-                                       params, total_frames=budget,
-                                       rng=np.random.default_rng(5))
+                                       params, rng=np.random.default_rng(5))
             assert log.policy == ref.policy
             assert log.modes == ref.modes
             assert log.slots == [log.keys.index(mode) for mode in ref.modes]
@@ -446,14 +480,53 @@ class TestBlockLoop:
             served.append(mode)
             return bytes([2] * n) if len(served) == 1 else b""
 
-        log = run_policy("SPA", execute, MODES6, params, total_frames=100)
+        log = run_policy("SPA", execute, MODES6, params)
         assert served == [MODES6[0], MODES6[3]]
         assert log.runs == [(1, "operating", 5), (4, "learning", 0)]
         assert log.slots == [1] * 5
         assert log.switch_count == 0
         assert [row[4] for row in log.to_rows()] == [0] * 5
         ref = run_policy_per_frame("SPA", frame_executor(np.full((7, 5), 2), (None, *MODES6)),
-                                   MODES6, params, total_frames=100)
+                                   MODES6, params)
         assert log.modes == ref.modes
         assert log.switch_count == ref.switch_count
+        assert log.to_rows() == ref.to_rows()
+
+    @pytest.mark.parametrize("length", [0, 1, 7, 860])
+    @pytest.mark.parametrize("policy", ["DT", "Fixed:R1R3"])
+    def test_a_fixed_run_is_one_run_over_the_whole_table(self, policy, length):
+        # a DT or fixed-mode run asks for the rest of the stream in one call
+        column = bytes(np.random.default_rng(length).integers(0, 3, length).tolist())
+        mode = None if policy == "DT" else Mode((1, 3))
+        log = run_policy(policy, table_executor({mode: column}), MODES6)
+        assert log.keys == (mode,)
+        assert log.runs == [(0, "operating", length)]
+        assert log.categories == list(column)
+
+    @pytest.mark.parametrize("category, runs, triggers", [
+        # no failure: the stream ends as the first window extension starts
+        (0, [(1, "operating", 5), (1, "operating", 0)], []),
+        # all failures: the trigger is due at frame 5, and the stream ends
+        # as LEARN's first batch starts on the rotated-in slot 4, before
+        # any LearnCall is logged
+        (2, [(1, "operating", 5), (4, "learning", 0)], [5])])
+    def test_a_stream_ending_on_a_block_boundary_adds_one_empty_run(
+            self, category, runs, triggers):
+        params = SpaParams(w=5)
+        table = np.full((len(MODES6) + 1, 5), category)
+        keys = (None, *MODES6)
+        log = run_policy("SPA", table_executor(
+            {key: bytes(row.tolist()) for key, row in zip(keys, table)}), MODES6, params)
+        assert log.runs == runs
+        assert log.triggers == triggers
+        assert log.learn_calls == []
+        # the empty run changes none of the per-frame columns
+        trimmed = PolicyRunLog(log.policy, log.keys, log.runs[:-1], log.categories)
+        assert (log.slots, log.phases, log.modes) == (
+            trimmed.slots, trimmed.phases, trimmed.modes)
+        assert log.switch_count == trimmed.switch_count == 0
+        assert log.to_rows() == trimmed.to_rows() == [
+            [i, "R1", category, "operating", 0] for i in range(5)]
+        ref = run_policy_per_frame("SPA", frame_executor(table, keys), MODES6, params)
+        assert (log.modes, log.phases, log.triggers) == (ref.modes, ref.phases, ref.triggers)
         assert log.to_rows() == ref.to_rows()
