@@ -132,8 +132,9 @@ def _seed(value, what, base_dir=None):
 
 def _rate(value, what, base_dir):
     rate = _number(value, what)
-    if not math.isfinite(rate) or rate < 0:
-        raise ValueError(f"{what} must be finite and >= 0, got {rate!r}")
+    if not 0 <= rate < outage.MAX_RATE:
+        raise ValueError(f"{what} must be finite and >= 0 and < {outage.MAX_RATE:g}, "
+                         f"got {rate!r}")
     return rate
 
 

@@ -8,18 +8,19 @@ destination combines the energy of everything it heard, relays decode
 Phase 1 iff their incoming link supports the rate, and the quantize path
 of DIQIF is credited with the cut-set capacity of the mode's relay set.
 The abstraction targets the ordering FER(DIQIF) <= FER(DIF) <= FER(DT) on
-identical realizations, not absolute error rates.
+identical realizations, not absolute error rates. The DT and DIF rules of
+the second slot are written once (_phase2_ok), for evaluate_frame on one
+row of floats and for evaluate_frames on arrays of rows.
 """
 import csv
 import enum
 import functools
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .outage import approx_capacity
+from .outage import MAX_RATE, approx_capacity
 
 
 class TraceFormatError(ValueError):
@@ -99,38 +100,42 @@ def enumerate_modes(n_relays):
     return modes
 
 
-def _phase2_success(c, mode, strategy, rate):
-    """Second-slot decodability given a failed Phase 1.
+def _check_rate(rate):
+    if not 0 <= rate < MAX_RATE:
+        raise ValueError(f"rate must be finite and >= 0 and < {MAX_RATE:g}, got {rate!r}")
 
-    thr is the linear SNR a slot must accumulate for rate R. The
+
+def _select(cond, a, b):
+    """np.where on one row's floats."""
+    return a if cond else b
+
+
+def _phase2_ok(x, mode, strategy, thr, where):
+    """Second-slot decodability by the DT or the DIF rule (DIQIF's credit
+    is the caller's), given a failed Phase 1; x[i] is link i of the draw, a
+    float or an array of links, and where(cond, a, b) selects as np.where
+    does on them.
+
+    thr is the linear SNR a slot must accumulate for the rate. The
     destination always maximal-ratio-combines its Phase-1 copy with the
     Phase-2 superposition, which makes the DT criterion a floor for the
     one-relay strategies.
     """
-    thr = 2.0 ** rate - 1.0
-    h_sd2 = c[0]
+    h_sd2 = x[0]
     if strategy is Strategy.DT or mode is None:
         # source repeats: phase-1 + phase-2 copies of the direct link
         return 2.0 * h_sd2 >= thr
-
-    n_relays = (len(c) - 1) // 2
-    decoded = [i for i in mode.relays if c[i] >= thr]
+    n_relays = (len(x) - 1) // 2
     if len(mode.relays) == 1:
-        if decoded:
-            # source + relay transmit; combined with the phase-1 copy
-            dif_ok = 2.0 * h_sd2 + c[n_relays + mode.relays[0]] >= thr
-        else:
-            # relay stays silent, source repetition only
-            dif_ok = 2.0 * h_sd2 >= thr
-    else:
-        # only the relays transmit in phase 2 of a two-relay mode
-        dif_ok = bool(decoded) and (
-            h_sd2 + sum(c[n_relays + i] for i in decoded) >= thr)
-
-    if strategy is Strategy.DIF:
-        return dif_ok
-    # DIQIF: the quantize path is credited with the cut-set value
-    return dif_ok or approx_capacity(c, mode.relays) >= rate
+        # the relay joins the source's repeat if it decoded; MRC with phase 1
+        (i,) = mode.relays
+        return where(x[i] >= thr, 2.0 * h_sd2 + x[n_relays + i], 2.0 * h_sd2) >= thr
+    # two relays: the decoded ones alone transmit, h_sd2 + (g_i + g_j)
+    i, j = mode.relays
+    decoded_i, decoded_j = x[i] >= thr, x[j] >= thr
+    relayed = (where(decoded_i, x[n_relays + i], 0.0)
+               + where(decoded_j, x[n_relays + j], 0.0))
+    return (decoded_i | decoded_j) & (h_sd2 + relayed >= thr)
 
 
 def evaluate_frame(c, mode, strategy, rate):
@@ -140,17 +145,20 @@ def evaluate_frame(c, mode, strategy, rate):
     identical per-frame channels.
     """
     strategy = Strategy.parse(strategy)
-    if not (math.isfinite(rate) and rate >= 0):
-        raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
+    _check_rate(rate)
     c = np.asarray(c, dtype=float)
     if c.ndim != 1 or len(c) % 2 == 0:
         raise ValueError(f"evaluate_frame takes one (2N+1,) draw, got shape {c.shape}")
     c = c.tolist()  # Python floats: cheaper scalar arithmetic
     if mode is not None:
         mode.check_relays((len(c) - 1) // 2)
-    if 2.0 ** rate - 1.0 <= c[0]:
+    thr = 2.0 ** rate - 1.0
+    if thr <= c[0]:
         return 0
-    if _phase2_success(c, mode, strategy, rate):
+    if _phase2_ok(c, mode, strategy, thr, _select) or (
+            # DIQIF: the quantize path is credited with the cut-set value
+            strategy is Strategy.DIQIF and mode is not None
+            and approx_capacity(c, mode.relays) >= rate):
         return 1
     return 2
 
@@ -164,33 +172,19 @@ def evaluate_frames(c, mode, strategy, rate):
     more than Python arithmetic on its floats.
     """
     strategy = Strategy.parse(strategy)
-    if not (math.isfinite(rate) and rate >= 0):
-        raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
+    _check_rate(rate)
     c = np.asarray(c, dtype=float)
     if c.ndim < 1 or c.shape[-1] % 2 == 0:
         raise ValueError(f"evaluate_frames takes (..., 2N+1) draws, got shape {c.shape}")
-    n_relays = (c.shape[-1] - 1) // 2
     if mode is not None:
-        mode.check_relays(n_relays)
+        mode.check_relays((c.shape[-1] - 1) // 2)
+    x = np.moveaxis(c, -1, 0)
     thr = 2.0 ** rate - 1.0
-    h_sd2 = c[..., 0]
-    if strategy is Strategy.DT or mode is None:
-        ok = 2.0 * h_sd2 >= thr
-    else:
-        # the branches of _phase2_success, one boolean array each
-        decoded = [c[..., i] >= thr for i in mode.relays]
-        g = [c[..., n_relays + i] for i in mode.relays]
-        if len(mode.relays) == 1:
-            ok = np.where(decoded[0], 2.0 * h_sd2 + g[0], 2.0 * h_sd2) >= thr
-        else:
-            # h_sd2 + (g_i + g_j), the order of h_sd2 + sum(...) over the
-            # decoded relays (0.0 + g is g exactly)
-            relayed = np.where(decoded[0], g[0], 0.0) + np.where(decoded[1], g[1], 0.0)
-            ok = (decoded[0] | decoded[1]) & (h_sd2 + relayed >= thr)
-        if strategy is Strategy.DIQIF:
-            ok |= approx_capacity(c, mode.relays) >= rate
+    ok = _phase2_ok(x, mode, strategy, thr, np.where)
+    if strategy is Strategy.DIQIF and mode is not None:
+        ok |= approx_capacity(c, mode.relays) >= rate
     categories = np.where(ok, np.int8(1), np.int8(2))
-    categories[thr <= h_sd2] = 0
+    categories[thr <= x[0]] = 0
     return categories
 
 

@@ -51,6 +51,8 @@ DEFAULT_MC_SAMPLES = 100_000
 _BLOCK_ROWS = 16_384
 # Subsets whose packed outage bits _outage_counts holds at once
 _CHUNK_SUBSETS = 32
+# Every rate is below MAX_RATE: exactly the floats whose 2.0 ** rate is finite
+MAX_RATE = 1024.0
 
 
 @dataclass(frozen=True)
@@ -71,8 +73,9 @@ class OutageQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "subset", tuple(int(i) for i in self.subset))
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise ValueError(f"rate must be finite and > 0, got {self.rate}")
+        if not 0 < self.rate < MAX_RATE:
+            raise ValueError(f"rate must be finite and > 0 and < {MAX_RATE:g}, "
+                             f"got {self.rate}")
         if len(set(self.subset)) != len(self.subset):
             raise ValueError("subset indices must be distinct")
         if any(i < 1 for i in self.subset):
@@ -194,9 +197,10 @@ def _outage_counts(unit, scales, subsets, rate):
 
 def direct_outage(lambda_sd, rate):
     """Closed form 1 - exp(-lambda * (2^R - 1)) for the direct link."""
-    for name, value in (("lambda_sd", lambda_sd), ("rate", rate)):
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if not (lambda_sd > 0 and math.isfinite(lambda_sd)):
+        raise ValueError(f"lambda_sd must be finite and > 0, got {lambda_sd}")
+    if not 0 < rate < MAX_RATE:
+        raise ValueError(f"rate must be finite and > 0 and < {MAX_RATE:g}, got {rate}")
     return -math.expm1(-lambda_sd * (2.0 ** rate - 1.0))
 
 

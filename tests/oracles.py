@@ -16,6 +16,9 @@ They are slow and need scipy, so they live here rather than in the package:
   best_subnetwork search per step;
 - sample_channels_exponential: a channel draw as one rng.exponential call
   with the per-link scales;
+- frame_category: evaluate_frame on one row of Python floats, with the
+  DT/DIF/DIQIF second-slot rule written out branch by branch
+  (_phase2_success);
 - run_fixed: a fixed-mode run over a schedule as a per-frame loop, one
   channel draw and one topology lookup (schedule_topology_at) per frame;
 - schedule_executor: a block executor over a schedule that draws one
@@ -47,7 +50,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from coopsim.macemu import (AIRTIME_BOTH_US, AIRTIME_DIRECT_US, PacketResult,
                             TraceExhaustedError)
-from coopsim.netsim import Mode, evaluate_frame, mode_key_str
+from coopsim.netsim import Mode, Strategy, evaluate_frame, mode_key_str
 from coopsim.outage import (DEFAULT_REL_TOL, Cut, OutageQuery, QuadratureFailure,
                             approx_capacity, best_subnetwork, cut_outage_analytic,
                             direct_outage, outage_upper_bound)
@@ -258,6 +261,48 @@ def schedule_topology_at(schedule, frame_index):
         start += n
     raise ScheduleOutOfRangeError(
         f"frame index {frame_index} beyond schedule length {schedule.total_frames}")
+
+
+def _phase2_success(c, mode, strategy, rate):
+    """Second-slot decodability given a failed Phase 1.
+
+    thr is the linear SNR a slot must accumulate for rate R. The
+    destination always maximal-ratio-combines its Phase-1 copy with the
+    Phase-2 superposition, which makes the DT criterion a floor for the
+    one-relay strategies.
+    """
+    thr = 2.0 ** rate - 1.0
+    h_sd2 = c[0]
+    if strategy is Strategy.DT or mode is None:
+        # source repeats: phase-1 + phase-2 copies of the direct link
+        return 2.0 * h_sd2 >= thr
+
+    n_relays = (len(c) - 1) // 2
+    decoded = [i for i in mode.relays if c[i] >= thr]
+    if len(mode.relays) == 1:
+        if decoded:
+            # source + relay transmit; combined with the phase-1 copy
+            dif_ok = 2.0 * h_sd2 + c[n_relays + mode.relays[0]] >= thr
+        else:
+            # relay stays silent, source repetition only
+            dif_ok = 2.0 * h_sd2 >= thr
+    else:
+        # only the relays transmit in phase 2 of a two-relay mode
+        dif_ok = bool(decoded) and (
+            h_sd2 + sum(c[n_relays + i] for i in decoded) >= thr)
+
+    if strategy is Strategy.DIF:
+        return dif_ok
+    # DIQIF: the quantize path is credited with the cut-set value
+    return dif_ok or approx_capacity(c, mode.relays) >= rate
+
+
+def frame_category(c, mode, strategy, rate):
+    """evaluate_frame(c, mode, strategy, rate) on the row c, a list of
+    Python floats, with strategy a Strategy and no argument checks."""
+    if 2.0 ** rate - 1.0 <= c[0]:
+        return 0
+    return 1 if _phase2_success(c, mode, strategy, rate) else 2
 
 
 def run_fixed(schedule, topologies, mode, strategy, rate, rng):

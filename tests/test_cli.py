@@ -227,6 +227,18 @@ class TestValidate:
         ("outage_sweep", {"rate": 0}, "rate must be > 0, got 0.0"),
         ("outage_sweep", {"rate": 0, "method": "montecarlo"},
          "rate must be > 0, got 0.0"),
+        ("outage_sweep", {"rate": 1024},
+         "rate must be finite and >= 0 and < 1024, got 1024.0"),
+        ("fixed_modes", {"rate": 1024},
+         "rate must be finite and >= 0 and < 1024, got 1024.0"),
+        ("adaptive_compare", {"rate": 1024},
+         "rate must be finite and >= 0 and < 1024, got 1024.0"),
+        ("ensemble", {"rate": 1024},
+         "rate must be finite and >= 0 and < 1024, got 1024.0"),
+        ("mac_compare", {"rate": 1024},
+         "rate must be finite and >= 0 and < 1024, got 1024.0"),
+        ("outage_sweep", {"rate": 1024, "method": "montecarlo"},
+         "rate must be finite and >= 0 and < 1024, got 1024.0"),
         ("outage_sweep", {"k_values": [0, 1, 0]}, "k_values name one k twice: 0 and 0"),
         ("adaptive_compare", {"policies": ["SPA", "spa"]},
          "policies name one policy twice: 'SPA' and 'spa'"),
@@ -538,6 +550,8 @@ class TestFlagPipeline:
         ("outage", ["--rate", "inf"], {"rate": float("inf")},
          "rate must be finite"),
         ("run", ["--rate", "-1"], {"rate": -1.0}, "rate must be finite"),
+        ("run", ["--rate", "1024"], {"rate": 1024.0}, "rate must be finite"),
+        ("outage", ["--rate", "1024"], {"rate": 1024.0}, "rate must be finite"),
         ("ensemble", ["--rate", "nan"], {"rate": float("nan")},
          "rate must be finite"),
         ("outage", ["--snr-grid", "0:10"], {"snr_grid": {"start": 0.0, "stop": 10.0}},
@@ -581,6 +595,27 @@ class TestFlagPipeline:
         assert main(["run", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("outage", "topology"), ("outage", "rate"), ("outage", "k"),
+        ("outage", "snr-grid"), ("run", "policy"), ("run", "schedule"),
+        ("run", "rate"), ("ensemble", "topologies"), ("ensemble", "policies"),
+        ("ensemble", "rate"),
+    ])
+    def test_each_required_flag_is_required_without_config(
+            self, tmp_path, capsys, monkeypatch, command, flag):
+        argv, _, _ = flags_and_config(tmp_path)[command]
+        at = argv.index(f"--{flag}")
+        monkeypatch.chdir(tmp_path)  # where the default --out would go
+        before = sorted(os.listdir(tmp_path))
+        assert main(argv[:at] + argv[at + 2:]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {command}: --{flag} is required without --config\n")
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_validate_needs_a_config_path(self, capsys):
+        assert main(["validate"]) == 2
+        assert capsys.readouterr().err == "error: validate: config path required\n"
 
     @pytest.mark.parametrize("command", ["outage", "run", "ensemble", "mac"])
     def test_manifest_echoes_only_the_given_flags(self, tmp_path, command):

@@ -109,7 +109,7 @@ class TestSimulateFrame:
         with pytest.raises(ValueError, match=r"takes one \(2N\+1,\) draw"):
             evaluate_frame(np.ones(4), None, Strategy.DT, 1.0)
 
-    @pytest.mark.parametrize("rate", [-1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("rate", [-1.0, math.inf, math.nan, 1024.0])
     def test_invalid_rate_rejected(self, rate):
         c = sample_channels(Topology.from_snr(1.0, [1.0], [1.0]), named_rng(0, "r"))
         with pytest.raises(ValueError, match="rate must be finite"):
@@ -164,7 +164,9 @@ def _plant(c, mode, thr, kind):
     """Put the draw row c (a list of floats) on the boundary of one
     comparison of evaluate_frame at threshold thr: "direct" h_sd2 = thr,
     "repeat" 2 h_sd2 = thr, "decode" the mode's relays decode with h = thr
-    and that decides the frame, "relayed" the phase-2 sum equals thr. The
+    and that decides the frame, "relayed" the phase-2 sum equals thr,
+    "silent" a relay that does not decode has a NaN link to the
+    destination and the rest of the frame sits on the threshold. The
     relayed sum keeps each destination-side link g as the fraction
     0.45 g / (1 + g) of thr, so that its rounding is as generic as g's."""
     n = (len(c) - 1) // 2
@@ -173,6 +175,19 @@ def _plant(c, mode, thr, kind):
         c[0] = thr
         return
     if kind == "repeat" or not relays:
+        c[0] = thr / 2
+        return
+    if kind == "silent":
+        # the relay of the weaker source link stays silent, so its NaN
+        # link must not count; the other relay or the source repeat
+        # decides the frame on the threshold
+        quiet = min(relays, key=lambda i: c[i])
+        c[quiet], c[n + quiet] = -1.0, math.nan
+        for i in relays:
+            if i != quiet:
+                c[i], g_i = thr, c[n + i]
+                c[0] = _at_thr(lambda h: h + g_i, thr - g_i, thr)
+                return
         c[0] = thr / 2
         return
     g = [0.45 * c[n + i] / (1.0 + c[n + i]) * thr for i in relays]
@@ -193,7 +208,11 @@ def _plant(c, mode, thr, kind):
                 break
 
 
-_KINDS = ("direct", "repeat", "decode", "relayed")
+_KINDS = ("direct", "repeat", "decode", "relayed", "silent")
+
+
+# Links the channel draws never give but the evaluators still take
+_ODD_LINKS = (0.0, -0.0, 0.3, 1.0, 2.5, -1.0, math.inf, -math.inf, math.nan)
 
 
 @st.composite
@@ -202,12 +221,15 @@ def frame_cases(draw):
     (), (n,) or (p, a), a mode slot of it, and a rate (0 included). About
     half the cases put the rate, or else every row, exactly on a boundary
     that evaluate_frame compares against: the rate on a row's cut-set
-    capacity, and the other rows' links or sums on the threshold (_plant)."""
+    capacity, and the other rows' links or sums on the threshold (_plant).
+    About two thirds then replace a share of the links with zeros of
+    either sign, negative, infinite or NaN values, small round ones
+    (_ODD_LINKS), or the threshold or its half."""
     t = draw(topologies())
-    shape = draw(st.sampled_from([(), (12,), (0,), (4, 3), (1, 5)]))
+    shape = draw(st.sampled_from([(), (48,), (0,), (4, 3), (1, 5)]))
     mode = draw(st.sampled_from((enumerate_modes(t.n_relays) if t.n_relays else [])
                                 + [None]))
-    rate = draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
+    rate = draw(st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 4.0)))
     rows = sample_channels(t, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))),
                            math.prod(shape)).tolist()
     if rows and draw(st.booleans()):
@@ -224,32 +246,47 @@ def frame_cases(draw):
         for k, row in enumerate(rows):
             if k != on_capacity:
                 _plant(row, mode, thr, draw(st.sampled_from(_KINDS)))
-    return np.array(rows).reshape(shape + (2 * t.n_relays + 1,)), mode, rate
+    draws = np.array(rows).reshape(-1, 2 * t.n_relays + 1)
+    share = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    if share:
+        odd = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        replaced = odd.random(draws.shape) < share
+        thr = 2.0 ** rate - 1.0
+        draws[replaced] = odd.choice(_ODD_LINKS + (thr / 2, thr), replaced.sum())
+    return draws.reshape(shape + draws.shape[-1:]), mode, rate
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=frame_cases())
-def test_evaluate_frames_equals_evaluate_frame(case):
-    """evaluate_frames equals evaluate_frame row by row, on every strategy;
-    on the same draws DIQIF success contains DIF success, which contains DT
-    success on one-relay modes and on no cooperation (two-relay DIF leaves
-    the source silent in phase 2)."""
+def test_both_evaluators_equal_the_one_row_reference(case):
+    """evaluate_frame and evaluate_frames each equal the reference
+    oracles.frame_category row by row, on every strategy; on the same
+    draws DIQIF success contains DIF success, which contains DT success
+    on one-relay modes and on no cooperation (two-relay DIF leaves the
+    source silent in phase 2) where no link is negative or NaN."""
     draws, mode, rate = case
     rows = draws.reshape(-1, draws.shape[-1])
     success = {}
     for strategy in Strategy:
-        batch = evaluate_frames(draws, mode, strategy, rate)
+        # inf + -inf, and the capacity's log2 of links <= -1, warn in numpy
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = [oracles.frame_category(c, mode, strategy, rate)
+                        for c in rows.tolist()]
+            one_by_one = [evaluate_frame(c, mode, strategy, rate) for c in rows]
+            batch = evaluate_frames(draws, mode, strategy, rate)
         assert batch.dtype == np.int8 and batch.shape == draws.shape[:-1]
-        one_by_one = [evaluate_frame(c, mode, strategy, rate) for c in rows]
-        assert batch.reshape(-1).tolist() == one_by_one
+        assert one_by_one == expected
+        assert batch.reshape(-1).tolist() == expected
         success[strategy] = batch.reshape(-1) != 2
     assert np.all(success[Strategy.DIQIF] >= success[Strategy.DIF])
     if mode is None or len(mode.relays) == 1:
-        assert np.all(success[Strategy.DIF] >= success[Strategy.DT])
+        nonnegative = np.all(rows >= 0, axis=-1)
+        assert np.all(success[Strategy.DIF][nonnegative]
+                      >= success[Strategy.DT][nonnegative])
 
 
 class TestEvaluateFramesRejects:
-    @pytest.mark.parametrize("rate", [-1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("rate", [-1.0, math.inf, math.nan, 1024.0])
     def test_rate(self, rate):
         c = np.ones((3, 5))
         with pytest.raises(ValueError, match="rate must be finite"):

@@ -481,7 +481,7 @@ RATE_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan, 1024.0])
 @pytest.mark.parametrize("entry", list(RATE_ENTRY_POINTS))
 def test_every_entry_point_rejects_a_rate_that_is_not_finite_and_positive(entry, rate):
     with pytest.raises(ValueError, match="rate must be finite and > 0"):
