@@ -9,6 +9,7 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -132,9 +133,7 @@ def _seed(value, what, base_dir=None):
 
 def _rate(value, what, base_dir):
     rate = _number(value, what)
-    if not 0 <= rate < outage.MAX_RATE:
-        raise ValueError(f"{what} must be finite and >= 0 and < {outage.MAX_RATE:g}, "
-                         f"got {rate!r}")
+    outage.rate_threshold(rate)
     return rate
 
 
@@ -243,7 +242,7 @@ def _distinct(what, noun, entries, keys):
 
 def _k_values(value, what, base_dir):
     try:
-        k_values = [_int(k, what) for k in value]
+        k_values = [_int(k, what) for k in _list(value, what)]
     except (TypeError, ValueError):
         raise ValueError(f"{what} must be a list of integers, got {value!r}") from None
     _distinct(what, "k", k_values, k_values)
@@ -648,8 +647,12 @@ def run_experiment(doc, path, base_dir, place=None, seed=None, threads=1,
     the whole document has been checked. seed and out_dir override the
     document's. Returns the written files, manifest last; the manifest
     holds the kind, seed, package version, doc and output names. An
-    OSError while writing the outputs is an IoError naming the file.
+    OSError while writing the outputs is an IoError naming the file, and a
+    threads that is not an integer >= 1 is a ValidationError.
     """
+    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) \
+            or threads < 1:
+        raise ValidationError(f"threads must be an integer >= 1, got {threads!r}")
     cfg, _, run = _plan(doc, path, base_dir, seed=seed, out_dir=out_dir)
     if place is None:
         place = functools.partial(os.path.join, base_dir, cfg["out_dir"] or ".")
@@ -663,7 +666,7 @@ def run_experiment(doc, path, base_dir, place=None, seed=None, threads=1,
         return current
 
     try:
-        outputs = run(place_in_dir, cfg["seed"], max(1, int(threads)))
+        outputs = run(place_in_dir, cfg["seed"], int(threads))
         manifest = place_in_dir("manifest.json")
         with open(manifest, "w", encoding="utf-8") as fh:
             json.dump({"kind": cfg["kind"], "seed": cfg["seed"], "version": __version__,

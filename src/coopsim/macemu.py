@@ -16,6 +16,7 @@ import numpy as np
 from . import selection
 from .netsim import (Strategy, enumerate_modes, evaluate_frames, gapless,
                      mode_key_str, read_csv_rows)
+from .outage import rate_threshold
 from .rng import named_rng
 from .topology import sample_channels
 
@@ -218,6 +219,7 @@ class CoopVsRoutingScenario:
     spa_params: object = field(default_factory=selection.SpaParams)
 
     def __post_init__(self):
+        rate_threshold(self.rate)
         if self.n_packets < 1:
             raise ValueError(f"n_packets must be >= 1, got {self.n_packets}")
         selection.check_policy(self.mode_policy, self.topology.n_relays,
@@ -286,7 +288,7 @@ def _routing_side(scenario, mac, blocks):
     slots [0, per_hop), a relay path's first hop the same slots and its
     second hop slots [per_hop, 2*per_hop). Hop successes are threshold
     tests on the corresponding link of the slot's realization."""
-    thr = 2.0 ** scenario.rate - 1.0
+    thr = rate_threshold(scenario.rate)
     per_hop = mac.max_retx_per_link + 1
     n_relays = scenario.topology.n_relays
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .outage import MAX_RATE, approx_capacity
+from .outage import approx_capacity, rate_threshold
 
 
 class TraceFormatError(ValueError):
@@ -100,11 +100,6 @@ def enumerate_modes(n_relays):
     return modes
 
 
-def _check_rate(rate):
-    if not 0 <= rate < MAX_RATE:
-        raise ValueError(f"rate must be finite and >= 0 and < {MAX_RATE:g}, got {rate!r}")
-
-
 def _select(cond, a, b):
     """np.where on one row's floats."""
     return a if cond else b
@@ -145,14 +140,13 @@ def evaluate_frame(c, mode, strategy, rate):
     identical per-frame channels.
     """
     strategy = Strategy.parse(strategy)
-    _check_rate(rate)
+    thr = rate_threshold(rate)
     c = np.asarray(c, dtype=float)
     if c.ndim != 1 or len(c) % 2 == 0:
         raise ValueError(f"evaluate_frame takes one (2N+1,) draw, got shape {c.shape}")
     c = c.tolist()  # Python floats: cheaper scalar arithmetic
     if mode is not None:
         mode.check_relays((len(c) - 1) // 2)
-    thr = 2.0 ** rate - 1.0
     if thr <= c[0]:
         return 0
     if _phase2_ok(c, mode, strategy, thr, _select) or (
@@ -172,14 +166,13 @@ def evaluate_frames(c, mode, strategy, rate):
     more than Python arithmetic on its floats.
     """
     strategy = Strategy.parse(strategy)
-    _check_rate(rate)
+    thr = rate_threshold(rate)
     c = np.asarray(c, dtype=float)
     if c.ndim < 1 or c.shape[-1] % 2 == 0:
         raise ValueError(f"evaluate_frames takes (..., 2N+1) draws, got shape {c.shape}")
     if mode is not None:
         mode.check_relays((c.shape[-1] - 1) // 2)
     x = np.moveaxis(c, -1, 0)
-    thr = 2.0 ** rate - 1.0
     ok = _phase2_ok(x, mode, strategy, thr, np.where)
     if strategy is Strategy.DIQIF and mode is not None:
         ok |= approx_capacity(c, mode.relays) >= rate

@@ -55,6 +55,15 @@ _CHUNK_SUBSETS = 32
 MAX_RATE = 1024.0
 
 
+def rate_threshold(rate, positive=False):
+    """2^rate - 1, the SNR at which a link carries rate: the link rule. A
+    ValueError unless rate is finite, >= 0 (> 0 if positive) and < MAX_RATE."""
+    if not (0 < rate < MAX_RATE or rate == 0 and not positive):
+        raise ValueError(f"rate must be finite and {'>' if positive else '>='} 0 "
+                         f"and < {MAX_RATE:g}, got {rate!r}")
+    return 2.0 ** rate - 1.0
+
+
 @dataclass(frozen=True)
 class Cut:
     """Relay indices grouped with the source side of a network bipartition."""
@@ -73,9 +82,7 @@ class OutageQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "subset", tuple(int(i) for i in self.subset))
-        if not 0 < self.rate < MAX_RATE:
-            raise ValueError(f"rate must be finite and > 0 and < {MAX_RATE:g}, "
-                             f"got {self.rate}")
+        rate_threshold(self.rate, positive=True)
         if len(set(self.subset)) != len(self.subset):
             raise ValueError("subset indices must be distinct")
         if any(i < 1 for i in self.subset):
@@ -199,9 +206,7 @@ def direct_outage(lambda_sd, rate):
     """Closed form 1 - exp(-lambda * (2^R - 1)) for the direct link."""
     if not (lambda_sd > 0 and math.isfinite(lambda_sd)):
         raise ValueError(f"lambda_sd must be finite and > 0, got {lambda_sd}")
-    if not 0 < rate < MAX_RATE:
-        raise ValueError(f"rate must be finite and > 0 and < {MAX_RATE:g}, got {rate}")
-    return -math.expm1(-lambda_sd * (2.0 ** rate - 1.0))
+    return -math.expm1(-lambda_sd * rate_threshold(rate, positive=True))
 
 
 def _max_cdf(lams, x):
@@ -243,7 +248,7 @@ def _panel_nodes(edges):
     """Nodes and weights of the Gauss-Legendre rule on every panel
     [edges[i], edges[i+1]], flattened."""
     half = 0.5 * np.diff(edges)[:, None]
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    mid = (0.5 * edges[:-1] + 0.5 * edges[1:])[:, None]
     return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
 
 
@@ -255,11 +260,13 @@ def _panel_rule(lams_src, lams_dst, rate, tau, points):
     edges = np.array([0.0, *sorted(p for p in points if 0.0 < p < tau), tau])
     halved = np.empty(2 * len(edges) - 1)
     halved[::2] = edges
-    halved[1::2] = 0.5 * (edges[:-1] + edges[1:])
+    halved[1::2] = 0.5 * edges[:-1] + 0.5 * edges[1:]
     x_whole, w_whole = _panel_nodes(edges)
     x_halved, w_halved = _panel_nodes(halved)
     x = np.concatenate((x_whole, x_halved))
-    f = _max_pdf_at(lams_src, x) * _max_cdf_at(lams_dst, 2.0 ** rate / (1.0 + x) - 1.0)
+    # lambda * x overflows to inf near the largest tau: exp(-inf) = 0 is the limit
+    with np.errstate(over="ignore"):
+        f = _max_pdf_at(lams_src, x) * _max_cdf_at(lams_dst, 2.0 ** rate / (1.0 + x) - 1.0)
     value = float((w_halved * f[len(x_whole):]).sum())
     return value, abs(value - float((w_whole * f[:len(x_whole)]).sum()))
 
@@ -279,7 +286,7 @@ def _p_omega(lams_src, lams_dst, rate, rel_tol):
     e^-100, at x = 10 / lambda and 100 / lambda. A value that passes on
     the first breakpoints comes from them alone.
     """
-    tau = 2.0 ** rate - 1.0
+    tau = rate_threshold(rate)
     if tau <= 0.0:
         return 0.0
     if not lams_src and not lams_dst:
@@ -435,7 +442,7 @@ def _floor_order(t, subsets, rate, rel_tol):
     (the oracle tests/oracles.bound_floor).
     """
     OutageQuery(rate=rate, quadrature_rel_tol=rel_tol)
-    tau = 2.0 ** float(rate) - 1.0
+    tau = rate_threshold(float(rate))
     members = np.array(subsets, dtype=np.intp) - 1
     in_subset = np.zeros((len(subsets), t.n_relays), dtype=bool)
     in_subset[np.arange(len(subsets))[:, None], members] = True

@@ -240,6 +240,8 @@ class TestValidate:
         ("outage_sweep", {"rate": 1024, "method": "montecarlo"},
          "rate must be finite and >= 0 and < 1024, got 1024.0"),
         ("outage_sweep", {"k_values": [0, 1, 0]}, "k_values name one k twice: 0 and 0"),
+        ("outage_sweep", {"k_values": {0: "a", 1: "b"}},
+         "k_values must be a list of integers, got {0: 'a', 1: 'b'}"),
         ("adaptive_compare", {"policies": ["SPA", "spa"]},
          "policies name one policy twice: 'SPA' and 'spa'"),
         ("adaptive_compare", {"policies": ["SPA", "Fixed:R1", "fixed:r1"]},
@@ -390,6 +392,16 @@ class TestOutageCommand:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_analytic_sweep_runs_just_below_the_rate_limit(self, tmp_path):
+        # 2^R - 1 is above half the largest float at rate 1023.5
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "kind": "outage_sweep", "topology": topo_doc(), "rate": 1023.5,
+            "k_values": [0, 1, 2], "snr_grid": [0.0, 10.0], "out_dir": "o"})
+        assert main(["run", "--config", cfg]) == 0
+        rows = read_rows(tmp_path / "o" / "outage.csv")[1:]
+        assert len(rows) == 6
+        assert all(0.0 <= float(row[3]) <= 1.0 for row in rows)
 
 
 class TestRunCommand:
@@ -875,6 +887,28 @@ class TestRunConfig:
                                 for f in files})
             assert len(outputs[0]) == n_csv
             assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_are_rejected(self, tmp_path, capsys, threads):
+        argv, doc, _ = flags_and_config(tmp_path)["outage"]
+        message = f"threads must be an integer >= 1, got {threads}"
+        assert main(argv + ["--threads", threads,
+                            "--out", str(tmp_path / "o" / "x.csv")]) == 2
+        assert message in capsys.readouterr().err
+        cfg = write_yaml(tmp_path / "c.yaml", {**doc, "out_dir": "o"})
+        assert main(["run", "--config", cfg, "--threads", threads]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("threads", [0, -3, 1.0, True, "2", None])
+    def test_run_config_takes_threads_as_an_integer_of_at_least_one(self, tmp_path,
+                                                                      threads):
+        cfg = write_yaml(tmp_path / "c.yaml", {"kind": "outage_sweep", "out_dir": "o",
+                                               **WRITES["outage_sweep"][0]})
+        with pytest.raises(ValidationError, match=re.escape(
+                f"threads must be an integer >= 1, got {threads!r}")):
+            run_config(cfg, threads=threads)
+        assert not (tmp_path / "o").exists()
 
     def test_pool_workers_are_capped_by_tasks_and_cores(self, tmp_path, monkeypatch):
         pools = []

@@ -1,3 +1,5 @@
+import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -327,6 +329,13 @@ class TestCompare:
                   for a in range(packet.attempts)]
         assert log.categories == [evaluate_frame(blocks[p, a], mode, strategy, rate)
                                   for (p, a), mode in zip(frames, log.modes)]
+
+    @pytest.mark.parametrize("rate", [-1.0, math.inf, math.nan, 1024.0])
+    def test_scenario_rejects_a_rate_when_built(self, rate):
+        t = Topology.from_snr(0.5, [1.0], [1.0])
+        with pytest.raises(ValueError, match=re.escape(
+                f"rate must be finite and >= 0 and < 1024, got {rate!r}")):
+            CoopVsRoutingScenario(topology=t, rate=rate, n_packets=10)
 
     def test_paired_channels_are_deterministic(self):
         a = compare_coop_vs_genie(decode_limited_scenario(300), POLICY, seed=7)

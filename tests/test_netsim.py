@@ -2,6 +2,7 @@ import csv
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,18 @@ class TestSimulateFrame:
         c = sample_channels(Topology.from_snr(1.0, [1.0], [1.0]), named_rng(0, "r"))
         with pytest.raises(ValueError, match="rate must be finite"):
             evaluate_frame(c, Mode((1,)), Strategy.DIQIF, rate)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("rate", [1023.5, math.nextafter(1024.0, 0.0)])
+    def test_both_evaluators_run_just_below_the_rate_limit(self, rate, strategy):
+        # no link reaches a threshold of 2^R - 1 > 8.9e307: every frame fails
+        c = sample_channels(Topology.from_snr(1.0, [1.0, 2.0], [1.0, 2.0]),
+                            named_rng(0, "r"), 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mode in (None, Mode((1,)), Mode((1, 2))):
+                assert evaluate_frame(c[0], mode, strategy, rate) == 2
+                assert evaluate_frames(c, mode, strategy, rate).tolist() == [2] * 20
 
 
 class TestStrategyOrdering:

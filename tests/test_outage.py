@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_topology, topologies
-from coopsim.outage import (_BLOCK_ROWS, DEFAULT_REL_TOL, Cut,
+from coopsim.outage import (_BLOCK_ROWS, DEFAULT_REL_TOL, MAX_RATE, Cut,
                             IndexOutOfSubsetError, OutageQuery,
                             QuadratureFailure, _bound_unless_above,
                             _floor_order, _p_omega, _reaches, approx_capacity,
                             best_subnetwork, cut_outage_analytic, direct_outage,
                             outage_monte_carlo, outage_sweep,
-                            outage_upper_bound, required_snr_db, sweep_point)
+                            outage_upper_bound, rate_threshold,
+                            required_snr_db, sweep_point)
 from oracles import (best_subnetwork_exhaustive,
                      best_subnetwork_montecarlo_scan, bound_floor,
                      p_omega_by_term_expansion, p_omega_quad,
@@ -486,6 +488,63 @@ RATE_ENTRY_POINTS = {
 def test_every_entry_point_rejects_a_rate_that_is_not_finite_and_positive(entry, rate):
     with pytest.raises(ValueError, match="rate must be finite and > 0"):
         RATE_ENTRY_POINTS[entry](rate)
+
+
+LARGEST_RATE = math.nextafter(MAX_RATE, 0.0)
+
+
+@pytest.mark.parametrize("rate, nonnegative, positive", [
+    (0.0, 0.0, "rate must be finite and > 0 and < 1024, got 0.0"),
+    (-0.0, 0.0, "rate must be finite and > 0 and < 1024, got -0.0"),
+    (5e-324, 0.0, 0.0),
+    (1e-17, 0.0, 0.0),
+    (0.5, math.sqrt(2.0) - 1.0, math.sqrt(2.0) - 1.0),
+    (1.0, 1.0, 1.0),
+    (LARGEST_RATE, 2.0 ** LARGEST_RATE - 1.0, 2.0 ** LARGEST_RATE - 1.0),
+    (1024.0, "rate must be finite and >= 0 and < 1024, got 1024.0",
+     "rate must be finite and > 0 and < 1024, got 1024.0"),
+    (math.inf, "rate must be finite and >= 0 and < 1024, got inf",
+     "rate must be finite and > 0 and < 1024, got inf"),
+    (math.nan, "rate must be finite and >= 0 and < 1024, got nan",
+     "rate must be finite and > 0 and < 1024, got nan"),
+])
+def test_rate_threshold_at_the_edges_of_both_ranges(rate, nonnegative, positive):
+    # the threshold, or the exact message, of the >= 0 and the > 0 range
+    for flag, expected in ((False, nonnegative), (True, positive)):
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as raised:
+                rate_threshold(rate, positive=flag)
+            assert str(raised.value) == expected
+        else:
+            assert rate_threshold(rate, positive=flag) == expected
+
+
+NEAR_LIMIT_ENTRY_POINTS = {
+    "direct_outage": lambda rate: direct_outage(THREE_RELAYS.lambda_sd, rate),
+    "cut_outage_analytic": lambda rate: cut_outage_analytic(
+        THREE_RELAYS, OutageQuery(rate=rate, subset=(1, 2)), Cut({1})),
+    "outage_upper_bound": lambda rate: outage_upper_bound(
+        THREE_RELAYS, OutageQuery(rate=rate, subset=(1, 2))),
+    "best_subnetwork analytic": lambda rate: best_subnetwork(THREE_RELAYS, 2, rate)[1],
+    "best_subnetwork montecarlo": lambda rate: best_subnetwork(
+        THREE_RELAYS, 2, rate, method="montecarlo", mc_samples=1000)[1],
+    "outage_sweep analytic": lambda rate: [row["outage"] for row in outage_sweep(
+        THREE_RELAYS, [0, 1, 2, 3], rate, [0.0, 10.0])],
+    "outage_sweep montecarlo": lambda rate: [row["outage"] for row in outage_sweep(
+        THREE_RELAYS, [0, 2], rate, [0.0, 10.0], method="montecarlo",
+        mc_samples=1000)],
+}
+
+
+@pytest.mark.parametrize("rate", [1023.5, LARGEST_RATE])
+@pytest.mark.parametrize("entry", list(NEAR_LIMIT_ENTRY_POINTS))
+def test_every_entry_point_evaluates_just_below_the_rate_limit(entry, rate):
+    # 2^R - 1 is above half the largest float: panel midpoints taken as
+    # (a + b) / 2 overflowed there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = np.atleast_1d(NEAR_LIMIT_ENTRY_POINTS[entry](rate))
+    assert np.all((values >= 0.0) & (values <= 1.0))
 
 
 @st.composite
