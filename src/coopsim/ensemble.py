@@ -169,20 +169,19 @@ def make_ensemble(dataset, n_samples, n_transitions, segment_len, seed):
             for i in range(n_samples)]
 
 
-def _sample_executor(sample, dataset):
-    """The table_executor of the sample's recorded outcomes, gathered once
-    segment by segment into one bytes column per mode slot."""
+def _sample_columns(sample, dataset):
+    """The columns of the sample's table_executor: its recorded outcomes,
+    gathered once segment by segment into one bytes column per mode slot."""
     topology_index = {label: t for t, label in enumerate(dataset.topologies)}
     columns = np.concatenate(
         [dataset.outcomes[topology_index[label]][:, rows]
          for label, rows in sample.segments], axis=1)
-    return selection.table_executor(
-        dict(zip(dataset.mode_keys, (column.tobytes() for column in columns))))
+    return dict(zip(dataset.mode_keys, (column.tobytes() for column in columns)))
 
 
 def replay_policy(policy, sample, dataset, params, rng=None):
     """Replay one policy over one sample; returns its PolicyRunLog."""
-    executor = _sample_executor(sample, dataset)
+    executor = selection.table_executor(_sample_columns(sample, dataset))
     return selection.run_policy(policy, executor, dataset.modes, params, rng=rng)
 
 
@@ -194,27 +193,59 @@ class EnsembleResult:
     rows: tuple  # per-sample (sample_index, fer, switches, n_frames)
 
 
-def evaluate_on_ensemble(policy, samples, dataset, params=selection.DEFAULT_PARAMS,
-                         seed=0):
-    """Ensemble-average FER and switch count of one policy.
+def evaluate_policies(policies, samples, dataset, params=selection.DEFAULT_PARAMS,
+                      seed=0, map=map, chunks=1):
+    """The EnsembleResult of each policy, in order.
 
-    The result is labelled with the policy's selection.policy_name, and
+    A result is labelled with the policy's selection.policy_name, and
     per-sample randomness (RandPick/PWR2 draws) comes from substreams of
     (seed, "replay", that name, sample index), so results depend on neither
     evaluation order nor spelling. Averages use compensated summation.
+    The samples are cut into `chunks` contiguous chunks (fewer if there are
+    fewer samples, none empty) and replayed under every policy by
+    map(fn, chunks), which may be a process pool's map (fn and the chunks
+    then go by pickle); the result does not depend on map or chunks.
     """
     if not samples:
         raise ValueError("need at least one sample")
-    name = selection.policy_name(policy)
-    rows = []
-    for idx, sample in enumerate(samples):
-        rng = named_rng(seed, "replay", name, idx)
-        log = replay_policy(name, sample, dataset, params, rng=rng)
-        rows.append((idx, log.fer, log.switch_count, log.n_frames))
-    avg_fer = math.fsum(r[1] for r in rows) / len(rows)
-    avg_switches = math.fsum(r[2] for r in rows) / len(rows)
-    return EnsembleResult(policy=name, avg_fer=avg_fer,
-                          avg_switches=avg_switches, rows=tuple(rows))
+    names = [selection.policy_name(policy) for policy in policies]
+    chunks = min(chunks, len(samples))
+    cuts = [len(samples) * c // chunks for c in range(chunks + 1)]
+    parts = list(map(functools.partial(_replay_chunk, names, dataset, params, seed),
+                     [(lo, samples[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]))
+    results = []
+    for p, name in enumerate(names):
+        rows = tuple(row for part in parts for row in part[p])
+        results.append(EnsembleResult(
+            policy=name, avg_fer=math.fsum(r[1] for r in rows) / len(rows),
+            avg_switches=math.fsum(r[2] for r in rows) / len(rows), rows=rows))
+    return results
+
+
+def _replay_chunk(names, dataset, params, seed, chunk):
+    """For each policy of names, the rows (sample index, fer, switches,
+    n_frames) of the chunk (first sample index, samples). Each sample's
+    columns are gathered once for all the policies."""
+    first, samples = chunk
+    rows = [[] for _ in names]
+    modes = dataset.modes
+    for idx, sample in enumerate(samples, first):
+        columns = _sample_columns(sample, dataset)
+        for name, policy_rows in zip(names, rows):
+            rng = (named_rng(seed, "replay", name, idx)
+                   if name in selection.DRAWING_POLICIES else None)
+            log = selection.run_policy(name, selection.table_executor(columns), modes,
+                                       params, rng=rng)
+            policy_rows.append((idx, log.fer, log.switch_count, log.n_frames))
+    return rows
+
+
+def evaluate_on_ensemble(policy, samples, dataset, params=selection.DEFAULT_PARAMS,
+                         seed=0):
+    """Ensemble-average FER and switch count of one policy: its
+    evaluate_policies result."""
+    (result,) = evaluate_policies([policy], samples, dataset, params, seed)
+    return result
 
 
 def oracle_fer(sample, dataset):

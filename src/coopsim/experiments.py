@@ -469,18 +469,21 @@ def _plan_ensemble(cfg, base_dir):
     _, names = _resolve_policies(topologies, cfg["policies"], params)
 
     def run(place, seed, threads):
-        # the recording's row chunks, one per worker, share the replay's pool cap
+        # the recording's row chunks and the replay's sample chunks, one per
+        # worker each, go to the pool
+        def pool_map(fn, chunks):
+            return _map(fn, [(chunk,) for chunk in chunks], threads)
+
         dataset = ensemble.record_dataset(
             topologies, cfg["strategy"], cfg["rate"], frames, named_rng(seed, "dataset"),
-            map=lambda fn, chunks: _map(fn, [(chunk,) for chunk in chunks], threads),
-            chunks=_workers(threads, len(topologies) * frames))
+            map=pool_map, chunks=_workers(threads, len(topologies) * frames))
         samples = ensemble.make_ensemble(dataset, n_samples, n_transitions,
                                          segment_len, seed)
-        replay = functools.partial(ensemble.evaluate_on_ensemble, samples=samples,
-                                   dataset=dataset, params=params, seed=seed)
         summary = []
         sample_rows = []
-        for res in _map(replay, [(name,) for name in names], threads):
+        for res in ensemble.evaluate_policies(names, samples, dataset, params, seed,
+                                              map=pool_map,
+                                              chunks=_workers(threads, n_samples)):
             summary.append([res.policy, _fmt(res.avg_fer), _fmt(res.avg_switches)])
             for idx, fer, switches, n_frames in res.rows:
                 sample_rows.append([res.policy, idx, _fmt(fer), switches, n_frames])

@@ -97,7 +97,7 @@ def approx_capacity(c, subset):
     """Cut-set capacity approximation of the relay subset over the last
     axis of a draw array c (see topology.sample_channels): the min over
     all 2^k cuts of the cut value in the module docstring. Returns an
-    array of c's shape without its last axis.
+    array of c's shape without its last axis, a float for one draw.
     """
     c = np.asarray(c, dtype=float)
     n_relays = (c.shape[-1] - 1) // 2
@@ -106,19 +106,46 @@ def approx_capacity(c, subset):
             f"subset {tuple(subset)} has indices outside 1..{n_relays}")
     # log2(1 + x) of the direct link, the subset's h and its g links: one
     # array each, over c's other axes in reverse order (hence .T below)
-    k = len(subset)
     caps = c.T[[0, *subset, *(n_relays + i for i in subset)]]
     np.log2(np.add(caps, 1.0, out=caps), out=caps)
+    if c.ndim == 1:  # Python floats: cheaper scalar arithmetic
+        return _cut_set(caps.tolist(), _min, _max)
+    return _cut_set(list(caps), np.minimum, np.maximum).T
+
+
+def _min(a, b):
+    """np.minimum on two floats: NaN if either is NaN."""
+    return a if a <= b or a != a else b
+
+
+def _max(a, b):
+    """np.maximum on two floats: NaN if either is NaN."""
+    return a if a >= b or a != a else b
+
+
+@functools.lru_cache
+def _cut_sides(k):
+    """For each of the 2^k cuts of k relays, the positions of its omega
+    side and of its complement."""
+    return tuple((tuple(p for p in range(k) if mask >> p & 1),
+                  tuple(p for p in range(k) if not mask >> p & 1))
+                 for mask in range(1 << k))
+
+
+def _cut_set(caps, minimum, maximum):
+    """The min over cuts of max(direct, relayed), taken as max(direct, min
+    over cuts of relayed), for caps = [direct, h links, g links] of one
+    subset, floats or arrays; minimum and maximum act on them as np.minimum
+    and np.maximum do."""
     direct, *links = caps
+    k = len(links) // 2
     src, dst = links[:k], links[k:]
-    # min over cuts of max(direct, relayed) = max(direct, min over cuts of relayed)
-    relayed = np.inf
-    for mask in range(1 << k):
-        sides = ([a for p, a in enumerate(src) if mask >> p & 1],
-                 [b for p, b in enumerate(dst) if not mask >> p & 1])
-        relayed = np.minimum(relayed, sum(
-            functools.reduce(np.maximum, side) for side in sides if side))
-    return np.maximum(direct, relayed).T
+    relayed = math.inf
+    for omega, rest in _cut_sides(k):
+        sides = ([src[p] for p in omega], [dst[p] for p in rest])
+        relayed = minimum(relayed, sum(
+            (functools.reduce(maximum, side) for side in sides if side), 0.0))
+    return maximum(direct, relayed)
 
 
 # Set bits of each byte value: np.bitwise_count needs numpy >= 2.0
@@ -284,7 +311,10 @@ def _p_omega(lams_src, lams_dst, rate, rel_tol):
     (1 + tau) / lambda just below x = tau, which breakpoints on the scale
     of y miss), and where each source density has fallen by e^-10 and
     e^-100, at x = 10 / lambda and 100 / lambda. A value that passes on
-    the first breakpoints comes from them alone.
+    the first breakpoints comes from them alone. A pass also needs the
+    value within 10 * rel_tol of the bounds F_X(h) F_Y(h) <= P <=
+    min(F_X(tau), F_Y(tau)), h = sqrt(1 + tau) - 1: at high rates both
+    rules can miss the whole source density inside one panel and agree.
     """
     tau = rate_threshold(rate)
     if tau <= 0.0:
@@ -306,14 +336,19 @@ def _p_omega(lams_src, lams_dst, rate, rel_tol):
     turns = {2.0 ** rate / (1.0 + s / lam) - 1.0
              for lam in lams_dst for s in (0.1, 1.0, 10.0)}
     turns |= {s / lam for lam in lams_src for s in (10.0, 100.0)}
+    # X <= h and Y <= h put (1+X)(1+Y) at or below 1 + tau: P >= F_X(h) F_Y(h)
+    h = math.sqrt(1.0 + tau) - 1.0
+    floor = _max_cdf(lams_src, h) * _max_cdf(lams_dst, h)
     for points in (scales, scales | turns):
         value, abserr = _panel_rule(lams_src, lams_dst, rate, tau, points)
-        if math.isfinite(value) and abserr <= 10.0 * rel_tol * max(abs(value), 1e-300):
+        if (math.isfinite(value) and abserr <= 10.0 * rel_tol * max(abs(value), 1e-300)
+                and floor * (1.0 - 10.0 * rel_tol) <= value
+                <= ceiling * (1.0 + 10.0 * rel_tol)):
             return min(max(value, 0.0), 1.0)
     raise QuadratureFailure(
         f"P_omega quadrature reached error {abserr:.3e} for value {value:.3e} "
-        f"at lams_src={lams_src}, lams_dst={lams_dst}, rate={rate!r}, "
-        f"rel_tol={rel_tol:.1e}")
+        f"(bounds {floor:.3e} to {ceiling:.3e}) at lams_src={lams_src}, "
+        f"lams_dst={lams_dst}, rate={rate!r}, rel_tol={rel_tol:.1e}")
 
 
 def _cut_rates(t, cut, subset):

@@ -74,6 +74,8 @@ class SpaParams:
 DEFAULT_PARAMS = SpaParams()
 
 BASELINE_POLICIES = ("DT", "BRUTE", "RandPick", "PWR2", "NRNM", "WRNM", "SPA")
+# The policies that draw from run_policy's rng
+DRAWING_POLICIES = ("RandPick", "PWR2")
 
 
 @dataclass(frozen=True)
@@ -200,27 +202,23 @@ def learn(runner, candidates, params):
     if len(candidates) == 1:
         return RankedModeList(order=tuple(candidates), weights={candidates[0]: 1.0})
 
-    admissible = list(candidates)
+    l, eta, alpha, epsilon = params.l, params.eta, params.alpha, params.epsilon
+    admissible = candidates
     rejected = []
     batch = 0
     while len(admissible) > 1 and batch < params.B:
-        fers = {m: runner(m, params.l) for m in admissible}
         updated = weight_update([weights[m] for m in admissible],
-                                [fers[m] for m in admissible],
-                                params.eta, params.alpha)
+                                [runner(m, l) for m in admissible], eta, alpha)
         total = sum(updated)
-        for m, w in zip(admissible, updated):
-            weights[m] = w / total
-        keep = []
-        for m in sorted(admissible, key=lambda m: weights[m]):
-            if weights[m] > params.epsilon:
-                keep.append(m)
-            else:
-                rejected.append(m)
-        admissible = [m for m in admissible if m in keep]
+        normalized = [w / total for w in updated]
+        weights.update(zip(admissible, normalized))
+        if min(normalized) <= epsilon:
+            rejected += sorted([m for m in admissible if weights[m] <= epsilon],
+                               key=weights.__getitem__)
+            admissible = [m for m in admissible if weights[m] > epsilon]
         batch += 1
 
-    survivors = sorted(admissible, key=lambda m: weights[m])
+    survivors = sorted(admissible, key=weights.__getitem__)
     if survivors:
         # keep the surviving set a distribution (rejected mass is dropped)
         surv_total = sum(weights[m] for m in survivors)
@@ -260,17 +258,22 @@ class _FrameLoop:
     def __init__(self, executor, log):
         self.executor = executor
         self.log = log
+        self._keys, self._runs, self._categories = log.keys, log.runs, log.categories
 
     def send(self, slot, phase, n):
         """Send n frames on mode slot `slot`; returns their categories. A
         block returned short is recorded, then ends the run."""
-        log = self.log
-        categories = self.executor(log.keys[slot], n)
-        log.runs.append((slot, phase, len(categories)))
-        log.categories += categories
+        categories = self.executor(self._keys[slot], n)
+        self._runs.append((slot, phase, len(categories)))
+        self._categories += categories
         if len(categories) < n:
             raise _RunStopped
         return categories
+
+    def learning_fer(self, slot, n):
+        """Send n learning frames on mode slot `slot`; returns their FER: the
+        runner of LEARN and of the probes."""
+        return self.send(slot, "learning", n).count(2) / n
 
     def run(self, step):
         """Call step() until the executor's stream ends; returns the log."""
@@ -296,18 +299,12 @@ def _operate_until_trigger(loop, slot, params):
     return i
 
 
-def _learn_runner(loop):
-    def runner(slot, n):
-        return loop.send(slot, "learning", n).count(2) / n
-    return runner
-
-
 def _learn_logged(loop, candidates, learn_params):
     """LEARN over candidate slots on the loop's frames, logged as a
     LearnCall of their modes; returns the ranked slots."""
     log = loop.log
     start = log.n_frames
-    order = learn(_learn_runner(loop), candidates, learn_params).order
+    order = learn(loop.learning_fer, candidates, learn_params).order
     log.learn_calls.append(LearnCall(start, log.n_frames,
                                      tuple(log.keys[s] for s in candidates),
                                      tuple(log.keys[s] for s in order)))
@@ -397,7 +394,7 @@ def run_policy(policy, executor, all_modes, params=DEFAULT_PARAMS, rng=None):
         loop = _FrameLoop(executor, PolicyRunLog(name, (mode,)))
         return loop.run(lambda: loop.send(0, "operating", sys.maxsize))
     _check_mode_count(name, len(all_modes), params)
-    if name in ("RandPick", "PWR2") and rng is None:
+    if name in DRAWING_POLICIES and rng is None:
         raise ValueError(f"{name} needs rng")
     log = PolicyRunLog(name, (None, *all_modes))
     slots = range(1, len(log.keys))
@@ -405,8 +402,7 @@ def run_policy(policy, executor, all_modes, params=DEFAULT_PARAMS, rng=None):
     def probe(loop, candidates):
         """The candidate with the lowest FER over w learning frames each
         (ties: the earliest)."""
-        measure = _learn_runner(loop)
-        fers = [(measure(s, params.w), k) for k, s in enumerate(candidates)]
+        fers = [(loop.learning_fer(s, params.w), k) for k, s in enumerate(candidates)]
         return candidates[min(fers)[1]]
 
     if name == "SPA":

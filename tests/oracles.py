@@ -30,6 +30,9 @@ They are slow and need scipy, so they live here rather than in the package:
   call per frame on mode values, with single-frame executors, its trigger
   the windowed FER of the last w frames (windowed_fer);
 - spawn_rngs: n generators spawned from one root SeedSequence;
+- learn_reference: selection.learn as first written, a dict of the batch's
+  FERs and a stable sort of every admissible mode after each batch, on its
+  own copy of the two-pass weight update (_weight_update_reference);
 - write_dataset_csv_rows and write_samples_csv_rows: the ensemble CSVs
   written one csv.writer row per frame;
 - write_packets_csv_rows: the packet CSV written one csv.writer row per
@@ -54,7 +57,8 @@ from coopsim.netsim import Mode, Strategy, evaluate_frame, mode_key_str
 from coopsim.outage import (DEFAULT_REL_TOL, Cut, OutageQuery, QuadratureFailure,
                             approx_capacity, best_subnetwork, cut_outage_analytic,
                             direct_outage, outage_upper_bound)
-from coopsim.selection import DEFAULT_PARAMS, LearnCall, learn, policy_name
+from coopsim.selection import (DEFAULT_PARAMS, LearnCall, RankedModeList, learn,
+                               policy_name)
 from coopsim.topology import sample_channels
 
 
@@ -92,7 +96,12 @@ def p_omega_quad(lams_src, lams_dst, rate, rel_tol):
     package rule's closed-form early exits. The breakpoints share nothing
     with the package rule: s/lambda on the destination's scales, where its
     density falls, and 2^R/(1+s/lambda) - 1 on the source's, where the
-    source CDF turns, for s from 0.01 to 100."""
+    source CDF turns, for s from 0.01 to 100.
+
+    It is checked only up to about R = 30. On random cuts whose lambda * tau
+    spans many decades, it was off by more than 1e-6 relative in 45 of 54 at
+    R in [30, 60], and where a 40-digit mpmath integral was taken it sided
+    with the package, not with this oracle."""
     tau = 2.0 ** rate - 1.0
     if tau <= 0.0:
         return 0.0
@@ -346,6 +355,54 @@ def single_frame(executor):
 def spawn_rngs(seed, n):
     """n independent generators reproducibly derived from one root seed."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
+
+
+def _weight_update_reference(weights, fers, eta, alpha):
+    """selection.weight_update's two passes, less its argument checks."""
+    n = len(weights)
+    penalized = [w * math.exp(-eta * f) for w, f in zip(weights, fers)]
+    shares = [1.0 - (1.0 - alpha) ** f for f in fers]
+    pool = sum(s * w for s, w in zip(shares, penalized))
+    return [(1.0 - s) * w + (pool - s * w) / (n - 1)
+            for s, w in zip(shares, penalized)]
+
+
+def learn_reference(runner, candidates, params):
+    """selection.learn: each batch gathers its FERs into a dict, updates
+    and normalizes the weights, then scans every admissible mode in a
+    stable ascending-weight sort, rejecting those at or below epsilon."""
+    candidates = list(candidates)
+    weights = {m: 1.0 / len(candidates) for m in candidates}
+    if len(candidates) == 1:
+        return RankedModeList(order=tuple(candidates), weights={candidates[0]: 1.0})
+
+    admissible = list(candidates)
+    rejected = []
+    batch = 0
+    while len(admissible) > 1 and batch < params.B:
+        fers = {m: runner(m, params.l) for m in admissible}
+        updated = _weight_update_reference([weights[m] for m in admissible],
+                                           [fers[m] for m in admissible],
+                                           params.eta, params.alpha)
+        total = sum(updated)
+        for m, w in zip(admissible, updated):
+            weights[m] = w / total
+        keep = []
+        for m in sorted(admissible, key=lambda m: weights[m]):
+            if weights[m] > params.epsilon:
+                keep.append(m)
+            else:
+                rejected.append(m)
+        admissible = [m for m in admissible if m in keep]
+        batch += 1
+
+    survivors = sorted(admissible, key=lambda m: weights[m])
+    if survivors:
+        surv_total = sum(weights[m] for m in survivors)
+        for m in survivors:
+            weights[m] /= surv_total
+    order = tuple(reversed(rejected + survivors))
+    return RankedModeList(order=order, weights={m: weights[m] for m in candidates})
 
 
 class InsufficientHistoryError(ValueError):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from coopsim import __version__, experiments, selection
+from coopsim import __version__, ensemble, experiments, selection
 from coopsim.cli import main
 from coopsim.experiments import (ValidationError, list_experiments,
                                  run_config, validate_config)
@@ -941,6 +942,45 @@ class TestRunConfig:
             out = run_config(cfg, out_dir=f"c{cores}", threads=64)[0]
             assert Path(out).read_bytes() == serial
             assert pools == ([] if expected is None else [expected])
+            pools.clear()
+
+    def test_replay_pool_follows_the_samples(self, tmp_path, monkeypatch):
+        # one policy over n_samples samples: the replay's pool has one worker
+        # per sample chunk, min(threads, cores, n_samples), and it receives a
+        # partial of a module-level function, which spawn can pickle
+        pools, fns = [], []
+
+        class SerialPool:
+            """Records max_workers and the pool's fn, and maps in this process."""
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append(max_workers)
+                fns.append(initargs[0])
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiments._in_worker, "fn", None, raising=False)
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "kind": "ensemble", "seed": 3, "rate": 1.0,
+            "topologies": schedule_doc()["topologies"], "frames_per_topology": 50,
+            "segment_len": 10, "n_samples": 3, "policies": ["WRNM"]})
+        serial = [Path(f).read_bytes() for f in run_config(cfg, out_dir="s", threads=1)]
+        assert pools == []
+        for cores, threads, expected in ((64, 64, 3), (2, 64, 2), (64, 2, 2)):
+            monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+            outputs = run_config(cfg, out_dir=f"c{cores}-{threads}", threads=threads)
+            assert [Path(f).read_bytes() for f in outputs] == serial
+            assert pools[-1] == expected  # after the recording's pool
+            assert isinstance(fns[-1], functools.partial)
+            assert fns[-1].func is ensemble._replay_chunk
             pools.clear()
 
     def test_pool_sends_fn_once_per_worker(self, monkeypatch):

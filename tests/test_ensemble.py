@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from coopsim.ensemble import (EnsembleSample, ModeDataset, SegmentTooLongError,
-                              evaluate_on_ensemble, make_ensemble, make_sample,
+                              evaluate_on_ensemble, evaluate_policies,
+                              make_ensemble, make_sample,
                               memory_sweep, oracle_fer, record_dataset,
                               replay_policy, synthetic_dataset, write_dataset_csv,
                               write_samples_csv)
@@ -201,6 +202,30 @@ class TestReplay:
         half = fers[: len(fers) // 2]
         se = np.std(fers, ddof=1) / math.sqrt(len(half))
         assert abs(np.mean(half) - np.mean(fers)) <= 2 * se
+
+    @pytest.mark.parametrize("n_samples", [3, 7])
+    def test_chunked_replay_equals_each_policy_alone(self, setup, pool, n_samples):
+        # every policy over contiguous sample chunks, serial or on pool
+        # workers, gives each policy's own replay; 7 samples do not divide
+        # into 2 or 3 chunks
+        dataset, samples = setup
+        samples = samples[:n_samples]
+        policies = ("SPA", "wrnm", "NRNM", "RandPick", "PWR2", "BRUTE",
+                    f"Fixed:{MODES10[3]}")  # the planted dataset records no DT
+        alone = [evaluate_on_ensemble(policy, samples, dataset, DEFAULT_PARAMS, seed=4)
+                 for policy in policies]
+        for chunks in (1, 2, 3):
+            sizes = []
+
+            def pool_map(fn, parts):
+                sizes.append([len(part[1]) for part in parts])
+                return pool.map(fn, parts)
+
+            for map_ in (map, pool_map):
+                assert evaluate_policies(policies, samples, dataset, DEFAULT_PARAMS,
+                                         seed=4, map=map_, chunks=chunks) == alone
+            assert len(sizes[0]) == min(chunks, n_samples)
+            assert min(sizes[0]) >= 1 and sum(sizes[0]) == n_samples
 
     def test_fixed_modes_cannot_match_spa(self, setup):
         dataset, samples = setup

@@ -8,6 +8,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_topology, topologies
+from coopsim import outage
 from coopsim.outage import (_BLOCK_ROWS, DEFAULT_REL_TOL, MAX_RATE, Cut,
                             IndexOutOfSubsetError, OutageQuery,
                             QuadratureFailure, _bound_unless_above,
@@ -101,6 +102,27 @@ class TestApproxCapacity:
         batch = approx_capacity(c, subset)
         assert batch.shape == (n,)
         assert np.array_equal(batch, [approx_capacity(row, subset) for row in c])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n_relays=st.integers(0, 4), n=st.integers(1, 12), data=st.data())
+    def test_one_row_equals_the_batch_on_odd_links(self, n_relays, n, data):
+        # the one-row path on Python floats and the batch path on arrays give
+        # the same value, NaN included, on links that are NaN, +-inf, -1
+        # (log2 0 = -inf), below -1 (NaN), signed zeros or plain values
+        subset = tuple(sorted(data.draw(st.sets(st.integers(1, max(n_relays, 1)),
+                                                max_size=n_relays))))
+        links = st.sampled_from([0.0, -0.0, 0.3, 1.0, 7.5, -0.5, -1.0, -2.0,
+                                 math.inf, -math.inf, math.nan]) | st.floats(0.0, 100.0)
+        c = np.array(data.draw(st.lists(st.lists(links, min_size=2 * n_relays + 1,
+                                                 max_size=2 * n_relays + 1),
+                                        min_size=n, max_size=n)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            batch = approx_capacity(c, subset)
+            rows = [approx_capacity(row, subset) for row in c]
+            listed = [approx_capacity(row.tolist(), subset) for row in c]
+        assert all(type(value) is float for value in rows + listed)
+        assert np.array_equal(batch, rows, equal_nan=True)
+        assert np.array_equal(batch, listed, equal_nan=True)
 
 
 class TestDirectOutage:
@@ -230,6 +252,56 @@ class TestCutOutageAnalytic:
         y = rng.exponential(1e-3, n)
         mc = np.mean(np.log2(1 + x) + np.log2(1 + y) < 1.0)
         assert p == pytest.approx(mc, abs=3e-3)
+
+    @pytest.mark.parametrize("rate", [24.0, 45.0, 60.0])
+    def test_high_rate_keeps_the_source_density(self, rate):
+        # from R = 45 up both panel rules once missed the source density
+        # inside one panel far wider than 1/lambda, and agreed on
+        # F_X(1) = 1 - e^-2; the probability is 1 to double precision
+        assert _p_omega((2.0,), (1.0, 1.25), rate, DEFAULT_REL_TOL) == 1.0
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(lams_src=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3),
+           lams_dst=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3),
+           rate=st.one_of(st.floats(0.25, 1024.0, exclude_max=True),
+                          st.just(math.nextafter(1024.0, 0.0))))
+    def test_value_lies_between_its_bounds_at_every_rate(self, lams_src, lams_dst, rate):
+        # F_X(h) F_Y(h) <= P <= min(F_X(tau), F_Y(tau)), h = sqrt(1 + tau) - 1,
+        # to within the rule's 10 * rel_tol; no oracle above R = 30 (see
+        # oracles.p_omega_quad), so the bounds are the check there
+        src = tuple(sorted(10.0 ** e for e in lams_src))
+        dst = tuple(sorted(10.0 ** e for e in lams_dst))
+        tau = 2.0 ** rate - 1.0
+        h = math.sqrt(1.0 + tau) - 1.0
+
+        def cdf(lams, x):
+            return math.prod(-math.expm1(-lam * x) for lam in lams)
+
+        value = _p_omega(src, dst, rate, DEFAULT_REL_TOL)
+        slack = 10.0 * DEFAULT_REL_TOL
+        assert cdf(src, h) * cdf(dst, h) * (1.0 - slack) <= value
+        assert value <= min(cdf(src, tau), cdf(dst, tau)) * (1.0 + slack)
+
+    def test_a_value_outside_its_bounds_takes_the_retry_or_fails(self, monkeypatch):
+        # at R = 60 the bounds are [1, 1]: a first pass that misses them
+        # gives way to the retry, and a retry that misses them fails
+        args = ((2.0,), (1.0, 1.25), 60.0, DEFAULT_REL_TOL)
+        passes = []
+
+        def rule(value):
+            def fake(*rule_args):
+                passes.append(value)
+                return value, 0.0
+            return fake
+
+        monkeypatch.setattr(outage, "_panel_rule", rule(0.5))
+        with pytest.raises(QuadratureFailure, match="for value 5.000e-01 "
+                                                    r"\(bounds 1.000e\+00 to 1.000e\+00\)"):
+            _p_omega(*args)
+        assert passes == [0.5, 0.5]
+        values = iter([0.5, 1.0])
+        monkeypatch.setattr(outage, "_panel_rule", lambda *a: (next(values), 0.0))
+        assert _p_omega(*args) == 1.0
 
 
 class TestUpperBound:

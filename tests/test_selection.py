@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopsim.ensemble import EnsembleSample, ModeDataset, _sample_executor
+from coopsim.ensemble import EnsembleSample, ModeDataset, replay_policy
 from coopsim.netsim import Mode, enumerate_modes
 from coopsim.selection import (BASELINE_POLICIES, DEFAULT_PARAMS,
                                DegenerateSetError, LearnParams, PolicyRunLog,
                                SpaParams, UnknownPolicyError, check_policy, learn,
                                policy_name, run_policy, table_executor, weight_update)
-from oracles import (FrameStreamEnded, InsufficientHistoryError,
+from oracles import (FrameStreamEnded, InsufficientHistoryError, learn_reference,
                      run_policy_per_frame, windowed_fer)
 
 MODES6 = enumerate_modes(3)
@@ -35,6 +35,44 @@ def bernoulli_runner(fers, rng, counter=None):
         errs = sum(1 for _ in range(n) if rng.random() < fers[mode])
         return errs / n
     return runner
+
+
+@st.composite
+def learn_cases(draw):
+    """(candidates, params, make_runner): 1-10 distinct candidates, LEARN
+    params with l in 1-3, epsilon 0, a weight that equal FERs give 2 or 4
+    modes, or any in [0, 0.5], B in 1-8, and make_runner()
+    giving a fresh (runner, calls) pair that logs each runner call as
+    (mode, n). The runner is Bernoulli on planted FERs, or scripted from a
+    cycle of FERs that often ties the weights."""
+    candidates = draw(st.lists(st.integers(0, 99), min_size=1, max_size=10, unique=True))
+    params = LearnParams(l=draw(st.integers(1, 3)), eta=draw(st.floats(0.1, 5.0)),
+                         alpha=draw(st.floats(0.0, 0.9)),
+                         epsilon=draw(st.sampled_from([0.0, 0.25, 0.5])
+                                      | st.floats(0.0, 0.5)),
+                         B=draw(st.integers(1, 8)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if draw(st.booleans()):
+        script = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                               min_size=1, max_size=12))
+
+        def fer(rng, mode, n, k):
+            return script[k % len(script)]
+    else:
+        planted = {m: draw(st.floats(0.0, 1.0)) for m in candidates}
+
+        def fer(rng, mode, n, k):
+            return sum(rng.random() < planted[mode] for _ in range(n)) / n
+
+    def make_runner():
+        rng, calls = np.random.default_rng(seed), []
+
+        def runner(mode, n):
+            calls.append((mode, n))
+            return fer(rng, mode, n, len(calls))
+        return runner, calls
+
+    return candidates, params, make_runner
 
 
 class TestWeightUpdate:
@@ -165,6 +203,29 @@ class TestLearn:
             if sum(counts_nr.values()) > sum(counts_wr.values()):
                 more += 1
         assert more >= 45
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=learn_cases())
+    def test_equals_the_reference_learner(self, case):
+        # the batch loop equals learn as first written (oracles.learn_reference)
+        # bit for bit: the ranking, every weight and each runner call in order
+        candidates, params, make_runner = case
+        (runner, calls), (ref_runner, ref_calls) = make_runner(), make_runner()
+        assert learn(runner, candidates, params) == learn_reference(
+            ref_runner, candidates, params)
+        assert calls == ref_calls
+
+    @pytest.mark.parametrize("n, epsilon", [(2, 0.5), (4, 0.25)])
+    def test_a_weight_at_epsilon_is_rejected(self, n, epsilon):
+        # equal FERs keep the n weights at 1/n, exactly epsilon: all n are
+        # rejected after the first batch, the earliest ranking lowest
+        calls = []
+        res = learn(lambda m, k: calls.append(m) or 0.5, range(n),
+                    LearnParams(epsilon=epsilon))
+        assert calls == list(range(n))
+        assert res.order == tuple(reversed(range(n)))
+        assert res == learn_reference(lambda m, k: 0.5, range(n),
+                                      LearnParams(epsilon=epsilon))
 
     @pytest.mark.parametrize("eta", [math.inf, math.nan, 0.0, -1.0])
     def test_eta_must_be_positive_and_finite(self, eta):
@@ -456,8 +517,8 @@ class TestBlockLoop:
                               outcomes=table[None])
         sample = EnsembleSample(segments=(("T", tuple(range(table.shape[1]))),))
         for policy in (*BASELINE_POLICIES, f"Fixed:{modes[-1]}"):
-            log = run_policy(policy, _sample_executor(sample, dataset), modes,
-                             params, rng=np.random.default_rng(5))
+            log = replay_policy(policy, sample, dataset, params,
+                                rng=np.random.default_rng(5))
             ref = run_policy_per_frame(policy, frame_executor(table, keys), modes,
                                        params, rng=np.random.default_rng(5))
             assert log.policy == ref.policy
