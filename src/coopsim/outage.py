@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import named_rng
-from .topology import link_scales, unit_draws
+from .topology import link_scales
 
 
 class IndexOutOfSubsetError(ValueError):
@@ -89,8 +89,10 @@ class OutageQuery:
             raise ValueError("relay indices are 1-based")
         if not self.quadrature_rel_tol > 0:
             raise ValueError("quadrature_rel_tol must be positive")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be positive")
+        if isinstance(self.mc_samples, bool) \
+                or not isinstance(self.mc_samples, numbers.Integral) or self.mc_samples < 1:
+            raise ValueError(f"mc_samples must be an integer >= 1, got {self.mc_samples!r}")
+        object.__setattr__(self, "mc_samples", int(self.mc_samples))
 
 
 def approx_capacity(c, subset):
@@ -152,8 +154,11 @@ def _cut_set(caps, minimum, maximum):
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
+@functools.lru_cache
 def _cut_plans(subsets, n_relays):
-    """The bit-table plan of _outage_counts for subsets of one size k.
+    """The bit-table plan of _outage_counts for a tuple of subsets of one
+    size k, built once per (subsets, n_relays) and then shared: its arrays
+    are read-only.
 
     Returns (sources, plans). A source is a tuple of rows of the
     log2(1 + x) block whose sum is compared with the rate: (l,) for one
@@ -172,61 +177,78 @@ def _cut_plans(subsets, n_relays):
             cut = ([(i, j) for i in src for j in dst] if src and dst
                    else [(link,) for link in src + dst] or [(0,)])
             terms.append([sources.setdefault(term, len(sources)) for term in cut])
-        plans.append(np.array(terms).T)
-    return list(sources), plans
+        plan = np.array(terms).T
+        plan.setflags(write=False)
+        plans.append(plan)
+    return tuple(sources), tuple(plans)
 
 
-def _outage_counts(unit, scales, subsets, rate):
-    """For each subset, the number of rows of the (n, 2N+1) draws unit *
-    scales (unit exponentials times link_scales) whose approx_capacity is
-    below rate. The subsets, one or more, share one size.
+def _outage_counts(rng, n, searches, rate):
+    """For each search (scales, subsets), the number of the n rows unit *
+    scales whose approx_capacity is below rate, for each subset, unit being
+    n rows of rng.standard_exponential((n, 2N+1)) that every search shares
+    (scales is link_scales of its topology). A search's subsets share one
+    size.
+
+    The rows are drawn block by block, with rng.standard_exponential((rows,
+    2N+1)) for up to _BLOCK_ROWS rows: numpy's Generator fills an (n, L)
+    request row by row in one pass, so the blocks are the rows of the one
+    (n, 2N+1) draw, exactly. Each block is counted for every search before
+    the next is drawn.
 
     A row is in outage exactly when its direct link and at least one cut are
     below rate. Rounding is monotone, so fl(max h_i + max g_j) equals
     max fl(h_i + g_j): a cut with links on both sides is below rate exactly
     when every pair h_i + g_j across it is, and a one-sided cut when each of
-    its links is. Each block of rows is scaled as it is copied into one
-    buffer reused by every block, takes log2(1 + x) there and packs one bit
-    row per source of _cut_plans (2 KB per row); only the links up to the
-    last one a source reads are scaled and logged, at k = 0 the direct
-    link alone. A subset's outage bits are the OR over its cuts of the AND
-    of their rows, ANDed with the direct row, and are counted through
-    _POPCOUNT, _CHUNK_SUBSETS subsets at a time. Memory beyond unit is one
-    float block, the packed rows (about 180 KB for all pairs at N = 10) and
-    a few (_CHUNK_SUBSETS, 2 KB) arrays.
+    its links is. For each search, the block is scaled as it is copied into
+    one buffer that every search and block reuses, takes log2(1 + x) there
+    and packs one bit row per source of _cut_plans (2 KB per row); only the
+    links up to the last one a source reads are scaled and logged, at k = 0
+    the direct link alone. A subset's outage bits are the OR over its cuts
+    of the AND of their rows, ANDed with the direct row, and are counted
+    through _POPCOUNT, _CHUNK_SUBSETS subsets at a time. Memory, whatever n
+    is, is one block of draws, one float buffer of its size, the packed
+    rows (about 180 KB for all pairs at N = 10) and a few (_CHUNK_SUBSETS,
+    2 KB) arrays.
     """
-    n_relays = (unit.shape[1] - 1) // 2
-    sources, plans = _cut_plans(subsets, n_relays)
-    links = max(map(max, sources)) + 1
-    rows = min(len(unit), _BLOCK_ROWS)
-    buf = np.empty((links, rows))
+    if not searches:
+        return []
+    width = len(searches[0][0])
+    plans = [_cut_plans(tuple(subsets), (width - 1) // 2) for _, subsets in searches]
+    links = [max(map(max, sources)) + 1 for sources, _ in plans]
+    rows = min(n, _BLOCK_ROWS)
+    buf = np.empty((max(links), rows))
     pair_sum = np.empty(rows)
     below = np.empty(rows, dtype=bool)
-    bits = np.empty((len(sources), (rows + 7) // 8), dtype=np.uint8)
-    counts = np.zeros(len(subsets), dtype=np.int64)
-    for start in range(0, len(unit), _BLOCK_ROWS):
-        block = unit[start:start + _BLOCK_ROWS]
-        n = len(block)
-        caps = buf[:, :n]
-        np.multiply(block[:, :links].T, scales[:links, None], out=caps)
-        np.log2(np.add(caps, 1.0, out=caps), out=caps)
-        # packbits zero-fills the tail of each row's last byte
-        table = bits[:, :(n + 7) // 8]
-        for row, source in enumerate(sources):
-            value = caps[source[0]] if len(source) == 1 else np.add(
-                caps[source[0]], caps[source[1]], out=pair_sum[:n])
-            table[row] = np.packbits(np.less(value, rate, out=below[:n]))
-        for lo in range(0, len(subsets), _CHUNK_SUBSETS):
-            hi = lo + _CHUNK_SUBSETS
-            hit = np.zeros((len(subsets[lo:hi]), table.shape[1]), dtype=np.uint8)
-            for plan in plans:
-                cut = table[plan[0, lo:hi]]
-                for terms in plan[1:, lo:hi]:
-                    cut &= table[terms]
-                hit |= cut
-            hit &= table[0]
-            counts[lo:hi] += _POPCOUNT[hit].sum(axis=1, dtype=np.int64)
-    return counts.tolist()
+    bits = np.empty((max(len(sources) for sources, _ in plans), (rows + 7) // 8),
+                    dtype=np.uint8)
+    counts = [np.zeros(len(subsets), dtype=np.int64) for _, subsets in searches]
+    for start in range(0, n, _BLOCK_ROWS):
+        block = rng.standard_exponential((min(_BLOCK_ROWS, n - start), width))
+        m = len(block)
+        for (scales, subsets), (sources, cut_plans), used, count in zip(
+                searches, plans, links, counts):
+            caps = buf[:used, :m]
+            np.multiply(block[:, :used].T, scales[:used, None], out=caps)
+            np.log2(np.add(caps, 1.0, out=caps), out=caps)
+            # packbits zero-fills the tail of each row's last byte
+            table = bits[:len(sources), :(m + 7) // 8]
+            for row, source in enumerate(sources):
+                value = caps[source[0]] if len(source) == 1 else np.add(
+                    caps[source[0]], caps[source[1]], out=pair_sum[:m])
+                table[row] = np.packbits(np.less(value, rate, out=below[:m]))
+            for lo in range(0, len(subsets), _CHUNK_SUBSETS):
+                hi = lo + _CHUNK_SUBSETS
+                hit = np.zeros((len(subsets[lo:hi]), table.shape[1]), dtype=np.uint8)
+                for plan in cut_plans:
+                    cut = table[plan[0, lo:hi]]
+                    for terms in plan[1:, lo:hi]:
+                        cut &= table[terms]
+                    hit |= cut
+                hit &= table[0]
+                count[lo:hi] += _POPCOUNT[hit].sum(axis=1, dtype=np.int64)
+        del block  # so that two blocks are never held at once
+    return [count.tolist() for count in counts]
 
 
 def direct_outage(lambda_sd, rate):
@@ -416,9 +438,8 @@ def outage_monte_carlo(t, q, rng):
     if q.mc_samples < 100:
         raise ValueError(f"mc_samples must be >= 100, got {q.mc_samples}")
     _check_subset(t, q.subset)
-    n = int(q.mc_samples)
-    _, p = _least_outage(t, [q.subset], q.rate, unit_draws(t, rng, n))
-    return p, math.sqrt(p * (1.0 - p) / n)
+    [(_, p)] = _least_outage([(t, [q.subset])], q.rate, rng, q.mc_samples)
+    return p, math.sqrt(p * (1.0 - p) / q.mc_samples)
 
 
 def best_subnetwork(t, k, rate, method="analytic", rel_tol=DEFAULT_REL_TOL,
@@ -431,21 +452,24 @@ def best_subnetwork(t, k, rate, method="analytic", rel_tol=DEFAULT_REL_TOL,
     strictly above the best bound so far: no later subset can reach it.
     A subset's bound is summed only until it is above the best so far
     (_bound_unless_above), so ties are still summed in full. With
-    method="montecarlo" every subset is counted on one batch of draws
-    shared by all of them (common random numbers), which preserves the
-    capacity monotonicity of nested subsets in the empirical estimates. The
-    counts come from the packed below-rate bit tables of _outage_counts and
-    equal those of one approx_capacity call per subset on
-    sample_channels(t, rng, mc_samples); the least wins, ties keeping
-    lexicographic order.
+    method="montecarlo" every subset is counted on the same mc_samples
+    draws (common random numbers), which preserves the capacity
+    monotonicity of nested subsets in the empirical estimates. The draws
+    are made and counted one block of _BLOCK_ROWS rows at a time, so memory
+    does not grow with mc_samples (_outage_counts). The counts come from
+    packed below-rate bit tables and equal those of one approx_capacity
+    call per subset on sample_channels(t, rng, mc_samples); the least
+    wins, ties keeping lexicographic order. mc_samples must be an integer
+    >= 1.
     """
     subsets = _subsets(t, k)
     if method not in ("analytic", "montecarlo"):
         raise ValueError(f"unknown method {method!r}")
     if method == "montecarlo":
-        OutageQuery(rate=rate, mc_samples=mc_samples)
+        n = OutageQuery(rate=rate, mc_samples=mc_samples).mc_samples
         draw_rng = rng if rng is not None else named_rng(0, "best_subnetwork")
-        return _least_outage(t, subsets, rate, unit_draws(t, draw_rng, mc_samples))
+        [best] = _least_outage([(t, subsets)], rate, draw_rng, n)
+        return best
     best_subset, best_value = None, math.inf
     for floor, q in _floor_order(t, subsets, rate, rel_tol):
         if floor > best_value:
@@ -507,11 +531,16 @@ def _reaches(t, k, rate, level, rel_tol):
     return False
 
 
-def _least_outage(t, subsets, rate, unit):
-    """The least-outage subset and its outage on the unit draws scaled to t."""
-    counts = _outage_counts(unit, link_scales(t), subsets, rate)
-    best = counts.index(min(counts))
-    return subsets[best], counts[best] / len(unit)
+def _least_outage(searches, rate, rng, n):
+    """For each search (t, subsets), the least-outage subset and its
+    outage, ties keeping the earliest subset. Every search counts the same
+    n unit draws from rng, each scaled to its own t, in one pass that
+    draws them block by block (_outage_counts); the topologies share one
+    relay count."""
+    counts = _outage_counts(rng, n, [(link_scales(t), subsets) for t, subsets in searches],
+                            rate)
+    return [(subsets[c.index(min(c))], min(c) / n)
+            for (_, subsets), c in zip(searches, counts)]
 
 
 def _snr_scale(snr_linear, k, normalization):
@@ -538,17 +567,18 @@ def sweep_point(template, rate, gi, snr_db, k_values, normalization="per_node",
     """[best_subnetwork(scaled_k, k, ...) for k in k_values] at point gi of
     an SNR sweep, scaled_k being the template scaled to snr_db for k. The
     Monte-Carlo draws come from the (seed, "sweep", gi) stream, so that
-    every point can be computed on its own, in any order or process; they
-    are drawn once and shared by every k, which scales them to its links."""
+    every point can be computed on its own, in any order or process. The
+    point makes one pass over them, block by block: each block is drawn
+    once and counted for every k, which scales it to its links, before the
+    next is drawn (_least_outage)."""
     snr = 10.0 ** (snr_db / 10.0)
     scaled = [template.scaled(_snr_scale(snr, k, normalization)) for k in k_values]
     if method != "montecarlo":
         return [best_subnetwork(t, k, rate, method=method, rel_tol=rel_tol)
                 for t, k in zip(scaled, k_values)]
-    OutageQuery(rate=rate, mc_samples=mc_samples)
+    n = OutageQuery(rate=rate, mc_samples=mc_samples).mc_samples
     searches = [(t, _subsets(t, k)) for t, k in zip(scaled, k_values)]
-    unit = unit_draws(template, named_rng(seed, "sweep", gi), mc_samples)
-    return [_least_outage(t, subsets, rate, unit) for t, subsets in searches]
+    return _least_outage(searches, rate, named_rng(seed, "sweep", gi), n)
 
 
 def outage_sweep(template, k_values, rate, snr_grid_db, normalization="per_node",

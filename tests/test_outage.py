@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,8 @@ from coopsim import outage
 from coopsim.outage import (_BLOCK_ROWS, DEFAULT_REL_TOL, MAX_RATE, Cut,
                             IndexOutOfSubsetError, OutageQuery,
                             QuadratureFailure, _bound_unless_above,
-                            _floor_order, _p_omega, _reaches, approx_capacity,
+                            _cut_plans, _floor_order, _p_omega, _reaches,
+                            approx_capacity,
                             best_subnetwork, cut_outage_analytic, direct_outage,
                             outage_monte_carlo, outage_sweep,
                             outage_upper_bound, rate_threshold,
@@ -345,6 +347,26 @@ class TestUpperBound:
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   3 * _BLOCK_ROWS + 517])
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1])
+    def test_draw_blocks_equal_one_draw(self, n, seed):
+        # the Monte-Carlo counts draw their rows _BLOCK_ROWS at a time; they
+        # equal those of one (n, L) draw because numpy's Generator fills a
+        # request row by row, in one pass over its stream
+        for width in (1, 9, 21):
+            whole = np.random.default_rng(seed).standard_exponential((n, width))
+            rng = np.random.default_rng(seed)
+            blocks = [rng.standard_exponential((min(_BLOCK_ROWS, n - start), width))
+                      for start in range(0, n, _BLOCK_ROWS)]
+            assert np.array_equal(np.concatenate(blocks), whole)
+
+    def test_cut_plans_are_built_once_and_read_only(self):
+        subsets = tuple(itertools.combinations(range(1, 5), 2))
+        sources, plans = first = _cut_plans(subsets, 4)
+        assert _cut_plans(subsets, 4) is first
+        assert not any(plan.flags.writeable for plan in plans)
+
     def test_tiny_rate_gives_zero(self):
         t = Topology.from_snr(1.0, [1.0], [1.0])
         q = OutageQuery(rate=1e-9, subset=(1,), mc_samples=10_000)
@@ -522,6 +544,11 @@ class TestSweep:
                 scaled, r["k"], 1.0, method="montecarlo", mc_samples=n,
                 rng=named_rng(seed, "sweep", gi))
 
+    def test_montecarlo_point_without_k_values_is_empty(self):
+        template = Topology.from_snr(0.5, [1.0], [1.0])
+        assert sweep_point(template, 1.0, 0, 10.0, [], method="montecarlo",
+                           mc_samples=1000) == []
+
     def test_rows_shape_and_grid_validation(self):
         template = Topology.from_snr(0.5, [1.0], [1.0])
         rows = outage_sweep(template, [0, 1], 1.0, [0.0, 10.0])
@@ -560,6 +587,51 @@ RATE_ENTRY_POINTS = {
 def test_every_entry_point_rejects_a_rate_that_is_not_finite_and_positive(entry, rate):
     with pytest.raises(ValueError, match="rate must be finite and > 0"):
         RATE_ENTRY_POINTS[entry](rate)
+
+
+FOUR_RELAYS = Topology.from_snr(0.5, [1.0, 0.8, 0.5, 0.3], [1.0, 0.8, 0.5, 0.6],
+                                label="four")
+MC_SAMPLES_ENTRY_POINTS = {
+    "outage_monte_carlo": lambda n: outage_monte_carlo(
+        FOUR_RELAYS, OutageQuery(rate=1.0, subset=(1, 2, 3, 4), mc_samples=n),
+        named_rng(0, "mc_samples")),
+    "best_subnetwork montecarlo": lambda n: best_subnetwork(
+        FOUR_RELAYS, 2, 1.0, method="montecarlo", mc_samples=n),
+    "outage_sweep montecarlo": lambda n: outage_sweep(
+        FOUR_RELAYS, [0, 2, 4], 1.0, [0.0, 10.0], method="montecarlo", mc_samples=n),
+}
+
+
+@pytest.mark.parametrize("mc_samples", [2.5, 150.7, True, False, math.nan, math.inf,
+                                        "200", None, 0, -5])
+@pytest.mark.parametrize("entry", list(MC_SAMPLES_ENTRY_POINTS))
+def test_every_monte_carlo_entry_point_rejects_a_malformed_mc_samples(entry, mc_samples):
+    with pytest.raises(ValueError, match="mc_samples must be an integer >= 1, got "):
+        MC_SAMPLES_ENTRY_POINTS[entry](mc_samples)
+
+
+@pytest.mark.parametrize("entry", list(MC_SAMPLES_ENTRY_POINTS))
+def test_monte_carlo_entry_points_take_numpy_integers(entry):
+    call = MC_SAMPLES_ENTRY_POINTS[entry]
+    assert call(np.int64(500)) == call(500)
+
+
+@pytest.mark.parametrize("entry", list(MC_SAMPLES_ENTRY_POINTS))
+def test_monte_carlo_memory_does_not_grow_with_mc_samples(entry):
+    # the draws are made and counted block by block: the traced peak (numpy
+    # buffers included) at 20 blocks is that at 2 blocks, and far below the
+    # bytes of the whole (n, 2N+1) batch
+    def traced_peak(n):
+        tracemalloc.start()
+        try:
+            MC_SAMPLES_ENTRY_POINTS[entry](n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = traced_peak(2 * _BLOCK_ROWS), traced_peak(20 * _BLOCK_ROWS)
+    assert many <= 1.25 * few
+    assert many < 20 * _BLOCK_ROWS * (2 * FOUR_RELAYS.n_relays + 1) * 8 / 4
 
 
 LARGEST_RATE = math.nextafter(MAX_RATE, 0.0)
