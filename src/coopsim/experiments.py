@@ -17,7 +17,7 @@ import yaml
 
 from . import __version__, ensemble, macemu, netsim, outage, selection
 from .rng import named_rng
-from .topology import (TopologyError, TopologySchedule, load_topology,
+from .topology import (TopologyError, TopologySchedule, check_int, load_topology,
                        sample_channels, topology_from_dict)
 
 
@@ -79,10 +79,8 @@ def _read(block, schema, where, base_dir, top=False):
 def _int(value, what, base_dir=None):
     """value as an int; anything but an int or an integral float (2.5, "3",
     true) is rejected, naming what."""
-    if isinstance(value, bool) or not (isinstance(value, int) or (
-            isinstance(value, float) and value.is_integer())):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    return check_int(int(value) if isinstance(value, float) and value.is_integer()
+                     else value, what)
 
 
 def _number(value, what, base_dir=None):
@@ -332,28 +330,22 @@ def _subset_str(subset):
     return "-".join(str(i) for i in subset)
 
 
-def _in_worker(*task):
-    """_in_worker.fn(*task): the fn that _map's pool initializer set."""
-    return _in_worker.fn(*task)
-
-
 def _workers(threads, n_tasks):
     """The worker count of _map for n_tasks tasks."""
     return min(threads, n_tasks, os.cpu_count() or 1)
 
 
-def _map(fn, tasks, threads):
-    """[fn(*task) for task in tasks], in task order. Runs on a process pool
-    of min(threads, len(tasks), cpu count) workers, and starts none when
-    that is 1; fn (sent once per worker) and the tasks must pickle. With the
-    fork start method the pool starts all its workers at once, hence the cap."""
+def _map(fn, *iterables, threads):
+    """list(map(fn, *iterables)), on a process pool of min(threads, tasks,
+    cpu count) workers, and on none when that is 1; each task is sent with
+    its own copy of fn, and fn and the tasks must pickle. With the fork
+    start method the pool starts all its workers at once, hence the cap."""
+    tasks = list(zip(*iterables))
     workers = _workers(threads, len(tasks))
     if workers <= 1:
         return [fn(*task) for task in tasks]
-    install = functools.partial(setattr, _in_worker, "fn")
-    with ProcessPoolExecutor(max_workers=workers, initializer=install,
-                             initargs=(fn,)) as pool:
-        return list(pool.map(_in_worker, *zip(*tasks)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 def _plan_outage_sweep(cfg, base_dir):
@@ -368,7 +360,7 @@ def _plan_outage_sweep(cfg, base_dir):
                                   k_values=k_values,
                                   normalization=cfg["normalization"],
                                   method=cfg["method"], seed=seed)
-        results = _map(point, list(enumerate(grid)), threads)
+        results = _map(point, range(len(grid)), grid, threads=threads)
         rows = [[_fmt(snr_db), k, _subset_str(subset), _fmt(value), cfg["method"]]
                 for snr_db, cells in zip(grid, results)
                 for k, (subset, value) in zip(k_values, cells)]
@@ -471,9 +463,7 @@ def _plan_ensemble(cfg, base_dir):
     def run(place, seed, threads):
         # the recording's row chunks and the replay's sample chunks, one per
         # worker each, go to the pool
-        def pool_map(fn, chunks):
-            return _map(fn, [(chunk,) for chunk in chunks], threads)
-
+        pool_map = functools.partial(_map, threads=threads)
         dataset = ensemble.record_dataset(
             topologies, cfg["strategy"], cfg["rate"], frames, named_rng(seed, "dataset"),
             map=pool_map, chunks=_workers(threads, len(topologies) * frames))

@@ -18,7 +18,7 @@ from .netsim import (Strategy, enumerate_modes, evaluate_frames, gapless,
                      mode_key_str, read_csv_rows)
 from .outage import rate_threshold
 from .rng import named_rng
-from .topology import sample_channels
+from .topology import check_int, sample_channels
 
 
 class TraceExhaustedError(RuntimeError):
@@ -39,6 +39,8 @@ class MacPolicy:
     max_retx_per_link: int = 4
 
     def __post_init__(self):
+        for name in ("max_retx_coop", "max_retx_per_link"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
         if self.max_retx_coop < 0 or self.max_retx_per_link < 0:
             raise ValueError("retransmission limits must be >= 0")
 
@@ -220,6 +222,7 @@ class CoopVsRoutingScenario:
 
     def __post_init__(self):
         rate_threshold(self.rate)
+        object.__setattr__(self, "n_packets", check_int(self.n_packets, "n_packets"))
         if self.n_packets < 1:
             raise ValueError(f"n_packets must be >= 1, got {self.n_packets}")
         selection.check_policy(self.mode_policy, self.topology.n_relays,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .outage import approx_capacity, rate_threshold
+from .topology import check_int
 
 
 class TraceFormatError(ValueError):
@@ -48,7 +49,7 @@ class Mode:
     relays: tuple
 
     def __init__(self, relays):
-        relays = tuple(int(i) for i in relays)
+        relays = tuple(check_int(i, "relays") for i in relays)
         if len(relays) not in (1, 2):
             raise ValueError(f"a mode uses 1 or 2 relays, got {relays}")
         if any(i < 1 for i in relays):

@@ -28,13 +28,12 @@ level they compare it with.
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import named_rng
-from .topology import link_scales
+from .topology import check_int, link_scales, unit_draws
 
 
 class IndexOutOfSubsetError(ValueError):
@@ -42,10 +41,10 @@ class IndexOutOfSubsetError(ValueError):
 
 
 class QuadratureFailure(ArithmeticError):
-    """The quadrature error estimate exceeds the requested tolerance."""
+    """The quadrature error estimate exceeds the tolerance REL_TOL."""
 
 
-DEFAULT_REL_TOL = 1e-8
+REL_TOL = 1e-8  # relative tolerance of the P_omega quadrature, read at each call
 DEFAULT_MC_SAMPLES = 100_000
 # Rows of draws whose link capacities the Monte-Carlo estimators hold at once
 _BLOCK_ROWS = 16_384
@@ -70,29 +69,25 @@ class Cut:
     omega: frozenset
 
     def __init__(self, omega=()):
-        object.__setattr__(self, "omega", frozenset(int(i) for i in omega))
+        object.__setattr__(self, "omega", frozenset(check_int(i, "omega") for i in omega))
 
 
 @dataclass(frozen=True)
 class OutageQuery:
+    """The checked rate, relay subset and Monte-Carlo draws of a query."""
     rate: float
     subset: tuple = ()
-    quadrature_rel_tol: float = DEFAULT_REL_TOL
     mc_samples: int = DEFAULT_MC_SAMPLES
 
     def __post_init__(self):
-        object.__setattr__(self, "subset", tuple(int(i) for i in self.subset))
+        object.__setattr__(self, "subset",
+                           tuple(check_int(i, "subset") for i in self.subset))
         rate_threshold(self.rate, positive=True)
         if len(set(self.subset)) != len(self.subset):
             raise ValueError("subset indices must be distinct")
         if any(i < 1 for i in self.subset):
             raise ValueError("relay indices are 1-based")
-        if not self.quadrature_rel_tol > 0:
-            raise ValueError("quadrature_rel_tol must be positive")
-        if isinstance(self.mc_samples, bool) \
-                or not isinstance(self.mc_samples, numbers.Integral) or self.mc_samples < 1:
-            raise ValueError(f"mc_samples must be an integer >= 1, got {self.mc_samples!r}")
-        object.__setattr__(self, "mc_samples", int(self.mc_samples))
+        object.__setattr__(self, "mc_samples", check_int(self.mc_samples, "mc_samples", 1))
 
 
 def approx_capacity(c, subset):
@@ -169,11 +164,11 @@ def _cut_plans(subsets, n_relays):
     """
     sources = {(0,): 0}
     plans = []
-    for mask in range(1 << len(subsets[0])):
+    for omega, rest in _cut_sides(len(subsets[0])):
         terms = []
         for subset in subsets:
-            src = [i for p, i in enumerate(subset) if mask >> p & 1]
-            dst = [n_relays + j for p, j in enumerate(subset) if not mask >> p & 1]
+            src = [subset[p] for p in omega]
+            dst = [n_relays + subset[p] for p in rest]
             cut = ([(i, j) for i in src for j in dst] if src and dst
                    else [(link,) for link in src + dst] or [(0,)])
             terms.append([sources.setdefault(term, len(sources)) for term in cut])
@@ -184,37 +179,37 @@ def _cut_plans(subsets, n_relays):
 
 
 def _outage_counts(rng, n, searches, rate):
-    """For each search (scales, subsets), the number of the n rows unit *
-    scales whose approx_capacity is below rate, for each subset, unit being
-    n rows of rng.standard_exponential((n, 2N+1)) that every search shares
-    (scales is link_scales of its topology). A search's subsets share one
-    size.
+    """For each search (t, subsets), the number of the n rows of
+    sample_channels(t, rng, n) whose approx_capacity is below rate, for
+    each subset, every search scaling the same n unit_draws rows to its own
+    t. A search's subsets share one size, and the topologies one relay
+    count.
 
-    The rows are drawn block by block, with rng.standard_exponential((rows,
-    2N+1)) for up to _BLOCK_ROWS rows: numpy's Generator fills an (n, L)
-    request row by row in one pass, so the blocks are the rows of the one
-    (n, 2N+1) draw, exactly. Each block is counted for every search before
-    the next is drawn.
+    The rows are drawn block by block, with unit_draws(t, rng, rows) for
+    up to _BLOCK_ROWS rows: numpy's Generator fills an (n, L) request row
+    by row in one pass, so the blocks are the rows of the one (n, 2N+1)
+    draw, exactly. Each block is counted for every search before the next
+    is drawn.
 
     A row is in outage exactly when its direct link and at least one cut are
     below rate. Rounding is monotone, so fl(max h_i + max g_j) equals
     max fl(h_i + g_j): a cut with links on both sides is below rate exactly
     when every pair h_i + g_j across it is, and a one-sided cut when each of
-    its links is. For each search, the block is scaled as it is copied into
-    one buffer that every search and block reuses, takes log2(1 + x) there
-    and packs one bit row per source of _cut_plans (2 KB per row); only the
-    links up to the last one a source reads are scaled and logged, at k = 0
-    the direct link alone. A subset's outage bits are the OR over its cuts
-    of the AND of their rows, ANDed with the direct row, and are counted
-    through _POPCOUNT, _CHUNK_SUBSETS subsets at a time. Memory, whatever n
-    is, is one block of draws, one float buffer of its size, the packed
-    rows (about 180 KB for all pairs at N = 10) and a few (_CHUNK_SUBSETS,
-    2 KB) arrays.
+    its links is. For each search, the block is scaled by link_scales(t)
+    as it is copied into one buffer that every search and block reuses,
+    takes log2(1 + x) there and packs one bit row per source of _cut_plans
+    (2 KB per row); only the links up to the last one a source reads are
+    scaled and logged, at k = 0 the direct link alone. A subset's outage
+    bits are the OR over its cuts of the AND of their rows, ANDed with the
+    direct row, and are counted through _POPCOUNT, _CHUNK_SUBSETS subsets
+    at a time. Memory, whatever n is, is one block of draws, one float
+    buffer of its size, the packed rows (about 180 KB for all pairs at
+    N = 10) and a few (_CHUNK_SUBSETS, 2 KB) arrays.
     """
     if not searches:
         return []
-    width = len(searches[0][0])
-    plans = [_cut_plans(tuple(subsets), (width - 1) // 2) for _, subsets in searches]
+    scales = [link_scales(t) for t, _ in searches]
+    plans = [_cut_plans(tuple(subsets), t.n_relays) for t, subsets in searches]
     links = [max(map(max, sources)) + 1 for sources, _ in plans]
     rows = min(n, _BLOCK_ROWS)
     buf = np.empty((max(links), rows))
@@ -224,12 +219,12 @@ def _outage_counts(rng, n, searches, rate):
                     dtype=np.uint8)
     counts = [np.zeros(len(subsets), dtype=np.int64) for _, subsets in searches]
     for start in range(0, n, _BLOCK_ROWS):
-        block = rng.standard_exponential((min(_BLOCK_ROWS, n - start), width))
+        block = unit_draws(searches[0][0], rng, min(_BLOCK_ROWS, n - start))
         m = len(block)
-        for (scales, subsets), (sources, cut_plans), used, count in zip(
-                searches, plans, links, counts):
+        for (_, subsets), scale, (sources, cut_plans), used, count in zip(
+                searches, scales, plans, links, counts):
             caps = buf[:used, :m]
-            np.multiply(block[:, :used].T, scales[:used, None], out=caps)
+            np.multiply(block[:, :used].T, scale[:used, None], out=caps)
             np.log2(np.add(caps, 1.0, out=caps), out=caps)
             # packbits zero-fills the tail of each row's last byte
             table = bits[:len(sources), :(m + 7) // 8]
@@ -320,7 +315,7 @@ def _panel_rule(lams_src, lams_dst, rate, tau, points):
     return value, abs(value - float((w_whole * f[:len(x_whole)]).sum()))
 
 
-def _p_omega(lams_src, lams_dst, rate, rel_tol):
+def _p_omega(lams_src, lams_dst, rate):
     """Pr{log2(1+X) + log2(1+Y) < R} for X = max Exp(lams_src), Y = max
     Exp(lams_dst); degenerate sides reduce to a single CDF evaluation.
 
@@ -334,7 +329,7 @@ def _p_omega(lams_src, lams_dst, rate, rel_tol):
     of y miss), and where each source density has fallen by e^-10 and
     e^-100, at x = 10 / lambda and 100 / lambda. A value that passes on
     the first breakpoints comes from them alone. A pass also needs the
-    value within 10 * rel_tol of the bounds F_X(h) F_Y(h) <= P <=
+    value within 10 * REL_TOL of the bounds F_X(h) F_Y(h) <= P <=
     min(F_X(tau), F_Y(tau)), h = sqrt(1 + tau) - 1: at high rates both
     rules can miss the whole source density inside one panel and agree.
     """
@@ -363,14 +358,14 @@ def _p_omega(lams_src, lams_dst, rate, rel_tol):
     floor = _max_cdf(lams_src, h) * _max_cdf(lams_dst, h)
     for points in (scales, scales | turns):
         value, abserr = _panel_rule(lams_src, lams_dst, rate, tau, points)
-        if (math.isfinite(value) and abserr <= 10.0 * rel_tol * max(abs(value), 1e-300)
-                and floor * (1.0 - 10.0 * rel_tol) <= value
-                <= ceiling * (1.0 + 10.0 * rel_tol)):
+        if (math.isfinite(value) and abserr <= 10.0 * REL_TOL * max(abs(value), 1e-300)
+                and floor * (1.0 - 10.0 * REL_TOL) <= value
+                <= ceiling * (1.0 + 10.0 * REL_TOL)):
             return min(max(value, 0.0), 1.0)
     raise QuadratureFailure(
         f"P_omega quadrature reached error {abserr:.3e} for value {value:.3e} "
         f"(bounds {floor:.3e} to {ceiling:.3e}) at lams_src={lams_src}, "
-        f"lams_dst={lams_dst}, rate={rate!r}, rel_tol={rel_tol:.1e}")
+        f"lams_dst={lams_dst}, rate={rate!r}, rel_tol={REL_TOL:.1e}")
 
 
 def _cut_rates(t, cut, subset):
@@ -394,7 +389,7 @@ def cut_outage_analytic(t, q, cut):
             f"cut {sorted(cut.omega)} not within subset {sorted(q.subset)}")
     lams_src, lams_dst = _cut_rates(t, cut, q.subset)
     try:
-        return _p_omega(lams_src, lams_dst, float(q.rate), float(q.quadrature_rel_tol))
+        return _p_omega(lams_src, lams_dst, float(q.rate))
     except QuadratureFailure as e:
         raise QuadratureFailure(
             f"topology {t.label!r}, subset {q.subset}, cut omega={sorted(cut.omega)}: "
@@ -442,8 +437,8 @@ def outage_monte_carlo(t, q, rng):
     return p, math.sqrt(p * (1.0 - p) / q.mc_samples)
 
 
-def best_subnetwork(t, k, rate, method="analytic", rel_tol=DEFAULT_REL_TOL,
-                    mc_samples=DEFAULT_MC_SAMPLES, rng=None):
+def best_subnetwork(t, k, rate, method="analytic", mc_samples=DEFAULT_MC_SAMPLES,
+                    rng=None):
     """Search for the outage-optimal k-relay subset.
 
     Ties keep the lexicographically smallest subset. With
@@ -471,7 +466,7 @@ def best_subnetwork(t, k, rate, method="analytic", rel_tol=DEFAULT_REL_TOL,
         [best] = _least_outage([(t, subsets)], rate, draw_rng, n)
         return best
     best_subset, best_value = None, math.inf
-    for floor, q in _floor_order(t, subsets, rate, rel_tol):
+    for floor, q in _floor_order(t, subsets, rate):
         if floor > best_value:
             break
         value = _bound_unless_above(t, q, best_value)
@@ -486,11 +481,11 @@ def _subsets(t, k):
     return list(itertools.combinations(range(1, t.n_relays + 1), k))
 
 
-def _floor_order(t, subsets, rate, rel_tol):
+def _floor_order(t, subsets, rate):
     """(floor, query) pairs of the subsets in ascending order of floor,
     ties in lexicographic order: the order in which the analytic searches
     visit them. A query is built only when the walk reaches its subset;
-    the checks every query makes come first.
+    the rate check that every query makes comes first.
 
     A subset's floor is P_direct * (F_Y(tau) + F_X(tau)), the terms of
     its bound's two closed-form cuts omega = {} and omega = subset added
@@ -500,8 +495,7 @@ def _floor_order(t, subsets, rate, rel_tol):
     does, so the floor equals the sum of those two cut terms bit for bit
     (the oracle tests/oracles.bound_floor).
     """
-    OutageQuery(rate=rate, quadrature_rel_tol=rel_tol)
-    tau = rate_threshold(float(rate))
+    tau = rate_threshold(rate, positive=True)
     members = np.array(subsets, dtype=np.intp) - 1
     in_subset = np.zeros((len(subsets), t.n_relays), dtype=bool)
     in_subset[np.arange(len(subsets))[:, None], members] = True
@@ -514,16 +508,16 @@ def _floor_order(t, subsets, rate, rel_tol):
         total += cdf
     floors = np.minimum(1.0, direct_outage(t.lambda_sd, rate) * total)
     for floor, subset in sorted(zip(floors.tolist(), subsets)):
-        yield floor, OutageQuery(rate=rate, subset=subset, quadrature_rel_tol=rel_tol)
+        yield floor, OutageQuery(rate=rate, subset=subset)
 
 
-def _reaches(t, k, rate, level, rel_tol):
+def _reaches(t, k, rate, level):
     """Whether some k-subset's outage_upper_bound is <= level, that is
-    best_subnetwork(t, k, rate, rel_tol=rel_tol)[1] <= level. Subsets are
+    best_subnetwork(t, k, rate)[1] <= level. Subsets are
     visited in floor order; the walk stops at the first bound <= level, or
     at the first floor > level, since no later bound can be below it. Each
     bound is summed only until it is above level (_bound_unless_above)."""
-    for floor, q in _floor_order(t, _subsets(t, k), rate, rel_tol):
+    for floor, q in _floor_order(t, _subsets(t, k), rate):
         if floor > level:
             return False
         if _bound_unless_above(t, q, level) <= level:
@@ -533,12 +527,11 @@ def _reaches(t, k, rate, level, rel_tol):
 
 def _least_outage(searches, rate, rng, n):
     """For each search (t, subsets), the least-outage subset and its
-    outage, ties keeping the earliest subset. Every search counts the same
-    n unit draws from rng, each scaled to its own t, in one pass that
-    draws them block by block (_outage_counts); the topologies share one
-    relay count."""
-    counts = _outage_counts(rng, n, [(link_scales(t), subsets) for t, subsets in searches],
-                            rate)
+    outage, ties keeping the earliest subset, from the counts of
+    _outage_counts: every search counts the same n unit draws from rng,
+    each scaled to its own t, in one pass that draws them block by block;
+    the topologies share one relay count."""
+    counts = _outage_counts(rng, n, searches, rate)
     return [(subsets[c.index(min(c))], min(c) / n)
             for (_, subsets), c in zip(searches, counts)]
 
@@ -562,8 +555,7 @@ def check_snr_grid(grid):
 
 
 def sweep_point(template, rate, gi, snr_db, k_values, normalization="per_node",
-                method="analytic", rel_tol=DEFAULT_REL_TOL,
-                mc_samples=DEFAULT_MC_SAMPLES, seed=0):
+                method="analytic", mc_samples=DEFAULT_MC_SAMPLES, seed=0):
     """[best_subnetwork(scaled_k, k, ...) for k in k_values] at point gi of
     an SNR sweep, scaled_k being the template scaled to snr_db for k. The
     Monte-Carlo draws come from the (seed, "sweep", gi) stream, so that
@@ -574,7 +566,7 @@ def sweep_point(template, rate, gi, snr_db, k_values, normalization="per_node",
     snr = 10.0 ** (snr_db / 10.0)
     scaled = [template.scaled(_snr_scale(snr, k, normalization)) for k in k_values]
     if method != "montecarlo":
-        return [best_subnetwork(t, k, rate, method=method, rel_tol=rel_tol)
+        return [best_subnetwork(t, k, rate, method=method)
                 for t, k in zip(scaled, k_values)]
     n = OutageQuery(rate=rate, mc_samples=mc_samples).mc_samples
     searches = [(t, _subsets(t, k)) for t, k in zip(scaled, k_values)]
@@ -582,8 +574,7 @@ def sweep_point(template, rate, gi, snr_db, k_values, normalization="per_node",
 
 
 def outage_sweep(template, k_values, rate, snr_grid_db, normalization="per_node",
-                 method="analytic", rel_tol=DEFAULT_REL_TOL,
-                 mc_samples=DEFAULT_MC_SAMPLES, seed=0):
+                 method="analytic", mc_samples=DEFAULT_MC_SAMPLES, seed=0):
     """Best-subnetwork outage across an SNR grid.
 
     The template topology holds the relative link gains; each grid point
@@ -595,7 +586,7 @@ def outage_sweep(template, k_values, rate, snr_grid_db, normalization="per_node"
     check_snr_grid(grid)
     point = functools.partial(sweep_point, template, rate, k_values=k_values,
                               normalization=normalization, method=method,
-                              rel_tol=rel_tol, mc_samples=mc_samples, seed=seed)
+                              mc_samples=mc_samples, seed=seed)
     return [{"snr_db": snr_db, "k": k, "subset": subset, "outage": value,
              "method": method}
             for gi, snr_db in enumerate(grid)
@@ -603,8 +594,7 @@ def outage_sweep(template, k_values, rate, snr_grid_db, normalization="per_node"
 
 
 def required_snr_db(template, k, rate, target, normalization="per_node",
-                    lo_db=-20.0, hi_db=60.0, iterations=40,
-                    rel_tol=DEFAULT_REL_TOL):
+                    lo_db=-20.0, hi_db=60.0, iterations=40):
     """Reference SNR (dB) at which the best k-relay analytic outage bound
     crosses the target, found by bisection (the bound is monotone
     decreasing in SNR).
@@ -616,9 +606,7 @@ def required_snr_db(template, k, rate, target, normalization="per_node",
     finite and 0 < target < 1, or when the bound is already below the
     target at lo_db or above it at hi_db.
     """
-    if isinstance(iterations, bool) or not isinstance(iterations, numbers.Integral) \
-            or iterations < 0:
-        raise ValueError(f"iterations must be an integer >= 0, got {iterations!r}")
+    check_int(iterations, "iterations", 0)
     if not (math.isfinite(lo_db) and math.isfinite(hi_db) and lo_db < hi_db):
         raise ValueError(f"lo_db and hi_db must be finite with lo_db < hi_db, "
                          f"got lo_db={lo_db!r}, hi_db={hi_db!r}")
@@ -627,7 +615,7 @@ def required_snr_db(template, k, rate, target, normalization="per_node",
 
     def reaches(snr_db, level):
         scaled = template.scaled(_snr_scale(10.0 ** (snr_db / 10.0), k, normalization))
-        return _reaches(scaled, k, rate, level, rel_tol)
+        return _reaches(scaled, k, rate, level)
 
     # least bound < target, as least bound <= the float just below target
     if reaches(lo_db, math.nextafter(target, -math.inf)):

@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass, field, replace
 
 from .netsim import Mode, enumerate_modes, mode_key_str
+from .topology import check_int
 
 
 class DegenerateSetError(ValueError):
@@ -37,6 +38,8 @@ class LearnParams:
     B: int = 50
 
     def __post_init__(self):
+        for name in ("l", "B"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
         if self.l < 1:
             raise ValueError(f"l must be >= 1, got {self.l}")
         if not (self.eta > 0 and math.isfinite(self.eta)):
@@ -61,6 +64,8 @@ class SpaParams:
     learn: LearnParams = field(default_factory=LearnParams)
 
     def __post_init__(self):
+        for name in ("r", "w", "delta_w", "s"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
         if not 0.0 < self.zeta <= 1.0:
             raise ValueError(f"zeta must be in (0, 1], got {self.zeta}")
         if self.r < 1:

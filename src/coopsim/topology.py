@@ -8,6 +8,7 @@ where sigma^2 is the mean link SNR (signal and noise power normalized to
 one, so squared magnitudes are in linear SNR units).
 """
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,17 @@ class NonPositiveRateError(TopologyError):
 
 class LengthMismatchError(TopologyError):
     """A per-relay parameter list does not have n_relays entries."""
+
+
+def check_int(value, field, minimum=None):
+    """value as an int; a ValueError naming field unless it is an integer
+    (numpy integers too), not a bool, and >= minimum if one is given. 1.5
+    is not truncated to 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or minimum is not None and value < minimum:
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{field} must be an integer{at_least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -114,7 +126,7 @@ def link_scales(t):
 def unit_draws(t, rng, n=None):
     """sample_channels(t, rng, n) before its scaling by link_scales(t)."""
     links = 2 * t.n_relays + 1
-    return rng.standard_exponential(links if n is None else (int(n), links))
+    return rng.standard_exponential(links if n is None else (check_int(n, "n"), links))
 
 
 def sample_channels(t, rng, n=None):
@@ -138,7 +150,7 @@ class TopologySchedule:
     segments: tuple
 
     def __post_init__(self):
-        segs = tuple((str(label), int(n)) for label, n in self.segments)
+        segs = tuple((str(label), check_int(n, "frames")) for label, n in self.segments)
         object.__setattr__(self, "segments", segs)
         if not segs:
             raise TopologyError("schedule must have at least one segment")

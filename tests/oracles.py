@@ -54,7 +54,7 @@ from scipy.integrate import IntegrationWarning, quad
 from coopsim.macemu import (AIRTIME_BOTH_US, AIRTIME_DIRECT_US, PacketResult,
                             TraceExhaustedError)
 from coopsim.netsim import Mode, Strategy, evaluate_frame, mode_key_str
-from coopsim.outage import (DEFAULT_REL_TOL, Cut, OutageQuery, QuadratureFailure,
+from coopsim.outage import (Cut, OutageQuery, QuadratureFailure,
                             approx_capacity, best_subnetwork, cut_outage_analytic,
                             direct_outage, outage_upper_bound)
 from coopsim.selection import (DEFAULT_PARAMS, LearnCall, RankedModeList, learn,
@@ -198,12 +198,12 @@ def bound_floor(t, q):
     return min(1.0, direct_outage(t.lambda_sd, q.rate) * total)
 
 
-def best_subnetwork_exhaustive(t, k, rate, rel_tol):
+def best_subnetwork_exhaustive(t, k, rate):
     """Union bound of every k-relay subset in lexicographic order; ties
     keep the earliest."""
     best_subset, best_value = None, math.inf
     for subset in itertools.combinations(range(1, t.n_relays + 1), k):
-        q = OutageQuery(rate=rate, subset=subset, quadrature_rel_tol=rel_tol)
+        q = OutageQuery(rate=rate, subset=subset)
         value = outage_upper_bound(t, q)
         if value < best_value:
             best_subset, best_value = subset, value
@@ -226,8 +226,7 @@ def best_subnetwork_montecarlo_scan(t, k, rate, mc_samples, rng):
 
 def required_snr_db_full_search(template, k, rate, target,
                                 normalization="per_node", lo_db=-20.0,
-                                hi_db=60.0, iterations=40,
-                                rel_tol=DEFAULT_REL_TOL):
+                                hi_db=60.0, iterations=40):
     """Bisection for the SNR (dB) at which the least k-subset union bound
     crosses the target, each step comparing the exact least bound of a
     full best_subnetwork search with the target."""
@@ -235,7 +234,7 @@ def required_snr_db_full_search(template, k, rate, target,
     def level(snr_db):
         snr = 10.0 ** (snr_db / 10.0)
         scaled = template.scaled(snr / (k + 1) if normalization == "total_power" else snr)
-        _, value = best_subnetwork(scaled, k, rate, method="analytic", rel_tol=rel_tol)
+        _, value = best_subnetwork(scaled, k, rate, method="analytic")
         return value
 
     if level(lo_db) < target:

@@ -65,17 +65,30 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
-class CountsPickles:
-    """Multiplies its arguments; counts in this process how often it is
-    pickled."""
-    pickled = 0
+@pytest.fixture
+def serial_pools(monkeypatch):
+    """Stands in for experiments' ProcessPoolExecutor, mapping in this
+    process; the list it returns gets (max_workers, fn, task count) for
+    every pool.map call."""
+    pools = []
 
-    def __call__(self, a, b):
-        return a * b
+    class SerialPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
 
-    def __reduce__(self):
-        CountsPickles.pickled += 1
-        return CountsPickles, ()
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            tasks = list(zip(*iterables))
+            pools.append((self.max_workers, fn, len(tasks)))
+            return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    return pools
 
 
 def test_version_matches_pyproject():
@@ -911,81 +924,52 @@ class TestRunConfig:
             run_config(cfg, threads=threads)
         assert not (tmp_path / "o").exists()
 
-    def test_pool_workers_are_capped_by_tasks_and_cores(self, tmp_path, monkeypatch):
-        pools = []
-
-        class SerialPool:
-            """Records max_workers, and initializes and maps in this process."""
-            def __init__(self, max_workers, initializer, initargs):
-                pools.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(experiments._in_worker, "fn", None, raising=False)
+    def test_pool_workers_are_capped_by_tasks_and_cores(self, tmp_path, monkeypatch,
+                                                         serial_pools):
         cfg = write_yaml(tmp_path / "c.yaml", {
             "kind": "outage_sweep", "seed": 1, "topology": topo_doc(),
             "rate": 1.0, "k_values": [0, 1],
             "snr_grid": [0.0, 3.0, 6.0, 9.0]})  # 4 tasks, one per grid point
         serial = Path(run_config(cfg, out_dir="t1", threads=1)[0]).read_bytes()
-        assert pools == []
+        assert serial_pools == []
         for cores, expected in ((64, 4), (3, 3), (1, None), (None, None)):
             monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
             out = run_config(cfg, out_dir=f"c{cores}", threads=64)[0]
             assert Path(out).read_bytes() == serial
-            assert pools == ([] if expected is None else [expected])
-            pools.clear()
+            assert [workers for workers, _, _ in serial_pools] == (
+                [] if expected is None else [expected])
+            serial_pools.clear()
 
-    def test_replay_pool_follows_the_samples(self, tmp_path, monkeypatch):
+    def test_replay_pool_follows_the_samples(self, tmp_path, monkeypatch, serial_pools):
         # one policy over n_samples samples: the replay's pool has one worker
         # per sample chunk, min(threads, cores, n_samples), and it receives a
         # partial of a module-level function, which spawn can pickle
-        pools, fns = [], []
-
-        class SerialPool:
-            """Records max_workers and the pool's fn, and maps in this process."""
-            def __init__(self, max_workers, initializer, initargs):
-                pools.append(max_workers)
-                fns.append(initargs[0])
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(experiments._in_worker, "fn", None, raising=False)
         cfg = write_yaml(tmp_path / "c.yaml", {
             "kind": "ensemble", "seed": 3, "rate": 1.0,
             "topologies": schedule_doc()["topologies"], "frames_per_topology": 50,
             "segment_len": 10, "n_samples": 3, "policies": ["WRNM"]})
         serial = [Path(f).read_bytes() for f in run_config(cfg, out_dir="s", threads=1)]
-        assert pools == []
+        assert serial_pools == []
         for cores, threads, expected in ((64, 64, 3), (2, 64, 2), (64, 2, 2)):
             monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
             outputs = run_config(cfg, out_dir=f"c{cores}-{threads}", threads=threads)
             assert [Path(f).read_bytes() for f in outputs] == serial
-            assert pools[-1] == expected  # after the recording's pool
-            assert isinstance(fns[-1], functools.partial)
-            assert fns[-1].func is ensemble._replay_chunk
-            pools.clear()
+            workers, fn, _ = serial_pools[-1]  # after the recording's pool
+            assert workers == expected
+            assert isinstance(fn, functools.partial)
+            assert fn.func is ensemble._replay_chunk
+            serial_pools.clear()
 
-    def test_pool_sends_fn_once_per_worker(self, monkeypatch):
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(CountsPickles, "pickled", 0)
-        fn, tasks = CountsPickles(), [(i, i + 1) for i in range(8)]
-        assert experiments._map(fn, tasks, threads=2) == [fn(*task) for task in tasks]
-        assert CountsPickles.pickled <= 2  # none under fork, one per worker otherwise
+    @pytest.mark.parametrize("cores, threads", [(64, 3), (2, 64), (4, 4)])
+    def test_ensemble_sends_each_worker_one_task_per_phase(self, tmp_path, monkeypatch,
+                                                           serial_pools, cores, threads):
+        # each task is sent with its own copy of fn, which holds the dataset
+        # in the replay; one task per worker sends it once per worker
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "kind": "ensemble", "seed": 3, "rate": 1.0,
+            "topologies": schedule_doc()["topologies"], "frames_per_topology": 50,
+            "segment_len": 10, "n_samples": 9, "policies": ["WRNM", "DT"]})
+        run_config(cfg, out_dir="o", threads=threads)
+        workers = min(cores, threads)
+        assert [(w, tasks) for w, _, tasks in serial_pools] == [(workers, workers)] * 2

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_topology, topologies
 from coopsim import outage
-from coopsim.outage import (_BLOCK_ROWS, DEFAULT_REL_TOL, MAX_RATE, Cut,
+from coopsim.outage import (_BLOCK_ROWS, MAX_RATE, REL_TOL, Cut,
                             IndexOutOfSubsetError, OutageQuery,
                             QuadratureFailure, _bound_unless_above,
                             _cut_plans, _floor_order, _p_omega, _reaches,
@@ -178,22 +178,24 @@ class TestCutOutageAnalytic:
         q = OutageQuery(rate=1e-9, subset=(1, 2))
         assert cut_outage_analytic(t, q, Cut({1})) < 1e-6
 
-    def test_quadrature_consistency_under_tolerance_halving(self):
+    def test_quadrature_consistency_under_tolerance_halving(self, monkeypatch):
         t = Topology.from_snr(0.8, [1.5, 0.4], [2.0, 0.7])
+        q = OutageQuery(rate=1.3, subset=(1, 2))
         for tol in (1e-6, 1e-8):
-            q1 = OutageQuery(rate=1.3, subset=(1, 2), quadrature_rel_tol=tol)
-            q2 = OutageQuery(rate=1.3, subset=(1, 2), quadrature_rel_tol=tol / 2)
-            a = cut_outage_analytic(t, q1, Cut({1, 2}))
-            b = cut_outage_analytic(t, q2, Cut({1, 2}))
+            monkeypatch.setattr(outage, "REL_TOL", tol)
+            a = cut_outage_analytic(t, q, Cut({1, 2}))
+            monkeypatch.setattr(outage, "REL_TOL", tol / 2)
+            b = cut_outage_analytic(t, q, Cut({1, 2}))
             assert abs(a - b) <= tol * max(a, b)
 
-    def test_term_expansion_cross_check(self):
+    def test_term_expansion_cross_check(self, monkeypatch):
         # the signed-exponential expansion must agree for distinct rates
         cases = [((0.7, 1.3), (0.5, 2.0), 1.5),
                  ((1.1,), (0.3, 0.9), 0.8),
                  ((0.25, 2.5, 0.9), (1.7,), 2.0)]
+        monkeypatch.setattr(outage, "REL_TOL", 1e-10)
         for lams_l, lams_r, rate in cases:
-            direct = _p_omega(lams_l, lams_r, rate, 1e-10)
+            direct = _p_omega(lams_l, lams_r, rate)
             expanded = p_omega_by_term_expansion(lams_l, lams_r, rate, 1e-10)
             assert direct == pytest.approx(expanded, rel=1e-6, abs=1e-12)
 
@@ -216,7 +218,7 @@ class TestCutOutageAnalytic:
         if repeat:
             src, dst = [src[0]] * len(src), [dst[0]] * len(dst)
         src, dst = tuple(sorted(src)), tuple(sorted(dst))
-        value = _p_omega(src, dst, rate, DEFAULT_REL_TOL)
+        value = _p_omega(src, dst, rate)
         assert value == pytest.approx(p_omega_quad(src, dst, rate, 1e-12),
                                       rel=1e-9, abs=1e-15)
 
@@ -224,18 +226,18 @@ class TestCutOutageAnalytic:
         # sources 4e8 times weaker than the destination at a high rate: the
         # oracle once passed its own error check here on a value 1.6e-4
         # off. 30- and 40-digit mpmath integrals give 7.76080147975020e-10;
-        # _p_omega is 4.3e-9 off, inside its own 10 * rel_tol check
+        # _p_omega is 4.3e-9 off, inside its own 10 * REL_TOL check
         src, dst, rate = (4.662784892086327e-05,) * 3, (19977.117398525912,), 4.3728647367979585
         exact = 7.76080147975020e-10
         assert p_omega_quad(src, dst, rate, 1e-12) == pytest.approx(exact, rel=1e-12)
-        assert _p_omega(src, dst, rate, DEFAULT_REL_TOL) == pytest.approx(
-            exact, rel=10 * DEFAULT_REL_TOL)
+        assert _p_omega(src, dst, rate) == pytest.approx(exact, rel=10 * REL_TOL)
 
-    def test_failure_names_its_inputs(self):
+    def test_failure_names_its_inputs(self, monkeypatch):
         # a tolerance below double precision fails wherever the halved and
         # whole-panel sums differ in rounding, as they do here
         t = Topology.from_snr(0.8, [1.5, 0.4], [2.0, 0.7], label="two-relay")
-        q = OutageQuery(rate=4.0, subset=(1, 2), quadrature_rel_tol=1e-30)
+        q = OutageQuery(rate=4.0, subset=(1, 2))
+        monkeypatch.setattr(outage, "REL_TOL", 1e-30)
         with pytest.raises(QuadratureFailure) as info:
             cut_outage_analytic(t, q, Cut({2}))
         message = str(info.value)
@@ -247,7 +249,7 @@ class TestCutOutageAnalytic:
 
     def test_boundary_concentrated_density(self):
         # very weak links: the density spikes near zero but mass must be kept
-        p = _p_omega((1000.0,), (1000.0,), 1.0, 1e-8)
+        p = _p_omega((1000.0,), (1000.0,), 1.0)
         rng = np.random.default_rng(11)
         n = 10 ** 6
         x = rng.exponential(1e-3, n)
@@ -260,7 +262,7 @@ class TestCutOutageAnalytic:
         # from R = 45 up both panel rules once missed the source density
         # inside one panel far wider than 1/lambda, and agreed on
         # F_X(1) = 1 - e^-2; the probability is 1 to double precision
-        assert _p_omega((2.0,), (1.0, 1.25), rate, DEFAULT_REL_TOL) == 1.0
+        assert _p_omega((2.0,), (1.0, 1.25), rate) == 1.0
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(lams_src=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3),
@@ -269,7 +271,7 @@ class TestCutOutageAnalytic:
                           st.just(math.nextafter(1024.0, 0.0))))
     def test_value_lies_between_its_bounds_at_every_rate(self, lams_src, lams_dst, rate):
         # F_X(h) F_Y(h) <= P <= min(F_X(tau), F_Y(tau)), h = sqrt(1 + tau) - 1,
-        # to within the rule's 10 * rel_tol; no oracle above R = 30 (see
+        # to within the rule's 10 * REL_TOL; no oracle above R = 30 (see
         # oracles.p_omega_quad), so the bounds are the check there
         src = tuple(sorted(10.0 ** e for e in lams_src))
         dst = tuple(sorted(10.0 ** e for e in lams_dst))
@@ -279,15 +281,15 @@ class TestCutOutageAnalytic:
         def cdf(lams, x):
             return math.prod(-math.expm1(-lam * x) for lam in lams)
 
-        value = _p_omega(src, dst, rate, DEFAULT_REL_TOL)
-        slack = 10.0 * DEFAULT_REL_TOL
+        value = _p_omega(src, dst, rate)
+        slack = 10.0 * REL_TOL
         assert cdf(src, h) * cdf(dst, h) * (1.0 - slack) <= value
         assert value <= min(cdf(src, tau), cdf(dst, tau)) * (1.0 + slack)
 
     def test_a_value_outside_its_bounds_takes_the_retry_or_fails(self, monkeypatch):
         # at R = 60 the bounds are [1, 1]: a first pass that misses them
         # gives way to the retry, and a retry that misses them fails
-        args = ((2.0,), (1.0, 1.25), 60.0, DEFAULT_REL_TOL)
+        args = ((2.0,), (1.0, 1.25), 60.0)
         passes = []
 
         def rule(value):
@@ -424,7 +426,7 @@ class TestBestSubnetwork:
         for t in cases:
             for rate in (0.5, 1.0, 2.0):
                 for k in range(t.n_relays + 1):
-                    expected = best_subnetwork_exhaustive(t, k, rate, DEFAULT_REL_TOL)
+                    expected = best_subnetwork_exhaustive(t, k, rate)
                     subset, value = best_subnetwork(t, k, rate)
                     assert (subset, value) == expected, (t.label, rate, k)
 
@@ -716,7 +718,7 @@ class TestSubsetWalk:
         for k in range(t.n_relays + 1):
             subsets = list(itertools.combinations(range(1, t.n_relays + 1), k))
             order = [(floor, q.subset)
-                     for floor, q in _floor_order(t, subsets, rate, DEFAULT_REL_TOL)]
+                     for floor, q in _floor_order(t, subsets, rate)]
             assert order == sorted(order)
             assert sorted(s for _, s in order) == subsets
             for floor, subset in order:
@@ -743,14 +745,15 @@ class TestSubsetWalk:
                     assert (value <= level) == (bound <= level), (q.subset, level)
                     assert value == bound if bound <= level else value > level
 
-    def test_quadrature_failure_on_the_walk_names_its_inputs(self):
+    def test_quadrature_failure_on_the_walk_names_its_inputs(self, monkeypatch):
         # at -20 dB every floor is 1, above the target, so the walk first
         # sums a bound at 60 dB, and its first quadrature cut, omega = {1},
         # fails at a tolerance below double precision
         template = Topology.from_snr(0.8, [1.5, 0.4], [2.0, 0.7], label="two-relay")
         scaled = template.scaled(10.0 ** (60.0 / 10.0))
+        monkeypatch.setattr(outage, "REL_TOL", 1e-30)
         with pytest.raises(QuadratureFailure) as info:
-            required_snr_db(template, 2, 4.0, 1e-2, rel_tol=1e-30)
+            required_snr_db(template, 2, 4.0, 1e-2)
         message = str(info.value)
         for field in ("topology 'two-relay'", "subset (1, 2)", "cut omega=[1]",
                       f"lams_src=({scaled.lambda_sr[0]!r},)",
@@ -808,7 +811,7 @@ class TestRequiredSnr:
             for level in planted:
                 for x in (level, math.nextafter(level, math.inf),
                           math.nextafter(level, -math.inf)):
-                    assert _reaches(t, k, rate, x, DEFAULT_REL_TOL) == (best <= x), \
+                    assert _reaches(t, k, rate, x) == (best <= x), \
                         (k, x, best)
 
     @pytest.mark.parametrize("normalization", ["per_node", "total_power"])

@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import topologies
+from coopsim.macemu import CoopVsRoutingScenario, MacPolicy
+from coopsim.netsim import Mode
+from coopsim.outage import Cut, OutageQuery
 from coopsim.rng import named_rng
+from coopsim.selection import LearnParams, SpaParams
 from coopsim.topology import (LengthMismatchError, NonPositiveRateError,
                               Topology, TopologyError, TopologySchedule,
                               load_topology, sample_channels, validate_topology)
@@ -129,6 +133,38 @@ def test_schedule_rejects_bad_segments():
         TopologySchedule(())
     with pytest.raises(TopologyError):
         TopologySchedule((("A", 0),))
+
+
+THREE_RELAYS = Topology.from_snr(1.0, [1.0] * 3, [1.0] * 3)
+
+# Each integer argument of a constructor: its name, and a function of its
+# value that builds with it and returns what was stored (a draw's row count)
+INTEGER_ARGUMENTS = [
+    ("omega", lambda v: min(Cut({v}).omega)),
+    ("subset", lambda v: OutageQuery(rate=1.0, subset=(v,)).subset[0]),
+    ("relays", lambda v: Mode((v,)).relays[0]),
+    ("frames", lambda v: TopologySchedule((("A", v),)).segments[0][1]),
+    ("n", lambda v: len(sample_channels(THREE_RELAYS, np.random.default_rng(0), v))),
+    *((name, lambda v, name=name: getattr(LearnParams(**{name: v}), name))
+      for name in ("l", "B")),
+    *((name, lambda v, name=name: getattr(SpaParams(**{name: v}), name))
+      for name in ("r", "w", "delta_w", "s")),
+    *((name, lambda v, name=name: getattr(MacPolicy(**{name: v}), name))
+      for name in ("max_retx_coop", "max_retx_per_link")),
+    ("n_packets", lambda v: CoopVsRoutingScenario(THREE_RELAYS, 1.0, v).n_packets),
+]
+
+
+@pytest.mark.parametrize("name, build", INTEGER_ARGUMENTS,
+                         ids=[name for name, _ in INTEGER_ARGUMENTS])
+def test_integer_arguments_are_checked_not_truncated(name, build):
+    # a float or a bool was once truncated (1.5 -> 1) or failed only later
+    for value in (1.5, True):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, "
+                                             f"got {value!r}$"):
+            build(value)
+    stored = build(np.int64(3))
+    assert stored == 3 and type(stored) is int
 
 
 def test_topology_file_roundtrip(tmp_path):
