@@ -73,8 +73,7 @@ class EnsembleSample:
         return sum(len(rows) for _, rows in self.segments)
 
 
-def record_dataset(topologies, strategy, rate, frames_per_topology, rng,
-                   map=map, chunks=1):
+def record_dataset(topologies, strategy, rate, frames_per_topology, rng, map=map):
     """Simulate every mode slot (plain DT, then every mode) of every
     topology over shared per-frame draws.
 
@@ -82,11 +81,10 @@ def record_dataset(topologies, strategy, rate, frames_per_topology, rng,
     mode slots (time-interleaved recording), so modes are compared on
     identical channels; each topology's frames come from one batch draw,
     drawn in topology order. All topologies must have the same relay count.
-    The draws, all topologies' rows in order, are cut into `chunks`
-    contiguous row chunks (fewer if there are fewer rows, none empty) and
-    evaluated by map(fn, chunks), which may be a process pool's map (fn
-    and the chunks then go by pickle); the result does not depend on map
-    or chunks.
+    Every draw row, all topologies' rows in order, is one task
+    (_record_row), and map(fn, rows) runs the tasks; it may be a process
+    pool's map (fn and the rows then go by pickle), and the result does
+    not depend on it.
     """
     if frames_per_topology < 1:
         raise ValueError("frames_per_topology must be >= 1")
@@ -98,19 +96,17 @@ def record_dataset(topologies, strategy, rate, frames_per_topology, rng,
     strategy = Strategy.parse(strategy)
     draws = np.concatenate([sample_channels(t, rng, frames_per_topology)
                             for t in topologies])
-    parts = map(functools.partial(_record_rows, keys, strategy, rate),
-                np.array_split(draws, min(chunks, len(draws))))
-    outcomes = np.concatenate(list(parts)).reshape(
+    rows = map(functools.partial(_record_row, keys, strategy, rate), draws.tolist())
+    outcomes = np.array(list(rows), np.int8).reshape(
         len(topologies), frames_per_topology, len(keys)).transpose(0, 2, 1)
     return ModeDataset(topologies=tuple(t.label for t in topologies),
                        mode_keys=tuple(keys), outcomes=np.ascontiguousarray(outcomes))
 
 
-def _record_rows(keys, strategy, rate, draws):
-    """The (rows, slots) int8 categories of each draw row under each mode
-    slot of keys, evaluated frame by frame."""
-    return np.array([[evaluate_frame(c, key, strategy, rate) for key in keys]
-                     for c in draws], np.int8)
+def _record_row(keys, strategy, rate, c):
+    """The category of the draw row c under each mode slot of keys."""
+    c = np.array(c)  # once: evaluate_frame converts a list on every call
+    return [evaluate_frame(c, key, strategy, rate) for key in keys]
 
 
 def synthetic_dataset(fer_table, frames_per_topology, rng):
@@ -194,49 +190,41 @@ class EnsembleResult:
 
 
 def evaluate_policies(policies, samples, dataset, params=selection.DEFAULT_PARAMS,
-                      seed=0, map=map, chunks=1):
+                      seed=0, map=map):
     """The EnsembleResult of each policy, in order.
 
     A result is labelled with the policy's selection.policy_name, and
     per-sample randomness (RandPick/PWR2 draws) comes from substreams of
     (seed, "replay", that name, sample index), so results depend on neither
     evaluation order nor spelling. Averages use compensated summation.
-    The samples are cut into `chunks` contiguous chunks (fewer if there are
-    fewer samples, none empty) and replayed under every policy by
-    map(fn, chunks), which may be a process pool's map (fn and the chunks
-    then go by pickle); the result does not depend on map or chunks.
+    Every sample, under all the policies, is one task (_replay_sample), and
+    map(fn, indices, samples) runs the tasks; it may be a process pool's
+    map (fn and the tasks then go by pickle), and the result does not
+    depend on it.
     """
     if not samples:
         raise ValueError("need at least one sample")
     names = [selection.policy_name(policy) for policy in policies]
-    chunks = min(chunks, len(samples))
-    cuts = [len(samples) * c // chunks for c in range(chunks + 1)]
-    parts = list(map(functools.partial(_replay_chunk, names, dataset, params, seed),
-                     [(lo, samples[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]))
-    results = []
-    for p, name in enumerate(names):
-        rows = tuple(row for part in parts for row in part[p])
-        results.append(EnsembleResult(
-            policy=name, avg_fer=math.fsum(r[1] for r in rows) / len(rows),
-            avg_switches=math.fsum(r[2] for r in rows) / len(rows), rows=rows))
-    return results
+    parts = map(functools.partial(_replay_sample, names, dataset, params, seed),
+                range(len(samples)), samples)
+    return [EnsembleResult(policy=name, avg_fer=math.fsum(r[1] for r in rows) / len(rows),
+                           avg_switches=math.fsum(r[2] for r in rows) / len(rows),
+                           rows=rows)
+            for name, rows in zip(names, zip(*parts))]
 
 
-def _replay_chunk(names, dataset, params, seed, chunk):
-    """For each policy of names, the rows (sample index, fer, switches,
-    n_frames) of the chunk (first sample index, samples). Each sample's
-    columns are gathered once for all the policies."""
-    first, samples = chunk
-    rows = [[] for _ in names]
-    modes = dataset.modes
-    for idx, sample in enumerate(samples, first):
-        columns = _sample_columns(sample, dataset)
-        for name, policy_rows in zip(names, rows):
-            rng = (named_rng(seed, "replay", name, idx)
-                   if name in selection.DRAWING_POLICIES else None)
-            log = selection.run_policy(name, selection.table_executor(columns), modes,
-                                       params, rng=rng)
-            policy_rows.append((idx, log.fer, log.switch_count, log.n_frames))
+def _replay_sample(names, dataset, params, seed, idx, sample):
+    """For each policy of names, the row (idx, fer, switches, n_frames) of
+    sample idx. The sample's columns are gathered once for all the
+    policies."""
+    columns = _sample_columns(sample, dataset)
+    rows = []
+    for name in names:
+        rng = (named_rng(seed, "replay", name, idx)
+               if name in selection.DRAWING_POLICIES else None)
+        log = selection.run_policy(name, selection.table_executor(columns), dataset.modes,
+                                   params, rng=rng)
+        rows.append((idx, log.fer, log.switch_count, log.n_frames))
     return rows
 
 

@@ -17,8 +17,8 @@ import yaml
 
 from . import __version__, ensemble, macemu, netsim, outage, selection
 from .rng import named_rng
-from .topology import (TopologyError, TopologySchedule, check_int, load_topology,
-                       sample_channels, topology_from_dict)
+from .topology import (TopologyError, TopologySchedule, doc_int, doc_list, doc_number,
+                       load_topology, sample_channels, topology_from_dict)
 
 
 class ValidationError(Exception):
@@ -76,19 +76,13 @@ def _read(block, schema, where, base_dir, top=False):
     return parsed
 
 
+# The schema parsers of topology's document rules, which read no files.
 def _int(value, what, base_dir=None):
-    """value as an int; anything but an int or an integral float (2.5, "3",
-    true) is rejected, naming what."""
-    return check_int(int(value) if isinstance(value, float) and value.is_integer()
-                     else value, what)
+    return doc_int(value, what)
 
 
 def _number(value, what, base_dir=None):
-    """value as a float; anything but an int or a float ("1.0", true) is
-    rejected, naming what."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    return doc_number(value, what)
 
 
 def _str(value, what, base_dir):
@@ -102,14 +96,8 @@ def _path(value, what, base_dir):
     return value
 
 
-def _list(value, what):
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{what} must be a list, got {value!r}")
-    return value
-
-
 def _strs(value, what, base_dir):
-    return [str(v) for v in _list(value, what)]
+    return [str(v) for v in doc_list(value, what)]
 
 
 def _choice(*options):
@@ -137,7 +125,7 @@ def _rate(value, what, base_dir):
 
 def _modes(value, what, base_dir):
     """"all", or a list of mode keys."""
-    return value if value == "all" else _list(value, what)
+    return value if value == "all" else doc_list(value, what)
 
 
 def _topology(spec, what, base_dir):
@@ -157,7 +145,7 @@ def _topology(spec, what, base_dir):
 
 def _topologies(value, what, base_dir):
     """A list of topologies with distinct labels."""
-    topologies = [_topology(spec, what, base_dir) for spec in _list(value, what)]
+    topologies = [_topology(spec, what, base_dir) for spec in doc_list(value, what)]
     if len({t.label for t in topologies}) != len(topologies):
         raise ValueError(f"{what} need distinct labels")
     return topologies
@@ -169,7 +157,7 @@ _SEGMENT = {"topology": (_str, _REQUIRED), "frames": (_int, _REQUIRED)}
 def _segments(value, what, base_dir):
     """[(label, frames)] of a list of segment mappings."""
     segments = []
-    for seg in _list(value, what):
+    for seg in doc_list(value, what):
         if not isinstance(seg, dict):
             raise ValueError(f"{what} entries must be mappings, got {seg!r}")
         segments.append(tuple(_read(seg, _SEGMENT, "segment", base_dir).values()))
@@ -240,7 +228,7 @@ def _distinct(what, noun, entries, keys):
 
 def _k_values(value, what, base_dir):
     try:
-        k_values = [_int(k, what) for k in _list(value, what)]
+        k_values = [_int(k, what) for k in doc_list(value, what)]
     except (TypeError, ValueError):
         raise ValueError(f"{what} must be a list of integers, got {value!r}") from None
     _distinct(what, "k", k_values, k_values)
@@ -267,15 +255,13 @@ def _snr_grid(spec, what, base_dir):
                 and stop >= start):
             raise ValueError(f"{what} needs finite start, stop and step, "
                              f"step > 0 and stop >= start")
-        points = (stop - start) / step + 1
+        # whole steps to stop, 1e-9 of a step short counting; inf if too many
+        span = (stop - start) / step + 1e-9
+        points = math.floor(span) + 1 if math.isfinite(span) else span
         if points > _MAX_SNR_POINTS:
             raise ValueError(f"{what} range has {points:,.0f} points, "
                              f"more than {_MAX_SNR_POINTS:,}")
-        grid = []
-        v = start
-        while v <= stop + 1e-9:
-            grid.append(round(v, 9))
-            v += step
+        grid = [round(start + i * step, 9) for i in range(points)]
     outage.check_snr_grid(grid)
     return grid
 
@@ -330,22 +316,27 @@ def _subset_str(subset):
     return "-".join(str(i) for i in subset)
 
 
-def _workers(threads, n_tasks):
-    """The worker count of _map for n_tasks tasks."""
-    return min(threads, n_tasks, os.cpu_count() or 1)
+def _share(fn, tasks):
+    """[fn(*task) for task in tasks]: one worker's share of a _map."""
+    return [fn(*task) for task in tasks]
 
 
 def _map(fn, *iterables, threads):
     """list(map(fn, *iterables)), on a process pool of min(threads, tasks,
-    cpu count) workers, and on none when that is 1; each task is sent with
-    its own copy of fn, and fn and the tasks must pickle. With the fork
+    cpu count) workers, and on none when that is 1. Each worker gets one
+    pool task, fn and its interleaved share tasks[w::workers], so fn (which
+    holds the dataset in an ensemble replay) is pickled once per worker and
+    a cost trend along the tasks is spread over all of them; the results
+    come back in task order. fn and the tasks must pickle. With the fork
     start method the pool starts all its workers at once, hence the cap."""
     tasks = list(zip(*iterables))
-    workers = _workers(threads, len(tasks))
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(*task) for task in tasks]
+        return _share(fn, tasks)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*tasks)))
+        shares = list(pool.map(_share, [fn] * workers,
+                               [tasks[w::workers] for w in range(workers)]))
+    return [shares[i % workers][i // workers] for i in range(len(tasks))]
 
 
 def _plan_outage_sweep(cfg, base_dir):
@@ -355,15 +346,12 @@ def _plan_outage_sweep(cfg, base_dir):
     if any(k < 0 or k > template.n_relays for k in k_values):
         raise ValueError(f"k_values outside [0, {template.n_relays}]")
 
-    def run(place, seed, threads):
-        point = functools.partial(outage.sweep_point, template, cfg["rate"],
-                                  k_values=k_values,
-                                  normalization=cfg["normalization"],
-                                  method=cfg["method"], seed=seed)
-        results = _map(point, range(len(grid)), grid, threads=threads)
-        rows = [[_fmt(snr_db), k, _subset_str(subset), _fmt(value), cfg["method"]]
-                for snr_db, cells in zip(grid, results)
-                for k, (subset, value) in zip(k_values, cells)]
+    def run(place, seed, map):
+        rows = [[_fmt(row["snr_db"]), row["k"], _subset_str(row["subset"]),
+                 _fmt(row["outage"]), row["method"]]
+                for row in outage.outage_sweep(template, k_values, cfg["rate"], grid,
+                                               cfg["normalization"], cfg["method"],
+                                               seed=seed, map=map)]
         return [_write_csv(place("outage.csv"),
                            ["snr_db", "k", "subset", "outage", "method"], rows)]
 
@@ -396,7 +384,7 @@ def _plan_fixed_modes(cfg, base_dir):
     strategy, rate = cfg["strategy"], cfg["rate"]
     slots = _mode_slots(cfg["modes"], min(t.n_relays for t in topologies.values()))
 
-    def run(place, seed, threads):
+    def run(place, seed, map):
         labels = [label for label, frames in schedule.segments for _ in range(frames)]
         outputs = []
         summary = []
@@ -433,7 +421,7 @@ def _plan_adaptive_compare(cfg, base_dir):
     n_relays, names = _resolve_policies(topologies.values(), cfg["policies"], params)
     modes = netsim.enumerate_modes(n_relays)
 
-    def run(place, seed, threads):
+    def run(place, seed, map):
         outputs = []
         summary = []
         for name in names:
@@ -460,20 +448,15 @@ def _plan_ensemble(cfg, base_dir):
     ensemble.check_sampling(n_samples, n_transitions, segment_len, frames)
     _, names = _resolve_policies(topologies, cfg["policies"], params)
 
-    def run(place, seed, threads):
-        # the recording's row chunks and the replay's sample chunks, one per
-        # worker each, go to the pool
-        pool_map = functools.partial(_map, threads=threads)
-        dataset = ensemble.record_dataset(
-            topologies, cfg["strategy"], cfg["rate"], frames, named_rng(seed, "dataset"),
-            map=pool_map, chunks=_workers(threads, len(topologies) * frames))
+    def run(place, seed, map):
+        dataset = ensemble.record_dataset(topologies, cfg["strategy"], cfg["rate"], frames,
+                                          named_rng(seed, "dataset"), map=map)
         samples = ensemble.make_ensemble(dataset, n_samples, n_transitions,
                                          segment_len, seed)
         summary = []
         sample_rows = []
         for res in ensemble.evaluate_policies(names, samples, dataset, params, seed,
-                                              map=pool_map,
-                                              chunks=_workers(threads, n_samples)):
+                                              map=map):
             summary.append([res.policy, _fmt(res.avg_fer), _fmt(res.avg_switches)])
             for idx, fer, switches, n_frames in res.rows:
                 sample_rows.append([res.policy, idx, _fmt(fer), switches, n_frames])
@@ -496,7 +479,7 @@ def _plan_mac_compare(cfg, base_dir):
         spa_params=cfg["params"], **{key: cfg[key] for key in (
             "topology", "rate", "n_packets", "strategy", "mode_policy")})
 
-    def run(place, seed, threads):
+    def run(place, seed, map):
         report = macemu.compare_coop_vs_genie(scenario, cfg["mac"], seed=seed)
         header = ["system", "drop_rate", "throughput_bits_per_s"]
         out1 = _write_csv(place("mac_compare.csv"), header, [
@@ -542,7 +525,7 @@ def _plan_mac_replay(cfg, base_dir):
     if coop is None and paths is None:
         raise ValueError("mac_replay needs coop_trace and/or path_traces")
 
-    def run(place, seed, threads):
+    def run(place, seed, map):
         return [_write_packets(place(name), replayed[1])
                 for name, replayed in (("packets_coop.csv", coop),
                                        ("packets_genie.csv", paths))
@@ -599,9 +582,9 @@ def _plan(doc, path, base_dir, **overrides):
     The overrides that are not None (seed, out_dir) replace the
     document's keys and are checked alike. Returns (cfg, summary, run):
     cfg maps each key of the kind to its parsed value, or its parsed
-    default, and run(place, seed, threads) executes the experiment, writes
-    each output `name` to the file place(name), and returns the files it
-    wrote. Any check that fails is a ValidationError naming path.
+    default, and run(place, seed, map) executes the experiment, with map
+    for any builtin map it spreads over the pool, writes each output
+    `name` to the file place(name), and returns the files it wrote. Any check that fails is a ValidationError naming path.
     """
     try:
         if "kind" not in doc:
@@ -659,7 +642,8 @@ def run_experiment(doc, path, base_dir, place=None, seed=None, threads=1,
         return current
 
     try:
-        outputs = run(place_in_dir, cfg["seed"], int(threads))
+        outputs = run(place_in_dir, cfg["seed"],
+                      functools.partial(_map, threads=int(threads)))
         manifest = place_in_dir("manifest.json")
         with open(manifest, "w", encoding="utf-8") as fh:
             json.dump({"kind": cfg["kind"], "seed": cfg["seed"], "version": __version__,

@@ -554,8 +554,8 @@ def check_snr_grid(grid):
         raise ValueError("snr_grid must be nonempty and strictly ascending")
 
 
-def sweep_point(template, rate, gi, snr_db, k_values, normalization="per_node",
-                method="analytic", mc_samples=DEFAULT_MC_SAMPLES, seed=0):
+def _sweep_point(template, rate, gi, snr_db, k_values, normalization, method,
+                 mc_samples, seed):
     """[best_subnetwork(scaled_k, k, ...) for k in k_values] at point gi of
     an SNR sweep, scaled_k being the template scaled to snr_db for k. The
     Monte-Carlo draws come from the (seed, "sweep", gi) stream, so that
@@ -574,23 +574,26 @@ def sweep_point(template, rate, gi, snr_db, k_values, normalization="per_node",
 
 
 def outage_sweep(template, k_values, rate, snr_grid_db, normalization="per_node",
-                 method="analytic", mc_samples=DEFAULT_MC_SAMPLES, seed=0):
+                 method="analytic", mc_samples=DEFAULT_MC_SAMPLES, seed=0, map=map):
     """Best-subnetwork outage across an SNR grid.
 
     The template topology holds the relative link gains; each grid point
     scales every mean link SNR by the reference SNR (per_node) or by
-    reference/(k+1) (total_power), in one sweep_point call per grid point.
-    Rows come out as dicts with keys snr_db, k, subset, outage, method.
+    reference/(k+1) (total_power). Each grid point, all its k, is one task
+    (_sweep_point), and map(fn, indices, grid) runs the tasks; it may be a
+    process pool's map (fn and the tasks then go by pickle), and the rows
+    do not depend on it. Rows come out as dicts with keys snr_db, k,
+    subset, outage, method.
     """
     grid = [float(s) for s in snr_grid_db]
     check_snr_grid(grid)
-    point = functools.partial(sweep_point, template, rate, k_values=k_values,
+    point = functools.partial(_sweep_point, template, rate, k_values=k_values,
                               normalization=normalization, method=method,
                               mc_samples=mc_samples, seed=seed)
     return [{"snr_db": snr_db, "k": k, "subset": subset, "outage": value,
              "method": method}
-            for gi, snr_db in enumerate(grid)
-            for k, (subset, value) in zip(k_values, point(gi, snr_db))]
+            for snr_db, cells in zip(grid, map(point, range(len(grid)), grid))
+            for k, (subset, value) in zip(k_values, cells)]
 
 
 def required_snr_db(template, k, rate, target, normalization="per_node",

@@ -38,6 +38,29 @@ def check_int(value, field, minimum=None):
     return int(value)
 
 
+def doc_int(value, field):
+    """A parsed document's value as an int; a ValueError naming field
+    unless it is an int or an integral float (not 2.5, "3" or true)."""
+    return check_int(int(value) if isinstance(value, float) and value.is_integer()
+                     else value, field)
+
+
+def doc_number(value, field):
+    """A parsed document's value as a float; a ValueError naming field
+    unless it is an int or a float (not "1.0" or true)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
+def doc_list(value, field):
+    """A parsed document's list (or tuple) value; a ValueError naming
+    field for anything else, such as "123" or a mapping."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{field} must be a list, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Topology:
     """Per-link exponential rate parameters of an N-relay network.
@@ -164,20 +187,21 @@ class TopologySchedule:
 
 def topology_from_dict(doc):
     """Topology from a parsed document with keys label, n_relays, snr_sd,
-    snr_sr, snr_rd and optional units: linear|db (default linear)."""
+    snr_sr, snr_rd and optional units: linear|db (default linear).
+    n_relays must be an integer (2.0 reads as 2), snr_sd a number and
+    snr_sr and snr_rd lists of numbers; any other value is a TopologyError
+    naming its key."""
     try:
-        n = int(doc["n_relays"])
-        t = Topology.from_snr(
-            snr_sd=doc["snr_sd"],
-            snr_sr=list(doc["snr_sr"]),
-            snr_rd=list(doc["snr_rd"]),
-            label=str(doc.get("label", "topology")),
-            units=str(doc.get("units", "linear")),
-        )
+        n = doc_int(doc["n_relays"], "n_relays")
+        snr_sd = doc_number(doc["snr_sd"], "snr_sd")
+        snr_sr, snr_rd = ([doc_number(v, f"{key} entry") for v in doc_list(doc[key], key)]
+                          for key in ("snr_sr", "snr_rd"))
     except KeyError as e:
         raise TopologyError(f"topology document missing key {e.args[0]!r}") from e
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise TopologyError(f"malformed topology document: {e}") from e
+    t = Topology.from_snr(snr_sd, snr_sr, snr_rd, label=str(doc.get("label", "topology")),
+                          units=str(doc.get("units", "linear")))
     if t.n_relays != n:
         raise LengthMismatchError(
             f"n_relays is {n} but snr lists have {t.n_relays} entries")

@@ -68,8 +68,8 @@ def read_rows(path):
 @pytest.fixture
 def serial_pools(monkeypatch):
     """Stands in for experiments' ProcessPoolExecutor, mapping in this
-    process; the list it returns gets (max_workers, fn, task count) for
-    every pool.map call."""
+    process; the list it returns gets (max_workers, fn, tasks) for every
+    pool.map call."""
     pools = []
 
     class SerialPool:
@@ -84,7 +84,7 @@ def serial_pools(monkeypatch):
 
         def map(self, fn, *iterables):
             tasks = list(zip(*iterables))
-            pools.append((self.max_workers, fn, len(tasks)))
+            pools.append((self.max_workers, fn, tasks))
             return [fn(*task) for task in tasks]
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
@@ -269,6 +269,25 @@ class TestValidate:
          "modes name one mode twice: 'DT' and 'dt'"),
         ("fixed_modes", {"modes": ["r2", "R2"]}, "modes name one mode twice: 'r2' and 'R2'"),
         ("fixed_modes", {"modes": []}, "modes must name at least one mode"),
+        ("outage_sweep", {"topology": {**topo_doc(), "n_relays": 2.5}},
+         "n_relays must be an integer, got 2.5"),
+        ("outage_sweep", {"topology": {**topo_doc(), "n_relays": "2"}},
+         "n_relays must be an integer, got '2'"),
+        ("outage_sweep", {"topology": {**topo_doc(), "n_relays": True}},
+         "n_relays must be an integer, got True"),
+        ("outage_sweep", {"topology": {**topo_doc(), "n_relays": 3, "snr_sr": "123",
+                                       "snr_rd": "456"}},
+         "snr_sr must be a list, got '123'"),
+        ("outage_sweep", {"topology": {**topo_doc(), "snr_sr": {1: 2, 3: 4}}},
+         "snr_sr must be a list, got {1: 2, 3: 4}"),
+        ("outage_sweep", {"topology": {**topo_doc(), "snr_rd": [1.5, "0.8"]}},
+         "snr_rd entry must be a number, got '0.8'"),
+        ("outage_sweep", {"topology": {**topo_doc(), "snr_sd": "0.5"}},
+         "snr_sd must be a number, got '0.5'"),
+        ("outage_sweep", {"topology": {**topo_doc(), "units": "db", "snr_sd": "0.5"}},
+         "snr_sd must be a number, got '0.5'"),
+        ("ensemble", {"topologies": [topo_doc("A"), {**topo_doc("B"), "snr_sd": True}]},
+         "snr_sd must be a number, got True"),
     ])
     def test_rejects_what_the_run_rejects(self, tmp_path, capsys, kind,
                                           override, message):
@@ -294,6 +313,16 @@ class TestValidate:
         assert main(["run", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_snr_range_steps_from_start_without_accumulating(self):
+        # summing 0.1 step by step once drifted to 9998.900000019 and
+        # dropped the last point
+        grid = experiments._snr_grid({"start": 0, "stop": 9999, "step": 0.1},
+                                     "snr_grid", None)
+        assert len(grid) == 99_991
+        assert grid[-1] == 9999.0 and grid[12_345] == 1234.5
+        assert experiments._snr_grid({"start": -3.0, "stop": 3.0, "step": 1.5},
+                                     "snr_grid", None) == [-3.0, -1.5, 0.0, 1.5, 3.0]
 
     @pytest.mark.parametrize("out_dir", [5, True, ["a"]])
     def test_out_dir_must_be_a_path(self, tmp_path, capsys, out_dir):
@@ -942,8 +971,8 @@ class TestRunConfig:
 
     def test_replay_pool_follows_the_samples(self, tmp_path, monkeypatch, serial_pools):
         # one policy over n_samples samples: the replay's pool has one worker
-        # per sample chunk, min(threads, cores, n_samples), and it receives a
-        # partial of a module-level function, which spawn can pickle
+        # per sample, up to min(threads, cores), and each worker's task holds
+        # a partial of a module-level function, which spawn can pickle
         cfg = write_yaml(tmp_path / "c.yaml", {
             "kind": "ensemble", "seed": 3, "rate": 1.0,
             "topologies": schedule_doc()["topologies"], "frames_per_topology": 50,
@@ -954,10 +983,12 @@ class TestRunConfig:
             monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
             outputs = run_config(cfg, out_dir=f"c{cores}-{threads}", threads=threads)
             assert [Path(f).read_bytes() for f in outputs] == serial
-            workers, fn, _ = serial_pools[-1]  # after the recording's pool
+            workers, share, tasks = serial_pools[-1]  # after the recording's pool
             assert workers == expected
-            assert isinstance(fn, functools.partial)
-            assert fn.func is ensemble._replay_chunk
+            assert share is experiments._share
+            for fn, _ in tasks:
+                assert isinstance(fn, functools.partial)
+                assert fn.func is ensemble._replay_sample
             serial_pools.clear()
 
     @pytest.mark.parametrize("cores, threads", [(64, 3), (2, 64), (4, 4)])
@@ -972,4 +1003,25 @@ class TestRunConfig:
             "segment_len": 10, "n_samples": 9, "policies": ["WRNM", "DT"]})
         run_config(cfg, out_dir="o", threads=threads)
         workers = min(cores, threads)
-        assert [(w, tasks) for w, _, tasks in serial_pools] == [(workers, workers)] * 2
+        assert [(w, len(tasks)) for w, _, tasks in serial_pools] == [(workers, workers)] * 2
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4, 5])
+    def test_map_gives_each_worker_one_interleaved_share(self, monkeypatch, serial_pools,
+                                                         threads):
+        # builtin map's list on min(threads, tasks) workers, each sent fn
+        # once with the tasks w, w + workers, ... as its one pool task
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
+        for n in range(8):
+            xs, ys = list(range(n)), [10 * x for x in range(n)]
+            assert experiments._map(divmod, ys, [3] * n, threads=threads) == list(
+                map(divmod, ys, [3] * n))
+            assert experiments._map(str, xs, threads=threads) == list(map(str, xs))
+            workers = min(threads, n)
+            if workers <= 1:
+                assert serial_pools == []
+                continue
+            shares = [[(x,) for x in xs[w::workers]] for w in range(workers)]
+            assert serial_pools[1] == (workers, experiments._share,
+                                       [(str, share) for share in shares])
+            assert [len(tasks) for _, _, tasks in serial_pools] == [workers] * 2
+            serial_pools.clear()

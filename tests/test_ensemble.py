@@ -96,8 +96,8 @@ class TestRecordDataset:
     @pytest.mark.parametrize("frames", [1, 7, 61])
     @pytest.mark.parametrize("n_topologies", [1, 2, 3])
     def test_pooled_recording_equals_serial(self, pool, frames, n_topologies):
-        # row chunks cut anywhere, inside a topology too, and evaluated on
-        # pool workers must give the serial recording
+        # every draw row is one task, and a pool's map over the rows, on
+        # any worker in any order, must give the serial recording
         tops = small_topologies() + [
             Topology.from_snr(0.8, [1.2, 0.3], [0.4, 3.0], label="C")]
         tops = tops[:n_topologies]
@@ -110,21 +110,18 @@ class TestRecordDataset:
                 assert serial.outcomes[t, :, f].tolist() == [
                     evaluate_frame(c, key, strat, 1.0)
                     for key, strat in zip(serial.mode_keys, strategies)]
-        rows = n_topologies * frames
-        for chunks in (2, 3, 5):
-            sizes = []
+        tasks = []
 
-            def pool_map(fn, parts):
-                sizes.append([len(part) for part in parts])
-                return pool.map(fn, parts)
+        def pool_map(fn, rows):
+            tasks.append(len(rows))
+            return pool.map(fn, rows)
 
-            pooled = record_dataset(tops, "DIQIF", 1.0, frames, named_rng(6, "pool"),
-                                    map=pool_map, chunks=chunks)
-            assert (pooled.topologies, pooled.mode_keys) == (serial.topologies,
-                                                            serial.mode_keys)
-            assert np.array_equal(pooled.outcomes, serial.outcomes)
-            assert len(sizes[0]) == min(chunks, rows)
-            assert min(sizes[0]) >= 1 and sum(sizes[0]) == rows
+        pooled = record_dataset(tops, "DIQIF", 1.0, frames, named_rng(6, "pool"),
+                                map=pool_map)
+        assert (pooled.topologies, pooled.mode_keys) == (serial.topologies,
+                                                        serial.mode_keys)
+        assert np.array_equal(pooled.outcomes, serial.outcomes)
+        assert tasks == [n_topologies * frames]
 
 
 class TestSamples:
@@ -205,27 +202,22 @@ class TestReplay:
 
     @pytest.mark.parametrize("n_samples", [3, 7])
     def test_chunked_replay_equals_each_policy_alone(self, setup, pool, n_samples):
-        # every policy over contiguous sample chunks, serial or on pool
-        # workers, gives each policy's own replay; 7 samples do not divide
-        # into 2 or 3 chunks
+        # every policy over one task per sample, on the builtin map, a
+        # pool's map or a map that runs the tasks last to first, gives each
+        # policy's own replay
         dataset, samples = setup
         samples = samples[:n_samples]
         policies = ("SPA", "wrnm", "NRNM", "RandPick", "PWR2", "BRUTE",
                     f"Fixed:{MODES10[3]}")  # the planted dataset records no DT
         alone = [evaluate_on_ensemble(policy, samples, dataset, DEFAULT_PARAMS, seed=4)
                  for policy in policies]
-        for chunks in (1, 2, 3):
-            sizes = []
 
-            def pool_map(fn, parts):
-                sizes.append([len(part[1]) for part in parts])
-                return pool.map(fn, parts)
+        def backward_map(fn, *iterables):
+            return [fn(*task) for task in list(zip(*iterables))[::-1]][::-1]
 
-            for map_ in (map, pool_map):
-                assert evaluate_policies(policies, samples, dataset, DEFAULT_PARAMS,
-                                         seed=4, map=map_, chunks=chunks) == alone
-            assert len(sizes[0]) == min(chunks, n_samples)
-            assert min(sizes[0]) >= 1 and sum(sizes[0]) == n_samples
+        for map_ in (map, pool.map, backward_map):
+            assert evaluate_policies(policies, samples, dataset, DEFAULT_PARAMS,
+                                     seed=4, map=map_) == alone
 
     def test_fixed_modes_cannot_match_spa(self, setup):
         dataset, samples = setup

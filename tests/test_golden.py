@@ -4,7 +4,8 @@ digests recorded from coopsim 0.3.0.
 
 Acceptance 10 only shows that a rerun reproduces itself; this test shows
 that output stays byte-identical from one version of the code to the
-next. If a change moves output on purpose, print the new digests with
+next; the kinds that use the process pool are checked on two workers
+too, against the same digests. If a change moves output on purpose, print the new digests with
 `PYTHONPATH=src python tests/test_golden.py` and say in CHANGES.md why
 they moved.
 """
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 import yaml
 
+from coopsim import experiments
 from coopsim.cli import main
 from coopsim.experiments import run_config
 
@@ -217,11 +219,12 @@ def _digests(files):
     return out
 
 
-def _run_config(name, tmp_dir):
+def _run_config(name, tmp_dir, threads=1):
     cfg = os.path.join(tmp_dir, f"{name}.yaml")
     with open(cfg, "w", encoding="utf-8") as fh:
         yaml.safe_dump(CONFIGS[name], fh)
-    return _digests(run_config(cfg, out_dir=os.path.join(tmp_dir, name)))
+    return _digests(run_config(cfg, out_dir=os.path.join(tmp_dir, name),
+                               threads=threads))
 
 
 def _write_rows(path, header, rows):
@@ -261,6 +264,14 @@ def _run(name, tmp_dir):
 @pytest.mark.parametrize("name", sorted(CONFIGS) + ["mac_flags"])
 def test_outputs_match_golden_digests(name, tmp_path):
     assert _run(name, str(tmp_path)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["ensemble", "outage_analytic", "outage_montecarlo"])
+def test_pooled_outputs_match_golden_digests(name, tmp_path, monkeypatch):
+    # the kinds that use the pool, run on two worker processes whatever
+    # the core count, write the same bytes
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    assert _run_config(name, str(tmp_path), threads=2) == GOLDEN[name]
 
 
 if __name__ == "__main__":

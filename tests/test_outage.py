@@ -14,11 +14,12 @@ from coopsim.outage import (_BLOCK_ROWS, MAX_RATE, REL_TOL, Cut,
                             IndexOutOfSubsetError, OutageQuery,
                             QuadratureFailure, _bound_unless_above,
                             _cut_plans, _floor_order, _p_omega, _reaches,
+                            _sweep_point,
                             approx_capacity,
                             best_subnetwork, cut_outage_analytic, direct_outage,
                             outage_monte_carlo, outage_sweep,
                             outage_upper_bound, rate_threshold,
-                            required_snr_db, sweep_point)
+                            required_snr_db)
 from oracles import (best_subnetwork_exhaustive,
                      best_subnetwork_montecarlo_scan, bound_floor,
                      p_omega_by_term_expansion, p_omega_quad,
@@ -548,8 +549,8 @@ class TestSweep:
 
     def test_montecarlo_point_without_k_values_is_empty(self):
         template = Topology.from_snr(0.5, [1.0], [1.0])
-        assert sweep_point(template, 1.0, 0, 10.0, [], method="montecarlo",
-                           mc_samples=1000) == []
+        assert _sweep_point(template, 1.0, 0, 10.0, [], "per_node", "montecarlo",
+                            1000, 0) == []
 
     def test_rows_shape_and_grid_validation(self):
         template = Topology.from_snr(0.5, [1.0], [1.0])
@@ -574,8 +575,8 @@ RATE_ENTRY_POINTS = {
     "best_subnetwork analytic": lambda rate: best_subnetwork(THREE_RELAYS, 2, rate),
     "best_subnetwork montecarlo": lambda rate: best_subnetwork(
         THREE_RELAYS, 2, rate, method="montecarlo", mc_samples=1000),
-    "sweep_point montecarlo": lambda rate: sweep_point(
-        THREE_RELAYS, rate, 0, 10.0, [0, 2], method="montecarlo", mc_samples=1000),
+    "sweep_point montecarlo": lambda rate: _sweep_point(
+        THREE_RELAYS, rate, 0, 10.0, [0, 2], "per_node", "montecarlo", 1000, 0),
     "outage_sweep analytic": lambda rate: outage_sweep(THREE_RELAYS, [0, 2], rate,
                                                        [0.0, 10.0]),
     "outage_sweep montecarlo": lambda rate: outage_sweep(

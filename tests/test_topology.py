@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from coopsim.rng import named_rng
 from coopsim.selection import LearnParams, SpaParams
 from coopsim.topology import (LengthMismatchError, NonPositiveRateError,
                               Topology, TopologyError, TopologySchedule,
-                              load_topology, sample_channels, validate_topology)
+                              load_topology, sample_channels, topology_from_dict,
+                              validate_topology)
 from oracles import (ScheduleOutOfRangeError, sample_channels_exponential,
                      schedule_topology_at, spawn_rngs)
 
@@ -181,3 +183,27 @@ def test_topology_file_roundtrip(tmp_path):
         assert back.lambda_sd == pytest.approx(t.lambda_sd)
         assert back.lambda_sr == pytest.approx(t.lambda_sr)
         assert back.lambda_rd == pytest.approx(t.lambda_rd)
+
+
+TWO_RELAY_DOC = {"label": "doc", "n_relays": 2, "snr_sd": 0.5, "snr_sr": [2.0, 1.0],
+                 "snr_rd": [1.5, 0.8]}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n_relays", 2.5, "n_relays must be an integer, got 2.5"),
+    ("n_relays", "2", "n_relays must be an integer, got '2'"),
+    ("n_relays", True, "n_relays must be an integer, got True"),
+    ("snr_sr", "12", "snr_sr must be a list, got '12'"),
+    ("snr_sr", {1: 2, 3: 4}, "snr_sr must be a list, got {1: 2, 3: 4}"),
+    ("snr_rd", [1.5, None], "snr_rd entry must be a number, got None"),
+    ("snr_sd", "0.5", "snr_sd must be a number, got '0.5'"),
+    ("snr_sd", True, "snr_sd must be a number, got True"),
+])
+@pytest.mark.parametrize("units", ["linear", "db"])
+def test_topology_documents_reject_malformed_values(key, value, message, units):
+    # each was once truncated (2.5 -> 2), read item by item ("12" -> two
+    # relays, a mapping -> its keys) or taken as a number ("0.5", true)
+    with pytest.raises(TopologyError, match=re.escape(message)):
+        topology_from_dict({**TWO_RELAY_DOC, "units": units, key: value})
+    assert topology_from_dict({**TWO_RELAY_DOC, "units": units, "n_relays": 2.0}) == \
+        topology_from_dict({**TWO_RELAY_DOC, "units": units})
