@@ -84,7 +84,7 @@ def _require(args, *flags):
 
 def _params_doc(args):
     """The SPA/LEARN parameter block of the --params YAML file, if any."""
-    return None if args.params is None else experiments._load_yaml(args.params)
+    return None if args.params is None else experiments.load_yaml(args.params)
 
 
 def _given(**keys):

@@ -9,7 +9,6 @@ import dataclasses
 import functools
 import json
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -17,8 +16,9 @@ import yaml
 
 from . import __version__, ensemble, macemu, netsim, outage, selection
 from .rng import named_rng
-from .topology import (TopologyError, TopologySchedule, doc_int, doc_list, doc_number,
-                       load_topology, sample_channels, topology_from_dict)
+from .topology import (REQUIRED, TopologyError, TopologySchedule, check_int, doc_int,
+                       doc_list, doc_number, doc_rule, doc_str, load_doc, load_topology,
+                       read_doc, sample_channels, topology_from_dict)
 
 
 class ValidationError(Exception):
@@ -35,58 +35,22 @@ def list_experiments():
     return sorted((kind, description) for kind, (description, *_) in _KINDS.items())
 
 
-def _load_yaml(path):
+def load_yaml(path):
+    """The mapping of a config, schedule or params YAML file; a
+    ValidationError if it is missing, malformed or not a mapping, an
+    IoError if it cannot be read."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+        return load_doc(path, ValidationError)
     except FileNotFoundError as e:
         raise ValidationError(f"{path}: file not found") from e
     except OSError as e:
         raise IoError(f"{path}: {e}") from e
     except yaml.YAMLError as e:
         raise ValidationError(f"{path}: {e}") from e
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: expected a mapping at top level")
-    return doc
 
 
-# The default of a key that its block must give.
-_REQUIRED = object()
-
-
-def _read(block, schema, where, base_dir, top=False):
-    """The parsed keys of block (None reads as {}), a mapping checked
-    against schema, which maps each key it allows to (parser, default).
-    parser(value, what, base_dir) parses the key's value, or its default
-    where block leaves it out, and raises ValueError naming what: the key,
-    after `where` unless top. A _REQUIRED key must be given."""
-    block = {} if block is None else block
-    if not isinstance(block, dict):
-        raise ValueError(f"{where} must be a mapping, got {block!r}")
-    unknown = [k for k in block if k not in schema]
-    if unknown:
-        raise ValueError(f"unknown {where} key {unknown[0]!r}; "
-                         f"expected one of {', '.join(sorted(schema))}")
-    parsed = {}
-    for key, (parse, default) in schema.items():
-        value = block.get(key, default)
-        if value is _REQUIRED:
-            raise ValueError(f"missing required key {key!r}")
-        parsed[key] = parse(value, key if top else f"{where} {key}", base_dir)
-    return parsed
-
-
-# The schema parsers of topology's document rules, which read no files.
-def _int(value, what, base_dir=None):
-    return doc_int(value, what)
-
-
-def _number(value, what, base_dir=None):
-    return doc_number(value, what)
-
-
-def _str(value, what, base_dir):
-    return str(value)
+# The schema parsers of topology's document rules.
+_int, _number, _str = map(doc_rule, (doc_int, doc_number, doc_str))
 
 
 def _path(value, what, base_dir):
@@ -97,35 +61,36 @@ def _path(value, what, base_dir):
 
 
 def _strs(value, what, base_dir):
-    return [str(v) for v in doc_list(value, what)]
+    return [doc_str(v, f"{what} entry") for v in doc_list(value, what)]
 
 
 def _choice(*options):
     """The parser of a string among options."""
     def parse(value, what, base_dir):
-        if str(value) not in options:
-            raise ValueError(f"unknown {what} {str(value)!r}")
-        return str(value)
+        if doc_str(value, what) not in options:
+            raise ValueError(f"unknown {what} {value!r}; expected one of "
+                             f"{', '.join(options)}")
+        return value
     return parse
 
 
 def _seed(value, what, base_dir=None):
     """value, a root seed: an integer >= 0 (a SeedSequence entropy)."""
-    seed = _int(value, what)
+    seed = doc_int(value, what)
     if seed < 0:
         raise ValueError(f"{what} must be >= 0, got {seed}")
     return seed
 
 
 def _rate(value, what, base_dir):
-    rate = _number(value, what)
+    rate = doc_number(value, what)
     outage.rate_threshold(rate)
     return rate
 
 
 def _modes(value, what, base_dir):
     """"all", or a list of mode keys."""
-    return value if value == "all" else doc_list(value, what)
+    return value if value == "all" else _strs(value, what, base_dir)
 
 
 def _topology(spec, what, base_dir):
@@ -151,7 +116,7 @@ def _topologies(value, what, base_dir):
     return topologies
 
 
-_SEGMENT = {"topology": (_str, _REQUIRED), "frames": (_int, _REQUIRED)}
+_SEGMENT = {"topology": (_str, REQUIRED), "frames": (_int, REQUIRED)}
 
 
 def _segments(value, what, base_dir):
@@ -160,11 +125,11 @@ def _segments(value, what, base_dir):
     for seg in doc_list(value, what):
         if not isinstance(seg, dict):
             raise ValueError(f"{what} entries must be mappings, got {seg!r}")
-        segments.append(tuple(_read(seg, _SEGMENT, "segment", base_dir).values()))
+        segments.append(tuple(read_doc(seg, _SEGMENT, "segment", base_dir).values()))
     return segments
 
 
-_SCHEDULE = {"topologies": (_topologies, _REQUIRED), "segments": (_segments, _REQUIRED)}
+_SCHEDULE = {"topologies": (_topologies, REQUIRED), "segments": (_segments, REQUIRED)}
 
 
 def _schedule(spec, what, base_dir):
@@ -173,9 +138,9 @@ def _schedule(spec, what, base_dir):
     directory."""
     if isinstance(spec, str):
         schedule_path = os.path.join(base_dir, spec)
-        spec = _load_yaml(schedule_path)
+        spec = load_yaml(schedule_path)
         base_dir = os.path.dirname(os.path.abspath(schedule_path))
-    block = _read(spec, _SCHEDULE, what, base_dir)
+    block = read_doc(spec, _SCHEDULE, what, base_dir)
     topologies = {t.label: t for t in block["topologies"]}
     for label, _ in block["segments"]:
         if label not in topologies:
@@ -192,7 +157,7 @@ _PARAMS = {f.name: ({int: _int, float: _number}[f.type], f.default)
 
 def _params(value, what, base_dir):
     """The SpaParams of a params block."""
-    block = _read(value, _PARAMS, what, base_dir)
+    block = read_doc(value, _PARAMS, what, base_dir)
     learn = {f.name: block.pop(f.name) for f in dataclasses.fields(selection.LearnParams)}
     try:
         return selection.SpaParams(learn=selection.LearnParams(**learn), **block)
@@ -206,7 +171,7 @@ _MAC = {f.name: (_int, f.default) for f in dataclasses.fields(macemu.MacPolicy)}
 
 def _mac(value, what, base_dir):
     """The MacPolicy of a mac block."""
-    block = _read(value, _MAC, what, base_dir)
+    block = read_doc(value, _MAC, what, base_dir)
     try:
         return macemu.MacPolicy(**block)
     except ValueError as e:
@@ -228,7 +193,7 @@ def _distinct(what, noun, entries, keys):
 
 def _k_values(value, what, base_dir):
     try:
-        k_values = [_int(k, what) for k in doc_list(value, what)]
+        k_values = [doc_int(k, what) for k in doc_list(value, what)]
     except (TypeError, ValueError):
         raise ValueError(f"{what} must be a list of integers, got {value!r}") from None
     _distinct(what, "k", k_values, k_values)
@@ -236,20 +201,19 @@ def _k_values(value, what, base_dir):
 
 
 _MAX_SNR_POINTS = 100_000
+_SNR_RANGE = {key: (_number, REQUIRED) for key in ("start", "stop", "step")}
 
 
 def _snr_grid(spec, what, base_dir):
     """The SNR grid in dB of a start/stop/step mapping or a list."""
-    form = f"{what} must be start:stop:step or a list of numbers"
     try:
         if isinstance(spec, dict):
-            start, stop, step = (_number(spec[k], what) for k in ("start", "stop", "step"))
+            start, stop, step = read_doc(spec, _SNR_RANGE, what).values()
         else:
-            grid = [_number(v, what) for v in spec]
-    except KeyError as e:
-        raise ValueError(f"{form} (missing {e.args[0]!r})") from e
-    except (TypeError, ValueError) as e:
-        raise ValueError(form) from e
+            grid = [doc_number(v, what) for v in doc_list(spec, what)]
+    except ValueError as e:
+        raise ValueError(f"{what} must be start:stop:step or a list of numbers; "
+                         f"{e}") from e
     if isinstance(spec, dict):
         if not (all(map(math.isfinite, (start, stop, step))) and step > 0
                 and stop >= start):
@@ -536,38 +500,39 @@ def _plan_mac_replay(cfg, base_dir):
     return f"ok: mac_replay of {' and '.join(replays)}", run
 
 
-# The keys of every kind.
-_COMMON = {"kind": (_str, _REQUIRED), "seed": (_seed, 0), "out_dir": (_path, None)}
-_STRATEGY = (lambda value, what, base_dir: netsim.Strategy.parse(value), "DIQIF")
+# The keys of every kind besides kind.
+_COMMON = {"seed": (_seed, 0), "out_dir": (_path, None)}
+_STRATEGY = (lambda value, what, base_dir: netsim.Strategy.parse(doc_str(value, what)),
+             "DIQIF")
 
 # Each kind: its description, its plan(cfg, base_dir) -> (summary, run) of
-# the parsed keys cfg, and its schema, each key it reads besides _COMMON's
+# the parsed keys cfg, and its schema, each key it reads besides kind and _COMMON's
 # -> (parser, default), in the order they are checked.
 _KINDS = {
     "outage_sweep": ("best-subnetwork outage across an SNR grid", _plan_outage_sweep, {
-        "topology": (_topology, _REQUIRED), "rate": (_rate, _REQUIRED),
-        "k_values": (_k_values, _REQUIRED), "snr_grid": (_snr_grid, _REQUIRED),
+        "topology": (_topology, REQUIRED), "rate": (_rate, REQUIRED),
+        "k_values": (_k_values, REQUIRED), "snr_grid": (_snr_grid, REQUIRED),
         "normalization": (_choice("per_node", "total_power"), "per_node"),
         "method": (_choice("analytic", "montecarlo"), "analytic")}),
     "fixed_modes": ("fixed-mode frame traces over a topology schedule", _plan_fixed_modes, {
-        "schedule": (_schedule, _REQUIRED), "rate": (_rate, _REQUIRED),
+        "schedule": (_schedule, REQUIRED), "rate": (_rate, REQUIRED),
         "strategy": _STRATEGY,
         "params": (_params, None),  # checked although fixed modes never learn
         "modes": (_modes, "all")}),
     "adaptive_compare": ("selection policies over a time-varying schedule",
                          _plan_adaptive_compare, {
-        "schedule": (_schedule, _REQUIRED), "rate": (_rate, _REQUIRED),
+        "schedule": (_schedule, REQUIRED), "rate": (_rate, REQUIRED),
         "strategy": _STRATEGY, "params": (_params, None),
-        "policies": (_strs, _REQUIRED)}),
+        "policies": (_strs, REQUIRED)}),
     "ensemble": ("ensemble-average FER/switching of selection policies", _plan_ensemble, {
-        "topologies": (_topologies, _REQUIRED), "rate": (_rate, _REQUIRED),
+        "topologies": (_topologies, REQUIRED), "rate": (_rate, REQUIRED),
         "strategy": _STRATEGY, "frames_per_topology": (_int, 860),
         "n_transitions": (_int, 4), "segment_len": (_int, 172),
         "n_samples": (_int, 200), "params": (_params, None),
-        "policies": (_strs, _REQUIRED)}),
+        "policies": (_strs, REQUIRED)}),
     "mac_compare": ("paired coop-MAC vs genie-routing emulation", _plan_mac_compare, {
-        "topology": (_topology, _REQUIRED), "rate": (_rate, _REQUIRED),
-        "mac": (_mac, None), "n_packets": (_int, _REQUIRED), "strategy": _STRATEGY,
+        "topology": (_topology, REQUIRED), "rate": (_rate, REQUIRED),
+        "mac": (_mac, None), "n_packets": (_int, REQUIRED), "strategy": _STRATEGY,
         "mode_policy": (_str, "SPA"), "params": (_params, None)}),
     "mac_replay": ("MAC delivery over a recorded coop trace and/or path traces",
                    _plan_mac_replay, {
@@ -575,27 +540,27 @@ _KINDS = {
         "mac": (_mac, None)}),
 }
 
+# The key that selects the kind, read before the kind's keys.
+_KIND = {"kind": (_choice(*sorted(_KINDS)), REQUIRED)}
+
 
 def _plan(doc, path, base_dir, **overrides):
     """Resolve and check everything the run of a config document needs.
 
-    The overrides that are not None (seed, out_dir) replace the
-    document's keys and are checked alike. Returns (cfg, summary, run):
+    The kind key, read first, selects the schema of the other keys. The
+    overrides that are not None (seed, out_dir) replace the document's
+    keys and are checked alike. Returns (cfg, summary, run):
     cfg maps each key of the kind to its parsed value, or its parsed
     default, and run(place, seed, map) executes the experiment, with map
     for any builtin map it spreads over the pool, writes each output
     `name` to the file place(name), and returns the files it wrote. Any check that fails is a ValidationError naming path.
     """
     try:
-        if "kind" not in doc:
-            raise ValueError("missing required key 'kind'")
-        kind = str(doc["kind"])
-        if kind not in _KINDS:
-            raise ValueError(f"unknown experiment kind {kind!r}; expected one of "
-                             f"{', '.join(sorted(_KINDS))}")
-        _, plan, schema = _KINDS[kind]
         doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
-        cfg = _read(doc, {**_COMMON, **schema}, kind, base_dir, top=True)
+        cfg = read_doc({key: doc.pop(key) for key in _KIND if key in doc}, _KIND,
+                       "config", top=True)
+        _, plan, schema = _KINDS[cfg["kind"]]
+        cfg.update(read_doc(doc, {**_COMMON, **schema}, cfg["kind"], base_dir, top=True))
         return (cfg, *plan(cfg, base_dir))
     except ValueError as e:
         raise ValidationError(f"{path}: {e}") from e
@@ -608,7 +573,7 @@ def validate_config(path):
 
     Returns a one-line summary of the planned work.
     """
-    return _plan(_load_yaml(path), path, os.path.dirname(os.path.abspath(path)))[1]
+    return _plan(load_yaml(path), path, os.path.dirname(os.path.abspath(path)))[1]
 
 
 def run_experiment(doc, path, base_dir, place=None, seed=None, threads=1,
@@ -626,9 +591,10 @@ def run_experiment(doc, path, base_dir, place=None, seed=None, threads=1,
     OSError while writing the outputs is an IoError naming the file, and a
     threads that is not an integer >= 1 is a ValidationError.
     """
-    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) \
-            or threads < 1:
-        raise ValidationError(f"threads must be an integer >= 1, got {threads!r}")
+    try:
+        threads = check_int(threads, "threads", 1)
+    except ValueError as e:
+        raise ValidationError(str(e)) from None
     cfg, _, run = _plan(doc, path, base_dir, seed=seed, out_dir=out_dir)
     if place is None:
         place = functools.partial(os.path.join, base_dir, cfg["out_dir"] or ".")
@@ -643,7 +609,7 @@ def run_experiment(doc, path, base_dir, place=None, seed=None, threads=1,
 
     try:
         outputs = run(place_in_dir, cfg["seed"],
-                      functools.partial(_map, threads=int(threads)))
+                      functools.partial(_map, threads=threads))
         manifest = place_in_dir("manifest.json")
         with open(manifest, "w", encoding="utf-8") as fh:
             json.dump({"kind": cfg["kind"], "seed": cfg["seed"], "version": __version__,
@@ -663,5 +629,5 @@ def run_config(path, out_dir=None, seed=None, threads=1):
     override the config's values when given; a relative out_dir is taken
     from the config's directory.
     """
-    return run_experiment(_load_yaml(path), path, os.path.dirname(os.path.abspath(path)),
+    return run_experiment(load_yaml(path), path, os.path.dirname(os.path.abspath(path)),
                           seed=seed, threads=threads, out_dir=out_dir)

@@ -72,6 +72,17 @@ class Cut:
         object.__setattr__(self, "omega", frozenset(check_int(i, "omega") for i in omega))
 
 
+def _relay_subset(subset, n_relays=math.inf):
+    """subset as a tuple of ints; a ValueError naming subset unless its
+    indices are distinct integers (check_int) in 1..n_relays."""
+    subset = tuple([check_int(i, "subset") for i in subset])
+    if len(set(subset)) != len(subset):
+        raise ValueError(f"subset {subset} has repeated indices")
+    if subset and not (1 <= min(subset) and max(subset) <= n_relays):
+        raise ValueError(f"subset {subset} has indices outside 1..{n_relays}")
+    return subset
+
+
 @dataclass(frozen=True)
 class OutageQuery:
     """The checked rate, relay subset and Monte-Carlo draws of a query."""
@@ -80,13 +91,8 @@ class OutageQuery:
     mc_samples: int = DEFAULT_MC_SAMPLES
 
     def __post_init__(self):
-        object.__setattr__(self, "subset",
-                           tuple(check_int(i, "subset") for i in self.subset))
+        object.__setattr__(self, "subset", _relay_subset(self.subset))
         rate_threshold(self.rate, positive=True)
-        if len(set(self.subset)) != len(self.subset):
-            raise ValueError("subset indices must be distinct")
-        if any(i < 1 for i in self.subset):
-            raise ValueError("relay indices are 1-based")
         object.__setattr__(self, "mc_samples", check_int(self.mc_samples, "mc_samples", 1))
 
 
@@ -98,9 +104,7 @@ def approx_capacity(c, subset):
     """
     c = np.asarray(c, dtype=float)
     n_relays = (c.shape[-1] - 1) // 2
-    if any(not 1 <= i <= n_relays for i in subset):
-        raise ValueError(
-            f"subset {tuple(subset)} has indices outside 1..{n_relays}")
+    subset = _relay_subset(subset, n_relays)
     # log2(1 + x) of the direct link, the subset's h and its g links: one
     # array each, over c's other axes in reverse order (hence .T below)
     caps = c.T[[0, *subset, *(n_relays + i for i in subset)]]
@@ -374,16 +378,10 @@ def _cut_rates(t, cut, subset):
     return lams_src, lams_dst
 
 
-def _check_subset(t, subset):
-    if any(i > t.n_relays for i in subset):
-        raise ValueError(
-            f"subset {subset} has indices beyond the {t.n_relays}-relay topology")
-
-
 def cut_outage_analytic(t, q, cut):
     """P_omega for one cut of the query's subset, by Gauss-Legendre
     quadrature. A QuadratureFailure names the topology, subset and cut."""
-    _check_subset(t, q.subset)
+    _relay_subset(q.subset, t.n_relays)
     if not cut.omega <= set(q.subset):
         raise IndexOutOfSubsetError(
             f"cut {sorted(cut.omega)} not within subset {sorted(q.subset)}")
@@ -432,7 +430,7 @@ def outage_monte_carlo(t, q, rng):
     """
     if q.mc_samples < 100:
         raise ValueError(f"mc_samples must be >= 100, got {q.mc_samples}")
-    _check_subset(t, q.subset)
+    _relay_subset(q.subset, t.n_relays)
     [(_, p)] = _least_outage([(t, [q.subset])], q.rate, rng, q.mc_samples)
     return p, math.sqrt(p * (1.0 - p) / q.mc_samples)
 

@@ -31,7 +31,8 @@ def check_int(value, field, minimum=None):
     """value as an int; a ValueError naming field unless it is an integer
     (numpy integers too), not a bool, and >= minimum if one is given. 1.5
     is not truncated to 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+    if type(value) is not int and (isinstance(value, bool)  # int: the fast path
+                                   or not isinstance(value, numbers.Integral)) \
             or minimum is not None and value < minimum:
         at_least = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{field} must be an integer{at_least}, got {value!r}")
@@ -59,6 +60,56 @@ def doc_list(value, field):
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{field} must be a list, got {value!r}")
     return value
+
+
+def doc_str(value, field):
+    """A parsed document's string value; a ValueError naming field for
+    anything else, such as null, 7 or a list."""
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string, got {value!r}")
+    return value
+
+
+def doc_rule(rule):
+    """The read_doc parser of the document rule rule(value, field), such
+    as doc_int, which reads no files."""
+    return lambda value, what, base_dir: rule(value, what)
+
+
+# The default of a key that its block must give.
+REQUIRED = object()
+
+
+def read_doc(block, schema, where, base_dir=None, top=False):
+    """The parsed keys of block (None reads as {}), a mapping checked
+    against schema, which maps each key it allows to (parser, default).
+    parser(value, what, base_dir) parses the key's value, or its default
+    where block leaves it out, and raises ValueError naming what: the key,
+    after `where` unless top. A REQUIRED key must be given."""
+    block = {} if block is None else block
+    if not isinstance(block, dict):
+        raise ValueError(f"{where} must be a mapping, got {block!r}")
+    unknown = [k for k in block if k not in schema]
+    if unknown:
+        raise ValueError(f"unknown {where} key {unknown[0]!r}; "
+                         f"expected one of {', '.join(sorted(schema))}")
+    parsed = {}
+    for key, (parse, default) in schema.items():
+        value = block.get(key, default)
+        if value is REQUIRED:
+            raise ValueError(f"missing required key {key!r}")
+        parsed[key] = parse(value, key if top else f"{where} {key}", base_dir)
+    return parsed
+
+
+def load_doc(path, error):
+    """The mapping that the YAML file path holds; error naming path if it
+    holds anything else. OSError and yaml.YAMLError pass through."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = yaml.safe_load(fh)
+    if not isinstance(doc, dict):
+        raise error(f"{path}: expected a mapping at top level")
+    return doc
 
 
 @dataclass(frozen=True)
@@ -173,7 +224,7 @@ class TopologySchedule:
     segments: tuple
 
     def __post_init__(self):
-        segs = tuple((str(label), check_int(n, "frames")) for label, n in self.segments)
+        segs = tuple((label, check_int(n, "frames")) for label, n in self.segments)
         object.__setattr__(self, "segments", segs)
         if not segs:
             raise TopologyError("schedule must have at least one segment")
@@ -185,23 +236,29 @@ class TopologySchedule:
         return sum(n for _, n in self.segments)
 
 
+def _snrs(value, what, base_dir):
+    return [doc_number(v, f"{what} entry") for v in doc_list(value, what)]
+
+
+# The keys of a topology document, with their rules and defaults: the mean
+# SNRs are in units; n_relays may be an integral float (2.0 reads as 2).
+_TOPOLOGY = {"label": (doc_rule(doc_str), "topology"),
+             "n_relays": (doc_rule(doc_int), REQUIRED),
+             "units": (doc_rule(doc_str), "linear"),
+             "snr_sd": (doc_rule(doc_number), REQUIRED),
+             "snr_sr": (_snrs, REQUIRED), "snr_rd": (_snrs, REQUIRED)}
+
+
 def topology_from_dict(doc):
-    """Topology from a parsed document with keys label, n_relays, snr_sd,
-    snr_sr, snr_rd and optional units: linear|db (default linear).
-    n_relays must be an integer (2.0 reads as 2), snr_sd a number and
-    snr_sr and snr_rd lists of numbers; any other value is a TopologyError
-    naming its key."""
+    """Topology from a parsed document with the keys label, n_relays,
+    units (linear or db), snr_sd, snr_sr and snr_rd and no others; a
+    missing, unknown or malformed key is a TopologyError naming it."""
     try:
-        n = doc_int(doc["n_relays"], "n_relays")
-        snr_sd = doc_number(doc["snr_sd"], "snr_sd")
-        snr_sr, snr_rd = ([doc_number(v, f"{key} entry") for v in doc_list(doc[key], key)]
-                          for key in ("snr_sr", "snr_rd"))
-    except KeyError as e:
-        raise TopologyError(f"topology document missing key {e.args[0]!r}") from e
-    except (TypeError, ValueError) as e:
+        keys = read_doc(doc, _TOPOLOGY, "topology", top=True)
+    except ValueError as e:
         raise TopologyError(f"malformed topology document: {e}") from e
-    t = Topology.from_snr(snr_sd, snr_sr, snr_rd, label=str(doc.get("label", "topology")),
-                          units=str(doc.get("units", "linear")))
+    n = keys.pop("n_relays")
+    t = Topology.from_snr(**keys)
     if t.n_relays != n:
         raise LengthMismatchError(
             f"n_relays is {n} but snr lists have {t.n_relays} entries")
@@ -210,8 +267,4 @@ def topology_from_dict(doc):
 
 def load_topology(path):
     """Read a single-topology YAML file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict):
-        raise TopologyError(f"{path}: expected a mapping at top level")
-    return topology_from_dict(doc)
+    return topology_from_dict(load_doc(path, TopologyError))

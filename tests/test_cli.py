@@ -288,6 +288,35 @@ class TestValidate:
          "snr_sd must be a number, got '0.5'"),
         ("ensemble", {"topologies": [topo_doc("A"), {**topo_doc("B"), "snr_sd": True}]},
          "snr_sd must be a number, got True"),
+        # a misspelt key once left its default in force (dB read as
+        # linear), and a string key read any value through str()
+        ("outage_sweep", {"topology": {**topo_doc(), "unit": "db"}},
+         "unknown topology key 'unit'"),
+        ("outage_sweep", {"topology": {**topo_doc(), "label": None}},
+         "label must be a string, got None"),
+        ("outage_sweep", {"topology": {**topo_doc(), "label": ["a"]}},
+         "label must be a string, got ['a']"),
+        ("ensemble", {"topologies": [topo_doc("A"), {**topo_doc("B"), "label": 7}]},
+         "label must be a string, got 7"),
+        ("outage_sweep", {"topology": {**topo_doc(), "units": None}},
+         "units must be a string, got None"),
+        ("outage_sweep", {"kind": 5}, "kind must be a string, got 5"),
+        ("outage_sweep", {"method": None}, "method must be a string, got None"),
+        ("outage_sweep", {"normalization": 1}, "normalization must be a string, got 1"),
+        ("mac_compare", {"mode_policy": None}, "mode_policy must be a string, got None"),
+        ("adaptive_compare", {"policies": ["SPA", 7]},
+         "policies entry must be a string, got 7"),
+        ("fixed_modes", {"modes": ["DT", None]}, "modes entry must be a string, got None"),
+        ("fixed_modes", {"schedule": {**schedule_doc(), "segments": [
+            {"topology": None, "frames": 50}]}},
+         "segment topology must be a string, got None"),
+        ("ensemble", {"strategy": 1}, "strategy must be a string, got 1"),
+        ("outage_sweep", {"snr_grid": {"start": 0.0, "stop": 10.0, "step": 5.0,
+                                       "stpe": 1.0}},
+         "unknown snr_grid key 'stpe'"),
+        ("outage_sweep", {"snr_grid": {"start": 0.0, "stop": 10.0}},
+         "missing required key 'step'"),
+        ("outage_sweep", {"snr_grid": 5}, "snr_grid must be a list, got 5"),
     ])
     def test_rejects_what_the_run_rejects(self, tmp_path, capsys, kind,
                                           override, message):
@@ -679,6 +708,22 @@ class TestFlagPipeline:
         assert main(argv + ["--out", str(out)]) == 0
         config = json.loads(Path(f"{out}.manifest.json").read_text())["config"]
         assert sorted(config) == sorted(set(doc) - {"seed"})
+
+    @pytest.mark.parametrize("where", ["config", "schedule"])
+    def test_topology_files_reject_a_misspelt_key(self, tmp_path, capsys, where):
+        # `unit: db` once validated and read 20 dB as 20 linear
+        topo = {**schedule_doc()["topologies"][0], "unit": "db"}
+        write_yaml(tmp_path / "a.yaml", topo)
+        write_yaml(tmp_path / "b.yaml", schedule_doc()["topologies"][1])
+        write_yaml(tmp_path / "s.yaml", {**schedule_doc(),
+                                         "topologies": ["a.yaml", "b.yaml"]})
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "config": {"kind": "outage_sweep", "topology": "a.yaml", "rate": 1.0,
+                       "k_values": [0], "snr_grid": [0.0]},
+            "schedule": {"kind": "fixed_modes", "schedule": "s.yaml", "rate": 1.0},
+        }[where])
+        assert main(["validate", cfg]) == 2
+        assert "unknown topology key 'unit'" in capsys.readouterr().err
 
     def test_schedule_file_paths_resolve_against_its_directory(
             self, tmp_path, monkeypatch):

@@ -5,7 +5,8 @@ digests recorded from coopsim 0.3.0.
 Acceptance 10 only shows that a rerun reproduces itself; this test shows
 that output stays byte-identical from one version of the code to the
 next; the kinds that use the process pool are checked on two workers
-too, against the same digests. If a change moves output on purpose, print the new digests with
+too, and every config with its topologies and schedule read from files,
+against the same digests. If a change moves output on purpose, print the new digests with
 `PYTHONPATH=src python tests/test_golden.py` and say in CHANGES.md why
 they moved.
 """
@@ -219,10 +220,17 @@ def _digests(files):
     return out
 
 
-def _run_config(name, tmp_dir, threads=1):
+def _write_yaml(path, doc):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(doc, fh)
+
+
+def _run_config(name, tmp_dir, threads=1, config=None):
+    """The digests of config (by default CONFIGS[name]) run from a file in
+    tmp_dir."""
     cfg = os.path.join(tmp_dir, f"{name}.yaml")
-    with open(cfg, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(CONFIGS[name], fh)
+    _write_yaml(cfg, CONFIGS[name] if config is None else config)
     return _digests(run_config(cfg, out_dir=os.path.join(tmp_dir, name),
                                threads=threads))
 
@@ -272,6 +280,35 @@ def test_pooled_outputs_match_golden_digests(name, tmp_path, monkeypatch):
     # the core count, write the same bytes
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
     assert _run_config(name, str(tmp_path), threads=2) == GOLDEN[name]
+
+
+def _topology_file(tmp_dir, sub, topo):
+    """The name of the file in tmp_dir/sub that topo is written to."""
+    name = f"{topo['label']}.yaml"
+    _write_yaml(os.path.join(tmp_dir, sub, name), topo)
+    return name
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_file_documents_match_golden_digests(name, tmp_path):
+    # each inline topology and schedule written to a file that the config
+    # names by a relative path; a schedule file names its topology files
+    # relative to its own directory
+    tmp_dir = str(tmp_path)
+    config = dict(CONFIGS[name])
+    if "topology" in config:
+        config["topology"] = "topologies/" + _topology_file(tmp_dir, "topologies",
+                                                            config["topology"])
+    if "topologies" in config:
+        config["topologies"] = ["topologies/" + _topology_file(tmp_dir, "topologies", t)
+                                for t in config["topologies"]]
+    if "schedule" in config:
+        schedule = {**config["schedule"], "topologies": [
+            _topology_file(tmp_dir, "schedule", t)
+            for t in config["schedule"]["topologies"]]}
+        _write_yaml(os.path.join(tmp_dir, "schedule", "schedule.yaml"), schedule)
+        config["schedule"] = "schedule/schedule.yaml"
+    assert _run_config(name, tmp_dir, config=config) == GOLDEN[name]
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -63,6 +64,22 @@ class TestCutValue:
 
 
 class TestApproxCapacity:
+    @pytest.mark.parametrize("subset, message", [
+        ((1.0,), "subset must be an integer, got 1.0"),
+        ((True,), "subset must be an integer, got True"),
+        (("1",), "subset must be an integer, got '1'"),
+        ((1, 1), "subset (1, 1) has repeated indices"),
+        ((0,), "subset (0,) has indices outside 1..2"),
+        ((1, 3), "subset (1, 3) has indices outside 1..2"),
+    ])
+    def test_subset_is_checked_as_the_query_checks_it(self, subset, message):
+        # (1.0,) was once a numpy IndexError, (True,) relay 1 and (1, 1) a
+        # subset with relay 1 twice
+        c = real(1.0, (1.0, 1.0), (1.0, 1.0))
+        for draws in (c, np.array([c, c])):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                approx_capacity(draws, subset)
+
     def test_single_relay_identity(self, rng):
         # min over the two cuts equals max(C_sd, min(C_sr, C_rd))
         for c in rng.exponential(1.0, (200, 3)):

@@ -198,12 +198,34 @@ TWO_RELAY_DOC = {"label": "doc", "n_relays": 2, "snr_sd": 0.5, "snr_sr": [2.0, 1
     ("snr_rd", [1.5, None], "snr_rd entry must be a number, got None"),
     ("snr_sd", "0.5", "snr_sd must be a number, got '0.5'"),
     ("snr_sd", True, "snr_sd must be a number, got True"),
+    ("label", None, "label must be a string, got None"),
+    ("label", ["a"], "label must be a string, got ['a']"),
+    ("label", 7, "label must be a string, got 7"),
+    ("unit", "db", "unknown topology key 'unit'"),
 ])
 @pytest.mark.parametrize("units", ["linear", "db"])
 def test_topology_documents_reject_malformed_values(key, value, message, units):
     # each was once truncated (2.5 -> 2), read item by item ("12" -> two
-    # relays, a mapping -> its keys) or taken as a number ("0.5", true)
+    # relays, a mapping -> its keys), taken as a number ("0.5", true), read
+    # through str() (null -> 'None') or, a misspelt key, ignored
     with pytest.raises(TopologyError, match=re.escape(message)):
         topology_from_dict({**TWO_RELAY_DOC, "units": units, key: value})
     assert topology_from_dict({**TWO_RELAY_DOC, "units": units, "n_relays": 2.0}) == \
         topology_from_dict({**TWO_RELAY_DOC, "units": units})
+
+
+def test_topology_documents_name_a_missing_key():
+    doc = {key: value for key, value in TWO_RELAY_DOC.items() if key != "snr_sd"}
+    with pytest.raises(TopologyError, match="missing required key 'snr_sd'"):
+        topology_from_dict(doc)
+
+
+def test_topology_files_are_checked_like_documents(tmp_path):
+    # a misspelt units key once read dB values as linear (20 dB as 20)
+    path = tmp_path / "t.yaml"
+    path.write_text(yaml.safe_dump({**TWO_RELAY_DOC, "unit": "db"}))
+    with pytest.raises(TopologyError, match="unknown topology key 'unit'"):
+        load_topology(path)
+    path.write_text("- label: doc\n")
+    with pytest.raises(TopologyError, match="expected a mapping at top level"):
+        load_topology(path)
