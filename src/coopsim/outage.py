@@ -272,51 +272,62 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 
 
 def _max_cdf_at(lams, x):
-    """_max_cdf at every point of the array x."""
-    lams = np.asarray(lams)[:, None]
-    return np.prod(-np.expm1(-lams * np.maximum(x, 0.0)), axis=0)
+    """_max_cdf at every point of the array x; for one lambda its one
+    factor, with no product."""
+    x = np.maximum(x, 0.0)
+    if len(lams) == 1:
+        return -np.expm1(-lams[0] * x)
+    return np.prod(-np.expm1(-np.asarray(lams)[:, None] * x), axis=0)
 
 
 def _max_pdf_at(lams, x):
     """Density of the max of independent exponentials at every point of
     the array x >= 0: the sum over i of f_i times the CDFs F_k, k != i, of
-    the others, taken from prefix and suffix products."""
+    the others, taken from prefix and suffix products. One lambda is its
+    own density, with no products and no sum."""
+    if len(lams) == 1:
+        return lams[0] * np.exp(-lams[0] * x)
     lams = np.asarray(lams)[:, None]
     z = -lams * x
+    terms = lams * np.exp(z)
     cdfs = -np.expm1(z)
     m = len(lams)
-    before, after = np.ones_like(cdfs), np.ones_like(cdfs)
+    before, after = cdfs[0], cdfs[m - 1]
     for i in range(1, m):
-        before[i] = before[i - 1] * cdfs[i - 1]
-        after[m - 1 - i] = after[m - i] * cdfs[m - i]
-    return (lams * np.exp(z) * before * after).sum(axis=0)
-
-
-def _panel_nodes(edges):
-    """Nodes and weights of the Gauss-Legendre rule on every panel
-    [edges[i], edges[i+1]], flattened."""
-    half = 0.5 * np.diff(edges)[:, None]
-    mid = (0.5 * edges[:-1] + 0.5 * edges[1:])[:, None]
-    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+        terms[i] *= before
+        if i < m - 1:
+            before = before * cdfs[i]
+    for i in range(m - 2, -1, -1):
+        terms[i] *= after
+        if i > 0:
+            after = after * cdfs[i]
+    return terms.sum(axis=0)
 
 
 def _panel_rule(lams_src, lams_dst, rate, tau, points):
     """(value, error estimate) of the integral of P_omega on the panels
     that the points inside (0, tau) cut [0, tau] into: the Gauss-Legendre
     rule on the halved panels, and its difference from the same rule on
-    the whole panels."""
+    the whole panels.
+
+    One edge table holds the whole panels [e_i, e_i+1], then the halves
+    [e_i, m_i], [m_i, e_i+1] in panel order, m_i = 0.5 e_i + 0.5 e_i+1,
+    and gives one node array and one weighted integrand for both rules."""
     edges = np.array([0.0, *sorted(p for p in points if 0.0 < p < tau), tau])
-    halved = np.empty(2 * len(edges) - 1)
-    halved[::2] = edges
-    halved[1::2] = 0.5 * edges[:-1] + 0.5 * edges[1:]
-    x_whole, w_whole = _panel_nodes(edges)
-    x_halved, w_halved = _panel_nodes(halved)
-    x = np.concatenate((x_whole, x_halved))
+    n = len(edges) - 1
+    lo, hi = np.empty((2, 3 * n))
+    lo[:n], hi[:n] = edges[:-1], edges[1:]
+    lo[n::2], hi[n + 1::2] = lo[:n], hi[:n]
+    hi[n::2] = lo[n + 1::2] = 0.5 * lo[:n] + 0.5 * hi[:n]
+    half = (0.5 * (hi - lo))[:, None]
+    x = ((0.5 * lo + 0.5 * hi)[:, None] + half * _GL_NODES).ravel()
     # lambda * x overflows to inf near the largest tau: exp(-inf) = 0 is the limit
     with np.errstate(over="ignore"):
         f = _max_pdf_at(lams_src, x) * _max_cdf_at(lams_dst, 2.0 ** rate / (1.0 + x) - 1.0)
-    value = float((w_halved * f[len(x_whole):]).sum())
-    return value, abs(value - float((w_whole * f[:len(x_whole)]).sum()))
+    wf = (half * _GL_WEIGHTS).ravel() * f
+    whole = n * len(_GL_NODES)
+    value = float(wf[whole:].sum())
+    return value, abs(value - float(wf[:whole].sum()))
 
 
 def _p_omega(lams_src, lams_dst, rate):
@@ -372,10 +383,18 @@ def _p_omega(lams_src, lams_dst, rate):
         f"lams_dst={lams_dst}, rate={rate!r}, rel_tol={REL_TOL:.1e}")
 
 
-def _cut_rates(t, cut, subset):
-    lams_src = tuple(sorted(t.lambda_sr[i - 1] for i in cut.omega))
-    lams_dst = tuple(sorted(t.lambda_rd[j - 1] for j in subset if j not in cut.omega))
-    return lams_src, lams_dst
+def _cut_term(t, subset, omega, rate):
+    """P_omega for the cut omega of the relay subset, lambdas in ascending
+    order on each side. A QuadratureFailure names the topology, subset and
+    cut."""
+    lams_src = tuple(sorted(t.lambda_sr[i - 1] for i in omega))
+    lams_dst = tuple(sorted(t.lambda_rd[j - 1] for j in subset if j not in omega))
+    try:
+        return _p_omega(lams_src, lams_dst, rate)
+    except QuadratureFailure as e:
+        raise QuadratureFailure(
+            f"topology {t.label!r}, subset {subset}, cut omega={sorted(omega)}: "
+            f"{e}") from e
 
 
 def cut_outage_analytic(t, q, cut):
@@ -385,13 +404,7 @@ def cut_outage_analytic(t, q, cut):
     if not cut.omega <= set(q.subset):
         raise IndexOutOfSubsetError(
             f"cut {sorted(cut.omega)} not within subset {sorted(q.subset)}")
-    lams_src, lams_dst = _cut_rates(t, cut, q.subset)
-    try:
-        return _p_omega(lams_src, lams_dst, float(q.rate))
-    except QuadratureFailure as e:
-        raise QuadratureFailure(
-            f"topology {t.label!r}, subset {q.subset}, cut omega={sorted(cut.omega)}: "
-            f"{e}") from e
+    return _cut_term(t, q.subset, cut.omega, float(q.rate))
 
 
 def outage_upper_bound(t, q):
@@ -409,15 +422,17 @@ def _bound_unless_above(t, q, level):
     min(1, P_direct * (partial sum + that last term)) is a lower bound on
     the final bound, since every term is >= 0 and rounding is monotone;
     the sum stops once it is above level. For k = 0 the one cut is the
-    last.
+    last. The query's subset is checked once, and each cut's lambdas are
+    gathered only when the sum reaches it.
     """
-    *cuts, last = (Cut(omega) for size in range(len(q.subset) + 1)
-                   for omega in itertools.combinations(q.subset, size))
-    last_term = cut_outage_analytic(t, q, last)
+    subset = _relay_subset(q.subset, t.n_relays)
+    rate = float(q.rate)
+    last_term = _cut_term(t, subset, subset, rate)
     p_direct = direct_outage(t.lambda_sd, q.rate)
     total = 0.0
-    for cut in cuts:
-        total += cut_outage_analytic(t, q, cut)
+    for omega in (omega for size in range(len(subset))
+                  for omega in itertools.combinations(subset, size)):
+        total += _cut_term(t, subset, omega, rate)
         if min(1.0, p_direct * (total + last_term)) > level:
             break
     return min(1.0, p_direct * (total + last_term))
@@ -480,33 +495,48 @@ def _subsets(t, k):
 
 
 def _floor_order(t, subsets, rate):
-    """(floor, query) pairs of the subsets in ascending order of floor,
-    ties in lexicographic order: the order in which the analytic searches
-    visit them. A query is built only when the walk reaches its subset;
-    the rate check that every query makes comes first.
+    """(floor, query) pairs of the subsets, given in lexicographic order as
+    _subsets gives them, in ascending order of floor, ties keeping their
+    order: the order in which the analytic searches visit them. A query is
+    built only when the walk reaches its subset; the rate check that every
+    query makes comes first.
 
     A subset's floor is P_direct * (F_Y(tau) + F_X(tau)), the terms of
     its bound's two closed-form cuts omega = {} and omega = subset added
     in the bound's order, so it never exceeds the bound. Each CDF is a
     product of per-relay factors 1 - exp(-lambda * tau), computed once per
-    relay and side and multiplied in ascending-lambda order as _max_cdf
+    relay and side in ascending-lambda order, gathered through a table of
+    each subset's members in that order (_member_ranks, cached: scaling a
+    topology keeps its order) and multiplied column by column as _max_cdf
     does, so the floor equals the sum of those two cut terms bit for bit
     (the oracle tests/oracles.bound_floor).
     """
     tau = rate_threshold(rate, positive=True)
-    members = np.array(subsets, dtype=np.intp) - 1
-    in_subset = np.zeros((len(subsets), t.n_relays), dtype=bool)
-    in_subset[np.arange(len(subsets))[:, None], members] = True
+    subsets = tuple(subsets)
     # F_Y, the cut omega = {}, comes first; at k = 0 it is the only cut
     total = np.zeros(len(subsets))
-    for lams in (t.lambda_rd, t.lambda_sr) if members.size else (t.lambda_rd,):
+    for lams in (t.lambda_rd, t.lambda_sr) if subsets[0] else (t.lambda_rd,):
+        order = tuple(sorted(range(t.n_relays), key=lams.__getitem__))
+        factors = np.array([-math.expm1(-lams[i] * tau) for i in order])
         cdf = np.ones(len(subsets))
-        for i in sorted(range(t.n_relays), key=lams.__getitem__):
-            np.multiply(cdf, -math.expm1(-lams[i] * tau), out=cdf, where=in_subset[:, i])
+        for column in factors[_member_ranks(subsets, order)].T:
+            cdf *= column
         total += cdf
-    floors = np.minimum(1.0, direct_outage(t.lambda_sd, rate) * total)
-    for floor, subset in sorted(zip(floors.tolist(), subsets)):
-        yield floor, OutageQuery(rate=rate, subset=subset)
+    floors = np.minimum(1.0, direct_outage(t.lambda_sd, rate) * total).tolist()
+    for i in sorted(range(len(subsets)), key=floors.__getitem__):
+        yield floors[i], OutageQuery(rate=rate, subset=subsets[i])
+
+
+@functools.lru_cache
+def _member_ranks(subsets, order):
+    """For each subset, the positions in order (0-based relay indices) of
+    its members, ascending: one row per subset, built once per subsets and
+    order and then shared, read-only."""
+    rank = {relay: r for r, relay in enumerate(order)}
+    table = np.array([sorted(rank[i - 1] for i in subset) for subset in subsets],
+                     dtype=np.intp)
+    table.setflags(write=False)
+    return table
 
 
 def _reaches(t, k, rate, level):

@@ -102,11 +102,37 @@ def read_doc(block, schema, where, base_dir=None, top=False):
     return parsed
 
 
+class _RepeatedKey(Exception):
+    """A key given twice in one YAML mapping."""
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that rejects a scalar key given twice in one mapping,
+    of which yaml.safe_load would keep the later value. A key that a merge
+    (<<) brings in may still be set again."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if (isinstance(key_node, yaml.ScalarNode)
+                    and key_node.tag != "tag:yaml.org,2002:merge"):
+                key = self.construct_object(key_node, deep=deep)
+                if key in seen:
+                    raise _RepeatedKey(f"key {key!r} given twice "
+                                       f"(line {key_node.start_mark.line + 1})")
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_doc(path, error):
     """The mapping that the YAML file path holds; error naming path if it
-    holds anything else. OSError and yaml.YAMLError pass through."""
+    holds anything else or gives a key twice in one mapping. OSError and
+    yaml.YAMLError pass through."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.load(fh, _UniqueKeyLoader)
+        except _RepeatedKey as e:
+            raise error(f"{path}: {e}") from None
     if not isinstance(doc, dict):
         raise error(f"{path}: expected a mapping at top level")
     return doc

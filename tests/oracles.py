@@ -6,6 +6,10 @@ They are slow and need scipy, so they live here rather than in the package:
   destination side, on breakpoints of its own;
 - p_omega_by_term_expansion: P_omega as a signed sum of elementary
   integrals, independent of the integrand's product form;
+- panel_rule_reference: outage._panel_rule as first written, each rule's
+  nodes built from its own edge array and each density and CDF a full
+  product over ones arrays, whose results the package rule must equal bit
+  for bit;
 - union_bound: outage_upper_bound as one sum over every cut;
 - bound_floor: the floor of a subset's union bound that the analytic
   searches walk by, from its two closed-form cut terms;
@@ -173,6 +177,55 @@ def p_omega_by_term_expansion(lams_src, lams_dst, rate, rel_tol):
                 sign_t = -1.0 if len(tset) % 2 else 1.0
                 total += li * sign_u * sign_t * elementary(alpha, sum(tset))
     return total
+
+
+# 48-point Gauss-Legendre nodes and weights on [-1, 1]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+
+
+def _max_cdf_at(lams, x):
+    """_max_cdf at every point of the array x."""
+    lams = np.asarray(lams)[:, None]
+    return np.prod(-np.expm1(-lams * np.maximum(x, 0.0)), axis=0)
+
+
+def _max_pdf_at(lams, x):
+    """Density of the max of independent exponentials at every point of
+    the array x >= 0, from prefix and suffix products that start at ones."""
+    lams = np.asarray(lams)[:, None]
+    z = -lams * x
+    cdfs = -np.expm1(z)
+    m = len(lams)
+    before, after = np.ones_like(cdfs), np.ones_like(cdfs)
+    for i in range(1, m):
+        before[i] = before[i - 1] * cdfs[i - 1]
+        after[m - 1 - i] = after[m - i] * cdfs[m - i]
+    return (lams * np.exp(z) * before * after).sum(axis=0)
+
+
+def _panel_nodes(edges):
+    """Nodes and weights of the Gauss-Legendre rule on every panel
+    [edges[i], edges[i+1]], flattened."""
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = (0.5 * edges[:-1] + 0.5 * edges[1:])[:, None]
+    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+
+
+def panel_rule_reference(lams_src, lams_dst, rate, tau, points):
+    """outage._panel_rule: (value, error estimate) of the Gauss-Legendre
+    rule on the halved panels and its difference from the rule on the
+    whole panels, each rule's nodes from its own edge array."""
+    edges = np.array([0.0, *sorted(p for p in points if 0.0 < p < tau), tau])
+    halved = np.empty(2 * len(edges) - 1)
+    halved[::2] = edges
+    halved[1::2] = 0.5 * edges[:-1] + 0.5 * edges[1:]
+    x_whole, w_whole = _panel_nodes(edges)
+    x_halved, w_halved = _panel_nodes(halved)
+    x = np.concatenate((x_whole, x_halved))
+    with np.errstate(over="ignore"):
+        f = _max_pdf_at(lams_src, x) * _max_cdf_at(lams_dst, 2.0 ** rate / (1.0 + x) - 1.0)
+    value = float((w_halved * f[len(x_whole):]).sum())
+    return value, abs(value - float((w_whole * f[:len(x_whole)]).sum()))
 
 
 def union_bound(t, q):

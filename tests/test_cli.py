@@ -725,6 +725,38 @@ class TestFlagPipeline:
         assert main(["validate", cfg]) == 2
         assert "unknown topology key 'unit'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where, key", [
+        ("topology", "units"), ("config", "rate"), ("schedule", "segments"),
+        ("params", "eta")])
+    def test_a_key_given_twice_is_rejected(self, tmp_path, capsys, where, key):
+        # yaml.safe_load once kept the later value: `units: db` then
+        # `units: linear` read a topology's dB SNRs as linear, and a config
+        # with `rate: 1.0` then `rate: 2.0` ran at rate 2.0
+        def twice(name, doc, again):
+            (tmp_path / name).write_text(yaml.safe_dump(doc) + yaml.safe_dump(again))
+            return str(tmp_path / name)
+
+        topo = topo_doc()
+        sweep = {"kind": "outage_sweep", "topology": topo, "rate": 1.0,
+                 "k_values": [0], "snr_grid": [0.0]}
+        sched = write_yaml(tmp_path / "s.yaml", schedule_doc())
+        if where == "topology":
+            path = twice("t.yaml", topo, {"units": "db"})
+            argv = ["validate", write_yaml(tmp_path / "c.yaml", {**sweep, "topology": path})]
+        elif where == "config":
+            path = twice("c.yaml", sweep, {"rate": 2.0})
+            argv = ["validate", path]
+        elif where == "schedule":
+            path = twice("s.yaml", schedule_doc(), {"segments": schedule_doc()["segments"][:1]})
+            argv = ["validate", write_yaml(tmp_path / "c.yaml", {
+                "kind": "fixed_modes", "schedule": path, "rate": 1.0})]
+        else:
+            path = twice("p.yaml", {"eta": 0.5}, {"eta": 0.7})
+            argv = ["run", "--policy", "SPA", "--schedule", sched, "--rate", "1.0",
+                    "--params", path, "--out", str(tmp_path / "log.csv")]
+        assert main(argv) == 2
+        assert f"{path}: key {key!r} given twice" in capsys.readouterr().err
+
     def test_schedule_file_paths_resolve_against_its_directory(
             self, tmp_path, monkeypatch):
         sub = tmp_path / "sub"

@@ -24,6 +24,7 @@ from coopsim.outage import (_BLOCK_ROWS, MAX_RATE, REL_TOL, Cut,
 from oracles import (best_subnetwork_exhaustive,
                      best_subnetwork_montecarlo_scan, bound_floor,
                      p_omega_by_term_expansion, p_omega_quad,
+                     panel_rule_reference,
                      required_snr_db_full_search, union_bound)
 from coopsim.rng import named_rng
 from coopsim.topology import Topology, sample_channels
@@ -79,6 +80,24 @@ class TestApproxCapacity:
         for draws in (c, np.array([c, c])):
             with pytest.raises(ValueError, match=re.escape(message)):
                 approx_capacity(draws, subset)
+
+    def test_the_bound_and_its_walks_check_the_subset_against_the_topology(
+            self, monkeypatch):
+        # a query knows no topology, so (1, 3) passes it; every analytic
+        # entry checks it against the topology's two relays before any cut,
+        # the walks through the query a floor order hands them
+        t = Topology.from_snr(1.0, [1.0, 1.0], [1.0, 1.0])
+        q = OutageQuery(rate=1.0, subset=(1, 3))
+        monkeypatch.setattr(outage, "_floor_order", lambda *a: iter([(0.0, q)]))
+        for call in (lambda: cut_outage_analytic(t, q, Cut(())),
+                     lambda: outage_upper_bound(t, q),
+                     lambda: _bound_unless_above(t, q, math.inf),
+                     lambda: _bound_unless_above(t, q, -1.0),
+                     lambda: best_subnetwork(t, 2, 1.0),
+                     lambda: _reaches(t, 2, 1.0, 0.5)):
+            with pytest.raises(ValueError,
+                               match=re.escape("subset (1, 3) has indices outside 1..2")):
+                call()
 
     def test_single_relay_identity(self, rng):
         # min over the two cuts equals max(C_sd, min(C_sr, C_rd))
@@ -303,6 +322,51 @@ class TestCutOutageAnalytic:
         slack = 10.0 * REL_TOL
         assert cdf(src, h) * cdf(dst, h) * (1.0 - slack) <= value
         assert value <= min(cdf(src, tau), cdf(dst, tau)) * (1.0 + slack)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lams_src=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4),
+           lams_dst=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4),
+           repeat=st.booleans(),
+           rate=st.one_of(st.floats(0.25, 8.0),
+                          st.floats(8.0, 1024.0, exclude_max=True),
+                          st.just(math.nextafter(1024.0, 0.0))))
+    @example(lams_src=[1.0], lams_dst=[4.0], repeat=False, rate=0.5)
+    @example(lams_src=[0.5, 0.2], lams_dst=[0.0, 0.1, 0.0], repeat=True,
+             rate=math.nextafter(1024.0, 0.0))
+    def test_panel_rule_equals_the_reference_bit_for_bit(self, lams_src, lams_dst,
+                                                         repeat, rate):
+        # every rule pass, first and second, on the points _p_omega hands
+        # it, and _p_omega's outcome, against the rule as first written.
+        # lambdas log-uniform over [1e-6, 1e6], each side one repeated
+        # value under `repeat`; near R = 1024, lambda * x overflows. The
+        # first example fails the first pass and takes the second
+        src = [10.0 ** e for e in lams_src]
+        dst = [10.0 ** e for e in lams_dst]
+        if repeat:
+            src, dst = [src[0]] * len(src), [dst[0]] * len(dst)
+        src, dst = tuple(sorted(src)), tuple(sorted(dst))
+        rule = outage._panel_rule
+        passes = []
+
+        def checked(*args):
+            value, abserr = rule(*args)
+            expected = panel_rule_reference(*args)
+            assert (value.hex(), abserr.hex()) == tuple(v.hex() for v in expected), args
+            passes.append(args)
+            return value, abserr
+
+        def outcome():
+            try:
+                return _p_omega(src, dst, rate).hex()
+            except QuadratureFailure as e:
+                return str(e)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(outage, "_panel_rule", checked)
+            got = outcome()
+            mp.setattr(outage, "_panel_rule", panel_rule_reference)
+            assert got == outcome()
+        event(f"rule passes: {len(passes)}")
 
     def test_a_value_outside_its_bounds_takes_the_retry_or_fails(self, monkeypatch):
         # at R = 60 the bounds are [1, 1]: a first pass that misses them

@@ -229,3 +229,14 @@ def test_topology_files_are_checked_like_documents(tmp_path):
     path.write_text("- label: doc\n")
     with pytest.raises(TopologyError, match="expected a mapping at top level"):
         load_topology(path)
+    # a key given twice, at the top or in a nested mapping, is an error
+    # naming the file, the key and its second line; a merge may be overridden
+    path.write_text(yaml.safe_dump({**TWO_RELAY_DOC, "units": "linear"}) + "units: db\n")
+    with pytest.raises(TopologyError, match=re.escape(f"{path}: key 'units' given twice")):
+        load_topology(path)
+    path.write_text("base: {label: x, label: y}\n")
+    with pytest.raises(TopologyError, match=re.escape("key 'label' given twice (line 1)")):
+        load_topology(path)
+    path.write_text(yaml.safe_dump({**TWO_RELAY_DOC, "label": "old"})
+                    .replace("label: old", "<<: {label: merged}\nlabel: doc"))
+    assert load_topology(path).label == "doc"
