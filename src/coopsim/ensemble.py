@@ -18,7 +18,7 @@ from . import selection
 from .netsim import (Strategy, csv_cells, enumerate_modes, evaluate_frame,
                      mode_key_str)
 from .rng import named_rng
-from .topology import sample_channels
+from .topology import check_int, sample_channels
 
 
 class SegmentTooLongError(ValueError):
@@ -86,8 +86,7 @@ def record_dataset(topologies, strategy, rate, frames_per_topology, rng, map=map
     pool's map (fn and the rows then go by pickle), and the result does
     not depend on it.
     """
-    if frames_per_topology < 1:
-        raise ValueError("frames_per_topology must be >= 1")
+    check_int(frames_per_topology, "frames_per_topology", 1)
     topologies = list(topologies)
     n = topologies[0].n_relays
     if any(t.n_relays != n for t in topologies):
@@ -116,6 +115,7 @@ def synthetic_dataset(fer_table, frames_per_topology, rng):
     every topology must plant the same mode slots. Errors are category 2,
     successes category 0.
     """
+    check_int(frames_per_topology, "frames_per_topology", 1)
     labels = tuple(fer_table)
     keys = tuple(fer_table[labels[0]])
     outcomes = np.empty((len(labels), len(keys), frames_per_topology), np.int8)
@@ -131,7 +131,11 @@ def synthetic_dataset(fer_table, frames_per_topology, rng):
 def check_sampling(n_samples, n_transitions, segment_len, frames_per_topology):
     """Raise unless n_samples >= 1 samples of n_transitions + 1 >= 1
     segments of segment_len >= 1 frames each can be drawn from
-    frames_per_topology recorded frames."""
+    frames_per_topology recorded frames; each count must be an integer
+    (check_int)."""
+    check_int(n_samples, "n_samples")
+    check_int(n_transitions, "n_transitions")
+    check_int(segment_len, "segment_len")
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got n_samples={n_samples}")
     if n_transitions < 0:
@@ -167,11 +171,21 @@ def make_ensemble(dataset, n_samples, n_transitions, segment_len, seed):
 
 def _sample_columns(sample, dataset):
     """The columns of the sample's table_executor: its recorded outcomes,
-    gathered once segment by segment into one bytes column per mode slot."""
+    gathered once segment by segment into one bytes column per mode slot.
+    A segment whose topology or rows the dataset does not hold is a
+    ValueError naming them."""
     topology_index = {label: t for t, label in enumerate(dataset.topologies)}
-    columns = np.concatenate(
-        [dataset.outcomes[topology_index[label]][:, rows]
-         for label, rows in sample.segments], axis=1)
+    frames = dataset.frames_per_topology
+    blocks = []
+    for label, rows in sample.segments:
+        if label not in topology_index:
+            raise ValueError(f"sample topology {label!r} is not in the dataset")
+        if rows and not (0 <= min(rows) and max(rows) < frames):
+            row = next(r for r in rows if not 0 <= r < frames)
+            raise ValueError(f"sample row {row} of {label!r} is outside the "
+                             f"{frames} recorded frames")
+        blocks.append(dataset.outcomes[topology_index[label]][:, rows])
+    columns = np.concatenate(blocks, axis=1)
     return dict(zip(dataset.mode_keys, (column.tobytes() for column in columns)))
 
 

@@ -141,7 +141,7 @@ def coop_mac_deliver(modes, categories, policy=MacPolicy()):
     """
     results = []
     attempts = 0
-    for mode, category in zip(modes, categories):
+    for mode, category in zip(modes, categories, strict=True):
         attempts += 1
         end = _packet_end(attempts, mode, category, policy)
         if end is not None:

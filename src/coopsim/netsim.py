@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .outage import approx_capacity, rate_threshold
-from .topology import check_int
+from .topology import check_int, draw_relays
 
 
 class TraceFormatError(ValueError):
@@ -106,11 +106,11 @@ def _select(cond, a, b):
     return a if cond else b
 
 
-def _phase2_ok(x, mode, strategy, thr, where):
+def _phase2_ok(x, n_relays, mode, strategy, thr, where):
     """Second-slot decodability by the DT or the DIF rule (DIQIF's credit
-    is the caller's), given a failed Phase 1; x[i] is link i of the draw, a
-    float or an array of links, and where(cond, a, b) selects as np.where
-    does on them.
+    is the caller's), given a failed Phase 1; x[i] is link i of a draw of
+    n_relays relays, a float or an array of links, and where(cond, a, b)
+    selects as np.where does on them.
 
     thr is the linear SNR a slot must accumulate for the rate. The
     destination always maximal-ratio-combines its Phase-1 copy with the
@@ -121,7 +121,6 @@ def _phase2_ok(x, mode, strategy, thr, where):
     if strategy is Strategy.DT or mode is None:
         # source repeats: phase-1 + phase-2 copies of the direct link
         return 2.0 * h_sd2 >= thr
-    n_relays = (len(x) - 1) // 2
     if len(mode.relays) == 1:
         # the relay joins the source's repeat if it decoded; MRC with phase 1
         (i,) = mode.relays
@@ -143,14 +142,16 @@ def evaluate_frame(c, mode, strategy, rate):
     strategy = Strategy.parse(strategy)
     thr = rate_threshold(rate)
     c = np.asarray(c, dtype=float)
-    if c.ndim != 1 or len(c) % 2 == 0:
-        raise ValueError(f"evaluate_frame takes one (2N+1,) draw, got shape {c.shape}")
-    c = c.tolist()  # Python floats: cheaper scalar arithmetic
+    what = "evaluate_frame takes one (2N+1,) draw"
+    if c.ndim != 1:
+        raise ValueError(f"{what}, got shape {c.shape}")
+    n_relays = draw_relays(c, what)
+    x = c.tolist()  # Python floats: cheaper scalar arithmetic
     if mode is not None:
-        mode.check_relays((len(c) - 1) // 2)
-    if thr <= c[0]:
+        mode.check_relays(n_relays)
+    if thr <= x[0]:
         return 0
-    if _phase2_ok(c, mode, strategy, thr, _select) or (
+    if _phase2_ok(x, n_relays, mode, strategy, thr, _select) or (
             # DIQIF: the quantize path is credited with the cut-set value
             strategy is Strategy.DIQIF and mode is not None
             and approx_capacity(c, mode.relays) >= rate):
@@ -169,12 +170,11 @@ def evaluate_frames(c, mode, strategy, rate):
     strategy = Strategy.parse(strategy)
     thr = rate_threshold(rate)
     c = np.asarray(c, dtype=float)
-    if c.ndim < 1 or c.shape[-1] % 2 == 0:
-        raise ValueError(f"evaluate_frames takes (..., 2N+1) draws, got shape {c.shape}")
+    n_relays = draw_relays(c, "evaluate_frames takes (..., 2N+1) draws")
     if mode is not None:
-        mode.check_relays((c.shape[-1] - 1) // 2)
+        mode.check_relays(n_relays)
     x = np.moveaxis(c, -1, 0)
-    ok = _phase2_ok(x, mode, strategy, thr, np.where)
+    ok = _phase2_ok(x, n_relays, mode, strategy, thr, np.where)
     if strategy is Strategy.DIQIF and mode is not None:
         ok |= approx_capacity(c, mode.relays) >= rate
     categories = np.where(ok, np.int8(1), np.int8(2))
@@ -189,7 +189,7 @@ def write_trace(path, modes, categories, topology_labels=None):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["frame_index", "topology_id", "mode", "category"])
-        for f, (mode, category) in enumerate(zip(modes, categories)):
+        for f, (mode, category) in enumerate(zip(modes, categories, strict=True)):
             label = topology_labels[f] if topology_labels is not None else ""
             w.writerow([f, label, mode_key_str(mode), category])
 

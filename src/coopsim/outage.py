@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import named_rng
-from .topology import check_int, link_scales, unit_draws
+from .topology import check_int, draw_relays, link_scales, unit_draws
 
 
 class IndexOutOfSubsetError(ValueError):
@@ -103,7 +103,7 @@ def approx_capacity(c, subset):
     array of c's shape without its last axis, a float for one draw.
     """
     c = np.asarray(c, dtype=float)
-    n_relays = (c.shape[-1] - 1) // 2
+    n_relays = draw_relays(c, "approx_capacity takes (..., 2N+1) draws")
     subset = _relay_subset(subset, n_relays)
     # log2(1 + x) of the direct link, the subset's h and its g links: one
     # array each, over c's other axes in reverse order (hence .T below)
@@ -489,6 +489,7 @@ def best_subnetwork(t, k, rate, method="analytic", mc_samples=DEFAULT_MC_SAMPLES
 
 
 def _subsets(t, k):
+    k = check_int(k, "k")
     if not 0 <= k <= t.n_relays:
         raise ValueError(f"k must be in [0, {t.n_relays}], got {k}")
     return list(itertools.combinations(range(1, t.n_relays + 1), k))

@@ -24,7 +24,7 @@ class NonPositiveRateError(TopologyError):
 
 
 class LengthMismatchError(TopologyError):
-    """A per-relay parameter list does not have n_relays entries."""
+    """The per-relay parameter lists differ in length."""
 
 
 def check_int(value, field, minimum=None):
@@ -144,9 +144,8 @@ class Topology:
 
     lambda_sr[i] governs h_i^2 on the source->relay_i link, lambda_rd[i]
     governs g_i^2 on the relay_i->destination link (0-based storage for
-    1-based relay indices).
+    1-based relay indices). N, n_relays, is the length of lambda_sr.
     """
-    n_relays: int
     lambda_sd: float
     lambda_sr: tuple
     lambda_rd: tuple
@@ -156,6 +155,10 @@ class Topology:
         object.__setattr__(self, "lambda_sr", tuple(float(x) for x in self.lambda_sr))
         object.__setattr__(self, "lambda_rd", tuple(float(x) for x in self.lambda_rd))
         validate_topology(self)
+
+    @property
+    def n_relays(self):
+        return len(self.lambda_sr)
 
     @classmethod
     def from_snr(cls, snr_sd, snr_sr, snr_rd, label="topology", units="linear"):
@@ -170,7 +173,6 @@ class Topology:
             if not (v > 0.0 and math.isfinite(v)):
                 raise NonPositiveRateError(f"mean SNR must be positive and finite, got {v}")
         return cls(
-            n_relays=len(snr_sr),
             lambda_sd=1.0 / snr_sd,
             lambda_sr=tuple(1.0 / v for v in snr_sr),
             lambda_rd=tuple(1.0 / v for v in snr_rd),
@@ -182,7 +184,6 @@ class Topology:
         if not (snr_factor > 0.0 and math.isfinite(snr_factor)):
             raise NonPositiveRateError(f"snr_factor must be positive, got {snr_factor}")
         return Topology(
-            n_relays=self.n_relays,
             lambda_sd=self.lambda_sd / snr_factor,
             lambda_sr=tuple(l / snr_factor for l in self.lambda_sr),
             lambda_rd=tuple(l / snr_factor for l in self.lambda_rd),
@@ -204,11 +205,6 @@ class Topology:
 
 def validate_topology(t):
     """Check all topology invariants; raises on violation, returns True."""
-    if t.n_relays < 0:
-        raise TopologyError(f"n_relays must be >= 0, got {t.n_relays}")
-    if len(t.lambda_sr) != t.n_relays:
-        raise LengthMismatchError(
-            f"lambda_sr has {len(t.lambda_sr)} entries, expected {t.n_relays}")
     if len(t.lambda_rd) != t.n_relays:
         raise LengthMismatchError(
             f"lambda_rd has {len(t.lambda_rd)} entries, expected {t.n_relays}")
@@ -239,9 +235,20 @@ def sample_channels(t, rng, n=None):
     and (n, 2N+1) otherwise. Rows are drawn in order from one call, so a
     batch of n equals n single draws from the same generator state. The
     values and stream position are those of rng.exponential(link_scales(t), size).
+    Every reader of a draw takes N from its last axis by draw_relays.
     """
     draws = unit_draws(t, rng, n)
     return np.multiply(draws, link_scales(t), out=draws)
+
+
+def draw_relays(c, what):
+    """N of the draw array c, whose last axis holds the 2N+1 links in the
+    layout of sample_channels; a ValueError "<what>, got shape <shape>"
+    unless that axis exists and has odd length."""
+    shape = c.shape
+    if not shape or shape[-1] % 2 == 0:
+        raise ValueError(f"{what}, got shape {shape}")
+    return (shape[-1] - 1) // 2
 
 
 @dataclass(frozen=True)

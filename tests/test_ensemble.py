@@ -1,4 +1,5 @@
 import math
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -281,6 +282,27 @@ class TestPersistence:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("value", [True, 2.0, 0])
+    def test_frames_per_topology_is_checked_as_an_integer(self, value):
+        # record_dataset once recorded one frame for True and named n for 2.0
+        message = f"^frames_per_topology must be an integer >= 1, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            record_dataset(small_topologies(), "DIQIF", 1.0, value, named_rng(0, "f"))
+        with pytest.raises(ValueError, match=message):
+            synthetic_dataset(planted_table(), value, named_rng(0, "f"))
+
+    @pytest.mark.parametrize("segment, message", [
+        (("T9", (0, 1)), "sample topology 'T9' is not in the dataset"),
+        (("T1", (0, 20)), "sample row 20 of 'T1' is outside the 20 recorded frames"),
+        (("T1", (3, -1)), "sample row -1 of 'T1' is outside the 20 recorded frames"),
+    ])
+    def test_replay_names_a_segment_the_dataset_does_not_hold(self, segment, message):
+        # once a bare KeyError or IndexError, and row -1 read the last frame
+        dataset = synthetic_dataset(planted_table(n_topos=2), 20, named_rng(0, "rows"))
+        sample = EnsembleSample(segments=(("T0", (0, 1)), segment))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replay_policy("SPA", sample, dataset, DEFAULT_PARAMS)
+
     def test_dataset_invariants(self):
         with pytest.raises(ValueError):
             ModeDataset(topologies=("A",), mode_keys=(MODES10[0],),

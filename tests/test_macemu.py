@@ -38,6 +38,12 @@ class TestCoopDeliver:
         (r,) = coop_mac_deliver([None, None], [2, 1], POLICY)
         assert r == PacketResult(True, 744.0, 2, "DT")
 
+    @pytest.mark.parametrize("n_modes, n_categories", [(3, 2), (2, 3)])
+    def test_a_trace_needs_one_category_per_mode(self, n_modes, n_categories):
+        # zip once cut the longer list short: 3 modes over 2 categories gave 2 packets
+        with pytest.raises(ValueError):
+            coop_mac_deliver([None] * n_modes, [0] * n_categories, POLICY)
+
     def test_retry_then_direct(self):
         (r,) = coop_mac_deliver([R1, R1], [2, 0], POLICY)
         assert (r.delivered, r.total_delay_us, r.attempts) == (True, 552.0, 2)

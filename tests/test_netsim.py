@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import tempfile
 import warnings
 
@@ -315,6 +316,23 @@ class TestEvaluateFramesRejects:
             evaluate_frames(np.ones((2, 3, 5)), Mode((1, 3)), Strategy.DIF, 1.0)
 
 
+# Every reader of a draw, called with no mode or with relay 1 alone
+DRAW_READERS = {
+    "approx_capacity": lambda c: approx_capacity(c, (1,)),
+    "evaluate_frame": lambda c: evaluate_frame(c, None, Strategy.DT, 1.0),
+    "evaluate_frames": lambda c: evaluate_frames(c, None, Strategy.DT, 1.0),
+}
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (4,), (3, 4), (2, 6)])
+def test_every_draw_reader_rejects_a_draw_without_an_odd_last_axis(shape):
+    # approx_capacity once read N off any last axis: a (6,) draw lost column 5
+    for name, read in DRAW_READERS.items():
+        with pytest.raises(ValueError, match=f"^{name} takes .*, got shape "
+                                             f"{re.escape(str(shape))}$"):
+            read(np.ones(shape))
+
+
 def run_fixed(schedule, topologies, mode, strategy, rate, rng):
     """The run log of a fixed-mode run over the schedule, as fixed_modes
     runs it."""
@@ -357,6 +375,12 @@ class TestRunFixed:
         modes, categories = read_trace(path)
         assert categories == log.categories
         assert modes == log.modes
+
+    @pytest.mark.parametrize("n_modes, n_categories", [(3, 2), (2, 3)])
+    def test_trace_needs_one_category_per_mode(self, tmp_path, n_modes, n_categories):
+        # zip once cut the longer list short and wrote a shorter trace
+        with pytest.raises(ValueError):
+            write_trace(tmp_path / "trace.csv", [None] * n_modes, [0] * n_categories)
 
 
 @st.composite

@@ -694,6 +694,33 @@ def test_every_monte_carlo_entry_point_rejects_a_malformed_mc_samples(entry, mc_
         MC_SAMPLES_ENTRY_POINTS[entry](mc_samples)
 
 
+# Every entry point that searches the k-subsets of a topology, by the k given
+K_ENTRY_POINTS = {
+    "best_subnetwork analytic": lambda k: best_subnetwork(THREE_RELAYS, k, 1.0),
+    "best_subnetwork montecarlo": lambda k: best_subnetwork(
+        THREE_RELAYS, k, 1.0, method="montecarlo", mc_samples=1000),
+    "required_snr_db": lambda k: required_snr_db(THREE_RELAYS, k, 1.0, 1e-2),
+    "outage_sweep analytic": lambda k: outage_sweep(THREE_RELAYS, [k], 1.0, [0.0, 10.0]),
+    "outage_sweep montecarlo": lambda k: outage_sweep(
+        THREE_RELAYS, [k], 1.0, [0.0, 10.0], method="montecarlo", mc_samples=1000),
+}
+
+
+@pytest.mark.parametrize("k", [True, 1.0, 1.5, "1"])
+@pytest.mark.parametrize("entry", list(K_ENTRY_POINTS))
+def test_every_subset_search_checks_k_as_an_integer(entry, k):
+    # True once ran as k = 1 (and a sweep wrote 'k': True); 1.0 raised a TypeError
+    with pytest.raises(ValueError, match=f"^k must be an integer, got {k!r}$"):
+        K_ENTRY_POINTS[entry](k)
+
+
+def test_a_monte_carlo_sweep_checks_its_seed_as_an_integer():
+    # seed 7.9 once gave seed 7's rows
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0, got 7.9$"):
+        outage_sweep(THREE_RELAYS, [1], 1.0, [0.0], method="montecarlo",
+                     mc_samples=1000, seed=7.9)
+
+
 @pytest.mark.parametrize("entry", list(MC_SAMPLES_ENTRY_POINTS))
 def test_monte_carlo_entry_points_take_numpy_integers(entry):
     call = MC_SAMPLES_ENTRY_POINTS[entry]

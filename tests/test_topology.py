@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import topologies
+from coopsim.ensemble import make_ensemble, synthetic_dataset
 from coopsim.macemu import CoopVsRoutingScenario, MacPolicy
 from coopsim.netsim import Mode
 from coopsim.outage import Cut, OutageQuery
@@ -22,22 +24,34 @@ from oracles import (ScheduleOutOfRangeError, sample_channels_exponential,
 
 
 def test_validate_symmetric_ok():
-    t = Topology(n_relays=2, lambda_sd=1.0, lambda_sr=(1.0, 1.0),
-                 lambda_rd=(1.0, 1.0))
+    t = Topology(lambda_sd=1.0, lambda_sr=(1.0, 1.0), lambda_rd=(1.0, 1.0))
     assert validate_topology(t) is True
+
+
+def test_a_topology_takes_its_relay_count_from_its_link_lists():
+    # n_relays was once a field of its own: True or 1.0 loaded with one relay
+    assert "n_relays" not in inspect.signature(Topology).parameters
+    with pytest.raises(TypeError):
+        Topology(n_relays=1, lambda_sd=1.0, lambda_sr=(1.0,), lambda_rd=(1.0,))
+    for n in (0, 1, 3):
+        t = Topology(lambda_sd=1.0, lambda_sr=(2.0,) * n, lambda_rd=(0.5,) * n)
+        assert t.n_relays == len(t.lambda_sr) == n and type(t.n_relays) is int
+        assert t.scaled(2.0).n_relays == n
+        assert Topology.from_snr(1.0, [1.0] * n, [1.0] * n).n_relays == n
 
 
 def test_length_mismatch_rejected():
     with pytest.raises(LengthMismatchError):
-        Topology(n_relays=2, lambda_sd=1.0, lambda_sr=(1.0,),
-                 lambda_rd=(1.0, 1.0))
+        Topology(lambda_sd=1.0, lambda_sr=(1.0,), lambda_rd=(1.0, 1.0))
+    with pytest.raises(LengthMismatchError, match="^lambda_rd has 1 entries, expected 2$"):
+        Topology(lambda_sd=1.0, lambda_sr=(1.0, 1.0), lambda_rd=(1.0,))
 
 
 def test_zero_rate_rejected():
     with pytest.raises(NonPositiveRateError):
-        Topology(n_relays=1, lambda_sd=0.0, lambda_sr=(1.0,), lambda_rd=(1.0,))
+        Topology(lambda_sd=0.0, lambda_sr=(1.0,), lambda_rd=(1.0,))
     with pytest.raises(NonPositiveRateError):
-        Topology(n_relays=1, lambda_sd=math.inf, lambda_sr=(1.0,), lambda_rd=(1.0,))
+        Topology(lambda_sd=math.inf, lambda_sr=(1.0,), lambda_rd=(1.0,))
 
 
 def test_from_snr_units():
@@ -117,6 +131,16 @@ def test_named_rng_streams_distinct_and_stable():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("seed", [7.9, 7.0, True, -1, "7"])
+def test_named_rng_checks_its_seed_as_an_integer(seed):
+    # a float seed was once truncated (7.9 drew seed 7's stream), True read as 1
+    with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed!r}$"):
+        named_rng(seed, "x")
+    assert np.array_equal(named_rng(None, "x").random(3), named_rng(0, "x").random(3))
+    assert np.array_equal(named_rng(np.int64(7), "x").random(3),
+                          named_rng(7, "x").random(3))
+
+
 def test_schedule_boundaries():
     s = TopologySchedule((("A", 172), ("B", 172)))
     assert s.total_frames == 344
@@ -138,6 +162,7 @@ def test_schedule_rejects_bad_segments():
 
 
 THREE_RELAYS = Topology.from_snr(1.0, [1.0] * 3, [1.0] * 3)
+DATASET = synthetic_dataset({"A": {None: 0.5}}, 5, np.random.default_rng(0))
 
 # Each integer argument of a constructor: its name, and a function of its
 # value that builds with it and returns what was stored (a draw's row count)
@@ -154,6 +179,10 @@ INTEGER_ARGUMENTS = [
     *((name, lambda v, name=name: getattr(MacPolicy(**{name: v}), name))
       for name in ("max_retx_coop", "max_retx_per_link")),
     ("n_packets", lambda v: CoopVsRoutingScenario(THREE_RELAYS, 1.0, v).n_packets),
+    # True once built one sample (n_samples) or two segments (n_transitions)
+    ("n_samples", lambda v: len(make_ensemble(DATASET, v, 0, 1, seed=0))),
+    ("n_transitions", lambda v: len(make_ensemble(DATASET, 1, v, 1, seed=0)[0].segments) - 1),
+    ("segment_len", lambda v: make_ensemble(DATASET, 1, 0, v, seed=0)[0].segment_len),
 ]
 
 
