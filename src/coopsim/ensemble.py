@@ -251,16 +251,14 @@ def evaluate_on_ensemble(policy, samples, dataset, params=selection.DEFAULT_PARA
 
 
 def oracle_fer(sample, dataset):
-    """Ensemble oracle: per segment, the best fixed mode in hindsight."""
-    slots = [s for s, key in enumerate(dataset.mode_keys) if key is not None]
-    errors = 0
-    total = 0
-    for label, rows in sample.segments:
-        t = dataset.topologies.index(label)
-        failed = dataset.outcomes[t][np.ix_(slots, list(rows))] == 2
-        errors += int(failed.sum(axis=1).min())
-        total += len(rows)
-    return errors / total
+    """Ensemble oracle: per segment, the best fixed mode in hindsight, its
+    errors counted on the columns that the replay reads (_sample_columns)."""
+    columns = _sample_columns(sample, dataset)
+    errors, end = 0, 0
+    for _, rows in sample.segments:
+        start, end = end, end + len(rows)
+        errors += min(columns[mode].count(2, start, end) for mode in dataset.modes)
+    return errors / sample.total_frames
 
 
 def write_dataset_csv(path, dataset):
@@ -295,12 +293,11 @@ def write_samples_csv(path, samples):
 def memory_sweep(dataset, samples, r_values, params=selection.DEFAULT_PARAMS, seed=0):
     """SPA FER/switching tradeoff versus memory size r.
 
-    Returns rows of dicts with keys r, avg_fer, avg_switches.
+    Returns rows of dicts with keys r, avg_fer, avg_switches. An r that SPA
+    rejects (SpaParams, run_policy) is a ValueError before its first frame.
     """
     rows = []
     for r in r_values:
-        if not 1 <= r <= len(dataset.modes):
-            raise ValueError(f"r={r} outside [1, {len(dataset.modes)}]")
         res = evaluate_on_ensemble("SPA", samples, dataset,
                                    replace(params, r=r), seed=seed)
         rows.append({"r": r, "avg_fer": res.avg_fer,

@@ -410,25 +410,25 @@ def cut_outage_analytic(t, q, cut):
 def outage_upper_bound(t, q):
     """Union bound over all 2^k cuts, clamped to [0, 1]:
     direct_outage * sum_omega P_omega."""
-    return _bound_unless_above(t, q, math.inf)
+    return _bound_unless_above(t, q.subset, q.rate, math.inf)
 
 
-def _bound_unless_above(t, q, level):
-    """outage_upper_bound(t, q) when it is <= level, else a value above
-    level, found as soon as the cuts summed so far show it.
+def _bound_unless_above(t, subset, rate, level):
+    """outage_upper_bound of the subset at rate when it is <= level, else
+    a value above level, found as soon as the cuts summed so far show it.
 
     The cuts are summed in order of size, lexicographically within a size,
     so the closed-form cut omega = subset comes last. After each term,
     min(1, P_direct * (partial sum + that last term)) is a lower bound on
     the final bound, since every term is >= 0 and rounding is monotone;
     the sum stops once it is above level. For k = 0 the one cut is the
-    last. The query's subset is checked once, and each cut's lambdas are
-    gathered only when the sum reaches it.
+    last. The subset is checked against t once (_relay_subset), and each
+    cut's lambdas are gathered only when the sum reaches it.
     """
-    subset = _relay_subset(q.subset, t.n_relays)
-    rate = float(q.rate)
+    subset = _relay_subset(subset, t.n_relays)
+    p_direct = direct_outage(t.lambda_sd, rate)
+    rate = float(rate)
     last_term = _cut_term(t, subset, subset, rate)
-    p_direct = direct_outage(t.lambda_sd, q.rate)
     total = 0.0
     for omega in (omega for size in range(len(subset))
                   for omega in itertools.combinations(subset, size)):
@@ -471,20 +471,23 @@ def best_subnetwork(t, k, rate, method="analytic", mc_samples=DEFAULT_MC_SAMPLES
     >= 1.
     """
     subsets = _subsets(t, k)
-    if method not in ("analytic", "montecarlo"):
+    if method != "montecarlo":
+        return _least_bound(t, subsets, rate, method)
+    rng = rng if rng is not None else named_rng(0, "best_subnetwork")
+    return _least_outage([(t, subsets)], rate, rng, mc_samples)[0]
+
+
+def _least_bound(t, subsets, rate, method):
+    """best_subnetwork's analytic search of the subsets of one size k."""
+    if method != "analytic":
         raise ValueError(f"unknown method {method!r}")
-    if method == "montecarlo":
-        n = OutageQuery(rate=rate, mc_samples=mc_samples).mc_samples
-        draw_rng = rng if rng is not None else named_rng(0, "best_subnetwork")
-        [best] = _least_outage([(t, subsets)], rate, draw_rng, n)
-        return best
     best_subset, best_value = None, math.inf
-    for floor, q in _floor_order(t, subsets, rate):
+    for floor, subset in _floor_order(t, subsets, rate):
         if floor > best_value:
             break
-        value = _bound_unless_above(t, q, best_value)
-        if value < best_value or (value == best_value and q.subset < best_subset):
-            best_subset, best_value = q.subset, value
+        value = _bound_unless_above(t, subset, rate, best_value)
+        if value < best_value or (value == best_value and subset < best_subset):
+            best_subset, best_value = subset, value
     return best_subset, best_value
 
 
@@ -496,11 +499,10 @@ def _subsets(t, k):
 
 
 def _floor_order(t, subsets, rate):
-    """(floor, query) pairs of the subsets, given in lexicographic order as
-    _subsets gives them, in ascending order of floor, ties keeping their
-    order: the order in which the analytic searches visit them. A query is
-    built only when the walk reaches its subset; the rate check that every
-    query makes comes first.
+    """(floor, subset) pairs of the subsets, given in lexicographic order
+    as _subsets gives them, in ascending order of floor, ties keeping their
+    order: the order in which the analytic searches visit them. The rate is
+    checked first, and a subset only when its bound is summed.
 
     A subset's floor is P_direct * (F_Y(tau) + F_X(tau)), the terms of
     its bound's two closed-form cuts omega = {} and omega = subset added
@@ -525,7 +527,7 @@ def _floor_order(t, subsets, rate):
         total += cdf
     floors = np.minimum(1.0, direct_outage(t.lambda_sd, rate) * total).tolist()
     for i in sorted(range(len(subsets)), key=floors.__getitem__):
-        yield floors[i], OutageQuery(rate=rate, subset=subsets[i])
+        yield floors[i], subsets[i]
 
 
 @functools.lru_cache
@@ -540,16 +542,16 @@ def _member_ranks(subsets, order):
     return table
 
 
-def _reaches(t, k, rate, level):
-    """Whether some k-subset's outage_upper_bound is <= level, that is
-    best_subnetwork(t, k, rate)[1] <= level. Subsets are
+def _reaches(t, subsets, rate, level):
+    """Whether some subset of _subsets(t, k) has an outage_upper_bound <=
+    level, that is best_subnetwork(t, k, rate)[1] <= level. Subsets are
     visited in floor order; the walk stops at the first bound <= level, or
     at the first floor > level, since no later bound can be below it. Each
     bound is summed only until it is above level (_bound_unless_above)."""
-    for floor, q in _floor_order(t, _subsets(t, k), rate):
+    for floor, subset in _floor_order(t, subsets, rate):
         if floor > level:
             return False
-        if _bound_unless_above(t, q, level) <= level:
+        if _bound_unless_above(t, subset, rate, level) <= level:
             return True
     return False
 
@@ -559,7 +561,8 @@ def _least_outage(searches, rate, rng, n):
     outage, ties keeping the earliest subset, from the counts of
     _outage_counts: every search counts the same n unit draws from rng,
     each scaled to its own t, in one pass that draws them block by block;
-    the topologies share one relay count."""
+    the topologies share one relay count. OutageQuery checks rate and n."""
+    n = OutageQuery(rate=rate, mc_samples=n).mc_samples
     counts = _outage_counts(rng, n, searches, rate)
     return [(subsets[c.index(min(c))], min(c) / n)
             for (_, subsets), c in zip(searches, counts)]
@@ -586,20 +589,18 @@ def check_snr_grid(grid):
 def _sweep_point(template, rate, gi, snr_db, k_values, normalization, method,
                  mc_samples, seed):
     """[best_subnetwork(scaled_k, k, ...) for k in k_values] at point gi of
-    an SNR sweep, scaled_k being the template scaled to snr_db for k. The
-    Monte-Carlo draws come from the (seed, "sweep", gi) stream, so that
-    every point can be computed on its own, in any order or process. The
-    point makes one pass over them, block by block: each block is drawn
-    once and counted for every k, which scales it to its links, before the
-    next is drawn (_least_outage)."""
+    an SNR sweep, scaled_k being the template scaled to snr_db for k, whose
+    subsets are listed once, before the scaling reads k. The Monte-Carlo
+    draws come from the (seed, "sweep", gi) stream, so that every point can
+    be computed on its own, in any order or process. The point draws each
+    block once and counts it for every k, which scales it to its links,
+    before the next is drawn (_least_outage)."""
     snr = 10.0 ** (snr_db / 10.0)
-    scaled = [template.scaled(_snr_scale(snr, k, normalization)) for k in k_values]
+    searches = [(template.scaled(_snr_scale(snr, k, normalization)), s)
+                for k, s in zip(k_values, [_subsets(template, k) for k in k_values])]
     if method != "montecarlo":
-        return [best_subnetwork(t, k, rate, method=method)
-                for t, k in zip(scaled, k_values)]
-    n = OutageQuery(rate=rate, mc_samples=mc_samples).mc_samples
-    searches = [(t, _subsets(t, k)) for t, k in zip(scaled, k_values)]
-    return _least_outage(searches, rate, named_rng(seed, "sweep", gi), n)
+        return [_least_bound(t, s, rate, method) for t, s in searches]
+    return _least_outage(searches, rate, named_rng(seed, "sweep", gi), mc_samples)
 
 
 def outage_sweep(template, k_values, rate, snr_grid_db, normalization="per_node",
@@ -644,10 +645,11 @@ def required_snr_db(template, k, rate, target, normalization="per_node",
                          f"got lo_db={lo_db!r}, hi_db={hi_db!r}")
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target!r}")
+    subsets = _subsets(template, k)
 
     def reaches(snr_db, level):
         scaled = template.scaled(_snr_scale(10.0 ** (snr_db / 10.0), k, normalization))
-        return _reaches(scaled, k, rate, level)
+        return _reaches(scaled, subsets, rate, level)
 
     # least bound < target, as least bound <= the float just below target
     if reaches(lo_db, math.nextafter(target, -math.inf)):

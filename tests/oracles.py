@@ -37,6 +37,8 @@ They are slow and need scipy, so they live here rather than in the package:
 - learn_reference: selection.learn as first written, a dict of the batch's
   FERs and a stable sort of every admissible mode after each batch, on its
   own copy of the two-pass weight update (_weight_update_reference);
+- oracle_fer_reference: ensemble.oracle_fer with its own gather, one
+  topology lookup and one np.ix_ block of the mode slots per segment;
 - write_dataset_csv_rows and write_samples_csv_rows: the ensemble CSVs
   written one csv.writer row per frame;
 - write_packets_csv_rows: the packet CSV written one csv.writer row per
@@ -614,6 +616,19 @@ def run_policy_per_frame(policy, executor, all_modes, params=DEFAULT_PARAMS, rng
             return _learn_logged(loop, tuple(modes), lp)[0]
 
     return _run_triggered(executor, modes, params, log, adapt)
+
+
+def oracle_fer_reference(sample, dataset):
+    """Ensemble oracle: per segment, the best fixed mode in hindsight."""
+    slots = [s for s, key in enumerate(dataset.mode_keys) if key is not None]
+    errors = 0
+    total = 0
+    for label, rows in sample.segments:
+        t = dataset.topologies.index(label)
+        failed = dataset.outcomes[t][np.ix_(slots, list(rows))] == 2
+        errors += int(failed.sum(axis=1).min())
+        total += len(rows)
+    return errors / total
 
 
 def write_dataset_csv_rows(path, dataset):

@@ -4,6 +4,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopsim.ensemble import (EnsembleSample, ModeDataset, SegmentTooLongError,
                               evaluate_on_ensemble, evaluate_policies,
@@ -15,7 +17,7 @@ from coopsim.netsim import Mode, Strategy, enumerate_modes, evaluate_frame
 from coopsim.rng import named_rng
 from coopsim.selection import DEFAULT_PARAMS
 from coopsim.topology import Topology, sample_channels
-from oracles import write_dataset_csv_rows, write_samples_csv_rows
+from oracles import oracle_fer_reference, write_dataset_csv_rows, write_samples_csv_rows
 
 MODES10 = enumerate_modes(4)
 
@@ -39,6 +41,24 @@ def small_topologies():
         Topology.from_snr(0.4, [2.0, 1.0], [1.5, 0.7], label="A"),
         Topology.from_snr(1.5, [0.6, 2.5], [0.9, 2.0], label="B"),
     ]
+
+
+@st.composite
+def datasets_and_samples(draw):
+    """A synthetic_dataset of 1-3 topologies, DT plus 1-6 modes and 1-30
+    frames, and a sample it holds, of 1-5 segments of 1-8 rows each; rows
+    may repeat within a segment and across segments."""
+    labels = [f"T{i}" for i in range(draw(st.integers(1, 3)))]
+    modes = draw(st.lists(st.sampled_from(MODES10), min_size=1, max_size=6, unique=True))
+    frames = draw(st.integers(1, 30))
+    table = {label: {key: draw(st.floats(0.0, 1.0)) for key in [None, *modes]}
+             for label in labels}
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    dataset = synthetic_dataset(table, frames, named_rng(seed, "oracle"))
+    rows = st.lists(st.integers(0, frames - 1), min_size=1, max_size=8).map(tuple)
+    segments = draw(st.lists(st.tuples(st.sampled_from(labels), rows),
+                             min_size=1, max_size=5))
+    return dataset, EnsembleSample(segments=tuple(segments))
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +213,14 @@ class TestReplay:
                                        DEFAULT_PARAMS, seed=3)
             assert orc <= res.avg_fer
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=datasets_and_samples())
+    def test_oracle_equals_its_reference_on_the_replay_columns(self, case):
+        # the oracle counts the columns _sample_columns gathers for the
+        # replay; the reference gathers the outcomes itself
+        dataset, sample = case
+        assert oracle_fer(sample, dataset) == oracle_fer_reference(sample, dataset)
+
     def test_ensemble_average_converges(self, setup):
         dataset, samples = setup
         res = evaluate_on_ensemble("SPA", samples, dataset, DEFAULT_PARAMS, seed=2)
@@ -297,11 +325,15 @@ class TestValidation:
         (("T1", (3, -1)), "sample row -1 of 'T1' is outside the 20 recorded frames"),
     ])
     def test_replay_names_a_segment_the_dataset_does_not_hold(self, segment, message):
-        # once a bare KeyError or IndexError, and row -1 read the last frame
+        # once a bare KeyError or IndexError, and row -1 read the last frame;
+        # the oracle reads the same segments, once through its own gather: an
+        # unnamed tuple.index error, a bare IndexError, and 0.0 for row -1
         dataset = synthetic_dataset(planted_table(n_topos=2), 20, named_rng(0, "rows"))
         sample = EnsembleSample(segments=(("T0", (0, 1)), segment))
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            replay_policy("SPA", sample, dataset, DEFAULT_PARAMS)
+        for read in (lambda: replay_policy("SPA", sample, dataset, DEFAULT_PARAMS),
+                     lambda: oracle_fer(sample, dataset)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                read()
 
     def test_dataset_invariants(self):
         with pytest.raises(ValueError):

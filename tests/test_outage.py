@@ -85,16 +85,16 @@ class TestApproxCapacity:
             self, monkeypatch):
         # a query knows no topology, so (1, 3) passes it; every analytic
         # entry checks it against the topology's two relays before any cut,
-        # the walks through the query a floor order hands them
+        # the walks on the subset a floor order hands them
         t = Topology.from_snr(1.0, [1.0, 1.0], [1.0, 1.0])
         q = OutageQuery(rate=1.0, subset=(1, 3))
-        monkeypatch.setattr(outage, "_floor_order", lambda *a: iter([(0.0, q)]))
+        monkeypatch.setattr(outage, "_floor_order", lambda *a: iter([(0.0, q.subset)]))
         for call in (lambda: cut_outage_analytic(t, q, Cut(())),
                      lambda: outage_upper_bound(t, q),
-                     lambda: _bound_unless_above(t, q, math.inf),
-                     lambda: _bound_unless_above(t, q, -1.0),
+                     lambda: _bound_unless_above(t, q.subset, q.rate, math.inf),
+                     lambda: _bound_unless_above(t, q.subset, q.rate, -1.0),
                      lambda: best_subnetwork(t, 2, 1.0),
-                     lambda: _reaches(t, 2, 1.0, 0.5)):
+                     lambda: _reaches(t, [(1, 2)], 1.0, 0.5)):
             with pytest.raises(ValueError,
                                match=re.escape("subset (1, 3) has indices outside 1..2")):
                 call()
@@ -703,13 +703,23 @@ K_ENTRY_POINTS = {
     "outage_sweep analytic": lambda k: outage_sweep(THREE_RELAYS, [k], 1.0, [0.0, 10.0]),
     "outage_sweep montecarlo": lambda k: outage_sweep(
         THREE_RELAYS, [k], 1.0, [0.0, 10.0], method="montecarlo", mc_samples=1000),
+    # total power splits the SNR by k + 1, which reads k
+    "required_snr_db total_power": lambda k: required_snr_db(
+        THREE_RELAYS, k, 1.0, 1e-2, normalization="total_power"),
+    "outage_sweep analytic total_power": lambda k: outage_sweep(
+        THREE_RELAYS, [k], 1.0, [0.0, 10.0], normalization="total_power"),
+    "outage_sweep montecarlo total_power": lambda k: outage_sweep(
+        THREE_RELAYS, [k], 1.0, [0.0, 10.0], normalization="total_power",
+        method="montecarlo", mc_samples=1000),
 }
 
 
-@pytest.mark.parametrize("k", [True, 1.0, 1.5, "1"])
+@pytest.mark.parametrize("k", [True, 1.0, 1.5, "1", None])
 @pytest.mark.parametrize("entry", list(K_ENTRY_POINTS))
 def test_every_subset_search_checks_k_as_an_integer(entry, k):
-    # True once ran as k = 1 (and a sweep wrote 'k': True); 1.0 raised a TypeError
+    # True once ran as k = 1 (and a sweep wrote 'k': True); 1.0 raised a
+    # TypeError, and so did "1" and None under total power, split by k + 1
+    # before k was checked
     with pytest.raises(ValueError, match=f"^k must be an integer, got {k!r}$"):
         K_ENTRY_POINTS[entry](k)
 
@@ -826,8 +836,7 @@ class TestSubsetWalk:
         assert (2.0 ** 1e-17 - 1.0) == 0.0
         for k in range(t.n_relays + 1):
             subsets = list(itertools.combinations(range(1, t.n_relays + 1), k))
-            order = [(floor, q.subset)
-                     for floor, q in _floor_order(t, subsets, rate)]
+            order = list(_floor_order(t, subsets, rate))
             assert order == sorted(order)
             assert sorted(s for _, s in order) == subsets
             for floor, subset in order:
@@ -850,7 +859,7 @@ class TestSubsetWalk:
                 b, math.nextafter(b, math.inf), math.nextafter(b, -math.inf))}
             for q, bound in zip(queries, bounds):
                 for level in levels:
-                    value = _bound_unless_above(t, q, level)
+                    value = _bound_unless_above(t, q.subset, q.rate, level)
                     assert (value <= level) == (bound <= level), (q.subset, level)
                     assert value == bound if bound <= level else value > level
 
@@ -914,13 +923,13 @@ class TestRequiredSnr:
         # one float either side of each; for k <= 1 floor and bound coincide
         for k in range(t.n_relays + 1):
             best = best_subnetwork(t, k, rate)[1]
+            subsets = list(itertools.combinations(range(1, t.n_relays + 1), k))
             planted = [best] + [
-                bound_floor(t, OutageQuery(rate=rate, subset=s))
-                for s in itertools.combinations(range(1, t.n_relays + 1), k)]
+                bound_floor(t, OutageQuery(rate=rate, subset=s)) for s in subsets]
             for level in planted:
                 for x in (level, math.nextafter(level, math.inf),
                           math.nextafter(level, -math.inf)):
-                    assert _reaches(t, k, rate, x) == (best <= x), \
+                    assert _reaches(t, subsets, rate, x) == (best <= x), \
                         (k, x, best)
 
     @pytest.mark.parametrize("normalization", ["per_node", "total_power"])
